@@ -37,7 +37,7 @@ print(f"boundary lead-in/tail-out (gap lower bounds only): {g.lead_in}, {g.tail_
 # That makes every length-3 interior window hit the set ...
 cert = syndetic_certificate(s, 3)
 print(f"\nsyndetic certificate at N=3: {cert}")
-print(f"  re-verified by naive scan: {verify_syndetic(s, cert)}")
+print(f"  re-verified against the raw members: {verify_syndetic(s, cert)}")
 # ... while N=2 is refuted, with the witnessing location.
 print(f"refutation at N=2: {syndetic_certificate(s, 2)}")
 

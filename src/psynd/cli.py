@@ -421,39 +421,37 @@ def cmd_nilcheck(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
 
 
 def cmd_verify(report_path: str) -> int:
-    """Re-verify every certificate in a report against its embedded set."""
+    """Re-verify every certificate in a report; a malformed report exits 2 first."""
     try:
         report = json.loads(Path(report_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"verify: cannot read report: {exc}", file=sys.stderr)
+        set_obj = report.get("set") if isinstance(report, dict) else None
+        if not isinstance(set_obj, dict) or "members" not in set_obj:
+            raise ValueError("report has no embedded set")
+        planar = "box" in set_obj
+        the_set = (GridSet if planar else WindowSet).from_json_obj(set_obj)
+        certs = [cert_from_json_obj(obj) for obj in report.get("certificates", [])]
+        # built per call, so that the verifier names are resolved when verify runs
+        verifiers = {
+            windows.PwsCert2D: verify_pws_2d,
+            windows.Syndetic2DCert: verify_syndetic_2d,
+            windows.Syndetic2DRefutation: windows.verify_syndetic_2d_refutation,
+        } if planar else {
+            windows.PwsCert: verify_pws,
+            windows.SyndeticCert: verify_syndetic,
+            windows.SyndeticRefutation: windows.verify_syndetic_refutation,
+            windows.ThickCert: verify_thick,
+        }
+        for cert in certs:
+            if type(cert) not in verifiers:
+                raise ValueError(f"{cert.type} certificate on a {'2D' if planar else '1D'} set")
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        print(f"verify: bad report: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    set_obj = report.get("set")
-    if set_obj is None or "members" not in set_obj:
-        print("verify: report has no embedded set", file=sys.stderr)
-        return PARSE_ERROR
-    if "box" in set_obj:
-        the_set = GridSet.from_json_obj(set_obj)
-    else:
-        the_set = WindowSet.from_json_obj(set_obj)
     failures = 0
-    for obj in report.get("certificates", []):
-        cert = cert_from_json_obj(obj)
-        kind = obj["type"]
-        if kind == "pws":
-            ok = verify_pws(the_set, cert)
-        elif kind == "thick":
-            ok = verify_thick(the_set, cert)
-        elif kind == "syndetic":
-            ok = verify_syndetic(the_set, cert)
-        elif kind == "pws2d":
-            ok = verify_pws_2d(the_set, cert)
-        elif kind == "syndetic2d":
-            ok = verify_syndetic_2d(the_set, cert)
-        else:
-            print(f"{kind}: skipped (refutation or unknown)")
-            continue
-        print(f"{kind}: {'ok' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
+    for cert in certs:
+        ok = verifiers[type(cert)](the_set, cert)
+        print(f"{cert.type}: {'ok' if ok else 'FAIL'}")
+        failures += not ok
     return 0 if failures == 0 else 1
 
 
@@ -465,11 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("analyze", "thma", "thmb", "returns", "induced", "nilcheck", "verify"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=(name != "nilcheck"), help="JSON config path (for verify: the report to check)")
+        if name == "verify":
+            p.add_argument("--config", required=True, help="the report to check")
+            continue
+        p.add_argument("--config", required=(name != "nilcheck"), help="JSON config path")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", default="json", choices=("json", "csv"))
-        p.add_argument("--oracle", action="store_true", help="cross-check against the arithmetic oracle (returns)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name == "returns":
+            p.add_argument("--oracle", action="store_true",
+                           help="cross-check against the arithmetic oracle")
     return parser
 
 
@@ -477,22 +480,12 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
         return cmd_verify(args.config)
+    commands = {"analyze": cmd_analyze, "thma": cmd_thma, "thmb": cmd_thmb,
+                "returns": lambda cfg, seed: cmd_returns(cfg, seed, args.oracle),
+                "induced": cmd_induced, "nilcheck": cmd_nilcheck}
     try:
         cfg = _load_config(args.config) if args.config else {}
-        if args.command == "analyze":
-            report, code = cmd_analyze(cfg, args.seed)
-        elif args.command == "thma":
-            report, code = cmd_thma(cfg, args.seed)
-        elif args.command == "thmb":
-            report, code = cmd_thmb(cfg, args.seed)
-        elif args.command == "returns":
-            report, code = cmd_returns(cfg, args.seed, args.oracle)
-        elif args.command == "induced":
-            report, code = cmd_induced(cfg, args.seed)
-        elif args.command == "nilcheck":
-            report, code = cmd_nilcheck(cfg, args.seed)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command}")
+        report, code = commands[args.command](cfg, args.seed)
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"{args.command}: config error: {exc}", file=sys.stderr)
         return PARSE_ERROR

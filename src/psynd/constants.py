@@ -79,9 +79,6 @@ class RealSpec:
         sign = "+" if self.offset > 0 else "-"
         return f"{self.name}{sign}{abs(self.offset)}"
 
-    def approx(self) -> float:
-        return self.fixed(MIN_BITS) / (1 << MIN_BITS)
-
 
 def parse_real(text) -> RealSpec:
     """Parse "sqrt2-1", "golden", "1/4", "-3", "pi+1/7", or numbers.

@@ -131,7 +131,7 @@ class _System:
             if self.exact or obj["bits"] != self.bits:
                 raise ValueError("fixed-point coordinates do not match system precision")
             return Point(tuple(int(c, 16) for c in obj["coords_fixed"]))
-        return Point(tuple(Fraction(c) % 1 for c in obj["coords"]))
+        return self.make_point(obj["coords"])
 
 
 @dataclass(frozen=True)

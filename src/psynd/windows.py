@@ -2,8 +2,8 @@
 
 A :class:`WindowSet` models an integer set restricted to an interval
 ``[lo, hi]``; a :class:`GridSet` models a planar set restricted to a box.
-Detection ops return small certificate objects that can always be
-re-verified against the raw set by a direct membership scan, and all
+Detection ops return small certificate objects that one covering scan,
+independent of the detection kernels, re-verifies against the raw set; all
 piecewise-syndetic claims are made only on the shift-shrunk interior of
 the window so that a finite truncation never manufactures a witness the
 underlying unbounded set would not have.
@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Union, get_args, get_origin, get_type_hints
 
 from . import bitops
 from .errors import (
@@ -361,71 +362,98 @@ class GridSet:
 # ---------------------------------------------------------------------------
 
 
+CERT_TYPES: Dict[str, type] = {}  # type tag -> certificate class
+
+
+class _Cert:
+    """A certificate's JSON form: its ``type`` tag, then its fields, tuples as lists.
+
+    A subclass names its tag, ``class C(_Cert, tag=...)``, entering it in ``CERT_TYPES``.
+    """
+
+    type: ClassVar[str]
+
+    def __init_subclass__(cls, tag: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.type = tag
+        CERT_TYPES[tag] = cls
+
+    def to_json_obj(self) -> dict:
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {"type": self.type, **{k: list(v) if isinstance(v, tuple) else v for k, v in values}}
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "_Cert":
+        """Inverse of ``to_json_obj``; ValueError names a missing or ill-typed field."""
+        values = {}
+        for f in fields(cls):
+            if f.name not in obj:
+                raise ValueError(f"{cls.type} certificate has no field {f.name!r}")
+            value, hint = obj[f.name], get_type_hints(cls)[f.name]
+            bad = f"{cls.type} certificate field {f.name!r} is not"
+            if get_origin(hint) is tuple:
+                size = len(get_args(hint))
+                if not (isinstance(value, list) and len(value) == size
+                        and all(type(v) is int for v in value)):
+                    raise ValueError(f"{bad} a list of {size} integers")
+                value = tuple(value)
+            elif not (type(value) is int or (value is None and type(None) in get_args(hint))):
+                raise ValueError(f"{bad} an integer")
+            values[f.name] = value
+        return cls(**values)
+
+
 @dataclass(frozen=True)
-class SyndeticCert:
+class SyndeticCert(_Cert, tag="syndetic"):
     """Every length-``gap_bound`` subinterval of ``checked_interval`` meets the set."""
 
     gap_bound: int
     checked_interval: Tuple[int, int]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "type": "syndetic",
-            "gap_bound": self.gap_bound,
-            "checked_interval": list(self.checked_interval),
-        }
-
 
 @dataclass(frozen=True)
-class SyndeticRefutation:
+class SyndeticRefutation(_Cert, tag="syndetic_refutation"):
     """First length-N subinterval missing the set, with the containing gap size."""
 
     gap: int
     location: int
     length: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "type": "syndetic_refutation",
-            "gap": self.gap,
-            "location": self.location,
-            "length": self.length,
-        }
-
 
 @dataclass(frozen=True)
-class ThickCert:
+class ThickCert(_Cert, tag="thick"):
     """``[run_start, run_start+run_length-1]`` is contained in the set."""
 
     run_start: Optional[int]
     run_length: int
 
-    def to_json_obj(self) -> dict:
-        return {"type": "thick", "run_start": self.run_start, "run_length": self.run_length}
-
 
 @dataclass(frozen=True)
-class PwsCert:
+class PwsCert(_Cert, tag="pws"):
     """Dilating the set by the shift interval [0, shift_bound] covers ``interval``.
 
     ``interval`` is (start, length); it always lies inside the
     shift_bound-shrunk window, so re-dilation of the raw window set
-    reproduces it.
+    reproduces it.  Its JSON form is the object ``{"start", "length"}``.
     """
 
     shift_bound: int
     interval: Tuple[int, int]
 
     def to_json_obj(self) -> dict:
-        return {
-            "type": "pws",
-            "shift_bound": self.shift_bound,
-            "interval": {"start": self.interval[0], "length": self.interval[1]},
-        }
+        start, length = self.interval
+        return {**super().to_json_obj(), "interval": {"start": start, "length": length}}
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "PwsCert":
+        interval = obj.get("interval")
+        if isinstance(interval, dict):
+            obj = {**obj, "interval": [interval.get("start"), interval.get("length")]}
+        return super().from_json_obj(obj)
 
 
 @dataclass(frozen=True)
-class PwsCert2D:
+class PwsCert2D(_Cert, tag="pws2d"):
     """Dilating by the shift box [0,b1]x[0,b2] covers the rectangle.
 
     ``rect`` is (m0, n0, w, h): rows m0..m0+w-1, columns n0..n0+h-1.
@@ -434,38 +462,29 @@ class PwsCert2D:
     shift_box: Tuple[int, int]
     rect: Tuple[int, int, int, int]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "type": "pws2d",
-            "shift_box": list(self.shift_box),
-            "rect": list(self.rect),
-        }
-
 
 @dataclass(frozen=True)
-class Syndetic2DCert:
+class Syndetic2DCert(_Cert, tag="syndetic2d"):
+    """Every point of ``checked_box`` has a member within ``l_bound`` in each coordinate."""
+
     l_bound: int
     checked_box: Tuple[int, int, int, int]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "type": "syndetic2d",
-            "l_bound": self.l_bound,
-            "checked_box": list(self.checked_box),
-        }
-
 
 @dataclass(frozen=True)
-class Syndetic2DRefutation:
+class Syndetic2DRefutation(_Cert, tag="syndetic2d_refutation"):
+    """A point of the L-shrunk box with no member within ``l_bound`` in each coordinate."""
+
     l_bound: int
     point: Tuple[int, int]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "type": "syndetic2d_refutation",
-            "l_bound": self.l_bound,
-            "point": list(self.point),
-        }
+
+def cert_from_json_obj(obj: dict) -> _Cert:
+    """Decode a certificate by its ``type`` tag; ValueError on an unknown tag or a bad field."""
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if str(kind) not in CERT_TYPES:
+        raise ValueError(f"unknown certificate type {kind!r}")
+    return CERT_TYPES[str(kind)].from_json_obj(obj)
 
 
 @dataclass(frozen=True)
@@ -584,39 +603,6 @@ def pws_witness(s: WindowSet, b_max: int, l_run: int) -> Optional[PwsCert]:
     return None
 
 
-def verify_pws(s: WindowSet, cert: PwsCert) -> bool:
-    """Re-verify a PwsCert by direct membership scan of the raw set."""
-    b = cert.shift_bound
-    start, length = cert.interval
-    if start < s.lo or start + length - 1 > s.hi - b:
-        return False
-    for x in range(start, start + length):
-        if not any((x + i) in s for i in range(b + 1)):
-            return False
-    return True
-
-
-def verify_syndetic(s: WindowSet, cert: SyndeticCert) -> bool:
-    lo, hi = cert.checked_interval
-    n = cert.gap_bound
-    i = lo
-    while i + n - 1 <= hi:
-        # the first member at or after i meets every window starting up to it
-        j = next((j for j in range(n) if (i + j) in s), None)
-        if j is None:
-            return False
-        i += j + 1
-    return True
-
-
-def verify_thick(s: WindowSet, cert: ThickCert) -> bool:
-    if cert.run_length == 0:
-        return True
-    if cert.run_start is None:
-        return False
-    return all((cert.run_start + i) in s for i in range(cert.run_length))
-
-
 def run_starts(s: WindowSet, n: int) -> WindowSet:
     """Positions where a run of ``n`` consecutive members begins.
 
@@ -687,10 +673,8 @@ def dilate_2d(e: GridSet, b1: int, b2: int) -> GridSet:
     return GridSet((e.mlo, e.mhi - b1, e.nlo, e.nhi - b2), rows)
 
 
-def _find_rect(rows: Sequence[int], w: int, h: int, n_width: int) -> Optional[Tuple[int, int]]:
+def _find_rect(rows: Sequence[int], w: int, h: int) -> Optional[Tuple[int, int]]:
     """Lowest (row index, col index) where a w-row x h-col all-ones rect starts."""
-    if w > len(rows):
-        return None
     for i in range(len(rows) - w + 1):
         acc = rows[i]
         for j in range(1, w):
@@ -698,7 +682,7 @@ def _find_rect(rows: Sequence[int], w: int, h: int, n_width: int) -> Optional[Tu
             if not acc:
                 break
         if acc:
-            start = bitops.has_run(acc, h) if h <= n_width else None
+            start = bitops.has_run(acc, h)
             if start is not None:
                 return (i, start)
     return None
@@ -709,22 +693,22 @@ def pws_witness_2d(
 ) -> Optional[PwsCert2D]:
     """Lexicographically minimal (b1, b2) whose box dilation contains a w x h rect.
 
-    w counts rows (m direction), h counts columns (n direction).  For a
-    fixed b1 the test is monotone in b2, so b2 is found by binary
-    search.
+    w counts rows (m direction), h counts columns (n direction).  Capped at
+    b1 <= m_width - w and b2 <= n_width - h, where the rect still fits, the
+    test is monotone in b2 (a rect covered at b2 is covered one column to
+    its left at b2 + 1), so b2 is found by binary search.
     """
     if b1_max < 0 or b2_max < 0:
         raise BadBoundError("shift bounds must be >= 0")
     if w < 1 or h < 1:
         raise BadBoundError("rectangle sides must be >= 1")
-    b1_cap = min(b1_max, e.m_width - 1)
-    b2_cap = min(b2_max, e.n_width - 1)
+    b1_cap = min(b1_max, e.m_width - w)
+    b2_cap = min(b2_max, e.n_width - h)
+    if b2_cap < 0:
+        return None
 
     def attempt(b1: int, b2: int) -> Optional[Tuple[int, int]]:
-        d = dilate_2d(e, b1, b2)
-        if w > d.m_width or h > d.n_width:
-            return None
-        return _find_rect(d.rows, w, h, d.n_width)
+        return _find_rect(dilate_2d(e, b1, b2).rows, w, h)
 
     for b1 in range(0, b1_cap + 1):
         if attempt(b1, b2_cap) is None:
@@ -743,22 +727,6 @@ def pws_witness_2d(
             rect=(e.mlo + pos[0], e.nlo + pos[1], w, h),
         )
     return None
-
-
-def verify_pws_2d(e: GridSet, cert: PwsCert2D) -> bool:
-    b1, b2 = cert.shift_box
-    m0, n0, w, h = cert.rect
-    if m0 < e.mlo or m0 + w - 1 > e.mhi - b1:
-        return False
-    if n0 < e.nlo or n0 + h - 1 > e.nhi - b2:
-        return False
-    for m in range(m0, m0 + w):
-        for n in range(n0, n0 + h):
-            if not any(
-                (m + i, n + j) in e for i in range(b1 + 1) for j in range(b2 + 1)
-            ):
-                return False
-    return True
 
 
 def max_rectangle(e: GridSet) -> Tuple[int, Optional[Tuple[int, int, int, int]]]:
@@ -822,25 +790,19 @@ def syndetic_2d_certificate(
     return Syndetic2DCert(l_bound=l_bound, checked_box=(mlo, mhi, nlo, nhi))
 
 
-def verify_syndetic_2d(e: GridSet, cert: Syndetic2DCert) -> bool:
-    l_bound = cert.l_bound
-    mlo, mhi, nlo, nhi = cert.checked_box
-    for m in range(mlo, mhi + 1):
-        for n in range(nlo, nhi + 1):
-            if not any(
-                (m + i, n + j) in e
-                for i in range(-l_bound, l_bound + 1)
-                for j in range(-l_bound, l_bound + 1)
-            ):
-                return False
-    return True
-
-
 def grid_slice(e: GridSet, m: int) -> WindowSet:
     """Row ``m`` of the grid as a WindowSet over the n-range."""
     if not e.mlo <= m <= e.mhi:
         raise ValueError(f"row {m} outside box rows [{e.mlo},{e.mhi}]")
     return WindowSet(e.nlo, e.nhi, e.rows[m - e.mlo])
+
+
+def _strongest(
+    candidates: Iterable[Tuple[int, WindowSet]], b_max: int, l_run: int
+) -> Optional[Tuple[int, PwsCert]]:
+    """(key, witness) of the strongest witness, in ``best_slice``'s order, or None."""
+    found = [(key, cert) for key, s in candidates if (cert := pws_witness(s, b_max, l_run))]
+    return min(found, key=lambda kc: (-kc[1].interval[1], kc[1].shift_bound, kc[0]), default=None)
 
 
 def best_slice(
@@ -852,17 +814,10 @@ def best_slice(
     bound, then smaller row index.  Raises NoRowError when no row
     admits any witness at (b_max, L).
     """
-    best: Optional[Tuple[int, int, int, PwsCert]] = None
-    for m in range(e.mlo, e.mhi + 1):
-        cert = pws_witness(grid_slice(e, m), b_max, l_run)
-        if cert is None:
-            continue
-        key = (-cert.interval[1], cert.shift_bound, m)
-        if best is None or key < best[:3]:
-            best = (*key, cert)
-    if best is None:
+    found = _strongest(((m, grid_slice(e, m)) for m in range(e.mlo, e.mhi + 1)), b_max, l_run)
+    if found is None:
         raise NoRowError(f"no row admits a witness at b_max={b_max}, L={l_run}")
-    return best[2], best[3]
+    return found
 
 
 @dataclass(frozen=True)
@@ -897,56 +852,108 @@ def partition_pws(
     if acc != bitops.mask_of(hi - lo + 1):
         raise NotPartitionError("cells miss points of the window")
 
-    def sweep(bound: int) -> Optional[Tuple[int, PwsCert]]:
-        best: Optional[Tuple[int, int, int, PwsCert]] = None
-        for idx, c in enumerate(cells):
-            cert = pws_witness(c, bound, l_run)
-            if cert is None:
-                continue
-            key = (-cert.interval[1], cert.shift_bound, idx)
-            if best is None or key < best[:3]:
-                best = (*key, cert)
-        return None if best is None else (best[2], best[3])
-
-    found = sweep(b_max)
-    if found is not None:
-        return PartitionResult(index=found[0], cert=found[1], used_fallback=False)
-    width = hi - lo + 1
-    for b in range(b_max + 1, max(0, width - l_run) + 1):
-        found = sweep(b)
+    for b in [b_max, *range(b_max + 1, max(0, hi - lo + 1 - l_run) + 1)]:
+        found = _strongest(enumerate(cells), b, l_run)
         if found is not None:
-            return PartitionResult(index=found[0], cert=found[1], used_fallback=True)
+            return PartitionResult(*found, used_fallback=b > b_max)
     raise NoRowError(
         f"no cell admits a witness for L={l_run} even with unbounded shifts"
     )
 
 
-CERT_VERIFIERS = {
-    "syndetic": verify_syndetic,
-    "thick": verify_thick,
-    "pws": verify_pws,
-}
-
-CERT_VERIFIERS_2D = {
-    "pws2d": verify_pws_2d,
-    "syndetic2d": verify_syndetic_2d,
-}
+# ---------------------------------------------------------------------------
+# Verification
+# ---------------------------------------------------------------------------
 
 
-def cert_from_json_obj(obj: dict):
-    kind = obj["type"]
-    if kind == "syndetic":
-        return SyndeticCert(obj["gap_bound"], tuple(obj["checked_interval"]))
-    if kind == "syndetic_refutation":
-        return SyndeticRefutation(obj["gap"], obj["location"], obj["length"])
-    if kind == "thick":
-        return ThickCert(obj["run_start"], obj["run_length"])
-    if kind == "pws":
-        return PwsCert(obj["shift_bound"], (obj["interval"]["start"], obj["interval"]["length"]))
-    if kind == "pws2d":
-        return PwsCert2D(tuple(obj["shift_box"]), tuple(obj["rect"]))
-    if kind == "syndetic2d":
-        return Syndetic2DCert(obj["l_bound"], tuple(obj["checked_box"]))
-    if kind == "syndetic2d_refutation":
-        return Syndetic2DRefutation(obj["l_bound"], tuple(obj["point"]))
-    raise ValueError(f"unknown certificate type {kind!r}")
+def _covered(s: WindowSet, lo: int, hi: int, w0: int, w1: int) -> bool:
+    """True when every x in [lo, hi] has a member of ``s`` in [x+w0, x+w1].
+
+    Every positive certificate is such a claim.  Walks the members in order,
+    keeping the first x not yet served; member p serves [p-w1, p-w0].
+    """
+    a, b = max(lo + w0, s.lo), min(hi + w1, s.hi)
+    x = lo
+    if a <= b:
+        for p in s.restrict(a, b).members():
+            if p - w1 > x:
+                return False
+            x = max(x, p - w0 + 1)
+            if x > hi:
+                return True
+    return x > hi
+
+
+def _covered_2d(
+    e: GridSet, region: Tuple[int, int, int, int], i0: int, i1: int, j0: int, j1: int
+) -> bool:
+    """True when every (m, n) in ``region`` has a member in [m+i0, m+i1] x [n+j0, n+j1]."""
+    mlo, mhi, nlo, nhi = region
+    for m in range(mlo, mhi + 1):
+        acc = 0
+        for r in e.rows[max(m + i0 - e.mlo, 0) : max(m + i1 - e.mlo + 1, 0)]:
+            acc |= r
+        if not _covered(WindowSet(e.nlo, e.nhi, acc), nlo, nhi, j0, j1):
+            return False
+    return True
+
+
+def verify_syndetic(s: WindowSet, cert: SyndeticCert) -> bool:
+    """Each x in [lo, hi-N+1] has a member in [x, x+N-1]."""
+    lo, hi = cert.checked_interval
+    n = cert.gap_bound
+    return _covered(s, lo, hi - n + 1, 0, n - 1)
+
+
+def verify_pws(s: WindowSet, cert: PwsCert) -> bool:
+    """The interval lies in the b-shrunk window and each x has a member in [x, x+b]."""
+    b = cert.shift_bound
+    start, length = cert.interval
+    if start < s.lo or start + length - 1 > s.hi - b:
+        return False
+    return _covered(s, start, start + length - 1, 0, b)
+
+
+def verify_thick(s: WindowSet, cert: ThickCert) -> bool:
+    if cert.run_length == 0:
+        return True
+    if cert.run_start is None:
+        return False
+    return _covered(s, cert.run_start, cert.run_start + cert.run_length - 1, 0, 0)
+
+
+def verify_syndetic_refutation(s: WindowSet, cert: SyndeticRefutation) -> bool:
+    """The hole lies in the N-shrunk window and holds no member; ``gap`` is the
+    next member minus the previous one, the window edge +-1 standing in."""
+    loc, n = cert.location, cert.length
+    if n < 1 or loc < s.lo + n or loc + n - 1 > s.hi - n:
+        return False
+    left = s.lo - 1 + (s.mask & bitops.mask_of(loc - s.lo)).bit_length()
+    above = s.mask >> (loc - s.lo)
+    right = loc + bitops.lowest_set_bit(above) if above else s.hi + 1
+    return right >= loc + n and cert.gap == right - left
+
+
+def verify_pws_2d(e: GridSet, cert: PwsCert2D) -> bool:
+    """The rect lies in the shrunk box and each point has a member in +[0,b1]x[0,b2]."""
+    b1, b2 = cert.shift_box
+    m0, n0, w, h = cert.rect
+    if m0 < e.mlo or m0 + w - 1 > e.mhi - b1:
+        return False
+    if n0 < e.nlo or n0 + h - 1 > e.nhi - b2:
+        return False
+    return _covered_2d(e, (m0, m0 + w - 1, n0, n0 + h - 1), 0, b1, 0, b2)
+
+
+def verify_syndetic_2d(e: GridSet, cert: Syndetic2DCert) -> bool:
+    """Each point of the checked box has a member in +[-L, L]^2."""
+    l_bound = cert.l_bound
+    return _covered_2d(e, cert.checked_box, -l_bound, l_bound, -l_bound, l_bound)
+
+
+def verify_syndetic_2d_refutation(e: GridSet, cert: Syndetic2DRefutation) -> bool:
+    """The point lies in the L-shrunk box and has no member in +[-L, L]^2."""
+    (m, n), l_bound = cert.point, cert.l_bound
+    near = (m - l_bound, m + l_bound, n - l_bound, n + l_bound)
+    inside = e.mlo <= near[0] and near[1] <= e.mhi and e.nlo <= near[2] and near[3] <= e.nhi
+    return l_bound >= 0 and inside and e.restrict(near).is_empty()

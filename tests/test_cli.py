@@ -2,6 +2,16 @@
 
 import json
 
+import pytest
+
+from psynd import (
+    GridSet,
+    longest_run,
+    pws_witness,
+    pws_witness_2d,
+    syndetic_2d_certificate,
+    syndetic_certificate,
+)
 from psynd.cli import main
 from psynd.generators import sturmian_window
 
@@ -230,6 +240,105 @@ def test_verify_detects_tampering(tmp_path):
             cert["interval"]["length"] += 5000
     out_path.write_text(json.dumps(report), encoding="utf-8")
     assert main(["verify", "--config", str(out_path)]) == 1
+
+
+GOLDEN = sturmian_window("golden", 0, 2000)
+STRIPES = GridSet.from_predicate((-20, 20, -20, 20), lambda m, n: m % 3 == 0)
+
+# certificate type -> (set, genuine certificate, tampering of its JSON form)
+TAMPERED = {
+    "syndetic": (GOLDEN, syndetic_certificate(GOLDEN, 3), lambda o: o.update(gap_bound=2)),
+    "syndetic_refutation": (GOLDEN, syndetic_certificate(GOLDEN, 2), lambda o: o.update(gap=99)),
+    "thick": (GOLDEN, longest_run(GOLDEN), lambda o: o.update(run_length=o["run_length"] + 1)),
+    "pws": (GOLDEN, pws_witness(GOLDEN, 4, 50), lambda o: o["interval"].update(length=5000)),
+    "pws2d": (STRIPES, pws_witness_2d(STRIPES, 3, 3, 4, 4), lambda o: o.update(shift_box=[0, 0])),
+    "syndetic2d": (STRIPES, syndetic_2d_certificate(STRIPES, 1), lambda o: o.update(l_bound=0)),
+    "syndetic2d_refutation": (
+        STRIPES, syndetic_2d_certificate(STRIPES, 0), lambda o: o.update(point=[0, 0])
+    ),
+}
+
+
+def verify_report(tmp_path, the_set, *certs):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"set": the_set.to_json_obj(), "certificates": list(certs)}))
+    return main(["verify", "--config", str(path)])
+
+
+@pytest.mark.parametrize("kind", TAMPERED)
+def test_verify_checks_every_certificate_type(tmp_path, capsys, kind):
+    the_set, cert, tamper = TAMPERED[kind]
+    obj = cert.to_json_obj()
+    assert obj["type"] == kind
+    assert verify_report(tmp_path, the_set, obj) == 0
+    assert capsys.readouterr().out == f"{kind}: ok\n"
+    tamper(obj)
+    assert verify_report(tmp_path, the_set, obj) == 1
+    assert capsys.readouterr().out == f"{kind}: FAIL\n"
+
+
+def test_verify_genuine_reports_skip_nothing(tmp_path, capsys):
+    # a refuted N in analyze, and a thma witness: every certificate is checked
+    cfg = dict(ANALYZE_CFG, certificates={"syndetic": {"N": 2}, "pws": {"b_max": 4, "L": 50}})
+    _, _, analyzed = run(tmp_path, "analyze", cfg)
+    assert main(["verify", "--config", str(analyzed)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "thick: ok", "syndetic_refutation: ok", "pws: ok"
+    ]
+    _, _, planar = run(tmp_path, "thma", {
+        "set": {"kind": "sturmian", "alpha": "golden", "window": [-2000, 2000]},
+        "family": ["n", "n^2"],
+        "box": [-100, 100, -40, 40],
+        "certificates": {"pws2d": {"b1_max": 6, "b2_max": 6, "w": 3, "h": 3}},
+    })
+    assert main(["verify", "--config", str(planar)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["pws2d: ok"]
+
+
+@pytest.mark.parametrize("set_kind, cert, message", [
+    ("1d", {"type": "bogus"}, "unknown certificate type 'bogus'"),
+    ("1d", {"type": "pws", "shift_bound": 1}, "no field 'interval'"),
+    ("1d", {"type": "thick", "run_start": "3", "run_length": 2}, "'run_start' is not an integer"),
+    ("1d", {"type": "pws2d", "shift_box": [0, 0], "rect": [0, 0, 1, 1]}, "pws2d certificate on a 1D set"),
+    ("2d", {"type": "thick", "run_start": 0, "run_length": 1}, "thick certificate on a 2D set"),
+], ids=["unknown-type", "missing-field", "ill-typed-field", "2d-on-1d", "1d-on-2d"])
+def test_verify_malformed_report_exit_2(tmp_path, capsys, set_kind, cert, message):
+    the_set = GOLDEN if set_kind == "1d" else STRIPES
+    genuine = longest_run(GOLDEN) if set_kind == "1d" else syndetic_2d_certificate(STRIPES, 1)
+    assert verify_report(tmp_path, the_set, genuine.to_json_obj(), cert) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_each_subcommand_takes_only_its_flags(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{}")
+    for argv in (
+        ["verify", "--config", str(cfg), "--out", str(tmp_path / "o")],
+        ["verify", "--config", str(cfg), "--seed", "1"],
+        ["analyze", "--config", str(cfg), "--oracle"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_returns_point_coords_follow_the_system(tmp_path):
+    cfg = {
+        "system": {"type": "rotation", "alpha": "sqrt2"},
+        "family": ["n"],
+        "epsilon": "1/10",
+        "window": [-50, 50],
+        "x": {"coords": ["1/3"]},
+    }
+    code, report, _ = run(tmp_path, "returns", cfg)
+    assert code == 0
+    assert "coords_fixed" in report["query"]["x"]
+    exact = dict(cfg, system={"type": "rotation", "alpha": ["1/4"]})
+    for coords in (["sqrt2"], [0.5]):
+        code, _, _ = run(tmp_path, "returns", dict(exact, x={"coords": coords}))
+        assert code == 2
 
 
 def test_csv_output(tmp_path):

@@ -11,7 +11,9 @@ from psynd import (
     PolyFamily,
     PwsCert,
     PwsCert2D,
+    Syndetic2DCert,
     SyndeticCert,
+    SyndeticRefutation,
     ThickCert,
     TorusRotation,
     WindowSet,
@@ -19,7 +21,7 @@ from psynd import (
     parse_real,
     split_block,
 )
-from psynd.windows import cert_from_json_obj
+from psynd.windows import Syndetic2DRefutation, cert_from_json_obj
 
 
 def test_window_json_roundtrip():
@@ -68,9 +70,13 @@ def test_bitmap_rejects_garbage():
 def test_certificate_json_roundtrip():
     certs = [
         SyndeticCert(3, (-7, 7)),
+        SyndeticRefutation(4, 12, 3),
         ThickCert(5, 4),
+        ThickCert(None, 0),
         PwsCert(2, (10, 6)),
         PwsCert2D((1, 2), (0, 0, 3, 4)),
+        Syndetic2DCert(1, (-3, 3, 0, 5)),
+        Syndetic2DRefutation(2, (4, -1)),
     ]
     for cert in certs:
         again = cert_from_json_obj(json.loads(json.dumps(cert.to_json_obj())))

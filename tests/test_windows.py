@@ -1,6 +1,7 @@
 """Window/grid structure detection against naive oracles."""
 
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,15 @@ from psynd import (
     verify_thick,
 )
 from psynd.generators import sturmian_window
-from psynd.windows import Syndetic2DCert, Syndetic2DRefutation
+from psynd.windows import (
+    PwsCert,
+    PwsCert2D,
+    Syndetic2DCert,
+    Syndetic2DRefutation,
+    ThickCert,
+    verify_syndetic_2d_refutation,
+    verify_syndetic_refutation,
+)
 
 
 def wset(lo, hi, members):
@@ -98,22 +107,132 @@ def test_syndetic_bad_bound():
         syndetic_certificate(WindowSet.full(0, 10), 0)
 
 
-def test_verify_syndetic_matches_naive_scan():
-    # forged certificates included: any interval, any gap bound
-    rng = random.Random(0x5A4D)
-    for _ in range(400):
-        lo = rng.randint(-40, 40)
-        hi = lo + rng.randint(0, 80)
-        density = rng.random()
-        s = WindowSet.from_predicate(lo, hi, lambda n: rng.random() < density)
-        c_lo = rng.randint(lo - 5, hi + 5)
-        c_hi = rng.randint(c_lo - 3, hi + 5)
-        n = rng.randint(0, 12)
-        naive = all(
-            any((i + j) in s for j in range(n)) for i in range(c_lo, c_hi - n + 2)
+def naive_verdict(s, cert):
+    """A certificate's claim, checked by membership probes point by point."""
+    if isinstance(cert, SyndeticCert):
+        lo, hi = cert.checked_interval
+        n = cert.gap_bound
+        return all(any((i + j) in s for j in range(n)) for i in range(lo, hi - n + 2))
+    if isinstance(cert, PwsCert):
+        b = cert.shift_bound
+        start, length = cert.interval
+        return start >= s.lo and start + length - 1 <= s.hi - b and all(
+            any((x + i) in s for i in range(b + 1)) for x in range(start, start + length)
         )
-        cert = SyndeticCert(gap_bound=n, checked_interval=(c_lo, c_hi))
-        assert verify_syndetic(s, cert) == naive
+    if isinstance(cert, ThickCert):
+        return cert.run_length == 0 or cert.run_start is not None and all(
+            (cert.run_start + i) in s for i in range(cert.run_length)
+        )
+    if isinstance(cert, SyndeticRefutation):
+        loc, n = cert.location, cert.length
+        if n < 1 or loc < s.lo + n or loc + n - 1 > s.hi - n:
+            return False
+        if any(x in s for x in range(loc, loc + n)):
+            return False
+        left = next((x for x in range(loc - 1, s.lo - 1, -1) if x in s), s.lo - 1)
+        right = next((x for x in range(loc + n, s.hi + 1) if x in s), s.hi + 1)
+        return cert.gap == right - left
+    if isinstance(cert, PwsCert2D):
+        (b1, b2), (m0, n0, w, h) = cert.shift_box, cert.rect
+        inside = s.mlo <= m0 and m0 + w - 1 <= s.mhi - b1 and s.nlo <= n0 and n0 + h - 1 <= s.nhi - b2
+        return inside and all(
+            any((m + i, n + j) in s for i in range(b1 + 1) for j in range(b2 + 1))
+            for m in range(m0, m0 + w)
+            for n in range(n0, n0 + h)
+        )
+    near = range(-cert.l_bound, cert.l_bound + 1)
+    if isinstance(cert, Syndetic2DCert):
+        mlo, mhi, nlo, nhi = cert.checked_box
+        return all(
+            any((m + i, n + j) in s for i in near for j in near)
+            for m in range(mlo, mhi + 1)
+            for n in range(nlo, nhi + 1)
+        )
+    assert isinstance(cert, Syndetic2DRefutation)
+    (m, n), l_bound = cert.point, cert.l_bound
+    return (
+        l_bound >= 0
+        and s.mlo + l_bound <= m <= s.mhi - l_bound
+        and s.nlo + l_bound <= n <= s.nhi - l_bound
+        and not any((m + i, n + j) in s for i in near for j in near)
+    )
+
+
+VERIFIERS = {
+    SyndeticCert: verify_syndetic,
+    SyndeticRefutation: verify_syndetic_refutation,
+    ThickCert: verify_thick,
+    PwsCert: verify_pws,
+    PwsCert2D: verify_pws_2d,
+    Syndetic2DCert: verify_syndetic_2d,
+    Syndetic2DRefutation: verify_syndetic_2d_refutation,
+}
+
+
+def nudged(rng, cert):
+    """The certificate with one integer, or one entry of a pair or box, moved by -1, 0 or +1."""
+    name = rng.choice([f.name for f in fields(cert) if getattr(cert, f.name) is not None])
+    value, step = getattr(cert, name), rng.choice((-1, 0, 1))
+    if isinstance(value, tuple):
+        k = rng.randrange(len(value))
+        value = value[:k] + (value[k] + step,) + value[k + 1:]
+    else:
+        value += step
+    return replace(cert, **{name: value})
+
+
+def certs_1d(rng, s):
+    lo, hi = s.lo, s.hi
+    c_lo, start, loc = (rng.randint(lo - 5, hi + 5) for _ in range(3))
+    genuine = [syndetic_certificate(s, rng.randint(1, 8)), longest_run(s)]
+    genuine.append(pws_witness(s, rng.randint(0, 6), rng.randint(1, 10)))
+    genuine = [c for c in genuine if c is not None]
+    forged = [
+        SyndeticCert(rng.randint(0, 12), (c_lo, rng.randint(c_lo - 3, hi + 5))),
+        PwsCert(rng.randint(-1, 6), (start, rng.randint(-1, 30))),
+        ThickCert(rng.choice([None, start]), rng.randint(-1, 6)),
+        SyndeticRefutation(rng.randint(1, 20), loc, rng.randint(-1, 8)),
+    ]
+    return genuine + [nudged(rng, c) for c in genuine] + forged
+
+
+def certs_2d(rng, e):
+    m0, n0 = rng.randint(e.mlo - 3, e.mhi + 3), rng.randint(e.nlo - 3, e.nhi + 3)
+    genuine = [
+        syndetic_2d_certificate(e, rng.randint(0, 2)),
+        pws_witness_2d(e, 3, 3, rng.randint(1, 4), rng.randint(1, 4)),
+    ]
+    genuine = [c for c in genuine if c is not None]
+    forged = [
+        PwsCert2D((rng.randint(-1, 3), rng.randint(-1, 3)),
+                  (m0, n0, rng.randint(-1, 5), rng.randint(-1, 5))),
+        Syndetic2DCert(rng.randint(-1, 2),
+                       (m0, m0 + rng.randint(-1, 6), n0, n0 + rng.randint(-1, 6))),
+        Syndetic2DRefutation(rng.randint(-1, 2), (m0, n0)),
+    ]
+    return genuine + [nudged(rng, c) for c in genuine] + forged
+
+
+def test_verify_syndetic_matches_naive_scan():
+    # every certificate type, genuine, nudged and forged, regions partly
+    # outside the window included
+    rng = random.Random(0x5A4D)
+    verdicts = {cls: set() for cls in VERIFIERS}
+    for trial in range(600):
+        density = rng.random()
+        if trial % 3:
+            lo = rng.randint(-40, 40)
+            s = WindowSet.from_predicate(lo, lo + rng.randint(0, 80), lambda n: rng.random() < density)
+            certs = certs_1d(rng, s)
+        else:
+            box = (rng.randint(-6, 0), rng.randint(0, 6), rng.randint(-6, 0), rng.randint(0, 6))
+            s = GridSet.from_predicate(box, lambda m, n: rng.random() < density)
+            certs = certs_2d(rng, s)
+        for cert in certs:
+            want = naive_verdict(s, cert)
+            assert VERIFIERS[type(cert)](s, cert) == want, (s, cert)
+            verdicts[type(cert)].add(want)
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
 
 
 # -- longest_run --------------------------------------------------------
@@ -306,6 +425,29 @@ def test_pws2d_matches_naive():
                 assert not naive_pws2d(e, smaller, b2, w, h)
         else:
             assert not naive_pws2d(e, b1, b2, w, h)
+
+
+def test_pws2d_minimal_against_bruteforce():
+    # the lexicographic minimum over every (b1, b2), rectangles as wide as
+    # the box included: binary search on b2 must stop at n_width - h
+    rng = random.Random(0x2D)
+    cases = [(GridSet.full((0, 5, 0, 5)), 3, 3, 1, 6)]
+    for _ in range(400):
+        box = (0, rng.randint(0, 6), 0, rng.randint(0, 6))
+        density = rng.random()
+        e = GridSet.from_predicate(box, lambda m, n: rng.random() < density)
+        w, h = rng.randint(1, e.m_width + 1), rng.randint(1, e.n_width + 1)
+        cases.append((e, rng.randint(0, 4), rng.randint(0, 4), w, h))
+    for e, b1_max, b2_max, w, h in cases:
+        want = next(
+            ((b1, b2) for b1 in range(b1_max + 1) for b2 in range(b2_max + 1)
+             if naive_pws2d(e, b1, b2, w, h)),
+            None,
+        )
+        got = pws_witness_2d(e, b1_max, b2_max, w, h)
+        assert (got.shift_box if got else None) == want, (e, b1_max, b2_max, w, h)
+        if got is not None:
+            assert got.rect[2:] == (w, h) and verify_pws_2d(e, got)
 
 
 def test_syndetic_2d_examples():
