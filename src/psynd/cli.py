@@ -7,7 +7,8 @@ config and precision produce byte-identical JSON; all randomness is
 seeded from the config and the seed is echoed in the report.
 
 Exit codes: 0 success, 1 verification failure, 2 config/parse error,
-3 infeasible mandatory certificate or empty-set error.
+3 infeasible: a mandatory certificate that could not be produced, an
+empty set, or a subshift word too short for the requested decision.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import windows
-from .errors import EmptySetError, NoRowError, PsyndError
+from .errors import EmptySetError, NoRowError, PsyndError, WindowExhaustedError
 from .generators import window_from_source
 from .induced import orbit_block, recurrence_times, split_block
 from .polynomials import PolyFamily
@@ -486,12 +487,13 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = _load_config(args.config) if args.config else {}
         report, code = commands[args.command](cfg, args.seed)
+    # before ValueError, which EmptySetError and WindowExhaustedError subclass
+    except (EmptySetError, NoRowError, WindowExhaustedError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return INFEASIBLE
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"{args.command}: config error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except (EmptySetError, NoRowError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return INFEASIBLE
     _emit(report, args.out, args.format)
     return code
 

@@ -26,7 +26,7 @@ from typing import Sequence, Tuple
 
 from .errors import NotNormalFormError, RadiusExhaustedError
 from .polynomials import PolyFamily, check_normal_form
-from .systems import PointLike, SystemSpec
+from .systems import PointLike, SystemSpec, chunks, survivors
 from .windows import WindowSet
 
 
@@ -278,21 +278,16 @@ def recurrence_times(
         for j in range(-radius, radius + 1)
     ]
     mask = 0
-    for n in range(-n_bound, n_bound + 1):
-        ok = all(
-            sys.in_ball(sys.iterate(x, a * n), x, eps) for a in slopes
-        )
-        if ok:
-            for idx, j in enumerate(range(-radius, radius + 1)):
-                row = base_tail[idx]
-                if not all(
-                    sys.in_ball(sys.iterate(x, p.eval(n + j)), row[pi], eps)
-                    for pi, p in enumerate(higher)
-                ):
-                    ok = False
-                    break
-        if ok:
-            mask |= 1 << (n + n_bound)
+    for alive in chunks(-n_bound, n_bound):
+        start = alive.start
+        # the filters run in the order of the per-n checks, so each
+        # (n, coordinate) pair is decided only when the earlier ones held
+        for a in slopes:
+            alive = survivors(sys, x, x, eps, alive, [a * n for n in alive])
+        for j, row in zip(range(-radius, radius + 1), base_tail):
+            for p, center in zip(higher, row):
+                alive = survivors(sys, x, center, eps, alive, [p.eval(n + j) for n in alive])
+        mask |= sum(1 << (n - start) for n in alive) << (start + n_bound)
     return WindowSet(-n_bound, n_bound, mask)
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Tuple, Union
 from . import bitops
 from .errors import BadEpsilonError, EmptySetError
 from .polynomials import PolyFamily
-from .systems import PointLike, SystemSpec
+from .systems import PointLike, SystemSpec, chunks, survivors
 from .windows import GridSet, PwsCert2D, WindowSet, dilate_2d, max_rectangle
 
 
@@ -43,19 +43,26 @@ class ReturnQuery:
 
 
 def return_set_1d(q: ReturnQuery) -> WindowSet:
-    """{ n in window : T^{p_i(n)} x lies in the ball for every i }."""
+    """{ n in window : T^{p_i(n)} x lies in the ball for every i }.
+
+    Chunk by chunk, the times n still alive are filtered polynomial by
+    polynomial, so a pair (n, p_i) is decided only when every p_j before
+    p_i kept n.
+    """
     lo, hi = q.window
     sys, x, center, eps = q.sys, q.x, q.center, q.eps
-    polys = q.family.polys
     mask = 0
-    for n in range(lo, hi + 1):
-        if all(sys.in_ball(sys.iterate(x, p.eval(n)), center, eps) for p in polys):
-            mask |= 1 << (n - lo)
+    for alive in chunks(lo, hi):
+        start = alive.start
+        for p in q.family.polys:
+            alive = survivors(sys, x, center, eps, alive, [p.eval(n) for n in alive])
+        mask |= sum(1 << (n - start) for n in alive) << (start - lo)
     return WindowSet(lo, hi, mask)
 
 
 def return_set_2d(q: ReturnQuery) -> GridSet:
-    """{ (m, n) in box : T^{m + p_i(n)} x lies in the ball for every i }."""
+    """{ (m, n) in box : T^{m + p_i(n)} x lies in the ball for every i },
+    column by column with the filtering of ``return_set_1d`` over m."""
     mlo, mhi, nlo, nhi = q.window
     sys, x, center, eps = q.sys, q.x, q.center, q.eps
     polys = q.family.polys
@@ -63,10 +70,10 @@ def return_set_2d(q: ReturnQuery) -> GridSet:
     for n in range(nlo, nhi + 1):
         values = [p.eval(n) for p in polys]
         bit = 1 << (n - nlo)
-        for m in range(mlo, mhi + 1):
-            if all(
-                sys.in_ball(sys.iterate(x, m + v), center, eps) for v in values
-            ):
+        for alive in chunks(mlo, mhi):
+            for v in values:
+                alive = survivors(sys, x, center, eps, alive, [m + v for m in alive])
+            for m in alive:
                 rows[m - mlo] |= bit
     return GridSet((mlo, mhi, nlo, nhi), rows)
 

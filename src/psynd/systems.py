@@ -8,11 +8,22 @@ Four concrete system families, each with a closed-form n-th iterate:
   Heisenberg nilmanifold, points reduced to the fundamental cube;
 * ``IndicatorSubshift`` -- the left shift acting on windowed 0/1 words.
 
-Systems whose parameters are all rational run on exact ``Fraction``
-arithmetic and serve as oracles.  Systems with named irrational
-parameters run on scaled-integer fixed point (default 256 bits): every
-membership decision is then an exact integer comparison against the
-declared approximant, so results are bit-reproducible.
+Systems whose parameters are all rational hold exact ``Fraction`` points
+and serve as oracles.  Systems with named irrational parameters hold
+scaled-integer fixed-point points (default 256 bits): every membership
+decision is then an exact integer comparison against the declared
+approximant, so results are bit-reproducible.
+
+Every system has one ball predicate, ``hits(x, center, eps, times)``,
+which decides ``T^t x in B(center, eps)`` for a whole list of times t.
+The coordinate systems decide it in integer arithmetic at one modulus
+M: 2^bits on the fixed-point path; on the rational path the lcm of the
+denominators of the parameters and of both points (its square for the
+Heisenberg group, so that ``(u * v) // M`` is exact).  Both paths are
+therefore exact.  eps becomes one integer half-width L, the largest
+integer below eps * M, so a circle test is
+``((x - c + L) + t * s) % M <= 2 * L``.  The subshift decides time by
+time on its words.  ``in_ball`` is ``hits`` at the single time 0.
 
 All system and point values are immutable; methods are pure functions.
 """
@@ -22,11 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Sequence, Tuple, Union
+from itertools import chain
+from math import lcm
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from .constants import DEFAULT_BITS, RealSpec, parse_real
 from .errors import BadEpsilonError, EmptySetError, WindowExhaustedError
-from .polynomials import IntegralPolynomial, binom_int
+from .polynomials import IntegralPolynomial
 from .windows import WindowSet
 
 
@@ -69,15 +82,30 @@ class Word:
 PointLike = Union[Point, Word]
 
 
-def _as_eps(eps) -> Fraction:
+def _c2(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+def _epsilon(eps) -> Fraction:
     e = Fraction(eps)
     if e <= 0:
         raise BadEpsilonError(f"epsilon must be > 0, got {eps}")
     return e
 
 
-def _c2(n: int) -> int:
-    return binom_int(n, 2)
+def _below(eps, scale: int) -> int:
+    """Largest integer k with k < eps * scale, for eps > 0.
+
+    A distance d counted at ``scale`` is below eps exactly when d <= k.
+    """
+    e = _epsilon(eps)
+    return (e.numerator * scale - 1) // e.denominator
+
+
+def _circle(d: int, m: int) -> int:
+    """Distance from d to the nearest multiple of m."""
+    d %= m
+    return min(d, m - d)
 
 
 class _System:
@@ -90,20 +118,6 @@ class _System:
         if self.exact:
             return v % 1
         return v & ((1 << self.bits) - 1)
-
-    def _circle_dist(self, a, c):
-        if self.exact:
-            d = (a - c) % 1
-            return min(d, 1 - d)
-        mask = (1 << self.bits) - 1
-        d = (a - c) & mask
-        return min(d, (1 << self.bits) - d)
-
-    def _lt_eps(self, dist, eps: Fraction) -> bool:
-        # strict comparison, exact in both modes
-        if self.exact:
-            return dist < eps
-        return dist * eps.denominator < eps.numerator << self.bits
 
     def _value(self, spec: RealSpec):
         if self.exact:
@@ -133,6 +147,28 @@ class _System:
             return Point(tuple(int(c, 16) for c in obj["coords_fixed"]))
         return self.make_point(obj["coords"])
 
+    def _modulus(self, *points: Point) -> int:
+        """The modulus M of the integer ball test (see the module docstring)."""
+        if not self.exact:
+            return 1 << self.bits
+        return lcm(*(v.denominator for v in chain(self._params, *(p.coords for p in points))))
+
+    def _scaled(self, values, m: int) -> list:
+        """Values in [0, 1) as integers at the modulus m."""
+        if not self.exact:
+            return list(values)
+        return [v.numerator * (m // v.denominator) for v in values]
+
+    def in_ball(self, a: PointLike, c: PointLike, eps) -> bool:
+        """Strict ball test of one point: ``hits`` at time 0."""
+        return self.hits(a, c, eps, [0])[0]
+
+    def point_distance(self, a: Point, c: Point) -> Fraction:
+        """Sup over the coordinates of the circle distance."""
+        m = self._modulus(a, c)
+        pairs = zip(self._scaled(a.coords, m), self._scaled(c.coords, m))
+        return Fraction(max(_circle(u - v, m) for u, v in pairs), m)
+
 
 @dataclass(frozen=True)
 class TorusRotation(_System):
@@ -150,7 +186,7 @@ class TorusRotation(_System):
         return all(a.is_rational for a in self.alphas)
 
     @cached_property
-    def _steps(self) -> Tuple:
+    def _params(self) -> Tuple:
         return tuple(self._value(a) for a in self.alphas)
 
     def base_point(self) -> Point:
@@ -159,21 +195,21 @@ class TorusRotation(_System):
 
     def iterate(self, x: Point, n: int) -> Point:
         return Point(
-            tuple(self._mod1(c + n * s) for c, s in zip(x.coords, self._steps))
+            tuple(self._mod1(c + n * s) for c, s in zip(x.coords, self._params))
         )
 
-    def in_ball(self, a: Point, c: Point, eps) -> bool:
-        e = _as_eps(eps)
-        return all(
-            self._lt_eps(self._circle_dist(u, v), e)
-            for u, v in zip(a.coords, c.coords)
-        )
-
-    def point_distance(self, a: Point, c: Point) -> Fraction:
-        dist = max(self._circle_dist(u, v) for u, v in zip(a.coords, c.coords))
-        if self.exact:
-            return dist
-        return Fraction(dist, 1 << self.bits)
+    def hits(self, x: Point, center: Point, eps, times: Sequence[int]) -> List[bool]:
+        """[T^t x in B(center, eps) for t in times], coordinate by coordinate."""
+        m = self._modulus(x, center)
+        half = _below(eps, m)
+        width = 2 * half
+        ok = [True] * len(times)
+        for u, c, s in zip(
+            self._scaled(x.coords, m), self._scaled(center.coords, m), self._scaled(self._params, m)
+        ):
+            b = u - c + half
+            ok = [o and (b + t * s) % m <= width for o, t in zip(ok, times)]
+        return ok
 
     def to_json_obj(self) -> dict:
         return {
@@ -198,32 +234,33 @@ class SkewProduct(_System):
         return self.alpha.is_rational
 
     @cached_property
-    def _a(self):
-        return self._value(self.alpha)
+    def _params(self) -> Tuple:
+        return (self._value(self.alpha),)
 
     def base_point(self) -> Point:
         zero = Fraction(0) if self.exact else 0
         return Point((zero, zero))
 
     def iterate(self, p: Point, n: int) -> Point:
-        a = self._a
+        (a,) = self._params
         x, y = p.coords
         return Point(
             (self._mod1(x + n * a), self._mod1(y + n * x + _c2(n) * a))
         )
 
-    def in_ball(self, a: Point, c: Point, eps) -> bool:
-        e = _as_eps(eps)
-        return all(
-            self._lt_eps(self._circle_dist(u, v), e)
-            for u, v in zip(a.coords, c.coords)
-        )
-
-    def point_distance(self, a: Point, c: Point) -> Fraction:
-        dist = max(self._circle_dist(u, v) for u, v in zip(a.coords, c.coords))
-        if self.exact:
-            return dist
-        return Fraction(dist, 1 << self.bits)
+    def hits(self, p: Point, center: Point, eps, times: Sequence[int]) -> List[bool]:
+        """[T^t p in B(center, eps) for t in times]."""
+        m = self._modulus(p, center)
+        half = _below(eps, m)
+        width = 2 * half
+        x, y = self._scaled(p.coords, m)
+        c1, c2 = self._scaled(center.coords, m)
+        (a,) = self._scaled(self._params, m)
+        b1, b2 = x - c1 + half, y - c2 + half
+        return [
+            (b1 + t * a) % m <= width and (b2 + t * x + t * (t - 1) // 2 * a) % m <= width
+            for t in times
+        ]
 
     def to_json_obj(self) -> dict:
         return {"type": "skew", "alpha": str(self.alpha), "bits": self.bits}
@@ -286,50 +323,76 @@ class HeisenbergNil(_System):
             z + _c2(n) * ab + self._mul(n * a, y),
         )
 
-    def _translates(self, c: Point):
-        c1, c2, c3 = c.coords
-        one = Fraction(1) if self.exact else (1 << self.bits)
-        for q in (-1, 0, 1):
-            b2 = c2 + q * one
-            zq = c3 + self._mul(c1, q * one)
-            for p_ in (-1, 0, 1):
-                b1 = c1 + p_ * one
-                for r in (-1, 0, 1):
-                    yield (b1, b2, zq + r * one)
+    @property
+    def _params(self) -> Tuple:
+        return self._ab[:2]
 
-    def in_ball(self, a: Point, c: Point, eps) -> bool:
-        e = _as_eps(eps)
-        # cheap rejection: each coordinate's circle distance bounds the
-        # Euclidean quotient distance from below
-        if not self._lt_eps(self._circle_dist(a.coords[0], c.coords[0]), e):
-            return False
-        if not self._lt_eps(self._circle_dist(a.coords[1], c.coords[1]), e):
-            return False
-        d2 = self._dist2(a, c)
-        if self.exact:
-            return d2 < e * e
-        # d2 is at scale 2^(2*bits)
-        return d2 * e.denominator ** 2 < (e.numerator ** 2) << (2 * self.bits)
+    def _modulus(self, *points: Point) -> int:
+        m = super()._modulus(*points)
+        return m * m if self.exact else m
 
-    def _dist2(self, a: Point, c: Point):
-        """Min over the 27 lattice-neighbor translates of squared Euclidean
-        distance (quotient-metric approximation, adequate inside the cube)."""
+    @staticmethod
+    def _fiber(y: int, z: int, c1: int, c2: int, c3: int, m: int) -> int:
+        """min over q, r in {-1, 0, 1} of (y - c2 - q m)^2 + (z - c3 - q c1 - r m)^2.
+
+        Plus the squared circle distance in x, this is the squared
+        distance from (x, y, z) to the nearest of the 27 lattice
+        translates (c1 + p, c2 + q, c3 + q c1 + r), p, q, r in {-1, 0, 1},
+        of the center; only the z term depends on two of p, q, r, so the
+        minimum splits by axis.  It approximates the quotient metric: a
+        translate farther out can be nearer.
+        """
         best = None
-        a1, a2, a3 = a.coords
-        for t1, t2, t3 in self._translates(c):
-            d1 = a1 - t1
-            d2_ = a2 - t2
-            d3 = a3 - t3
-            val = d1 * d1 + d2_ * d2_ + d3 * d3
-            if best is None or val < best:
-                best = val
+        for q in (-1, 0, 1):
+            dy = y - c2 - q * m
+            dz = z - c3 - q * c1
+            if 2 * dz > m:
+                dz -= m
+            elif 2 * dz < -m:
+                dz += m
+            d2 = dy * dy + dz * dz
+            if best is None or d2 < best:
+                best = d2
         return best
 
+    def hits(self, p: Point, center: Point, eps, times: Sequence[int]) -> List[bool]:
+        """[T^t p in B(center, eps) for t in times].
+
+        The ball is taken in the 27-translate distance of ``_fiber``.
+        The circle distances in x and y bound it from below, so they
+        reject cheaply before z is computed.
+        """
+        m = self._modulus(p, center)
+        half = _below(eps, m)
+        limit = _below(Fraction(eps) ** 2, m * m)
+        x, y, z = self._scaled(p.coords, m)
+        c1, c2, c3 = self._scaled(center.coords, m)
+        a, b = self._scaled(self._params, m)
+        ab = a * b // m
+        out = []
+        for t in times:
+            u = x + t * a
+            d1 = (u - c1) % m
+            if m - d1 < d1:
+                d1 = m - d1
+            if d1 > half:
+                out.append(False)
+                continue
+            v = y + t * b
+            if _circle(v - c2, m) > half:
+                out.append(False)
+                continue
+            # iterate() at scale m: z + C(t,2) ab + t a y, then reduce()
+            w = (z + t * (t - 1) // 2 * ab + t * a * y // m - u * (v // m)) % m
+            out.append(d1 * d1 + self._fiber(v % m, w, c1, c2, c3, m) <= limit)
+        return out
+
     def point_distance(self, a: Point, c: Point) -> float:
-        d2 = self._dist2(a, c)
-        if self.exact:
-            return float(d2) ** 0.5
-        return (d2 / (1 << (2 * self.bits))) ** 0.5
+        m = self._modulus(a, c)
+        a1, a2, a3 = self._scaled(a.coords, m)
+        c1, c2, c3 = self._scaled(c.coords, m)
+        d1 = _circle(a1 - c1, m)
+        return ((d1 * d1 + self._fiber(a2, a3, c1, c2, c3, m)) / (m * m)) ** 0.5
 
     def to_json_obj(self) -> dict:
         return {
@@ -365,15 +428,19 @@ class IndicatorSubshift(_System):
         return w.recenter(n)
 
     @staticmethod
-    def _refute_radius(eps: Fraction) -> int:
+    def _refute_radius(eps) -> int:
         # largest k with 1/(k+1) >= eps, i.e. a disagreement at k <= this
         # refutes "distance < eps"; -1 when even k=0 cannot refute
-        t = 1 / eps - 1
-        return t.numerator // t.denominator
+        e = _epsilon(eps)
+        return e.denominator // e.numerator - 1
 
-    def in_ball(self, a: Word, c: Word, eps) -> bool:
-        e = _as_eps(eps)
-        k_ref = self._refute_radius(e)
+    def hits(self, x: Word, center: Word, eps, times: Sequence[int]) -> List[bool]:
+        """[T^t x in B(center, eps) for t in times], one shifted word at a time."""
+        k_ref = self._refute_radius(eps)
+        return [self._agrees(self.iterate(x, t), center, k_ref, eps) for t in times]
+
+    @staticmethod
+    def _agrees(a: Word, c: Word, k_ref: int, eps) -> bool:
         for k in range(0, k_ref + 1):
             for i in (k, -k) if k else (0,):
                 if not (a.covers(i) and c.covers(i)):
@@ -424,6 +491,22 @@ def indicator_subshift_point(s: WindowSet) -> Word:
     if s.is_empty():
         raise EmptySetError("indicator point of an empty set")
     return Word(s.mask, s.lo, s.hi)
+
+
+CHUNK = 4096  # times per ``hits`` call; bounds the memory of one batch
+
+
+def chunks(lo: int, hi: int) -> Iterator[range]:
+    """[lo, hi] as consecutive ranges of at most CHUNK integers."""
+    return (range(s, min(s + CHUNK, hi + 1)) for s in range(lo, hi + 1, CHUNK))
+
+
+def survivors(
+    sys: SystemSpec, x: PointLike, center: PointLike, eps, alive: Sequence[int], times: Sequence[int]
+) -> List[int]:
+    """The entries of ``alive`` whose time t (same position in ``times``)
+    puts T^t x in B(center, eps)."""
+    return [n for n, hit in zip(alive, sys.hits(x, center, eps, times)) if hit]
 
 
 def iterate(sys: SystemSpec, x: PointLike, n: int) -> PointLike:

@@ -197,6 +197,24 @@ def test_thmb_infeasible_exit_3(tmp_path):
     assert report["results"]["a_N"] == {"15": None}
 
 
+@pytest.mark.parametrize("members, message", [
+    ([0, 2], "loses the center letter"),  # T^25 of a word on [-3, 3]
+    ([], "empty set"),
+])
+def test_returns_infeasible_subshift_exit_3(tmp_path, capsys, members, message):
+    cfg = {
+        "system": {"type": "subshift", "base": {"lo": -3, "hi": 3, "members": members}},
+        "family": ["n^2"],
+        "epsilon": "1/2",
+        "window": [-5, 5],
+    }
+    code, report, _ = run(tmp_path, "returns", cfg)
+    assert code == 3
+    assert report is None
+    err = capsys.readouterr().err
+    assert message in err and "config error" not in err
+
+
 def test_file_set_source(tmp_path):
     from psynd import WindowSet
 

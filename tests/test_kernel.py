@@ -1,0 +1,340 @@
+"""The batched ball predicate ``hits`` against the per-point code it replaced.
+
+The oracles below are the earlier per-point implementation, kept verbatim
+apart from taking the system as an argument: ``in_ball`` on ``Fraction``
+or fixed-point coordinates (the 27-translate minimum for the Heisenberg
+group), and the return-set and recurrence loops that call ``iterate`` and
+``in_ball`` once per (time, polynomial) pair.  The kernel-backed functions
+must give the same decisions and masks bit for bit.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psynd import (
+    GridSet,
+    HeisenbergNil,
+    IndicatorSubshift,
+    PolyFamily,
+    ReturnQuery,
+    SkewProduct,
+    TorusRotation,
+    WindowExhaustedError,
+    WindowSet,
+    in_ball,
+    indicator_subshift_point,
+    parse_real,
+    recurrence_times,
+    return_set_1d,
+    return_set_2d,
+)
+from psynd.errors import BadEpsilonError, NotNormalFormError
+from psynd.polynomials import check_normal_form
+from psynd.systems import CHUNK, Point
+
+# -- oracles: the per-point code the kernel replaced --------------------
+
+
+def _as_eps(eps) -> Fraction:
+    e = Fraction(eps)
+    if e <= 0:
+        raise BadEpsilonError(f"epsilon must be > 0, got {eps}")
+    return e
+
+
+def _circle_dist(sys, a, c):
+    if sys.exact:
+        d = (a - c) % 1
+        return min(d, 1 - d)
+    mask = (1 << sys.bits) - 1
+    d = (a - c) & mask
+    return min(d, (1 << sys.bits) - d)
+
+
+def _lt_eps(sys, dist, eps: Fraction) -> bool:
+    # strict comparison, exact in both modes
+    if sys.exact:
+        return dist < eps
+    return dist * eps.denominator < eps.numerator << sys.bits
+
+
+def _translates(sys, c: Point):
+    c1, c2, c3 = c.coords
+    one = Fraction(1) if sys.exact else (1 << sys.bits)
+    for q in (-1, 0, 1):
+        b2 = c2 + q * one
+        zq = c3 + sys._mul(c1, q * one)
+        for p_ in (-1, 0, 1):
+            b1 = c1 + p_ * one
+            for r in (-1, 0, 1):
+                yield (b1, b2, zq + r * one)
+
+
+def _dist2(sys, a: Point, c: Point):
+    best = None
+    a1, a2, a3 = a.coords
+    for t1, t2, t3 in _translates(sys, c):
+        d1 = a1 - t1
+        d2_ = a2 - t2
+        d3 = a3 - t3
+        val = d1 * d1 + d2_ * d2_ + d3 * d3
+        if best is None or val < best:
+            best = val
+    return best
+
+
+def oracle_in_ball(sys, a, c, eps) -> bool:
+    e = _as_eps(eps)
+    if isinstance(sys, (TorusRotation, SkewProduct)):
+        return all(
+            _lt_eps(sys, _circle_dist(sys, u, v), e)
+            for u, v in zip(a.coords, c.coords)
+        )
+    if isinstance(sys, HeisenbergNil):
+        if not _lt_eps(sys, _circle_dist(sys, a.coords[0], c.coords[0]), e):
+            return False
+        if not _lt_eps(sys, _circle_dist(sys, a.coords[1], c.coords[1]), e):
+            return False
+        d2 = _dist2(sys, a, c)
+        if sys.exact:
+            return d2 < e * e
+        return d2 * e.denominator ** 2 < (e.numerator ** 2) << (2 * sys.bits)
+    t = 1 / e - 1
+    k_ref = t.numerator // t.denominator
+    for k in range(0, k_ref + 1):
+        for i in (k, -k) if k else (0,):
+            if not (a.covers(i) and c.covers(i)):
+                raise WindowExhaustedError(
+                    f"ball decision at eps={eps} needs letters to radius {k_ref}"
+                )
+            if a.letter(i) != c.letter(i):
+                return False
+    return True
+
+
+def oracle_point_distance(sys, a: Point, c: Point):
+    if isinstance(sys, HeisenbergNil):
+        d2 = _dist2(sys, a, c)
+        if sys.exact:
+            return float(d2) ** 0.5
+        return (d2 / (1 << (2 * sys.bits))) ** 0.5
+    dist = max(_circle_dist(sys, u, v) for u, v in zip(a.coords, c.coords))
+    if sys.exact:
+        return dist
+    return Fraction(dist, 1 << sys.bits)
+
+
+def oracle_return_set_1d(q: ReturnQuery) -> WindowSet:
+    lo, hi = q.window
+    sys, x, center, eps = q.sys, q.x, q.center, q.eps
+    polys = q.family.polys
+    mask = 0
+    for n in range(lo, hi + 1):
+        if all(oracle_in_ball(sys, sys.iterate(x, p.eval(n)), center, eps) for p in polys):
+            mask |= 1 << (n - lo)
+    return WindowSet(lo, hi, mask)
+
+
+def oracle_return_set_2d(q: ReturnQuery) -> GridSet:
+    mlo, mhi, nlo, nhi = q.window
+    sys, x, center, eps = q.sys, q.x, q.center, q.eps
+    polys = q.family.polys
+    rows = [0] * (mhi - mlo + 1)
+    for n in range(nlo, nhi + 1):
+        values = [p.eval(n) for p in polys]
+        bit = 1 << (n - nlo)
+        for m in range(mlo, mhi + 1):
+            if all(
+                oracle_in_ball(sys, sys.iterate(x, m + v), center, eps) for v in values
+            ):
+                rows[m - mlo] |= bit
+    return GridSet((mlo, mhi, nlo, nhi), rows)
+
+
+def oracle_recurrence_times(sys, x, family, radius, eps, n_bound) -> WindowSet:
+    violation = check_normal_form(family)
+    if violation is not None:
+        raise NotNormalFormError(f"family not in normal form: {violation}")
+    slopes = family.linear_slopes()
+    higher = [p for p in family.polys if p.degree >= 2]
+    base_tail = [
+        [sys.iterate(x, p.eval(j)) for p in higher]
+        for j in range(-radius, radius + 1)
+    ]
+    mask = 0
+    for n in range(-n_bound, n_bound + 1):
+        ok = all(
+            oracle_in_ball(sys, sys.iterate(x, a * n), x, eps) for a in slopes
+        )
+        if ok:
+            for idx, j in enumerate(range(-radius, radius + 1)):
+                row = base_tail[idx]
+                if not all(
+                    oracle_in_ball(sys, sys.iterate(x, p.eval(n + j)), row[pi], eps)
+                    for pi, p in enumerate(higher)
+                ):
+                    ok = False
+                    break
+        if ok:
+            mask |= 1 << (n + n_bound)
+    return WindowSet(-n_bound, n_bound, mask)
+
+
+# -- strategies ----------------------------------------------------------
+
+EPSILONS = [Fraction(1, 1000), Fraction(3, 10), Fraction(1, 2), Fraction(2, 3)]
+FAMILIES = [["n"], ["n^2"], ["n", "n^2"], ["n^3+n"], ["2n", "n^2", "n^3+n"]]
+NORMAL_FAMILIES = [["n"], ["n^2"], ["n", "n^2"], ["n^3+n"], ["-n", "2n", "n^2"]]
+NAMES = ["sqrt2", "sqrt3", "golden", "e", "pi"]
+
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def reals(draw, named: bool) -> str:
+    offset = draw(rationals)
+    if not named:
+        return str(offset)
+    name = draw(st.sampled_from(NAMES))
+    return f"{name}{'+' if offset >= 0 else '-'}{abs(offset)}"
+
+
+@st.composite
+def systems(draw):
+    named = draw(st.booleans())
+    bits = draw(st.sampled_from([128, 256]))
+    kind = draw(st.sampled_from(["rotation1", "rotation2", "skew", "heisenberg"]))
+    if kind.startswith("rotation"):
+        dim = int(kind[-1])
+        alphas = [parse_real(draw(reals(named))) for _ in range(dim)]
+        if named and dim == 2 and draw(st.booleans()):
+            alphas[1] = parse_real(draw(reals(False)))  # mixed: one rational axis
+        return TorusRotation(tuple(alphas), bits=bits)
+    if kind == "skew":
+        return SkewProduct(parse_real(draw(reals(named))), bits=bits)
+    return HeisenbergNil(parse_real(draw(reals(named))), parse_real(draw(reals(named))), bits=bits)
+
+
+@st.composite
+def points(draw, sys) -> Point:
+    dim = len(sys.base_point().coords)
+    if sys.exact:
+        return sys.make_point([draw(rationals) for _ in range(dim)])
+    return Point(tuple(draw(st.integers(0, (1 << sys.bits) - 1)) for _ in range(dim)))
+
+
+@st.composite
+def queries(draw):
+    """(system, x, center, eps): center is x, an iterate of x, or unrelated."""
+    sys = draw(systems())
+    x = draw(points(sys))
+    how = draw(st.sampled_from(["same", "orbit", "random"]))
+    if how == "same":
+        center = x
+    elif how == "orbit":
+        center = sys.iterate(x, draw(st.integers(-50, 50)))
+    else:
+        center = draw(points(sys))
+    return sys, x, center, draw(st.sampled_from(EPSILONS))
+
+
+window = st.tuples(st.integers(-40, 0), st.integers(0, 40))
+
+
+# -- differential tests --------------------------------------------------
+
+
+@given(queries(), st.lists(st.integers(-(10**12), 10**12), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_hits_matches_per_point_ball_test(query, times):
+    sys, x, center, eps = query
+    want = [oracle_in_ball(sys, sys.iterate(x, t), center, eps) for t in times]
+    assert sys.hits(x, center, eps, times) == want
+    assert in_ball(sys, x, center, eps) == oracle_in_ball(sys, x, center, eps)
+    assert sys.point_distance(x, center) == oracle_point_distance(sys, x, center)
+
+
+def test_heisenberg_translates_stay_within_one_lattice_step():
+    # the nearest translate of the center in z is two lattice steps away
+    # here; the 27-translate distance keeps r in {-1, 0, 1}, and so must
+    # the kernel: sqrt(0.7325) ~ 0.856 and not sqrt(0.0325) ~ 0.180
+    heis = HeisenbergNil(parse_real("1/3"), parse_real("1/5"))
+    a = heis.make_point(["9/10", "19/20", "0"])
+    c = heis.make_point(["9/10", "1/20", "19/20"])
+    assert heis.point_distance(a, c) == oracle_point_distance(heis, a, c) == 0.7325 ** 0.5
+    assert not in_ball(heis, a, c, Fraction(1, 2))
+    assert not oracle_in_ball(heis, a, c, Fraction(1, 2))
+
+
+@given(queries(), window, st.sampled_from(FAMILIES))
+@settings(max_examples=150, deadline=None)
+def test_return_set_1d_matches_per_point_loop(query, win, fam):
+    sys, x, center, eps = query
+    q = ReturnQuery(sys, x, center, eps, PolyFamily.parse(fam), win)
+    assert return_set_1d(q) == oracle_return_set_1d(q)
+
+
+@given(
+    queries(),
+    st.tuples(st.integers(-9, 0), st.integers(0, 9), st.integers(-6, 0), st.integers(0, 6)),
+    st.sampled_from(FAMILIES),
+)
+@settings(max_examples=80, deadline=None)
+def test_return_set_2d_matches_per_point_loop(query, box, fam):
+    sys, x, center, eps = query
+    q = ReturnQuery(sys, x, center, eps, PolyFamily.parse(fam), box)
+    assert return_set_2d(q) == oracle_return_set_2d(q)
+
+
+@given(queries(), st.sampled_from(NORMAL_FAMILIES), st.integers(0, 2), st.integers(0, 30))
+@settings(max_examples=100, deadline=None)
+def test_recurrence_times_matches_per_point_loop(query, fam, radius, n_bound):
+    sys, x, _, eps = query
+    family = PolyFamily.parse(fam)
+    got = recurrence_times(sys, x, family, radius, eps, n_bound)
+    assert got == oracle_recurrence_times(sys, x, family, radius, eps, n_bound)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(2, 3)])
+def test_windows_longer_than_a_chunk(eps):
+    # at eps 2/3 every time is a member, so a time lost at a chunk edge shows
+    half = CHUNK // 2 + 10
+    sys = TorusRotation((parse_real("sqrt2"),))
+    x = sys.base_point()
+    fam = PolyFamily.parse(["n", "n^2"])
+    q = ReturnQuery(sys, x, x, eps, fam, (-half, half))
+    assert return_set_1d(q) == oracle_return_set_1d(q)
+    q = ReturnQuery(sys, x, x, eps, fam, (-half, half, -1, 1))
+    assert return_set_2d(q) == oracle_return_set_2d(q)
+    got = recurrence_times(sys, x, fam, 1, eps, half)
+    assert got == oracle_recurrence_times(sys, x, fam, 1, eps, half)
+
+
+@given(
+    st.integers(0, 2**41 - 1),
+    st.integers(-20, 20),
+    window,
+    st.sampled_from(FAMILIES),
+    st.sampled_from(EPSILONS + [Fraction(1, 10), Fraction(3, 2)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_subshift_matches_per_point_loop(bits, shift, win, fam, eps):
+    # a pair the per-point loop would not reach never raises in the kernel
+    # either: both give the same set, or both run out of letters
+    base = WindowSet(-20, 20, bits)
+    if base.is_empty():
+        base = WindowSet(-20, 20, 1 << 20)
+    sys = IndicatorSubshift(base)
+    x = indicator_subshift_point(base)
+    center = sys.iterate(x, shift)
+    q = ReturnQuery(sys, x, center, eps, PolyFamily.parse(fam), win)
+    try:
+        want = oracle_return_set_1d(q)
+    except WindowExhaustedError:
+        with pytest.raises(WindowExhaustedError):
+            return_set_1d(q)
+    else:
+        assert return_set_1d(q) == want

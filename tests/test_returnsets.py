@@ -233,3 +233,89 @@ def test_area_witness_respects_validity():
     assert all(
         (m, n) in validity for m in range(m0, m0 + w) for n in range(n0, n0 + h)
     )
+
+
+def test_shift_cover_search_is_the_bruteforce_minimum():
+    # every integer a is tried: feasible means each a + p_i(n) lies inside
+    # S's window and in S; the answer is the smallest |a|, ties to +a
+    rng = random.Random(0x5C)
+    families = [["n"], ["-n"], ["n", "n^2"], ["2n", "n^2+n"], ["n^2"], ["n", "n^3+n"]]
+    outcomes = set()
+    for _ in range(600):
+        lo = rng.randint(-40, 0)
+        hi = lo + rng.randint(0, 60)
+        density = rng.choice([0.5, 0.8, 0.95, 1.0])
+        s = WindowSet.from_predicate(lo, hi, lambda n: rng.random() < density)
+        fam = PolyFamily.parse(rng.choice(families))
+        target = WindowSet.from_predicate(-6, 6, lambda n: rng.random() < 0.4)
+        n_bound = rng.randint(0, 6)
+        points = [n for n in target.members() if abs(n) <= n_bound]
+        if not points:
+            with pytest.raises(EmptySetError):
+                shift_cover_search(s, fam, target, n_bound)
+            continue
+        values = [p.eval(n) for n in points for p in fam.polys]
+        covers = [
+            a for a in range(-300, 301)
+            if all(lo <= a + v <= hi and (a + v) in s for v in values)
+        ]
+        want = min(covers, key=lambda a: (abs(a), -a)) if covers else None
+        got = shift_cover_search(s, fam, target, n_bound)
+        assert got == want, (s, fam, target, n_bound)
+        outcomes.add("none" if want is None else "tie" if -want in covers and want else "found")
+    assert outcomes == {"none", "tie", "found"}
+
+
+def _naive_masked_dilation(members, validity, b1, b2):
+    mlo, mhi, nlo, nhi = members.box
+    return {
+        (m, n)
+        for m in range(mlo, mhi - b1 + 1)
+        for n in range(nlo, nhi - b2 + 1)
+        if (m, n) in validity
+        and any((m + i, n + j) in members for i in range(b1 + 1) for j in range(b2 + 1))
+    }
+
+
+def _naive_max_area(cells):
+    best = 0
+    for m0, n0 in cells:
+        for m1, n1 in cells:
+            if m1 >= m0 and n1 >= n0 and all(
+                (m, n) in cells for m in range(m0, m1 + 1) for n in range(n0, n1 + 1)
+            ):
+                best = max(best, (m1 - m0 + 1) * (n1 - n0 + 1))
+    return best
+
+
+def test_area_witness_is_the_first_feasible_shift_box():
+    # (b1, b2) runs lexicographically over the whole [0, b1_max] x [0, b2_max],
+    # shift boxes as wide as the box included
+    rng = random.Random(0xA2)
+    outcomes = set()
+    for _ in range(250):
+        box = (0, rng.randint(0, 5), -2, rng.randint(-2, 3))
+        density = rng.choice([0.2, 0.5, 0.8])
+        members = GridSet.from_predicate(box, lambda m, n: rng.random() < density)
+        validity = GridSet.from_predicate(box, lambda m, n: rng.random() < 0.85)
+        b1_max, b2_max, min_area = rng.randint(0, 6), rng.randint(0, 6), rng.randint(1, 12)
+        want, area = None, 0
+        for b1 in range(b1_max + 1):
+            for b2 in range(b2_max + 1):
+                cells = _naive_masked_dilation(members, validity, b1, b2)
+                area = _naive_max_area(cells)
+                if area >= min_area:
+                    want = (b1, b2)
+                    break
+            if want:
+                break
+        got = pws_area_witness_2d(members, validity, b1_max, b2_max, min_area)
+        assert (got.shift_box if got else None) == want, (members, validity, b1_max, b2_max, min_area)
+        outcomes.add(want is not None)
+        if got is not None:
+            m0, n0, w, h = got.rect
+            assert w * h == area
+            cells = _naive_masked_dilation(members, validity, *want)
+            assert all((m, n) in cells for m in range(m0, m0 + w) for n in range(n0, n0 + h))
+            assert verify_pws_2d(members, got)
+    assert outcomes == {True, False}
