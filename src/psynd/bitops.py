@@ -4,15 +4,86 @@ A mask of width ``w`` models membership on ``w`` consecutive integers,
 bit ``i`` being the ``i``-th position counted from the low end.  All
 kernels here are pure functions of plain ints so they stay trivially
 thread-safe and easy to oracle against naive set code.
+
+A bit matrix is a list of row masks of one width.  ``transpose`` turns it
+into the masks of its columns, so that 2D kernels can work along either
+axis with whole-mask operations: the matrix is cut into square tiles,
+each tile is packed into one int, and its off-diagonal blocks are swapped
+in log2 rounds (the recursive block swap of Warren, *Hacker's Delight*,
+section 7-3).  No Python step runs per cell.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 def mask_of(width: int) -> int:
     return (1 << width) - 1
+
+
+def from_positions(positions: Iterable[int], width: int) -> int:
+    """Mask of ``width`` bits with bit ``i`` set for each ``i`` in ``positions``.
+
+    Bits go into a bytearray that becomes an int once, so a wide mask
+    costs no growing-int operation per bit.  Positions must lie in
+    [0, width).
+    """
+    buf = bytearray((width + 7) // 8)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _swap_mask(side: int, j: int) -> int:
+    """Bits (r, c) of a side x side tile with bit j clear in r and set in c."""
+    if j >= 8:
+        row = (bytes(j // 8) + b"\xff" * (j // 8)) * (side // (2 * j))
+    else:
+        row = bytes([{1: 0xAA, 2: 0xCC, 4: 0xF0}[j]]) * (side // 8)
+    return int.from_bytes((row * j + bytes(side // 8 * j)) * (side // (2 * j)), "little")
+
+
+def transpose(rows: Sequence[int], width: int) -> List[int]:
+    """Column masks of a bit matrix: bit i of ``cols[j]`` is bit j of ``rows[i]``.
+
+    ``rows`` are masks below ``2**width``.  The matrix is cut into S x S
+    tiles, S the power of two (at least 8) at or above its shorter side, so
+    one side is a single tile.  Tile row r holds bits r*S .. r*S+S-1 of
+    one int; round j swaps the elements (r, c) with bit j clear in r and
+    set in c with (r+j, c-j), which lie j*(S-1) bits above them.  After
+    the rounds j = S/2, ..., 1 every bit of r has traded places with the
+    same bit of c.
+    """
+    nrows = len(rows)
+    if not nrows or not width:
+        return [0] * width
+    side = max(8, 1 << (min(nrows, width) - 1).bit_length())
+    step = side // 8  # bytes per tile row
+    row_tiles, col_tiles = -(-nrows // side), -(-width // side)
+    stride = col_tiles * step
+    raw = b"".join(r.to_bytes(stride, "little") for r in rows)
+    raw += bytes(stride * (row_tiles * side - nrows))
+    swaps = []
+    j = side // 2
+    while j:
+        swaps.append((j * (side - 1), _swap_mask(side, j)))
+        j //= 2
+    parts: List[List[bytes]] = [[] for _ in range(width)]
+    for a in range(row_tiles):
+        for b in range(col_tiles):
+            first = a * side * stride + b * step
+            x = int.from_bytes(
+                b"".join(raw[first + r * stride : first + r * stride + step] for r in range(side)),
+                "little",
+            )
+            for d, m in swaps:
+                t = (x ^ (x >> d)) & m
+                x ^= t ^ (t << d)
+            tile = x.to_bytes(side * step, "little")
+            for c in range(min(side, width - b * side)):
+                parts[b * side + c].append(tile[c * step : (c + 1) * step])
+    return [int.from_bytes(b"".join(p), "little") for p in parts]
 
 
 def smear_down(x: int, b: int) -> int:
@@ -42,10 +113,12 @@ def and_reduce(x: int, k: int) -> int:
         raise ValueError("run length must be >= 1")
     y = x
     covered = 1
-    while covered < k:
-        step = min(covered, k - covered)
-        y &= y >> step
-        covered += step
+    while 2 * covered <= k:
+        y &= y >> covered
+        covered *= 2
+    if covered < k:
+        # the runs of ``covered`` at i and at i + k - covered overlap
+        y &= y >> (k - covered)
     return y
 
 
@@ -58,19 +131,22 @@ def lowest_set_bit(x: int) -> Optional[int]:
 def longest_run(x: int, width: int) -> Tuple[int, Optional[int]]:
     """Length and lowest start of the longest run of set bits in ``x``.
 
-    Binary search on the run length; each probe is O(log) big-int ops.
-    Returns (0, None) when ``x`` is zero.
+    ``width`` bounds the run length from above.  Binary search on the
+    length, each probe reducing the starts of the last run found, so
+    the probes shorten as the search narrows.  Returns (0, None) when
+    ``x`` is zero.
     """
     if x == 0:
         return 0, None
-    lo, hi = 1, width
+    lo, hi, starts = 1, width, x  # starts: and_reduce(x, lo)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if and_reduce(x, mid):
-            lo = mid
+        longer = and_reduce(starts, mid - lo + 1)
+        if longer:
+            lo, starts = mid, longer
         else:
             hi = mid - 1
-    return lo, lowest_set_bit(and_reduce(x, lo))
+    return lo, lowest_set_bit(starts)
 
 
 def has_run(x: int, k: int) -> Optional[int]:

@@ -177,7 +177,8 @@ def cmd_thma(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
         },
         "certificates": [],
     }
-    if "w" in certs_cfg and "h" in certs_cfg:
+    by_shape = "w" in certs_cfg and "h" in certs_cfg
+    if by_shape:
         cert = pws_witness_2d(members, b1_max, b2_max, int(certs_cfg["w"]), int(certs_cfg["h"]))
     else:
         cert = pws_area_witness_2d(
@@ -188,9 +189,12 @@ def cmd_thma(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
         return report, INFEASIBLE if certs_cfg.get("mandatory") else 0
     report["results"]["pws2d"] = cert.to_json_obj()
     report["certificates"].append(cert.to_json_obj())
-    area, rect = max_rectangle(
-        masked_dilation_2d(members, validity, cert.shift_box[0], cert.shift_box[1])
-    )
+    if by_shape:
+        area, rect = max_rectangle(
+            masked_dilation_2d(members, validity, cert.shift_box[0], cert.shift_box[1])
+        )
+    else:  # the area search already took the maximal rectangle at its shift box
+        area, rect = cert.rect[2] * cert.rect[3], cert.rect
     report["results"]["achieved"] = {
         "b1": cert.shift_box[0],
         "b2": cert.shift_box[1],

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from . import bitops
 from .constants import DEFAULT_BITS, parse_real
 from .windows import WindowSet
 
@@ -28,11 +29,16 @@ def sturmian_window(
     scaled = spec.fixed(bits)
     mask_mod = (1 << bits) - 1
     half = 1 << (bits - 1)
-    m = 0
-    for n in range(lo, hi + 1):
-        if (n * scaled) & mask_mod < half:
-            m |= 1 << (n - lo)
-    return WindowSet(lo, hi, m)
+    width = hi - lo + 1
+
+    def positions():
+        x = lo * scaled
+        for i in range(width):
+            if x & mask_mod < half:
+                yield i
+            x += scaled
+
+    return WindowSet(lo, hi, bitops.from_positions(positions(), width))
 
 
 def congruence_window(modulus: int, residues, lo: int, hi: int) -> WindowSet:
@@ -50,16 +56,17 @@ def random_thick_syndetic(
     width = hi - lo + 1
     gap = rng.randint(1, 6)
     phase = rng.randint(0, gap - 1)
-    mask = 0
-    pos = lo
-    while pos <= hi:
-        run = rng.randint(max(1, width // 20), max(2, width // 5))
-        hole = rng.randint(0, max(1, width // 10))
-        for n in range(pos, min(pos + run, hi + 1)):
-            if n % gap == phase:
-                mask |= 1 << (n - lo)
-        pos += run + hole
-    return WindowSet(lo, hi, mask)
+
+    def positions():
+        pos = lo
+        while pos <= hi:
+            run = rng.randint(max(1, width // 20), max(2, width // 5))
+            hole = rng.randint(0, max(1, width // 10))
+            first = pos + (phase - pos) % gap  # first n >= pos with n % gap == phase
+            yield from range(first - lo, min(pos + run, hi + 1) - lo, gap)
+            pos += run + hole
+
+    return WindowSet(lo, hi, bitops.from_positions(positions(), width))
 
 
 def load_window_file(path: str) -> WindowSet:

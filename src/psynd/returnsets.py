@@ -89,29 +89,27 @@ def combinatorial_set_2d(
     mlo, mhi, nlo, nhi = box
     m_width = mhi - mlo + 1
     m_mask = bitops.mask_of(m_width)
-    member_rows = [0] * m_width
-    valid_rows = [0] * m_width
+    member_cols = []
+    valid_cols = []
     for n in range(nlo, nhi + 1):
         values = [p.eval(n) for p in family.polys]
         # for each i, m must lie in [S.lo - v_i, S.hi - v_i]
         a = max(mlo, max(s.lo - v for v in values))
         b = min(mhi, min(s.hi - v for v in values))
-        if a > b:
-            continue
-        valid_col = bitops.mask_of(b - a + 1) << (a - mlo)
+        valid_col = bitops.mask_of(b - a + 1) << (a - mlo) if a <= b else 0
         member_col = valid_col
         for v in values:
+            if not member_col:
+                break
             off = mlo + v - s.lo
             col = s.mask >> off if off >= 0 else s.mask << -off
             member_col &= col & m_mask
-            if not member_col:
-                break
-        bit_n = 1 << (n - nlo)
-        for m_idx in bitops.iter_bits(valid_col):
-            valid_rows[m_idx] |= bit_n
-        for m_idx in bitops.iter_bits(member_col):
-            member_rows[m_idx] |= bit_n
-    return GridSet(box, member_rows), GridSet(box, valid_rows)
+        valid_cols.append(valid_col)
+        member_cols.append(member_col)
+    return (
+        GridSet(box, bitops.transpose(member_cols, m_width)),
+        GridSet(box, bitops.transpose(valid_cols, m_width)),
+    )
 
 
 def masked_dilation_2d(

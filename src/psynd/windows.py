@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 from typing import Union, get_args, get_origin, get_type_hints
 
 from . import bitops
@@ -66,22 +66,18 @@ class WindowSet:
 
     @classmethod
     def from_members(cls, lo: int, hi: int, members: Iterable[int]) -> "WindowSet":
-        mask = 0
-        for m in members:
-            if not lo <= m <= hi:
-                raise ValueError(f"member {m} outside window [{lo},{hi}]")
-            mask |= 1 << (m - lo)
-        return cls(lo, hi, mask)
+        def positions():
+            for m in members:
+                if not lo <= m <= hi:
+                    raise ValueError(f"member {m} outside window [{lo},{hi}]")
+                yield m - lo
+
+        return cls(lo, hi, bitops.from_positions(positions(), hi - lo + 1))
 
     @classmethod
     def from_predicate(cls, lo: int, hi: int, pred: Callable[[int], bool]) -> "WindowSet":
-        mask = 0
-        bit = 1
-        for n in range(lo, hi + 1):
-            if pred(n):
-                mask |= bit
-            bit <<= 1
-        return cls(lo, hi, mask)
+        positions = (n - lo for n in range(lo, hi + 1) if pred(n))
+        return cls(lo, hi, bitops.from_positions(positions, hi - lo + 1))
 
     @classmethod
     def full(cls, lo: int, hi: int) -> "WindowSet":
@@ -730,32 +726,44 @@ def pws_witness_2d(
 
 
 def max_rectangle(e: GridSet) -> Tuple[int, Optional[Tuple[int, int, int, int]]]:
-    """Largest all-ones rectangle (area, (m0, n0, w, h)) by the histogram method."""
-    ncols = e.n_width
-    heights = [0] * ncols
-    best_area = 0
+    """Largest all-ones rectangle as (area, (m0, n0, w, h)), or (0, None) when empty.
+
+    The rectangle covers rows m0..m0+w-1 and columns n0..n0+h-1.  Ties
+    between rectangles of the largest area go to the lowest bottom row
+    m0+w-1, then to the lowest right end n0+h-1, then to the most rows.
+
+    Works on the columns as masks over m: for each left column c, the AND
+    of columns c..c+k-1 marks the rows that hold all k of them, and its
+    longest run is the tallest rectangle of width k.  A left column stops
+    when the AND is empty or when no wider rectangle could reach the best
+    area; a width whose AND has no run of ceil(best/k) rows is skipped.
+    """
+    cols = bitops.transpose(e.rows, e.n_width)
+    ncols = len(cols)
+    best_key: Tuple[int, int, int, int] = (0, 0, 0, 0)
     best = None
-    for ri, row in enumerate(e.rows):
-        for c in range(ncols):
-            heights[c] = heights[c] + 1 if (row >> c) & 1 else 0
-        stack: List[int] = []
-        c = 0
-        while c <= ncols:
-            cur = heights[c] if c < ncols else 0
-            if not stack or heights[stack[-1]] <= cur:
-                stack.append(c)
-                c += 1
-            else:
-                top = stack.pop()
-                height = heights[top]
-                left = stack[-1] + 1 if stack else 0
-                area = height * (c - left)
-                if area > best_area:
-                    best_area = area
-                    best = (e.mlo + ri - height + 1, e.nlo + left, height, c - left)
-        # stack holds increasing heights; loop above drains it via the
-        # sentinel cur=0 at c == ncols
-    return best_area, best
+    for c in range(ncols):
+        acc, run = bitops.mask_of(e.m_width), e.m_width  # run bounds acc's longest run
+        for k in range(1, ncols - c + 1):
+            acc &= cols[c + k - 1]
+            area = best_key[0]
+            reach = max(1, -(-area // (ncols - c)))  # rows any width from c needs
+            need = max(1, -(-area // k))  # rows this width needs
+            starts = bitops.and_reduce(acc, reach)
+            if not starts:
+                break
+            if need > reach:
+                starts = bitops.and_reduce(starts, need - reach + 1)
+                if not starts:
+                    continue
+            # runs of acc at least ``need`` long are runs of ``starts`` need-1 shorter
+            extra, start = bitops.longest_run(starts, run - need + 1)
+            run = extra + need - 1
+            key = (run * k, -(start + run - 1), -(c + k - 1), run)
+            if key > best_key:
+                best_key = key
+                best = (e.mlo + start, e.nlo + c, run, k)
+    return best_key[0], best
 
 
 def syndetic_2d_certificate(

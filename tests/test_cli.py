@@ -6,7 +6,10 @@ import pytest
 
 from psynd import (
     GridSet,
+    PolyFamily,
+    combinatorial_set_2d,
     longest_run,
+    max_rectangle,
     pws_witness,
     pws_witness_2d,
     syndetic_2d_certificate,
@@ -14,6 +17,7 @@ from psynd import (
 )
 from psynd.cli import main
 from psynd.generators import sturmian_window
+from psynd.returnsets import masked_dilation_2d
 
 
 def run(tmp_path, command, cfg, *extra):
@@ -107,6 +111,30 @@ def test_thma_parity(tmp_path):
     code, report, _ = run(tmp_path, "thma", cfg)
     assert code == 0
     assert report["results"]["pws2d"]["shift_box"] == [1, 1]
+
+
+@pytest.mark.parametrize("pws2d", [
+    {"b1_max": 2, "b2_max": 2, "min_area": 30},
+    {"b1_max": 2, "b2_max": 2, "w": 3, "h": 4},
+])
+def test_thma_achieved_is_max_rectangle_at_shift_box(tmp_path, pws2d):
+    """``achieved`` holds the largest rectangle of the masked dilation at the
+    certificate's shift box, on the area path and on the shape path."""
+    cfg = {
+        "set": {"kind": "sturmian", "alpha": "golden", "window": [-2000, 2000]},
+        "family": ["n", "n^2"],
+        "box": [-60, 60, -20, 20],
+        "certificates": {"pws2d": pws2d},
+    }
+    code, report, _ = run(tmp_path, "thma", cfg)
+    assert code == 0
+    s = sturmian_window("golden", -2000, 2000)
+    members, validity = combinatorial_set_2d(s, PolyFamily.parse(["n", "n^2"]), (-60, 60, -20, 20))
+    b1, b2 = report["results"]["pws2d"]["shift_box"]
+    area, rect = max_rectangle(masked_dilation_2d(members, validity, b1, b2))
+    achieved = report["results"]["achieved"]
+    assert (achieved["b1"], achieved["b2"]) == (b1, b2)
+    assert (achieved["max_area_at_b"], achieved["max_rect_at_b"]) == (area, list(rect))
 
 
 def test_returns_oracle_flag(tmp_path):

@@ -564,6 +564,81 @@ def test_partition_rejects_bad_cells():
         partition_pws([a], 1, 2)
 
 
+def naive_witness(s, bound, l_run):
+    """Smallest b <= bound at which some x-run, each x with a member in
+    [x, x+b] and x <= hi-b, is at least L long; (b, start, length) of the
+    longest such run (lowest start), or None."""
+    members = set(s.members())
+    for b in range(0, min(bound, s.width - 1) + 1):
+        best_len, best_start, run = 0, None, 0
+        for x in range(s.lo, s.hi - b + 1):
+            run = run + 1 if any(x + i in members for i in range(b + 1)) else 0
+            if run > best_len:
+                best_len, best_start = run, x - run + 1
+        if best_len >= l_run:
+            return b, best_start, best_len
+    return None
+
+
+def test_best_slice_complete_against_bruteforce():
+    """The strongest row: longest run, then smallest shift bound, then
+    lowest row; NoRowError exactly when no row has a witness."""
+    rng = random.Random(77)
+    outcomes = set()
+    for _ in range(300):
+        mlo, nlo = rng.randint(-5, 5), rng.randint(-20, 0)
+        box = (mlo, mlo + rng.randint(0, 6), nlo, nlo + rng.randint(0, 30))
+        density = rng.choice([0.1, 0.4, 0.7])
+        e = GridSet.from_predicate(box, lambda m, n: rng.random() < density)
+        b_max, l_run = rng.randint(0, 3), rng.randint(1, 10)
+        found = []
+        for m in range(box[0], box[1] + 1):
+            w = naive_witness(grid_slice(e, m), b_max, l_run)
+            if w is not None:
+                found.append((-w[2], w[0], m, w[1]))
+        if not found:
+            outcomes.add("none")
+            with pytest.raises(NoRowError):
+                best_slice(e, b_max, l_run)
+            continue
+        length, b, m, start = min(found)
+        outcomes.add("tie" if sum(f[:2] == (length, b) for f in found) > 1 else "unique")
+        assert best_slice(e, b_max, l_run) == (m, PwsCert(shift_bound=b, interval=(start, -length)))
+    assert outcomes == {"none", "tie", "unique"}
+
+
+def test_partition_pws_complete_against_bruteforce():
+    """The first shift bound in b_max, b_max+1, ..., width-L at which a cell
+    has a witness; the strongest cell there; ``used_fallback`` past b_max."""
+    rng = random.Random(78)
+    outcomes = set()
+    for _ in range(300):
+        lo = rng.randint(-10, 10)
+        hi = lo + rng.randint(0, 40)
+        k = rng.randint(1, 4)
+        labels = [rng.randrange(k) for _ in range(hi - lo + 1)]
+        cells = [WindowSet.from_members(lo, hi, [lo + i for i, v in enumerate(labels) if v == c])
+                 for c in range(k)]
+        b_max, l_run = rng.randint(0, 3), rng.randint(1, 12)
+        want = None
+        for bound in [b_max, *range(b_max + 1, max(0, hi - lo + 1 - l_run) + 1)]:
+            found = [(-w[2], w[0], i, w[1]) for i, s in enumerate(cells)
+                     if (w := naive_witness(s, bound, l_run)) is not None]
+            if found:
+                length, b, index, start = min(found)
+                want = (index, PwsCert(shift_bound=b, interval=(start, -length)), bound > b_max)
+                break
+        if want is None:
+            outcomes.add("none")
+            with pytest.raises(NoRowError):
+                partition_pws(cells, b_max, l_run)
+            continue
+        outcomes.add("fallback" if want[2] else "direct")
+        got = partition_pws(cells, b_max, l_run)
+        assert (got.index, got.cert, got.used_fallback) == want
+    assert outcomes == {"none", "fallback", "direct"}
+
+
 # -- thickly syndetic ------------------------------------------------------
 
 
