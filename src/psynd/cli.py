@@ -255,7 +255,8 @@ def cmd_thmb(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
 
 def _rational_rotation_oracle(sys_obj: dict, family: PolyFamily, eps, lo: int, hi: int) -> WindowSet:
     """Independent modular-arithmetic evaluation for 1-dim rational rotations
-    started at 0 with center 0."""
+    started at 0 with center 0.  It calls ``p.eval(n)`` per n on purpose, to
+    share no evaluation code with the forward-difference path it checks."""
     alpha = Fraction(sys_obj["alpha"][0] if isinstance(sys_obj["alpha"], list) else sys_obj["alpha"])
     q = alpha.denominator
     a = alpha.numerator % q

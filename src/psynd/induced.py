@@ -12,7 +12,9 @@ Two action modes exist deliberately:
 * ``shift_block`` / ``apply_map`` trim -- they transform only the data the
   truncation honestly holds, so the radius shrinks under index shifts;
 * ``recurrence_times`` recomputes -- the base point and family are
-  known, so shifted blocks are rebuilt at full radius from provenance.
+  known, so shifted blocks are rebuilt at full radius from provenance;
+  each higher member is tabulated once per chunk by exact forward
+  differences, and every row of the block reads that one table.
 
 Every block records its accumulated offsets and can be recomputed from
 them (``recomputed``), which is the test hook for provenance.
@@ -278,15 +280,17 @@ def recurrence_times(
         for j in range(-radius, radius + 1)
     ]
     mask = 0
-    for alive in chunks(-n_bound, n_bound):
-        start = alive.start
+    for chunk in chunks(-n_bound, n_bound):
+        start, alive = chunk.start, chunk
         # the filters run in the order of the per-n checks, so each
         # (n, coordinate) pair is decided only when the earlier ones held
         for a in slopes:
             alive = survivors(sys, x, x, eps, alive, [a * n for n in alive])
+        tables = [p.values(start - radius, len(chunk) + 2 * radius) for p in higher]
         for j, row in zip(range(-radius, radius + 1), base_tail):
-            for p, center in zip(higher, row):
-                alive = survivors(sys, x, center, eps, alive, [p.eval(n + j) for n in alive])
+            off = j + radius - start
+            for vals, center in zip(tables, row):
+                alive = survivors(sys, x, center, eps, alive, [vals[n + off] for n in alive])
         mask |= sum(1 << (n - start) for n in alive) << (start + n_bound)
     return WindowSet(-n_bound, n_bound, mask)
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DegreeTooLowError,
     NotIntegralError,
-    NotNormalFormError,
     NotVanishingError,
 )
 
@@ -139,6 +139,18 @@ class IntegralPolynomial:
         return total
 
     __call__ = eval
+
+    def values(self, lo: int, count: int) -> List[int]:
+        """[p(lo), ..., p(lo + count - 1)], exactly, with no interpreted step
+        per value: deg p nested running sums over the constant top one of
+        the forward differences Delta^j p(lo) = sum_k c_k C(lo, k - j)."""
+        cs = self.coeffs
+        diffs = [sum(c * binom_int(lo, k - j) for k, c in enumerate(cs[j:], j))
+                 for j in range(len(cs))]
+        seq = repeat(diffs.pop() if diffs else 0)
+        for d in reversed(diffs):
+            seq = accumulate(seq, initial=d)
+        return list(islice(seq, count))
 
     def shift(self, j: int) -> "IntegralPolynomial":
         """The re-vanished shift ``n -> p(n + j) - p(j)``.
@@ -345,15 +357,6 @@ class PolyFamily:
                 a = p.monomial_view()[1]
                 out.append(int(a))  # integer because p is integral and p(0)=0
         return out
-
-    def head_tail_split(self) -> Tuple[List[int], List[int]]:
-        """(indices of linear members, indices of higher members); raises on failure."""
-        v = check_normal_form(self)
-        if v is not None:
-            raise NotNormalFormError(f"family violates normal form: {v}")
-        linear = [i for i, p in enumerate(self.polys) if p.degree == 1]
-        higher = [i for i, p in enumerate(self.polys) if p.degree >= 2]
-        return linear, higher
 
 
 def check_normal_form(family: PolyFamily) -> Optional[NormalFormViolation]:

@@ -10,7 +10,9 @@ window; certificates must only be sought inside validity, because
 outside it membership of the underlying unbounded set is unknown.
 
 Ball membership uses strict inequality everywhere so results are
-bit-reproducible for a fixed precision.
+bit-reproducible for a fixed precision.  The 1D sets take each
+polynomial's values over a chunk of consecutive times from exact
+forward differences, so they equal the per-time ``eval`` values.
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ def return_set_1d(q: ReturnQuery) -> WindowSet:
     lo, hi = q.window
     sys, x, center, eps = q.sys, q.x, q.center, q.eps
     mask = 0
-    for alive in chunks(lo, hi):
-        start = alive.start
+    for chunk in chunks(lo, hi):
+        start, alive = chunk.start, chunk
         for p in q.family.polys:
-            alive = survivors(sys, x, center, eps, alive, [p.eval(n) for n in alive])
+            vals = p.values(start, len(chunk))
+            alive = survivors(sys, x, center, eps, alive, [vals[n - start] for n in alive])
         mask |= sum(1 << (n - start) for n in alive) << (start - lo)
     return WindowSet(lo, hi, mask)
 

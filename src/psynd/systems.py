@@ -359,32 +359,31 @@ class HeisenbergNil(_System):
         """[T^t p in B(center, eps) for t in times].
 
         The ball is taken in the 27-translate distance of ``_fiber``.
-        The circle distances in x and y bound it from below, so they
-        reject cheaply before z is computed.
+        The circle distances in x and y bound it from below, so the
+        circle tests in x and then y reject over the whole time list
+        before z is computed for the times left.
         """
         m = self._modulus(p, center)
         half = _below(eps, m)
+        width = 2 * half
         limit = _below(Fraction(eps) ** 2, m * m)
         x, y, z = self._scaled(p.coords, m)
         c1, c2, c3 = self._scaled(center.coords, m)
         a, b = self._scaled(self._params, m)
         ab = a * b // m
-        out = []
-        for t in times:
-            u = x + t * a
+        b1, b2 = x - c1 + half, y - c2 + half
+        near = [i for i, t in enumerate(times) if (b1 + t * a) % m <= width]
+        near = [i for i in near if (b2 + times[i] * b) % m <= width]
+        out = [False] * len(times)
+        for i in near:
+            t = times[i]
+            u, v = x + t * a, y + t * b
             d1 = (u - c1) % m
             if m - d1 < d1:
                 d1 = m - d1
-            if d1 > half:
-                out.append(False)
-                continue
-            v = y + t * b
-            if _circle(v - c2, m) > half:
-                out.append(False)
-                continue
             # iterate() at scale m: z + C(t,2) ab + t a y, then reduce()
             w = (z + t * (t - 1) // 2 * ab + t * a * y // m - u * (v // m)) % m
-            out.append(d1 * d1 + self._fiber(v % m, w, c1, c2, c3, m) <= limit)
+            out[i] = d1 * d1 + self._fiber(v % m, w, c1, c2, c3, m) <= limit
         return out
 
     def point_distance(self, a: Point, c: Point) -> float:
@@ -467,17 +466,6 @@ class IndicatorSubshift(_System):
                 if a.letter(i) != c.letter(i):
                     return Fraction(1, radius + 1)
             radius += 1
-
-    def agreement_radius(self, a: Word, c: Word) -> int:
-        """Largest k with letters agreeing for all |i| <= k (may raise)."""
-        k = 0
-        while True:
-            for i in (k, -k) if k else (0,):
-                if not (a.covers(i) and c.covers(i)):
-                    raise WindowExhaustedError("coverage exhausted while agreeing")
-                if a.letter(i) != c.letter(i):
-                    return k - 1
-            k += 1
 
     def to_json_obj(self) -> dict:
         return {"type": "subshift", "base": self.base.to_json_obj()}

@@ -313,6 +313,21 @@ def test_windows_longer_than_a_chunk(eps):
     assert got == oracle_recurrence_times(sys, x, fam, 1, eps, half)
 
 
+@pytest.mark.parametrize("alpha", ["1/5", "2/7"])
+@pytest.mark.parametrize("radius, n_bound", [(40, 35), (3, 35 * 60)])
+def test_recurrence_rows_reach_below_the_window(alpha, radius, n_bound):
+    # row j reads p(n + j) from n + j = -n_bound - radius on, below the
+    # window, to n_bound + radius above it; in the wide case the second
+    # chunk's rows reach into the first.  Members are the multiples of q,
+    # n_bound among them, so every row reads its table to both ends
+    sys = TorusRotation((parse_real(alpha),))
+    x = sys.base_point()
+    fam = PolyFamily.parse(["n", "n^2", "n^3+n"])
+    got = recurrence_times(sys, x, fam, radius, Fraction(1, 10), n_bound)
+    assert got == oracle_recurrence_times(sys, x, fam, radius, Fraction(1, 10), n_bound)
+    assert not got.is_empty()
+
+
 @given(
     st.integers(0, 2**41 - 1),
     st.integers(-20, 20),

@@ -11,7 +11,6 @@ from psynd import (
     DegreeTooLowError,
     IntegralPolynomial,
     NotIntegralError,
-    NotNormalFormError,
     NotVanishingError,
     PolyFamily,
     check_normal_form,
@@ -23,6 +22,7 @@ from psynd import (
     shift_coincidence,
 )
 from psynd.polynomials import binom_int
+from psynd.systems import CHUNK
 
 
 def test_binom_int_negative_arguments():
@@ -43,6 +43,18 @@ def test_shift_examples():
     assert nsq.shift(1) == parse_polynomial("n^2+2n")
     assert nsq.shift(0) == nsq
     assert parse_polynomial("n^3").shift(-1) == parse_polynomial("n^3-3n^2+3n")
+
+
+@given(
+    st.lists(st.integers(-(10**6), 10**6), max_size=7),
+    st.one_of(st.integers(-(10**12), 10**12), st.integers(-CHUNK - 10, 10)),
+    st.sampled_from([0, 1, CHUNK + 1]),
+)
+@settings(max_examples=200, deadline=None)
+def test_values_match_eval(coeffs, lo, count):
+    # degree 0-6 and the zero polynomial; the small lo make windows cross 0
+    p = IntegralPolynomial(coeffs)
+    assert p.values(lo, count) == [p.eval(n) for n in range(lo, lo + count)]
 
 
 @given(
@@ -155,13 +167,6 @@ def test_check_normal_form_linear_violations():
 def test_family_requires_vanishing():
     with pytest.raises(NotVanishingError):
         PolyFamily.parse(["n^2+1"])
-
-
-def test_head_tail_split_requires_normal_form():
-    with pytest.raises(NotNormalFormError):
-        PolyFamily.parse(["n^2", "n^2+2n"]).head_tail_split()
-    linear, higher = PolyFamily.parse(["n^2", "3n", "n^3"]).head_tail_split()
-    assert linear == [1] and higher == [0, 2]
 
 
 def test_reduce_example_family():
