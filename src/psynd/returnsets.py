@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from . import bitops
-from .errors import BadEpsilonError, EmptySetError
+from .errors import BadBoundError, BadEpsilonError, EmptySetError
 from .polynomials import PolyFamily
 from .systems import PointLike, SystemSpec, chunks, survivors
-from .windows import GridSet, PwsCert2D, WindowSet, dilate_2d, max_rectangle
+from .windows import GridSet, PwsCert2D, WindowSet, column_dilations, max_rectangle_cols
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,16 @@ def combinatorial_set_2d(
     )
 
 
+def _columns(members: GridSet, validity: GridSet) -> Tuple[List[int], List[int]]:
+    """Column masks over m of members and validity, which share one box."""
+    if members.box != validity.box:
+        raise ValueError("box mismatch")
+    return (
+        bitops.transpose(members.rows, members.n_width),
+        bitops.transpose(validity.rows, validity.n_width),
+    )
+
+
 def masked_dilation_2d(
     members: GridSet, validity: GridSet, b1: int, b2: int
 ) -> GridSet:
@@ -124,8 +134,11 @@ def masked_dilation_2d(
     by a real member), but certificates are kept inside validity so
     that the whole claim is decidable from the window.
     """
-    d = dilate_2d(members, b1, b2)
-    return d.intersect(validity.restrict(d.box))
+    cols, valid = _columns(members, validity)
+    for dilated in column_dilations(cols, members.m_width, b1, b2, valid):
+        pass
+    box = (members.mlo, members.mhi - b1, members.nlo, members.nhi - b2)
+    return GridSet(box, bitops.transpose(dilated, members.m_width - b1))
 
 
 def pws_area_witness_2d(
@@ -136,12 +149,28 @@ def pws_area_witness_2d(
     min_area: int,
 ) -> Optional[PwsCert2D]:
     """First (b1, b2) in lexicographic order whose masked dilation holds an
-    all-ones rectangle of at least ``min_area``; the achieved rectangle is
-    recorded in the certificate."""
+    all-ones rectangle of at least ``min_area``; the certificate records that
+    dilation's largest rectangle, under ``max_rectangle``'s tie rule.
+
+    Runs on column masks over m: members and validity are transposed once,
+    each b1 smears every column once, and each step of b2 ORs in one more
+    column (``column_dilations``).  Each attempt asks ``max_rectangle_cols``
+    only for areas above ``min_area - 1``, so a failing attempt stops after a
+    few run tests and a passing one gets the rectangle a full
+    ``max_rectangle`` finds.
+    """
+    if b1_max < 0 or b2_max < 0:
+        raise BadBoundError("shift bounds must be >= 0")
+    if min_area < 1:
+        raise BadBoundError("min_area must be >= 1")
+    cols, valid = _columns(members, validity)
+    mlo, mhi, nlo, nhi = members.box
+    b2_top = min(b2_max, members.n_width - 1)
     for b1 in range(0, min(b1_max, members.m_width - 1) + 1):
-        for b2 in range(0, min(b2_max, members.n_width - 1) + 1):
-            area, rect = max_rectangle(masked_dilation_2d(members, validity, b1, b2))
-            if rect is not None and area >= min_area:
+        dilations = column_dilations(cols, members.m_width, b1, b2_top, valid)
+        for b2, dilated in enumerate(dilations):
+            _, rect = max_rectangle_cols(dilated, (mlo, mhi - b1, nlo, nhi - b2), min_area - 1)
+            if rect is not None:
                 return PwsCert2D(shift_box=(b1, b2), rect=rect)
     return None
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from typing import Union, get_args, get_origin, get_type_hints
 
 from . import bitops
@@ -651,37 +651,53 @@ def find_ap(s: WindowSet, k: int) -> Optional[Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def dilate_2d(e: GridSet, b1: int, b2: int) -> GridSet:
-    """Union of translates ``e - (i, j)``, (i, j) in [0,b1]x[0,b2], on the shrunk box."""
-    if b1 < 0 or b2 < 0:
+def column_dilations(
+    cols: Sequence[int],
+    height: int,
+    b1: int,
+    b2_top: int,
+    valid: Optional[Sequence[int]] = None,
+) -> Iterator[List[int]]:
+    """Columns of the box dilations of a bit matrix, for b2 = 0, 1, ..., b2_top.
+
+    ``cols[j]`` is column j as a mask over ``height`` rows.  The dilation by
+    [0,b1]x[0,b2] is the union of translates ``e - (i, j)``, (i, j) in the
+    shift box, on the box shrunk by b1 rows and b2 columns: bit i of its
+    column j is set when a member lies in [i, i+b1] x [j, j+b2].  Every
+    column is smeared over the rows once; each step b2 -> b2+1 then ORs one
+    smeared column into each column.  When ``valid`` columns are given, each
+    yielded dilation is ANDed with them.
+    """
+    if b1 < 0 or b2_top < 0:
         raise BadBoundError("shift bounds must be >= 0")
-    if b1 >= e.m_width or b2 >= e.n_width:
+    if b1 >= height or b2_top >= len(cols):
         raise BadBoundError("shift bounds exceed box")
-    n_keep = bitops.mask_of(e.n_width - b2)
-    smeared = [bitops.smear_down(r, b2) & n_keep for r in e.rows]
-    rows = []
-    nrows = len(smeared)
-    for i in range(nrows - b1):
-        acc = 0
-        for j in range(b1 + 1):
-            acc |= smeared[i + j]
-        rows.append(acc)
-    return GridSet((e.mlo, e.mhi - b1, e.nlo, e.nhi - b2), rows)
+    keep = bitops.mask_of(height - b1)
+    smeared = [bitops.smear_down(c, b1) & keep for c in cols]
+    acc = smeared
+    for b2 in range(b2_top + 1):
+        if b2:
+            acc = [a | s for a, s in zip(acc, smeared[b2:])]
+        yield acc if valid is None else [a & v for a, v in zip(acc, valid)]
 
 
-def _find_rect(rows: Sequence[int], w: int, h: int) -> Optional[Tuple[int, int]]:
-    """Lowest (row index, col index) where a w-row x h-col all-ones rect starts."""
-    for i in range(len(rows) - w + 1):
-        acc = rows[i]
-        for j in range(1, w):
-            acc &= rows[i + j]
-            if not acc:
-                break
-        if acc:
-            start = bitops.has_run(acc, h)
-            if start is not None:
-                return (i, start)
-    return None
+def _first_rect(cols: Sequence[int], w: int, h: int) -> Optional[Tuple[int, int]]:
+    """Lowest (row, column) index where a w-row x h-col all-ones rect starts,
+    rows first.  After the doubling ANDs, bit i of ``starts[j]`` is set when
+    the rect fits at (i, j)."""
+    starts = [bitops.and_reduce(c, w) for c in cols]
+    covered = 1
+    while covered < h:
+        step = min(covered, h - covered)
+        starts = [a & b for a, b in zip(starts, starts[step:])]
+        covered += step
+    anywhere = 0
+    for s in starts:
+        anywhere |= s
+    if not anywhere:
+        return None
+    i = bitops.lowest_set_bit(anywhere)
+    return i, next(j for j, s in enumerate(starts) if s >> i & 1)
 
 
 def pws_witness_2d(
@@ -689,10 +705,12 @@ def pws_witness_2d(
 ) -> Optional[PwsCert2D]:
     """Lexicographically minimal (b1, b2) whose box dilation contains a w x h rect.
 
-    w counts rows (m direction), h counts columns (n direction).  Capped at
-    b1 <= m_width - w and b2 <= n_width - h, where the rect still fits, the
-    test is monotone in b2 (a rect covered at b2 is covered one column to
-    its left at b2 + 1), so b2 is found by binary search.
+    w counts rows (m direction), h counts columns (n direction); the rect is
+    the lowest in m, then in n.  Capped at b1 <= m_width - w and
+    b2 <= n_width - h, where the rect still fits, the test is monotone in b2
+    (a rect covered at b2 is covered one column to its left at b2 + 1), so a
+    b1 whose widest dilation holds no rect is skipped after one test.
+    Otherwise b2 rises one ``column_dilations`` step at a time.
     """
     if b1_max < 0 or b2_max < 0:
         raise BadBoundError("shift bounds must be >= 0")
@@ -702,48 +720,54 @@ def pws_witness_2d(
     b2_cap = min(b2_max, e.n_width - h)
     if b2_cap < 0:
         return None
-
-    def attempt(b1: int, b2: int) -> Optional[Tuple[int, int]]:
-        return _find_rect(dilate_2d(e, b1, b2).rows, w, h)
-
+    cols = bitops.transpose(e.rows, e.n_width)
     for b1 in range(0, b1_cap + 1):
-        if attempt(b1, b2_cap) is None:
+        for widest in column_dilations(cols, e.m_width, b1, b2_cap):
+            pass
+        if _first_rect(widest, w, h) is None:
             continue
-        lo_b, hi_b = 0, b2_cap
-        while lo_b < hi_b:
-            mid = (lo_b + hi_b) // 2
-            if attempt(b1, mid) is not None:
-                hi_b = mid
-            else:
-                lo_b = mid + 1
-        pos = attempt(b1, lo_b)
-        assert pos is not None
-        return PwsCert2D(
-            shift_box=(b1, lo_b),
-            rect=(e.mlo + pos[0], e.nlo + pos[1], w, h),
-        )
+        for b2, dilated in enumerate(column_dilations(cols, e.m_width, b1, b2_cap)):
+            pos = _first_rect(dilated, w, h)
+            if pos is not None:
+                return PwsCert2D(shift_box=(b1, b2), rect=(e.mlo + pos[0], e.nlo + pos[1], w, h))
     return None
 
 
 def max_rectangle(e: GridSet) -> Tuple[int, Optional[Tuple[int, int, int, int]]]:
-    """Largest all-ones rectangle as (area, (m0, n0, w, h)), or (0, None) when empty.
+    """Largest all-ones rectangle of ``e``: ``max_rectangle_cols`` on its column masks."""
+    return max_rectangle_cols(bitops.transpose(e.rows, e.n_width), e.box)
 
-    The rectangle covers rows m0..m0+w-1 and columns n0..n0+h-1.  Ties
-    between rectangles of the largest area go to the lowest bottom row
+
+def max_rectangle_cols(
+    cols: Sequence[int], box: Tuple[int, int, int, int], threshold: int = 0
+) -> Tuple[int, Optional[Tuple[int, int, int, int]]]:
+    """Largest all-ones rectangle of area above ``threshold`` as
+    (area, (m0, n0, w, h)), or (0, None) when there is none.
+
+    ``cols[j]`` is column nlo + j of the box (mlo, mhi, nlo, nhi), a mask
+    over m.  The rectangle covers rows m0..m0+w-1 and columns n0..n0+h-1.
+    Ties between rectangles of the largest area go to the lowest bottom row
     m0+w-1, then to the lowest right end n0+h-1, then to the most rows.
+    Whenever the largest area exceeds ``threshold``, the result is the one
+    found with no threshold, tie included.
 
-    Works on the columns as masks over m: for each left column c, the AND
-    of columns c..c+k-1 marks the rows that hold all k of them, and its
-    longest run is the tallest rectangle of width k.  A left column stops
-    when the AND is empty or when no wider rectangle could reach the best
-    area; a width whose AND has no run of ceil(best/k) rows is skipped.
+    For each left column c, the AND of columns c..c+k-1 marks the rows that
+    hold all k of them, and its longest run is the tallest rectangle of
+    width k.  The threshold seeds the best area, and a width whose AND has
+    no run of ceil(best/k) rows is skipped.  A left column stops when the
+    AND is empty or when no wider rectangle could reach the best area, and
+    the scan stops at the first left column whose whole remaining box is
+    smaller than the best area.
     """
-    cols = bitops.transpose(e.rows, e.n_width)
-    ncols = len(cols)
-    best_key: Tuple[int, int, int, int] = (0, 0, 0, 0)
+    mlo, mhi, nlo, _ = box
+    height, ncols = mhi - mlo + 1, len(cols)
+    # beaten exactly by the rectangles of greater area: a key's second entry is <= 0
+    best_key: Tuple[int, int, int, int] = (threshold, 1, 0, 0)
     best = None
     for c in range(ncols):
-        acc, run = bitops.mask_of(e.m_width), e.m_width  # run bounds acc's longest run
+        if height * (ncols - c) < best_key[0]:
+            break
+        acc, run = bitops.mask_of(height), height  # run bounds acc's longest run
         for k in range(1, ncols - c + 1):
             acc &= cols[c + k - 1]
             area = best_key[0]
@@ -762,8 +786,8 @@ def max_rectangle(e: GridSet) -> Tuple[int, Optional[Tuple[int, int, int, int]]]
             key = (run * k, -(start + run - 1), -(c + k - 1), run)
             if key > best_key:
                 best_key = key
-                best = (e.mlo + start, e.nlo + c, run, k)
-    return best_key[0], best
+                best = (mlo + start, nlo + c, run, k)
+    return (best_key[0], best) if best else (0, None)
 
 
 def syndetic_2d_certificate(

@@ -7,7 +7,8 @@ walks every cell of every row; the per-member loops of
 and the mask builders that OR one bit at a time into a growing int
 (``WindowSet.from_members``, ``sturmian_window``, ``random_thick_syndetic``).
 ``max_rectangle`` must return the same (area, rect) tuple, tie rule
-included, and the others the same grids and masks; ``bitops.transpose`` is
+included, and its column core the same tuple above any area threshold; the
+others the same grids and masks; ``bitops.transpose`` is
 checked against a per-bit transpose.
 """
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from psynd import GridSet, PolyFamily, WindowSet, bitops, combinatorial_set_2d, max_rectangle
 from psynd.constants import parse_real
 from psynd.generators import random_thick_syndetic, sturmian_window
+from psynd.windows import max_rectangle_cols
 
 # -- oracles: the per-cell code the kernels replaced ----------------------
 
@@ -162,6 +164,19 @@ def test_max_rectangle_shapes(m_width, n_width, density):
         assert got == (m_width * n_width, (-7, 5, m_width, n_width))
     if density == 0.0:
         assert got == (0, None)
+
+
+@given(grids())
+@settings(max_examples=400, deadline=None)
+def test_max_rectangle_cols_threshold(e):
+    """With threshold t the column core gives the oracle's tuple when its area
+    exceeds t and (0, None) otherwise: t = 0, one below the maximum, the
+    maximum itself and one above it."""
+    want = oracle_max_rectangle(e)
+    cols = bitops.transpose(e.rows, e.n_width)
+    for t in sorted({0, max(want[0] - 1, 0), want[0], want[0] + 1}):
+        got = max_rectangle_cols(cols, e.box, t)
+        assert got == (want if want[0] > t else (0, None)), t
 
 
 def test_max_rectangle_tie_rule():

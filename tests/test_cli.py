@@ -137,6 +137,28 @@ def test_thma_achieved_is_max_rectangle_at_shift_box(tmp_path, pws2d):
     assert (achieved["max_area_at_b"], achieved["max_rect_at_b"]) == (area, list(rect))
 
 
+@pytest.mark.parametrize("pws2d", [
+    {"b1_max": -1, "b2_max": 2, "min_area": 30},
+    {"b1_max": 2, "b2_max": -1, "min_area": 30},
+    {"b1_max": 2, "b2_max": 2, "min_area": 0},
+    {"b1_max": -1, "b2_max": 2, "w": 3, "h": 4},
+    {"b1_max": 2, "b2_max": -1, "w": 3, "h": 4},
+    {"b1_max": 2, "b2_max": 2, "w": 0, "h": 4},
+])
+def test_thma_bad_bounds_exit_2(tmp_path, capsys, pws2d):
+    """A negative shift bound, min_area < 1 or an empty rect side is a config
+    error on the area path and on the shape path: exit 2, a message, no report."""
+    cfg = {
+        "set": {"kind": "congruence", "modulus": 2, "residues": [0], "window": [-100, 100]},
+        "family": ["n", "2n"],
+        "box": [-20, 20, -20, 20],
+        "certificates": {"pws2d": pws2d},
+    }
+    code, report, _ = run(tmp_path, "thma", cfg)
+    assert (code, report) == (2, None)
+    assert "thma: config error:" in capsys.readouterr().err
+
+
 def test_returns_oracle_flag(tmp_path):
     cfg = {
         "system": {"type": "rotation", "alpha": ["1/6"]},
