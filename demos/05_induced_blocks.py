@@ -17,7 +17,6 @@ from psynd import (
     apply_map,
     shift_block,
     block_distance,
-    iterate,
     orbit_block,
     parse_real,
     periodic_extension,
@@ -32,7 +31,7 @@ x = rot.base_point()
 fam_n = PolyFamily.parse(["n"])
 block = orbit_block(rot, x, fam_n, radius=5)
 shifted = shift_block(block, 2)
-rebased = orbit_block(rot, iterate(rot, x, 2), fam_n, radius=3)
+rebased = orbit_block(rot, rot.iterate(x, 2), fam_n, radius=3)
 print("linear family: shift-by-2 block == block at T^2 x:", shifted.same_entries(rebased))
 
 # Quadratic family: shifting by k equals applying the map to a *different*

@@ -1,4 +1,4 @@
-"""Explicit dynamical systems with exact or fixed-point orbit evaluation.
+"""Explicit dynamical systems with exact integer orbit arithmetic.
 
 Four concrete system families, each with a closed-form n-th iterate:
 
@@ -8,20 +8,23 @@ Four concrete system families, each with a closed-form n-th iterate:
   Heisenberg nilmanifold, points reduced to the fundamental cube;
 * ``IndicatorSubshift`` -- the left shift acting on windowed 0/1 words.
 
-Systems whose parameters are all rational hold exact ``Fraction`` points
-and serve as oracles.  Systems with named irrational parameters hold
-scaled-integer fixed-point points (default 256 bits): every membership
-decision is then an exact integer comparison against the declared
-approximant, so results are bit-reproducible.
+A point of a coordinate system is a tuple of exact ``Fraction``s in
+[0, 1).  Systems whose parameters are all rational hold them as they
+are.  On a system with a named irrational parameter every value,
+parameter and point alike, is the declared approximant
+``floor(v * 2^bits) / 2^bits`` (default 256 bits), a multiple of 2^-bits.
+``_value`` is the one place where a real becomes a value, and
+``_modulus`` the one place where the scale of the arithmetic is chosen.
 
-Every system has one ball predicate, ``hits(x, center, eps, times)``,
-which decides ``T^t x in B(center, eps)`` for a whole list of times t.
-The coordinate systems decide it in integer arithmetic at one modulus
-M: 2^bits on the fixed-point path; on the rational path the lcm of the
-denominators of the parameters and of both points (its square for the
-Heisenberg group, so that ``(u * v) // M`` is exact).  Both paths are
-therefore exact.  eps becomes one integer half-width L, the largest
-integer below eps * M, so a circle test is
+Both ``iterate`` and the ball predicate ``hits(x, center, eps, times)``,
+which decides ``T^t x in B(center, eps)`` for a whole list of times t,
+scale the values to integers at one modulus M and apply the same
+floored-product formulas there: M is 2^bits on a named-constant system,
+and on a rational one the lcm of the denominators of the parameters and
+of the points (its square for the Heisenberg group, so that
+``(u * v) // M`` is exact).  Every result is therefore exact, and the
+same on every machine.  eps becomes one integer half-width L, the
+largest integer below eps * M, so a circle test is
 ``((x - c + L) + t * s) % M <= 2 * L``.  The subshift decides time by
 time on its words.  ``in_ball`` is ``hits`` at the single time 0.
 
@@ -35,19 +38,18 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .constants import DEFAULT_BITS, RealSpec, parse_real
 from .errors import BadEpsilonError, EmptySetError, WindowExhaustedError
-from .polynomials import IntegralPolynomial
 from .windows import WindowSet
 
 
 @dataclass(frozen=True)
 class Point:
-    """Coordinate point: Fractions (exact systems) or scaled ints (fixed)."""
+    """Coordinate point: exact Fractions in [0, 1), one per axis."""
 
-    coords: Tuple
+    coords: Tuple[Fraction, ...]
 
     def __repr__(self) -> str:
         return f"Point{self.coords}"
@@ -82,10 +84,6 @@ class Word:
 PointLike = Union[Point, Word]
 
 
-def _c2(n: int) -> int:
-    return n * (n - 1) // 2
-
-
 def _epsilon(eps) -> Fraction:
     e = Fraction(eps)
     if e <= 0:
@@ -108,58 +106,65 @@ def _circle(d: int, m: int) -> int:
     return min(d, m - d)
 
 
+def _unscaled(values, m: int) -> Point:
+    """The point whose coordinates are the integers ``values`` at modulus m, mod 1."""
+    return Point(tuple(Fraction(v % m, m) for v in values))
+
+
 class _System:
     """Shared plumbing for the coordinate systems."""
 
     exact: bool
     bits: int
+    dim: int
+    _params: Tuple[Fraction, ...]
 
-    def _mod1(self, v):
-        if self.exact:
-            return v % 1
-        return v & ((1 << self.bits) - 1)
-
-    def _value(self, spec: RealSpec):
+    def _value(self, spec: RealSpec) -> Fraction:
+        """The value of ``spec`` mod 1: exact, or the 2^-bits approximant."""
         if self.exact:
             return spec.as_fraction() % 1
-        return spec.fixed(self.bits) & ((1 << self.bits) - 1)
-
-    def make_point(self, values: Sequence) -> Point:
-        return Point(tuple(self._value(parse_real(v)) for v in values))
-
-    def point_to_json(self, x: PointLike) -> dict:
-        if isinstance(x, Word):
-            return {"word": x.to_string(), "lo": x.lo, "hi": x.hi}
-        if self.exact:
-            return {"coords": [str(c) for c in x.coords]}
-        return {"coords_fixed": [hex(c) for c in x.coords], "bits": self.bits}
-
-    def point_from_json(self, obj: dict) -> PointLike:
-        if "word" in obj:
-            mask = 0
-            for k, ch in enumerate(obj["word"]):
-                if ch == "1":
-                    mask |= 1 << k
-            return Word(mask, int(obj["lo"]), int(obj["hi"]))
-        if "coords_fixed" in obj:
-            if self.exact or obj["bits"] != self.bits:
-                raise ValueError("fixed-point coordinates do not match system precision")
-            return Point(tuple(int(c, 16) for c in obj["coords_fixed"]))
-        return self.make_point(obj["coords"])
+        return Fraction(spec.fixed(self.bits) % (1 << self.bits), 1 << self.bits)
 
     def _modulus(self, *points: Point) -> int:
-        """The modulus M of the integer ball test (see the module docstring)."""
+        """The modulus M of the integer arithmetic (see the module docstring)."""
         if not self.exact:
             return 1 << self.bits
         return lcm(*(v.denominator for v in chain(self._params, *(p.coords for p in points))))
 
-    def _scaled(self, values, m: int) -> list:
+    @staticmethod
+    def _scaled(values, m: int) -> list:
         """Values in [0, 1) as integers at the modulus m."""
-        if not self.exact:
-            return list(values)
         return [v.numerator * (m // v.denominator) for v in values]
 
-    def in_ball(self, a: PointLike, c: PointLike, eps) -> bool:
+    def base_point(self) -> Point:
+        return Point((Fraction(0),) * self.dim)
+
+    def make_point(self, values: Sequence) -> Point:
+        """The point with one real per axis, each read mod 1 by ``_value``."""
+        if not isinstance(values, (list, tuple)) or len(values) != self.dim:
+            raise ValueError(f"a point of this system has {self.dim} coordinates, got {values!r}")
+        return Point(tuple(self._value(parse_real(v)) for v in values))
+
+    def point_to_json(self, x: Point) -> dict:
+        if self.exact:
+            return {"coords": [str(c) for c in x.coords]}
+        fixed = self._scaled(x.coords, 1 << self.bits)
+        return {"coords_fixed": [hex(c) for c in fixed], "bits": self.bits}
+
+    def point_from_json(self, obj) -> Point:
+        """``coords_fixed`` read mod 2^bits at the system's precision, or ``coords`` read mod 1."""
+        if isinstance(obj, dict) and "coords_fixed" in obj:
+            if self.exact or obj.get("bits") != self.bits:
+                raise ValueError("fixed-point coordinates do not match system precision")
+            fixed = obj["coords_fixed"]
+            if not (isinstance(fixed, list) and all(isinstance(c, str) for c in fixed)):
+                raise ValueError(f"coords_fixed must be a list of hex strings, got {fixed!r}")
+            return self.make_point([Fraction(int(c, 16), 1 << self.bits) for c in fixed])
+        if isinstance(obj, dict) and "coords" in obj:
+            return self.make_point(obj["coords"])
+        raise ValueError(f"a point needs coords or coords_fixed, got {obj!r}")
+
+    def in_ball(self, a: Point, c: Point, eps) -> bool:
         """Strict ball test of one point: ``hits`` at time 0."""
         return self.hits(a, c, eps, [0])[0]
 
@@ -186,17 +191,13 @@ class TorusRotation(_System):
         return all(a.is_rational for a in self.alphas)
 
     @cached_property
-    def _params(self) -> Tuple:
+    def _params(self) -> Tuple[Fraction, ...]:
         return tuple(self._value(a) for a in self.alphas)
 
-    def base_point(self) -> Point:
-        zero = Fraction(0) if self.exact else 0
-        return Point((zero,) * self.dim)
-
     def iterate(self, x: Point, n: int) -> Point:
-        return Point(
-            tuple(self._mod1(c + n * s) for c, s in zip(x.coords, self._params))
-        )
+        m = self._modulus(x)
+        scaled = zip(self._scaled(x.coords, m), self._scaled(self._params, m))
+        return _unscaled([u + n * s for u, s in scaled], m)
 
     def hits(self, x: Point, center: Point, eps, times: Sequence[int]) -> List[bool]:
         """[T^t x in B(center, eps) for t in times], coordinate by coordinate."""
@@ -229,24 +230,21 @@ class SkewProduct(_System):
     alpha: RealSpec
     bits: int = DEFAULT_BITS
 
+    dim = 2
+
     @cached_property
     def exact(self) -> bool:
         return self.alpha.is_rational
 
     @cached_property
-    def _params(self) -> Tuple:
+    def _params(self) -> Tuple[Fraction, ...]:
         return (self._value(self.alpha),)
 
-    def base_point(self) -> Point:
-        zero = Fraction(0) if self.exact else 0
-        return Point((zero, zero))
-
     def iterate(self, p: Point, n: int) -> Point:
-        (a,) = self._params
-        x, y = p.coords
-        return Point(
-            (self._mod1(x + n * a), self._mod1(y + n * x + _c2(n) * a))
-        )
+        m = self._modulus(p)
+        x, y = self._scaled(p.coords, m)
+        (a,) = self._scaled(self._params, m)
+        return _unscaled([x + n * a, y + n * x + n * (n - 1) // 2 * a], m)
 
     def hits(self, p: Point, center: Point, eps, times: Sequence[int]) -> List[bool]:
         """[T^t p in B(center, eps) for t in times]."""
@@ -283,53 +281,38 @@ class HeisenbergNil(_System):
     beta: RealSpec
     bits: int = DEFAULT_BITS
 
+    dim = 3
+
     @cached_property
     def exact(self) -> bool:
         return self.alpha.is_rational and self.beta.is_rational
 
     @cached_property
-    def _ab(self) -> Tuple:
-        a = self._value(self.alpha)
-        b = self._value(self.beta)
-        return a, b, self._mul(a, b)
-
-    def base_point(self) -> Point:
-        zero = Fraction(0) if self.exact else 0
-        return Point((zero, zero, zero))
-
-    def _floor(self, v) -> int:
-        if self.exact:
-            return v.numerator // v.denominator
-        return v >> self.bits
-
-    def _mul(self, u, v):
-        if self.exact:
-            return u * v
-        return (u * v) >> self.bits
-
-    def reduce(self, a, b, c) -> Point:
-        x = self._mod1(a)
-        y = self._mod1(b)
-        # a * floor(b) is an int-by-value product: exact in both modes
-        z = self._mod1(c - a * self._floor(b))
-        return Point((x, y, z))
-
-    def iterate(self, p: Point, n: int) -> Point:
-        a, b, ab = self._ab
-        x, y, z = p.coords
-        return self.reduce(
-            x + n * a,
-            y + n * b,
-            z + _c2(n) * ab + self._mul(n * a, y),
-        )
-
-    @property
-    def _params(self) -> Tuple:
-        return self._ab[:2]
+    def _params(self) -> Tuple[Fraction, ...]:
+        return self._value(self.alpha), self._value(self.beta)
 
     def _modulus(self, *points: Point) -> int:
         m = super()._modulus(*points)
         return m * m if self.exact else m
+
+    @staticmethod
+    def _orbit(xyz, a: int, b: int, m: int, times: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
+        """T^t (x, y, z) for t in times, at the modulus m and reduced mod m.
+
+        The point and tau = (a, b, 0) come scaled to m.  The z of
+        tau^t (x, y, z) is z + C(t,2) ab + t a y; the reduction to the
+        fundamental cube subtracts (x + t a) floor(y + t b).
+        """
+        x, y, z = xyz
+        ab = a * b // m
+        for t in times:
+            u, v = x + t * a, y + t * b
+            yield u % m, v % m, (z + t * (t - 1) // 2 * ab + t * a * y // m - u * (v // m)) % m
+
+    def iterate(self, p: Point, n: int) -> Point:
+        m = self._modulus(p)
+        a, b = self._scaled(self._params, m)
+        return _unscaled(next(self._orbit(self._scaled(p.coords, m), a, b, m, [n])), m)
 
     @staticmethod
     def _fiber(y: int, z: int, c1: int, c2: int, c3: int, m: int) -> int:
@@ -370,20 +353,16 @@ class HeisenbergNil(_System):
         x, y, z = self._scaled(p.coords, m)
         c1, c2, c3 = self._scaled(center.coords, m)
         a, b = self._scaled(self._params, m)
-        ab = a * b // m
         b1, b2 = x - c1 + half, y - c2 + half
         near = [i for i, t in enumerate(times) if (b1 + t * a) % m <= width]
         near = [i for i in near if (b2 + times[i] * b) % m <= width]
         out = [False] * len(times)
-        for i in near:
-            t = times[i]
-            u, v = x + t * a, y + t * b
+        orbit = self._orbit((x, y, z), a, b, m, [times[i] for i in near])
+        for i, (u, v, w) in zip(near, orbit):
             d1 = (u - c1) % m
             if m - d1 < d1:
                 d1 = m - d1
-            # iterate() at scale m: z + C(t,2) ab + t a y, then reduce()
-            w = (z + t * (t - 1) // 2 * ab + t * a * y // m - u * (v // m)) % m
-            out[i] = d1 * d1 + self._fiber(v % m, w, c1, c2, c3, m) <= limit
+            out[i] = d1 * d1 + self._fiber(v, w, c1, c2, c3, m) <= limit
         return out
 
     def point_distance(self, a: Point, c: Point) -> float:
@@ -403,7 +382,7 @@ class HeisenbergNil(_System):
 
 
 @dataclass(frozen=True)
-class IndicatorSubshift(_System):
+class IndicatorSubshift:
     """Left shift on windowed 0/1 words, seeded by an indicator word.
 
     The metric is 1/(k+1) where k is the smallest |i| with a letter
@@ -413,11 +392,25 @@ class IndicatorSubshift(_System):
 
     base: WindowSet
 
-    exact = True
-    bits = 0
-
     def base_point(self) -> Word:
         return indicator_subshift_point(self.base)
+
+    def point_to_json(self, w: Word) -> dict:
+        return {"word": w.to_string(), "lo": w.lo, "hi": w.hi}
+
+    def point_from_json(self, obj) -> Word:
+        """A word of 0/1 letters on [lo, hi]."""
+        try:
+            word, lo, hi = obj["word"], int(obj["lo"]), int(obj["hi"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"a subshift point needs word, lo and hi, got {obj!r}") from exc
+        if not isinstance(word, str) or set(word) - {"0", "1"} or len(word) != hi - lo + 1:
+            raise ValueError(f"word must be {hi - lo + 1} letters 0/1, got {word!r}")
+        return Word(int("0" + word[::-1], 2), lo, hi)
+
+    def in_ball(self, a: Word, c: Word, eps) -> bool:
+        """Strict ball test of one word: ``hits`` at time 0."""
+        return self.hits(a, c, eps, [0])[0]
 
     def iterate(self, w: Word, n: int) -> Word:
         if not w.covers(n):
@@ -495,23 +488,6 @@ def survivors(
     """The entries of ``alive`` whose time t (same position in ``times``)
     puts T^t x in B(center, eps)."""
     return [n for n, hit in zip(alive, sys.hits(x, center, eps, times)) if hit]
-
-
-def iterate(sys: SystemSpec, x: PointLike, n: int) -> PointLike:
-    """T^n x in closed form."""
-    return sys.iterate(x, n)
-
-
-def poly_orbit(
-    sys: SystemSpec, x: PointLike, p: IntegralPolynomial, n0: int, n1: int
-) -> List[PointLike]:
-    """[T^{p(n)} x for n in [n0, n1]], each via the closed-form iterate."""
-    return [sys.iterate(x, p.eval(n)) for n in range(n0, n1 + 1)]
-
-
-def in_ball(sys: SystemSpec, a: PointLike, c: PointLike, eps) -> bool:
-    """Strict metric ball test; exact w.r.t. the declared arithmetic."""
-    return sys.in_ball(a, c, eps)
 
 
 def system_from_json_obj(obj: dict) -> SystemSpec:

@@ -28,7 +28,6 @@ from psynd import (
     shift_block,
     check_normal_form,
     essentially_distinct,
-    iterate,
     max_gap,
     orbit_block,
     parse_real,
@@ -442,7 +441,7 @@ def test_criterion_8_induced_identities():
     base = orbit_block(sys_spec, x, fam_n, radius)
     linear_ok = all(
         shift_block(base, n).same_entries(
-            orbit_block(sys_spec, iterate(sys_spec, x, n), fam_n, radius - abs(n))
+            orbit_block(sys_spec, sys_spec.iterate(x, n), fam_n, radius - abs(n))
         )
         for n in range(-radius, radius + 1)
     )

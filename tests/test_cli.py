@@ -409,6 +409,55 @@ def test_returns_point_coords_follow_the_system(tmp_path):
         assert code == 2
 
 
+TORUS2 = {
+    "system": {"type": "rotation", "alpha": ["1/3", "1/5"]},
+    "family": ["n"],
+    "epsilon": "1/10",
+    "window": [-3, 3],
+}
+SUBSHIFT = {
+    "system": {"type": "subshift", "base": {"lo": -3, "hi": 3, "members": [0]}},
+    "family": ["n"],
+    "epsilon": "1/2",
+    "window": [-1, 1],
+}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    # a dropped axis would answer the 1-torus question, members [-3, 0, 3]
+    (dict(TORUS2, x={"coords": ["1/2"]}), "has 2 coordinates"),
+    (dict(TORUS2, x={"coords": ["1/2", "1/5", "0"]}), "has 2 coordinates"),
+    (dict(TORUS2, x=5), "needs coords or coords_fixed"),
+    (dict(TORUS2, system={"type": "rotation", "alpha": ["sqrt2", "1/5"]},
+          x={"coords_fixed": [5, 7], "bits": 256}), "hex strings"),
+    (dict(SUBSHIFT, x={"coords": ["1/2"]}), "needs word, lo and hi"),
+    (dict(SUBSHIFT, x={"word": "0002000", "lo": -3, "hi": 3}), "7 letters 0/1"),
+])
+def test_returns_malformed_point_exit_2(tmp_path, capsys, cfg, message):
+    code, report, _ = run(tmp_path, "returns", cfg)
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+def test_returns_coords_fixed_read_mod_2_bits(tmp_path):
+    cfg = {
+        "system": {"type": "rotation", "alpha": "sqrt2"},
+        "family": ["n"],
+        "epsilon": "1/10",
+        "window": [-50, 50],
+    }
+    reports = []
+    for value in (5, (1 << 256) + 5, 5 - (3 << 256)):
+        x = {"coords_fixed": [hex(value)], "bits": 256}
+        code, report, _ = run(tmp_path, "returns", dict(cfg, x=x))
+        assert code == 0
+        assert report["query"]["x"] == {"coords_fixed": ["0x5"], "bits": 256}
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_csv_output(tmp_path):
     cfg = {
         "system": {"type": "rotation", "alpha": ["1/2"]},

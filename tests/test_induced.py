@@ -17,7 +17,6 @@ from psynd import (
     shift_block,
     block_distance,
     indicator_subshift_point,
-    iterate,
     orbit_block,
     parse_polynomial,
     parse_real,
@@ -37,7 +36,7 @@ def test_orbit_block_linear_rows():
     x = sys_spec.base_point()
     b = orbit_block(sys_spec, x, PolyFamily.parse(["n"]), 5)
     for n in range(-5, 6):
-        assert b.entry(n) == (iterate(sys_spec, x, n),)
+        assert b.entry(n) == (sys_spec.iterate(x, n),)
 
 
 def test_split_block_layout_for_n_nsquared():
@@ -46,7 +45,7 @@ def test_split_block_layout_for_n_nsquared():
     b = split_block(sys_spec, x, PolyFamily.parse(["n", "n^2"]), 4)
     assert b.head == (x,)
     for j in range(-4, 5):
-        assert b.tail_entry(j) == (iterate(sys_spec, x, j * j),)
+        assert b.tail_entry(j) == (sys_spec.iterate(x, j * j),)
 
 
 def test_block_radius_zero_is_diagonal():
@@ -100,7 +99,7 @@ def test_linear_case_isomorphism():
     base = orbit_block(sys_spec, x, fam, 20)
     for n in range(-20, 21):
         shifted = shift_block(base, n)
-        fresh = orbit_block(sys_spec, iterate(sys_spec, x, n), fam, 20 - abs(n))
+        fresh = orbit_block(sys_spec, sys_spec.iterate(x, n), fam, 20 - abs(n))
         assert shifted.same_entries(fresh)
 
 
@@ -141,13 +140,13 @@ def test_block_distance_differs_only_at_edge():
     x = sys_spec.base_point()
     fam = PolyFamily.parse(["n^2"])
     b1 = orbit_block(sys_spec, x, fam, 2)
-    b2 = orbit_block(sys_spec, iterate(sys_spec, x, 0), fam, 2)
+    b2 = orbit_block(sys_spec, sys_spec.iterate(x, 0), fam, 2)
     assert block_distance(b1, b2, 2) == 0
     # compare against a shifted block: distance is the worst edge coordinate
     shifted = shift_block(orbit_block(sys_spec, x, fam, 4), 1)
     expected = max(
         sys_spec.point_distance(
-            iterate(sys_spec, x, (j + 1) ** 2), iterate(sys_spec, x, j * j)
+            sys_spec.iterate(x, (j + 1) ** 2), sys_spec.iterate(x, j * j)
         )
         for j in range(-2, 3)
     )
@@ -223,8 +222,8 @@ def test_periodic_extension_orbit_word():
     x = indicator_subshift_point(s)
     k = 3
     p = parse_polynomial("n^2")
-    word = tuple(iterate(shift_sys, x, p.eval(j)) for j in range(-k, k + 1))
+    word = tuple(shift_sys.iterate(x, p.eval(j)) for j in range(-k, k + 1))
     block = periodic_extension(word, center_offset=k)
-    assert block.entry(0) == iterate(shift_sys, x, 0)
+    assert block.entry(0) == shift_sys.iterate(x, 0)
     assert block.shifted(2 * k + 1) == block
     assert block.materialize(10) == block.shifted(2 * k + 1).materialize(10)

@@ -1,11 +1,14 @@
-"""The batched ball predicate ``hits`` against the per-point code it replaced.
+"""``iterate`` and the batched ball predicate ``hits`` against the per-point
+code they replaced.
 
 The oracles below are the earlier per-point implementation, kept verbatim
-apart from taking the system as an argument: ``in_ball`` on ``Fraction``
-or fixed-point coordinates (the 27-translate minimum for the Heisenberg
-group), and the return-set and recurrence loops that call ``iterate`` and
-``in_ball`` once per (time, polynomial) pair.  The kernel-backed functions
-must give the same decisions and masks bit for bit.
+apart from taking the system as an argument.  They work on points in the
+old form: ``Fraction`` coordinates on a rational system, integers at
+2^bits on a named-constant one (``old_form`` converts).  They are
+``iterate`` with its own mod-1, floor and fixed-point product, ``in_ball``
+(the 27-translate minimum for the Heisenberg group), and the return-set
+and recurrence loops that call both once per (time, polynomial) pair.
+The library must give the same points, decisions and masks bit for bit.
 """
 
 from fractions import Fraction
@@ -24,7 +27,7 @@ from psynd import (
     TorusRotation,
     WindowExhaustedError,
     WindowSet,
-    in_ball,
+    Word,
     indicator_subshift_point,
     parse_real,
     recurrence_times,
@@ -36,6 +39,72 @@ from psynd.polynomials import check_normal_form
 from psynd.systems import CHUNK, Point
 
 # -- oracles: the per-point code the kernel replaced --------------------
+
+
+def old_form(sys, p):
+    """A point as the oracles take it: integers at 2^bits on the fixed path."""
+    if isinstance(p, Word) or sys.exact:
+        return p
+    scaled = [c * (1 << sys.bits) for c in p.coords]
+    assert all(v.denominator == 1 for v in scaled)
+    return Point(tuple(int(v) for v in scaled))
+
+
+def _mod1(sys, v):
+    if sys.exact:
+        return v % 1
+    return v & ((1 << sys.bits) - 1)
+
+
+def _value(sys, spec):
+    if sys.exact:
+        return spec.as_fraction() % 1
+    return spec.fixed(sys.bits) & ((1 << sys.bits) - 1)
+
+
+def _floor(sys, v) -> int:
+    if sys.exact:
+        return v.numerator // v.denominator
+    return v >> sys.bits
+
+
+def _mul(sys, u, v):
+    if sys.exact:
+        return u * v
+    return (u * v) >> sys.bits
+
+
+def _c2(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+def _reduce(sys, a, b, c) -> Point:
+    x = _mod1(sys, a)
+    y = _mod1(sys, b)
+    # a * floor(b) is an int-by-value product: exact in both modes
+    z = _mod1(sys, c - a * _floor(sys, b))
+    return Point((x, y, z))
+
+
+def oracle_iterate(sys, x, n):
+    """T^n x on an old-form point, in closed form."""
+    if isinstance(sys, TorusRotation):
+        params = [_value(sys, a) for a in sys.alphas]
+        return Point(tuple(_mod1(sys, c + n * s) for c, s in zip(x.coords, params)))
+    if isinstance(sys, SkewProduct):
+        a = _value(sys, sys.alpha)
+        u, v = x.coords
+        return Point((_mod1(sys, u + n * a), _mod1(sys, v + n * u + _c2(n) * a)))
+    if isinstance(sys, HeisenbergNil):
+        a, b = _value(sys, sys.alpha), _value(sys, sys.beta)
+        ab = _mul(sys, a, b)
+        u, v, w = x.coords
+        return _reduce(sys, u + n * a, v + n * b, w + _c2(n) * ab + _mul(sys, n * a, v))
+    if not x.covers(n):
+        raise WindowExhaustedError(
+            f"shift by {n} loses the center letter (window [{x.lo},{x.hi}])"
+        )
+    return x.recenter(n)
 
 
 def _as_eps(eps) -> Fraction:
@@ -66,7 +135,7 @@ def _translates(sys, c: Point):
     one = Fraction(1) if sys.exact else (1 << sys.bits)
     for q in (-1, 0, 1):
         b2 = c2 + q * one
-        zq = c3 + sys._mul(c1, q * one)
+        zq = c3 + _mul(sys, c1, q * one)
         for p_ in (-1, 0, 1):
             b1 = c1 + p_ * one
             for r in (-1, 0, 1):
@@ -129,18 +198,20 @@ def oracle_point_distance(sys, a: Point, c: Point):
 
 def oracle_return_set_1d(q: ReturnQuery) -> WindowSet:
     lo, hi = q.window
-    sys, x, center, eps = q.sys, q.x, q.center, q.eps
+    sys, eps = q.sys, q.eps
+    x, center = old_form(sys, q.x), old_form(sys, q.center)
     polys = q.family.polys
     mask = 0
     for n in range(lo, hi + 1):
-        if all(oracle_in_ball(sys, sys.iterate(x, p.eval(n)), center, eps) for p in polys):
+        if all(oracle_in_ball(sys, oracle_iterate(sys, x, p.eval(n)), center, eps) for p in polys):
             mask |= 1 << (n - lo)
     return WindowSet(lo, hi, mask)
 
 
 def oracle_return_set_2d(q: ReturnQuery) -> GridSet:
     mlo, mhi, nlo, nhi = q.window
-    sys, x, center, eps = q.sys, q.x, q.center, q.eps
+    sys, eps = q.sys, q.eps
+    x, center = old_form(sys, q.x), old_form(sys, q.center)
     polys = q.family.polys
     rows = [0] * (mhi - mlo + 1)
     for n in range(nlo, nhi + 1):
@@ -148,7 +219,7 @@ def oracle_return_set_2d(q: ReturnQuery) -> GridSet:
         bit = 1 << (n - nlo)
         for m in range(mlo, mhi + 1):
             if all(
-                oracle_in_ball(sys, sys.iterate(x, m + v), center, eps) for v in values
+                oracle_in_ball(sys, oracle_iterate(sys, x, m + v), center, eps) for v in values
             ):
                 rows[m - mlo] |= bit
     return GridSet((mlo, mhi, nlo, nhi), rows)
@@ -158,22 +229,23 @@ def oracle_recurrence_times(sys, x, family, radius, eps, n_bound) -> WindowSet:
     violation = check_normal_form(family)
     if violation is not None:
         raise NotNormalFormError(f"family not in normal form: {violation}")
+    x = old_form(sys, x)
     slopes = family.linear_slopes()
     higher = [p for p in family.polys if p.degree >= 2]
     base_tail = [
-        [sys.iterate(x, p.eval(j)) for p in higher]
+        [oracle_iterate(sys, x, p.eval(j)) for p in higher]
         for j in range(-radius, radius + 1)
     ]
     mask = 0
     for n in range(-n_bound, n_bound + 1):
         ok = all(
-            oracle_in_ball(sys, sys.iterate(x, a * n), x, eps) for a in slopes
+            oracle_in_ball(sys, oracle_iterate(sys, x, a * n), x, eps) for a in slopes
         )
         if ok:
             for idx, j in enumerate(range(-radius, radius + 1)):
                 row = base_tail[idx]
                 if not all(
-                    oracle_in_ball(sys, sys.iterate(x, p.eval(n + j)), row[pi], eps)
+                    oracle_in_ball(sys, oracle_iterate(sys, x, p.eval(n + j)), row[pi], eps)
                     for pi, p in enumerate(higher)
                 ):
                     ok = False
@@ -223,7 +295,8 @@ def points(draw, sys) -> Point:
     dim = len(sys.base_point().coords)
     if sys.exact:
         return sys.make_point([draw(rationals) for _ in range(dim)])
-    return Point(tuple(draw(st.integers(0, (1 << sys.bits) - 1)) for _ in range(dim)))
+    scale = 1 << sys.bits
+    return Point(tuple(Fraction(draw(st.integers(0, scale - 1)), scale) for _ in range(dim)))
 
 
 @st.composite
@@ -251,10 +324,12 @@ window = st.tuples(st.integers(-40, 0), st.integers(0, 40))
 @settings(max_examples=300, deadline=None)
 def test_hits_matches_per_point_ball_test(query, times):
     sys, x, center, eps = query
-    want = [oracle_in_ball(sys, sys.iterate(x, t), center, eps) for t in times]
-    assert sys.hits(x, center, eps, times) == want
-    assert in_ball(sys, x, center, eps) == oracle_in_ball(sys, x, center, eps)
-    assert sys.point_distance(x, center) == oracle_point_distance(sys, x, center)
+    ox, oc = old_form(sys, x), old_form(sys, center)
+    orbit = [oracle_iterate(sys, ox, t) for t in times]
+    assert [old_form(sys, sys.iterate(x, t)) for t in times] == orbit
+    assert sys.hits(x, center, eps, times) == [oracle_in_ball(sys, p, oc, eps) for p in orbit]
+    assert sys.in_ball(x, center, eps) == oracle_in_ball(sys, ox, oc, eps)
+    assert sys.point_distance(x, center) == oracle_point_distance(sys, ox, oc)
 
 
 def test_heisenberg_translates_stay_within_one_lattice_step():
@@ -265,7 +340,7 @@ def test_heisenberg_translates_stay_within_one_lattice_step():
     a = heis.make_point(["9/10", "19/20", "0"])
     c = heis.make_point(["9/10", "1/20", "19/20"])
     assert heis.point_distance(a, c) == oracle_point_distance(heis, a, c) == 0.7325 ** 0.5
-    assert not in_ball(heis, a, c, Fraction(1, 2))
+    assert not heis.in_ball(a, c, Fraction(1, 2))
     assert not oracle_in_ball(heis, a, c, Fraction(1, 2))
 
 

@@ -1,0 +1,105 @@
+"""Report bytes of point-carrying experiments, pinned by SHA-256.
+
+The benchmark digests cover set masks only.  These reports also echo
+points (``x``, ``center``) and list orbit points in ``induced`` blocks,
+so their bytes fix the point encoding of every coordinate system: hex
+``coords_fixed`` at 2^bits for named constants, reduced fractions for
+rationals.  A digest changes only if a report byte changes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from psynd.cli import main
+
+ROT_SQRT2 = {"type": "rotation", "alpha": ["sqrt2"]}
+HEIS_RATIONAL = {"type": "heisenberg", "alpha": "2/7", "beta": "3/11"}
+
+CASES = {
+    "returns-rotation-sqrt2-x-center": ("returns", {
+        "system": ROT_SQRT2,
+        "family": ["n", "n^2"],
+        "epsilon": "1/10",
+        "window": [-300, 300],
+        "x": {"coords": ["1/3"]},
+        "center": {"coords": ["2/5"]},
+    }),
+    "returns-heisenberg-rational-x-center": ("returns", {
+        "system": HEIS_RATIONAL,
+        "family": ["n^2"],
+        "epsilon": "1/4",
+        "window": [-300, 300],
+        "x": {"coords": ["1/3", "5/6", "1/2"]},
+        "center": {"coords": ["1/4", "2/3", "-1/5"]},
+    }),
+    "returns-heisenberg-rational-box": ("returns", {
+        "system": HEIS_RATIONAL,
+        "family": ["n", "n^2"],
+        "epsilon": "1/3",
+        "box": [-20, 20, -10, 10],
+        "x": {"coords": ["1/3", "5/6", "1/2"]},
+    }),
+    "returns-skew-golden-coords-fixed": ("returns", {
+        "system": {"type": "skew", "alpha": "golden"},
+        "family": ["n^2"],
+        "epsilon": "1/5",
+        "window": [-300, 300],
+        "x": {"coords_fixed": ["0x1", "0x" + "f" * 64], "bits": 256},
+    }),
+    "induced-rotation-sqrt2-split": ("induced", {
+        "system": ROT_SQRT2,
+        "family": ["n", "n^2"],
+        "epsilon": "1/10",
+        "radius": 3,
+        "N": 500,
+        "x": {"coords": ["1/7"]},
+    }),
+    "induced-skew-golden-orbit": ("induced", {
+        "system": {"type": "skew", "alpha": "golden"},
+        "family": ["n", "n^2"],
+        "epsilon": "1/5",
+        "radius": 2,
+        "N": 300,
+        "block": "orbit",
+    }),
+    "induced-heisenberg-named-split": ("induced", {
+        "system": {"type": "heisenberg", "alpha": "sqrt2-1", "beta": "sqrt3-1"},
+        "family": ["n", "n^2"],
+        "epsilon": "1/5",
+        "radius": 2,
+        "N": 300,
+        "x": {"coords": ["1/3", "2/5", "3/4"]},
+    }),
+    "induced-heisenberg-rational-orbit": ("induced", {
+        "system": HEIS_RATIONAL,
+        "family": ["n^2"],
+        "epsilon": "1/4",
+        "radius": 3,
+        "N": 200,
+        "block": "orbit",
+        "x": {"coords": ["1/3", "5/6", "1/2"]},
+    }),
+}
+
+DIGESTS = {
+    "induced-heisenberg-named-split": "d52d98c98ac56f82ea402f4e7095f7274db76a97d2f669a1d4dc9dba2e1ce825",
+    "induced-heisenberg-rational-orbit": "be3a0600baec12ca4ebb8b63005a0b74a543cdcb9ebc09b1a6efd5cba90af3ea",
+    "induced-rotation-sqrt2-split": "336863b826702c821b2bede6203c704cc856e46e0ffc29965a4da6cae049f47b",
+    "induced-skew-golden-orbit": "0ccdb9c98625c50219e24819b647708657bc9bb4155532a75b401b46ca7c7d54",
+    "returns-heisenberg-rational-box": "41004a1b08bee236dbea73c1fc5c29054fbeae5509363da1ba166a1573043084",
+    "returns-heisenberg-rational-x-center": "d1162cc8f16741fe0c65d443e35a4a2a36f6a6ebf16e26198dcd8e46f05b053d",
+    "returns-rotation-sqrt2-x-center": "cbe38d6118e4b9f3936c4d23ed0cd03eef0da4c977806dbdb9671a0e0bd63e7c",
+    "returns-skew-golden-coords-fixed": "0a29898b6c9a30d2c5e358d6c0c88582cfd714ea92633e7cde5daf7a2c3edeba",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_are_pinned(tmp_path, name):
+    command, cfg = CASES[name]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name]

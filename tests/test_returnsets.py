@@ -15,7 +15,6 @@ from psynd import (
     combinatorial_set_2d,
     grid_slice,
     indicator_subshift_point,
-    iterate,
     parse_real,
     pws_area_witness_2d,
     return_set_1d,
@@ -93,7 +92,7 @@ def test_slice_compatibility():
     for m in range(-9, 10):
         row = grid_slice(grid, m)
         shifted = return_set_1d(
-            ReturnQuery(sys_spec, iterate(sys_spec, x, m), x, 0.2, fam, (-7, 7))
+            ReturnQuery(sys_spec, sys_spec.iterate(x, m), x, 0.2, fam, (-7, 7))
         )
         assert row == shifted
 
@@ -201,10 +200,10 @@ def test_patch_translation_embedding():
     x = indicator_subshift_point(s)
     # center must sit on a 1; pick the nearest letter-1 translate
     t0 = 137
-    y = iterate(shift_sys, x, t0)
+    y = shift_sys.iterate(x, t0)
     while y.letter(0) != 1:
         t0 += 1
-        y = iterate(shift_sys, x, t0)
+        y = shift_sys.iterate(x, t0)
     box = (-15, 15, -5, 5)
     patch = return_set_2d(ReturnQuery(shift_sys, y, y, 1.0, fam, box))
     m_radius = 15

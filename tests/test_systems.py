@@ -1,5 +1,6 @@
 """Closed-form orbits, metrics, and the named-constant layer."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,17 +13,15 @@ from psynd import (
     EmptySetError,
     HeisenbergNil,
     IndicatorSubshift,
+    Point,
     SkewProduct,
     TorusRotation,
     WindowExhaustedError,
     WindowSet,
     Word,
-    in_ball,
     indicator_subshift_point,
-    iterate,
     parse_polynomial,
     parse_real,
-    poly_orbit,
     system_from_json_obj,
 )
 from psynd.constants import DEFAULT_BITS
@@ -60,25 +59,34 @@ def test_fixed_point_constants_against_mpmath():
 def test_rotation_examples():
     rot = TorusRotation((parse_real("1/4"),))
     x0 = rot.base_point()
-    assert iterate(rot, x0, 6).coords == (Fraction(1, 2),)
-    assert iterate(rot, x0, 0) == x0
-    orbit = poly_orbit(rot, x0, parse_polynomial("n"), 0, 3)
+    assert rot.iterate(x0, 6).coords == (Fraction(1, 2),)
+    assert rot.iterate(x0, 0) == x0
+
+    def poly_orbit(poly, n1):
+        p = parse_polynomial(poly)
+        return [rot.iterate(x0, p.eval(n)) for n in range(n1 + 1)]
+
+    orbit = poly_orbit("n", 3)
     assert [p.coords[0] for p in orbit] == [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-    squares = poly_orbit(rot, x0, parse_polynomial("n^2"), 0, 7)
-    assert {p.coords[0] for p in squares} == {Fraction(0), Fraction(1, 4)}
-    constant = poly_orbit(rot, x0, parse_polynomial("0"), 0, 4)
-    assert all(p == x0 for p in constant)
+    assert {p.coords[0] for p in poly_orbit("n^2", 7)} == {Fraction(0), Fraction(1, 4)}
+    assert all(p == x0 for p in poly_orbit("0", 4))
 
 
 def test_heisenberg_closed_form_example():
     heis = HeisenbergNil(parse_real("1/3"), parse_real("1/5"))
-    got = iterate(heis, heis.base_point(), 3)
-    # tau^3 = (3a, 3b, 3ab) reduced
-    assert got == heis.reduce(Fraction(1), Fraction(3, 5), Fraction(1, 5))
+    got = heis.iterate(heis.base_point(), 3)
+    # tau^3 = (3a, 3b, 3ab) = (1, 3/5, 1/5), reduced by (-1, 0, *)
+    assert got == Point((Fraction(0), Fraction(3, 5), Fraction(1, 5)))
 
 
 def _heis_mul(g, h):
     return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
+
+
+def _heis_reduce(g):
+    # right-multiply by (-floor(x), -floor(y), *) and take z mod 1
+    x, y, z = g
+    return Point((x % 1, y % 1, (z - x * math.floor(y)) % 1))
 
 
 def test_heisenberg_closed_form_vs_repeated_multiplication():
@@ -89,21 +97,11 @@ def test_heisenberg_closed_form_vs_repeated_multiplication():
     acc = (Fraction(0), Fraction(0), Fraction(0))
     for n in range(1, 1001):
         acc = _heis_mul(tau, acc)
-        assert iterate(heis, x0, n) == heis.reduce(*acc)
+        assert heis.iterate(x0, n) == _heis_reduce(acc)
     acc = (Fraction(0), Fraction(0), Fraction(0))
     for n in range(1, 1001):
         acc = _heis_mul(inv, acc)
-        assert iterate(heis, x0, -n) == heis.reduce(*acc)
-
-
-def test_heisenberg_reduction_is_coset_canonical():
-    heis = HeisenbergNil(parse_real("1/3"), parse_real("1/5"))
-    rng = random.Random(4)
-    for _ in range(60):
-        g = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(3))
-        gamma = tuple(rng.randint(-3, 3) for _ in range(3))
-        translated = _heis_mul(g, gamma)
-        assert heis.reduce(*translated) == heis.reduce(*g)
+        assert heis.iterate(x0, -n) == _heis_reduce(acc)
 
 
 def test_group_law_exact():
@@ -118,9 +116,7 @@ def test_group_law_exact():
         for _ in range(40):
             m = rng.randint(-10**6, 10**6)
             n = rng.randint(-10**6, 10**6)
-            assert iterate(sys_spec, iterate(sys_spec, x, m), n) == iterate(
-                sys_spec, x, m + n
-            )
+            assert sys_spec.iterate(sys_spec.iterate(x, m), n) == sys_spec.iterate(x, m + n)
 
 
 def test_group_law_fixed_point_within_tolerance():
@@ -130,6 +126,7 @@ def test_group_law_fixed_point_within_tolerance():
         SkewProduct(parse_real("golden")),
         HeisenbergNil(parse_real("sqrt2-1"), parse_real("sqrt3-1")),
     ]
+    # compared at the 2^bits scale, where every coordinate is an integer
     tol = int(1e-12 * (1 << DEFAULT_BITS))
     modulus = 1 << DEFAULT_BITS
     for sys_spec in systems:
@@ -137,33 +134,30 @@ def test_group_law_fixed_point_within_tolerance():
         for _ in range(40):
             m = rng.randint(-10**6, 10**6)
             n = rng.randint(-10**6, 10**6)
-            a = iterate(sys_spec, iterate(sys_spec, x, m), n)
-            b = iterate(sys_spec, x, m + n)
+            a = sys_spec.iterate(sys_spec.iterate(x, m), n)
+            b = sys_spec.iterate(x, m + n)
             for u, v in zip(a.coords, b.coords):
-                d = (u - v) % modulus
+                d = (u - v) * modulus % modulus
+                assert d.denominator == 1
                 assert min(d, modulus - d) <= tol
 
 
 def test_in_ball_torus():
     rot = TorusRotation((parse_real("1/4"),))
-    from psynd.systems import Point
-
     a = Point((Fraction(0),))
     c = Point((Fraction(19, 20),))
-    assert in_ball(rot, a, c, 0.1)  # circle distance 1/20
-    assert in_ball(rot, a, a, 0.001)
-    assert not in_ball(rot, a, Point((Fraction(1, 2),)), 0.25)
+    assert rot.in_ball(a, c, 0.1)  # circle distance 1/20
+    assert rot.in_ball(a, a, 0.001)
+    assert not rot.in_ball(a, Point((Fraction(1, 2),)), 0.25)
     with pytest.raises(BadEpsilonError):
-        in_ball(rot, a, c, 0)
+        rot.in_ball(a, c, 0)
 
 
 def test_in_ball_heisenberg_wraparound():
     heis = HeisenbergNil(parse_real("1/3"), parse_real("1/5"))
-    from psynd.systems import Point
-
     a = Point((Fraction(99, 100), Fraction(99, 100), Fraction(99, 100)))
     b = Point((Fraction(0), Fraction(0), Fraction(0)))
-    assert in_ball(heis, a, b, 0.1)
+    assert heis.in_ball(a, b, 0.1)
 
 
 def test_subshift_point_examples():
@@ -187,23 +181,23 @@ def test_subshift_metric_decision():
     a = Word(0, -15, 15)
     b = Word(1 << (10 + 15), -15, 15)
     assert shift.point_distance(a, b) == Fraction(1, 11)
-    assert in_ball(shift, a, b, 0.1)  # 1/11 < 0.1
+    assert shift.in_ball(a, b, 0.1)  # 1/11 < 0.1
     c = Word(1 << (9 + 15), -15, 15)  # differ at +9: distance 1/10
-    assert not in_ball(shift, a, c, Fraction(1, 10))
-    assert in_ball(shift, a, c, 0.11)
+    assert not shift.in_ball(a, c, Fraction(1, 10))
+    assert shift.in_ball(a, c, 0.11)
 
 
 def test_subshift_window_exhaustion():
     base = WindowSet.from_members(-4, 4, [0])
     shift = IndicatorSubshift(base)
     w = shift.base_point()
-    moved = iterate(shift, w, 3)
+    moved = shift.iterate(w, 3)
     assert moved.letter(-3) == 1
     with pytest.raises(WindowExhaustedError):
-        iterate(shift, w, 7)
+        shift.iterate(w, 7)
     with pytest.raises(WindowExhaustedError):
         # identical over coverage but the claim needs more letters
-        in_ball(shift, w, w, 0.01)
+        shift.in_ball(w, w, 0.01)
 
 
 def test_subshift_ultrametric_like():
@@ -230,10 +224,10 @@ def test_system_json_roundtrip():
 
 def test_point_json_roundtrip():
     rot = TorusRotation((parse_real("sqrt2"),))
-    x = iterate(rot, rot.base_point(), 12345)
+    x = rot.iterate(rot.base_point(), 12345)
     assert rot.point_from_json(rot.point_to_json(x)) == x
     exact = TorusRotation((parse_real("1/3"),))
-    y = iterate(exact, exact.base_point(), 2)
+    y = exact.iterate(exact.base_point(), 2)
     assert exact.point_from_json(exact.point_to_json(y)) == y
     shift = IndicatorSubshift(WindowSet.from_members(-2, 2, [0]))
     w = shift.base_point()
