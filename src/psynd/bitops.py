@@ -15,6 +15,7 @@ section 7-3).  No Python step runs per cell.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -154,23 +155,27 @@ def has_run(x: int, k: int) -> Optional[int]:
     return lowest_set_bit(and_reduce(x, k))
 
 
-def iter_bits(x: int) -> Iterator[int]:
-    """Yield set-bit positions in increasing order.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
-    Scans byte-wise so very wide, sparse masks do not pay per-bit
-    big-int shifts.
+
+def bit_selectors(x: int) -> bytes:
+    """One byte per bit of ``x >= 0`` from the low end: 1 if set, else 0.
+
+    The bytes end at the top set bit (one zero byte for ``x == 0``).
+    ``itertools.compress`` over them picks the members of a mask from any
+    sequence indexed by bit position.
     """
-    if x == 0:
-        return
-    nbytes = (x.bit_length() + 7) // 8
-    raw = x.to_bytes(nbytes, "little")
-    base = 0
-    for byte in raw:
-        while byte:
-            low = byte & -byte
-            yield base + low.bit_length() - 1
-            byte ^= low
-        base += 8
+    return bin(x)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def iter_bits(x: int, start: int = 0) -> Iterator[int]:
+    """Set-bit positions of ``x >= 0`` in increasing order, bit 0 at ``start``.
+
+    ``compress`` over :func:`bit_selectors`: the mask becomes one byte per
+    bit in C (``bin``, a reversing slice, ``translate``), and no
+    interpreted step runs per bit.
+    """
+    return compress(count(start), bit_selectors(x))
 
 
 def popcount(x: int) -> int:

@@ -18,6 +18,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -64,20 +65,33 @@ class ConfigError(Exception):
     pass
 
 
-def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def _dump_json(report: dict) -> str:
+    """Compact JSON with sorted keys; a set value is written from its masks.
+
+    The text equals ``json.dumps`` of the report with every set replaced
+    by its ``to_json_obj()``.
+    """
+
+    def text(value) -> str:
+        if isinstance(value, (WindowSet, GridSet)):
+            return value.to_json()
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    items = ",".join(f"{json.dumps(k)}:{text(report[k])}" for k in sorted(report))
+    return "{" + items + "}\n"
 
 
 def _emit(report: dict, out: Optional[str], fmt: str) -> None:
     if fmt == "json":
         text = _dump_json(report)
     elif fmt == "csv":
-        rows = []
-        set_obj = report.get("set", {})
-        if "box" in set_obj:
-            rows = [f"{m},{n}" for m, n in set_obj.get("members", [])]
-        else:
-            rows = [str(m) for m in set_obj.get("members", [])]
+        the_set = report.get("set")
+        if isinstance(the_set, GridSet):
+            rows = [f"{m},{n}" for m, n in the_set.members()]
+        elif isinstance(the_set, WindowSet):
+            rows = list(map(str, the_set.members()))
+        else:  # no set, or only its window
+            rows = []
         text = "\n".join(rows) + ("\n" if rows else "")
     else:
         raise ConfigError(f"unknown format {fmt!r}")
@@ -116,7 +130,7 @@ def cmd_analyze(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
             "set_source": cfg["set"],
             "certificates": cfg.get("certificates", {}),
         },
-        "set": s.to_json_obj() if s.width <= 200000 else {"lo": s.lo, "hi": s.hi},
+        "set": s if s.width <= 200000 else {"lo": s.lo, "hi": s.hi},
         "results": {},
         "certificates": [],
     }
@@ -170,7 +184,7 @@ def cmd_thma(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
             "b1_max": b1_max,
             "b2_max": b2_max,
         },
-        "set": members.to_json_obj(),
+        "set": members,
         "results": {
             "member_count": members.count(),
             "validity_count": validity.count(),
@@ -294,7 +308,7 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
     if "box" in cfg:
         box = tuple(int(v) for v in cfg["box"])
         grid = return_set_2d(ReturnQuery(sys_spec, x, center, eps_f, family, box))
-        report["set"] = grid.to_json_obj()
+        report["set"] = grid
         report["results"]["count"] = grid.count()
         pws_cfg = cfg.get("certificates", {}).get("pws2d")
         if pws_cfg:
@@ -312,7 +326,7 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
     else:
         lo, hi = (int(v) for v in cfg["window"])
         rs = return_set_1d(ReturnQuery(sys_spec, x, center, eps_f, family, (lo, hi)))
-        report["set"] = rs.to_json_obj()
+        report["set"] = rs
         report["results"]["count"] = rs.count()
         if not rs.is_empty():
             report["results"]["max_gap"] = gap_summary(rs).max_gap
@@ -366,10 +380,10 @@ def cmd_induced(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
             "N": n_bound,
             "x": sys_spec.point_to_json(x),
         },
-        "set": times.to_json_obj(),
+        "set": times,
         "results": {
             "count": times.count(),
-            "nonzero": sorted(n for n in times.members() if n != 0)[:64],
+            "nonzero": list(islice((n for n in times.members() if n != 0), 64)),
         },
         "block": block.to_json_obj(),
         "certificates": [],

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, fields
+from itertools import compress, repeat
 from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -99,8 +100,7 @@ class WindowSet:
         return bool(self.mask >> (n - self.lo) & 1)
 
     def members(self) -> Iterator[int]:
-        for i in bitops.iter_bits(self.mask):
-            yield self.lo + i
+        return bitops.iter_bits(self.mask, self.lo)
 
     def count(self) -> int:
         return bitops.popcount(self.mask)
@@ -160,7 +160,9 @@ class WindowSet:
         return cls.from_members(int(obj["lo"]), int(obj["hi"]), obj["members"])
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
+        """Compact JSON of :meth:`to_json_obj`, keys sorted, written from the mask."""
+        members = ",".join(map(str, self.members()))
+        return f'{{"hi":{self.hi},"lo":{self.lo},"members":[{members}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "WindowSet":
@@ -219,12 +221,16 @@ class GridSet:
         cls, box: Tuple[int, int, int, int], members: Iterable[Tuple[int, int]]
     ) -> "GridSet":
         mlo, mhi, nlo, nhi = box
-        rows = [0] * (mhi - mlo + 1)
+        stride = (nhi - nlo + 8) // 8  # bytes per row
+        buf = bytearray(stride * (mhi - mlo + 1))
         for m, n in members:
             if not (mlo <= m <= mhi and nlo <= n <= nhi):
                 raise ValueError(f"member {(m, n)} outside box")
-            rows[m - mlo] |= 1 << (n - nlo)
-        return cls(box, rows)
+            k = n - nlo
+            buf[(m - mlo) * stride + (k >> 3)] |= 1 << (k & 7)
+        raw = memoryview(buf)
+        return cls(box, [int.from_bytes(raw[i : i + stride], "little")
+                         for i in range(0, len(buf), stride)])
 
     @classmethod
     def from_predicate(
@@ -272,10 +278,9 @@ class GridSet:
         return bool(self.rows[m - self.mlo] >> (n - self.nlo) & 1)
 
     def members(self) -> Iterator[Tuple[int, int]]:
-        for i, r in enumerate(self.rows):
-            m = self.mlo + i
-            for j in bitops.iter_bits(r):
-                yield (m, self.nlo + j)
+        for m, r in zip(range(self.mlo, self.mhi + 1), self.rows):
+            if r:
+                yield from zip(repeat(m), bitops.iter_bits(r, self.nlo))
 
     def count(self) -> int:
         return sum(bitops.popcount(r) for r in self.rows)
@@ -326,7 +331,22 @@ class GridSet:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GridSet":
         box = tuple(int(v) for v in obj["box"])
-        return cls.from_members(box, [tuple(p) for p in obj["members"]])
+        return cls.from_members(box, obj["members"])
+
+    def to_json(self) -> str:
+        """Compact JSON of :meth:`to_json_obj`, keys sorted, written from the masks.
+
+        Each ``n]`` is formatted once for the box; a row is the ``n]`` of
+        its members, picked by its bit selectors and joined by ``,[m,``.
+        """
+        ends = [f"{n}]" for n in range(self.nlo, self.nhi + 1)]
+        rows = ",".join(
+            f"[{m}," + f",[{m},".join(compress(ends, bitops.bit_selectors(r)))
+            for m, r in zip(range(self.mlo, self.mhi + 1), self.rows)
+            if r
+        )
+        box = ",".join(map(str, self.box))
+        return f'{{"box":[{box}],"members":[{rows}]}}'
 
     def to_bitmap_bytes(self) -> bytes:
         words = (self.n_width + 63) // 64

@@ -1,10 +1,13 @@
-"""Report bytes of point-carrying experiments, pinned by SHA-256.
+"""Report bytes of point-carrying and set-heavy experiments, pinned by SHA-256.
 
-The benchmark digests cover set masks only.  These reports also echo
-points (``x``, ``center``) and list orbit points in ``induced`` blocks,
-so their bytes fix the point encoding of every coordinate system: hex
-``coords_fixed`` at 2^bits for named constants, reduced fractions for
-rationals.  A digest changes only if a report byte changes.
+The benchmark digests cover set masks only.  The ``returns`` and
+``induced`` reports also echo points (``x``, ``center``) and list orbit
+points in ``induced`` blocks, so their bytes fix the point encoding of
+every coordinate system: hex ``coords_fixed`` at 2^bits for named
+constants, reduced fractions for rationals.  The ``thma`` and ``analyze``
+reports fix the text of embedded member lists, planar and linear, in
+JSON and in CSV, next to their certificates (a syndetic refutation
+among them).  A digest changes only if a report byte changes.
 """
 
 import hashlib
@@ -81,9 +84,32 @@ CASES = {
         "block": "orbit",
         "x": {"coords": ["1/3", "5/6", "1/2"]},
     }),
+    "thma-sturmian-golden-area": ("thma", {
+        "set": {"kind": "sturmian", "alpha": "golden", "window": [-4000, 4000]},
+        "family": ["n", "n^2"],
+        "box": [-60, 60, -20, 20],
+        "certificates": {"pws2d": {"b1_max": 8, "b2_max": 8, "min_area": 40}},
+    }),
+    "thma-sturmian-sqrt2-shape": ("thma", {
+        "set": {"kind": "sturmian", "alpha": "sqrt2", "window": [-4000, 4000]},
+        "family": ["n", "n^2"],
+        "box": [-50, 50, -20, 20],
+        "certificates": {"pws2d": {"b1_max": 6, "b2_max": 6, "w": 3, "h": 3}},
+    }),
+    "analyze-random-syndetic-refuted": ("analyze", {
+        "seed": 5,
+        "set": {"kind": "random_thick_syndetic", "window": [-2000, 2999]},
+        "certificates": {"syndetic": {"N": 3}},
+    }),
 }
+CASES["thma-sturmian-golden-area-csv"] = (*CASES["thma-sturmian-golden-area"], "--format", "csv")
+CASES["analyze-random-syndetic-refuted-csv"] = (
+    *CASES["analyze-random-syndetic-refuted"], "--format", "csv",
+)
 
 DIGESTS = {
+    "analyze-random-syndetic-refuted": "73f26a6ea410ab6e771525aa5f6d1d6aaf6d67342d53f8e9cfd7af289009f68f",
+    "analyze-random-syndetic-refuted-csv": "dd45004f866ca057978d175333df0767741e8ddf0450f1f6fd5e504446af240a",
     "induced-heisenberg-named-split": "d52d98c98ac56f82ea402f4e7095f7274db76a97d2f669a1d4dc9dba2e1ce825",
     "induced-heisenberg-rational-orbit": "be3a0600baec12ca4ebb8b63005a0b74a543cdcb9ebc09b1a6efd5cba90af3ea",
     "induced-rotation-sqrt2-split": "336863b826702c821b2bede6203c704cc856e46e0ffc29965a4da6cae049f47b",
@@ -92,14 +118,17 @@ DIGESTS = {
     "returns-heisenberg-rational-x-center": "d1162cc8f16741fe0c65d443e35a4a2a36f6a6ebf16e26198dcd8e46f05b053d",
     "returns-rotation-sqrt2-x-center": "cbe38d6118e4b9f3936c4d23ed0cd03eef0da4c977806dbdb9671a0e0bd63e7c",
     "returns-skew-golden-coords-fixed": "0a29898b6c9a30d2c5e358d6c0c88582cfd714ea92633e7cde5daf7a2c3edeba",
+    "thma-sturmian-golden-area": "e9893c16f4fcaba2b43e2195e5d4ff74e229076ad31a1e2a9084529e72e2c359",
+    "thma-sturmian-golden-area-csv": "a117f65767f92af1f093813f4411941c1b642d8f47622fdd90703d322d6bacee",
+    "thma-sturmian-sqrt2-shape": "738eedc7308a52358aaac8da73d1a3649afb8160d73fae4556fc8a65815081cd",
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_are_pinned(tmp_path, name):
-    command, cfg = CASES[name]
+    command, cfg, *flags = CASES[name]
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "report.json"
-    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main([command, "--config", str(cfg_path), "--out", str(out), *flags]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name]

@@ -1,0 +1,188 @@
+"""Report text written from masks, against ``json.dumps`` of the member lists.
+
+Sets go into reports as JSON text generated straight from their masks
+(``WindowSet.to_json``, ``GridSet.to_json``, ``cli._dump_json``), and
+their members come from ``bitops.iter_bits``.  Each is checked here
+against the plain construction it replaces: ``json.dumps`` of
+``to_json_obj()`` and the byte-wise bit scan.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psynd import bitops
+from psynd.cli import _dump_json
+from psynd.windows import GridSet, WindowSet
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def iter_bits_bytewise(x):
+    """The former byte-wise ``iter_bits``, kept verbatim as the oracle."""
+    if x == 0:
+        return
+    nbytes = (x.bit_length() + 7) // 8
+    raw = x.to_bytes(nbytes, "little")
+    base = 0
+    for byte in raw:
+        while byte:
+            low = byte & -byte
+            yield base + low.bit_length() - 1
+            byte ^= low
+        base += 8
+
+
+# -- iter_bits ---------------------------------------------------------
+
+EDGE_MASKS = [0, 1] + [
+    v for k in (1, 2, 7, 8, 9, 31, 63, 64, 65, 1000, 4096) for v in (1 << k, (1 << k) - 1)
+]
+
+
+@pytest.mark.parametrize("x", EDGE_MASKS)
+def test_iter_bits_matches_bytewise_scan_on_edges(x):
+    assert list(bitops.iter_bits(x)) == list(iter_bits_bytewise(x))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_iter_bits_matches_bytewise_scan_on_wide_masks(seed):
+    rng = random.Random(seed)
+    dense = rng.getrandbits(10**6)
+    sparse = sum(1 << rng.randrange(10**6) for _ in range(50)) | 1 << (10**6 - 1)
+    for x in (dense, sparse):
+        assert list(bitops.iter_bits(x)) == list(iter_bits_bytewise(x))
+
+
+@given(st.integers(0, (1 << 300) - 1), st.integers(-(10**6), 10**6))
+@settings(max_examples=300, deadline=None)
+def test_iter_bits_counts_from_start(x, start):
+    assert list(bitops.iter_bits(x, start)) == [start + i for i in iter_bits_bytewise(x)]
+
+
+# -- set text ----------------------------------------------------------
+
+
+@st.composite
+def row_masks(draw, width: int) -> int:
+    full = (1 << width) - 1
+    kind = draw(st.sampled_from(["empty", "full", "top", "sparse", "dense", "random"]))
+    if kind == "empty":
+        return 0
+    if kind == "full":
+        return full
+    if kind == "top":
+        return 1 << (width - 1)
+    bits = sum(1 << i for i in draw(st.sets(st.integers(0, width - 1), max_size=3)))
+    if kind == "sparse":
+        return bits
+    if kind == "dense":
+        return full ^ bits
+    return draw(st.integers(0, full))
+
+
+@st.composite
+def window_sets(draw) -> WindowSet:
+    # lo in [-400, 200] and widths to 260: windows fully negative, across 0, positive
+    lo = draw(st.integers(-400, 200))
+    width = draw(st.integers(1, 260))
+    return WindowSet(lo, lo + width - 1, draw(row_masks(width)))
+
+
+@st.composite
+def grid_sets(draw) -> GridSet:
+    mlo, nlo = draw(st.integers(-30, 10)), draw(st.integers(-150, 60))
+    m_width, n_width = draw(st.integers(1, 8)), draw(st.integers(1, 140))
+    rows = [draw(row_masks(n_width)) for _ in range(m_width)]
+    return GridSet((mlo, mlo + m_width - 1, nlo, nlo + n_width - 1), rows)
+
+
+def check_window(s: WindowSet) -> None:
+    text = s.to_json()
+    assert text == dumps(s.to_json_obj())
+    assert WindowSet.from_json(text) == s
+
+
+def check_grid(e: GridSet) -> None:
+    text = e.to_json()
+    assert text == dumps(e.to_json_obj())
+    assert GridSet.from_json_obj(json.loads(text)) == e
+
+
+@given(window_sets())
+@settings(max_examples=400, deadline=None)
+def test_window_text_matches_json_dumps(s):
+    check_window(s)
+
+
+@given(grid_sets())
+@settings(max_examples=400, deadline=None)
+def test_grid_text_matches_json_dumps(e):
+    check_grid(e)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (-1, -1), (-9, -2), (-3, 5), (7, 80), (-200, -137)])
+def test_window_text_edge_cases(lo, hi):
+    width = hi - lo + 1
+    for mask in (0, (1 << width) - 1, 1 << (width - 1), 1, 0b101 & ((1 << width) - 1)):
+        check_window(WindowSet(lo, hi, mask))
+
+
+@pytest.mark.parametrize("box", [
+    (0, 0, 0, 0),          # one cell
+    (-4, -4, -70, 9),      # single row across 0
+    (-5, 6, 3, 3),         # single column
+    (-9, -2, -80, -1),     # fully negative
+    (-3, 3, -64, 64),      # rows across a 64-bit word
+])
+def test_grid_text_edge_cases(box):
+    width = box[3] - box[2] + 1
+    rows = box[1] - box[0] + 1
+    full, top = (1 << width) - 1, 1 << (width - 1)
+    check_grid(GridSet.empty(box))
+    check_grid(GridSet.full(box))
+    check_grid(GridSet(box, [top] * rows))
+    check_grid(GridSet(box, [(full, 0, top, 1)[i % 4] for i in range(rows)]))
+
+
+# -- whole reports -----------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def as_objects(report: dict) -> dict:
+    return {k: v.to_json_obj() if isinstance(v, (WindowSet, GridSet)) else v
+            for k, v in report.items()}
+
+
+@given(
+    st.dictionaries(st.text(max_size=6), json_values, max_size=6),
+    window_sets() | grid_sets(),
+)
+@settings(max_examples=200, deadline=None)
+def test_dump_json_writes_set_objects_as_their_json(extra, the_set):
+    report = {**extra, "set": the_set}
+    assert _dump_json(report) == dumps(as_objects(report)) + "\n"
+
+
+def test_dump_json_report_shape():
+    e = GridSet.from_members((-2, 1, -3, 4), [(-2, -3), (0, 4), (1, 0), (1, 1)])
+    report = {
+        "experiment": "thma",
+        "seed": 0,
+        "query": {"set_source": {"kind": "full", "window": [-9, 9]}, "box": [-2, 1, -3, 4]},
+        "set": e,
+        "results": {"member_count": e.count(), "pws2d": None, "note": "é\n"},
+        "certificates": [{"type": "pws2d", "rect": [-2, -3, 1, 1]}],
+    }
+    assert _dump_json(report) == dumps(as_objects(report)) + "\n"
+    assert json.loads(_dump_json(report))["set"]["members"] == [[-2, -3], [0, 4], [1, 0], [1, 1]]
