@@ -87,6 +87,12 @@ def transpose(rows: Sequence[int], width: int) -> List[int]:
     return [int.from_bytes(b"".join(p), "little") for p in parts]
 
 
+def reverse_bits(x: int, width: int) -> int:
+    """Bit i of ``x < 2**width`` moved to bit ``width - 1 - i``, in C:
+    the binary text of ``x`` read backwards."""
+    return int(format(x, f"0{width}b")[::-1], 2)
+
+
 def smear_down(x: int, b: int) -> int:
     """Union of right-shifts of ``x`` by 0..b (dilation by the shift set [0,b]).
 

@@ -86,13 +86,8 @@ def _emit(report: dict, out: Optional[str], fmt: str) -> None:
         text = _dump_json(report)
     elif fmt == "csv":
         the_set = report.get("set")
-        if isinstance(the_set, GridSet):
-            rows = [f"{m},{n}" for m, n in the_set.members()]
-        elif isinstance(the_set, WindowSet):
-            rows = list(map(str, the_set.members()))
-        else:  # no set, or only its window
-            rows = []
-        text = "\n".join(rows) + ("\n" if rows else "")
+        # no set, or only its window: no lines
+        text = the_set.to_csv() if isinstance(the_set, (WindowSet, GridSet)) else ""
     else:
         raise ConfigError(f"unknown format {fmt!r}")
     if out:
@@ -113,6 +108,20 @@ def _family(cfg: dict) -> PolyFamily:
         return PolyFamily.parse(cfg["family"])
     except (KeyError, ValueError, PsyndError) as exc:
         raise ConfigError(f"bad family: {exc}") from exc
+
+
+def _ints(cfg: dict, key: str, length: Optional[int] = None) -> list:
+    """``cfg[key]`` as a list of ints, of ``length`` entries when given."""
+    value = cfg[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"bad {key} {value!r}: not a list")
+    try:
+        out = [int(v) for v in value]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
+    if length is not None and len(out) != length:
+        raise ConfigError(f"bad {key} {value!r}: needs {length} integers")
+    return out
 
 
 def _seeded(cfg: dict, override: Optional[int]) -> tuple[int, random.Random]:
@@ -169,7 +178,7 @@ def cmd_thma(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     seed, rng = _seeded(cfg, seed)
     s = window_from_source(cfg["set"], rng)
     family = _family(cfg)
-    box = tuple(int(v) for v in cfg["box"])
+    box = tuple(_ints(cfg, "box", 4))
     members, validity = combinatorial_set_2d(s, family, box)
     certs_cfg = cfg.get("certificates", {}).get("pws2d", {})
     b1_max = int(certs_cfg.get("b1_max", 8))
@@ -235,7 +244,7 @@ def cmd_thmb(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     if "target" in cfg:
         target = window_from_source(cfg["target"], rng)
     else:
-        box = tuple(int(v) for v in cfg["box"])
+        box = tuple(_ints(cfg, "box", 4))
         members, _ = combinatorial_set_2d(s, family, box)
         pws_cfg = cfg.get("certificates", {}).get("pws", {})
         b_max, l_run = int(pws_cfg.get("b_max", 3)), int(pws_cfg.get("L", 12))
@@ -306,7 +315,7 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
         "certificates": [],
     }
     if "box" in cfg:
-        box = tuple(int(v) for v in cfg["box"])
+        box = tuple(_ints(cfg, "box", 4))
         grid = return_set_2d(ReturnQuery(sys_spec, x, center, eps_f, family, box))
         report["set"] = grid
         report["results"]["count"] = grid.count()
@@ -324,7 +333,7 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
             elif pws_cfg.get("mandatory"):
                 return report, INFEASIBLE
     else:
-        lo, hi = (int(v) for v in cfg["window"])
+        lo, hi = _ints(cfg, "window", 2)
         rs = return_set_1d(ReturnQuery(sys_spec, x, center, eps_f, family, (lo, hi)))
         report["set"] = rs
         report["results"]["count"] = rs.count()
@@ -413,10 +422,10 @@ def cmd_nilcheck(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     family = _family(merged)
     x = sys_spec.base_point()
     eps_f = Fraction(str(merged["epsilon"]))
+    widths = _ints(merged, "windows")
     gaps = {}
     counts = {}
-    for w in merged["windows"]:
-        w = int(w)
+    for w in widths:
         rs = return_set_1d(ReturnQuery(sys_spec, x, x, eps_f, family, (-w, w)))
         gaps[str(w)] = gap_summary(rs).max_gap if not rs.is_empty() else None
         counts[str(w)] = rs.count()
@@ -428,7 +437,7 @@ def cmd_nilcheck(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
             "system": sys_spec.to_json_obj(),
             "family": family.to_strs(),
             "epsilon": str(merged["epsilon"]),
-            "windows": [int(w) for w in merged["windows"]],
+            "windows": widths,
         },
         "results": {
             "max_gap": gaps,

@@ -179,6 +179,14 @@ class IntegralPolynomial:
     def vanishes_at_zero(self) -> bool:
         return not self.coeffs or self.coeffs[0] == 0
 
+    def is_even(self) -> bool:
+        """Whether p(-n) == p(n) for every integer n.
+
+        Exact from deg p checks: p(-n) - p(n) has degree at most deg p and
+        vanishes at n = 0, so zeros at 1..deg p make deg p + 1 of them.
+        """
+        return all(self.eval(-k) == self.eval(k) for k in range(1, self.degree + 1))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegralPolynomial) and self.coeffs == other.coeffs
 

@@ -13,6 +13,9 @@ Ball membership uses strict inequality everywhere so results are
 bit-reproducible for a fixed precision.  The 1D sets take each
 polynomial's values over a chunk of consecutive times from exact
 forward differences, so they equal the per-time ``eval`` values.
+``return_set_1d`` decides an even family (p_i(-n) = p_i(n) for every
+i, as for n^2 or n^4 + n^2) once per |n| and mirrors the mask onto the
+negative times, which ask the same questions.
 """
 
 from __future__ import annotations
@@ -50,16 +53,26 @@ def return_set_1d(q: ReturnQuery) -> WindowSet:
     Chunk by chunk, the times n still alive are filtered polynomial by
     polynomial, so a pair (n, p_i) is decided only when every p_j before
     p_i kept n.
+
+    When every p_i is even, n and -n ask the same question, so a window
+    reaching below 0 is decided on the |n| range [dlo, dhi] only; the
+    n < 0 part of the mask is that result's bits reversed.
     """
     lo, hi = q.window
     sys, x, center, eps = q.sys, q.x, q.center, q.eps
+    fold = lo < 0 and lo <= hi and all(p.is_even() for p in q.family.polys)
+    dlo, dhi = (max(0, -hi), max(hi, -lo)) if fold else (lo, hi)
     mask = 0
-    for chunk in chunks(lo, hi):
+    for chunk in chunks(dlo, dhi):
         start, alive = chunk.start, chunk
         for p in q.family.polys:
             vals = p.values(start, len(chunk))
             alive = survivors(sys, x, center, eps, alive, [vals[n - start] for n in alive])
-        mask |= sum(1 << (n - start) for n in alive) << (start - lo)
+        mask |= sum(1 << (n - start) for n in alive) << (start - dlo)
+    if fold:  # bit k - dlo holds |n| = k; n = -k goes to bit -k - lo
+        width = -lo - dlo + 1
+        below = bitops.reverse_bits(mask & bitops.mask_of(width), width)
+        mask = below | ((mask & bitops.mask_of(max(0, hi + 1))) << -lo)
     return WindowSet(lo, hi, mask)
 
 

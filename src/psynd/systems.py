@@ -301,13 +301,17 @@ class HeisenbergNil(_System):
 
         The point and tau = (a, b, 0) come scaled to m.  The z of
         tau^t (x, y, z) is z + C(t,2) ab + t a y; the reduction to the
-        fundamental cube subtracts (x + t a) floor(y + t b).
+        fundamental cube subtracts (x + t a) floor(y + t b).  With
+        a y = hi m + lo, floor(t a y / m) = t hi + floor(t lo / m) for
+        either sign of t, so no product with y is taken per time.
         """
         x, y, z = xyz
         ab = a * b // m
+        ay_hi, ay_lo = divmod(a * y, m)
         for t in times:
-            u, v = x + t * a, y + t * b
-            yield u % m, v % m, (z + t * (t - 1) // 2 * ab + t * a * y // m - u * (v // m)) % m
+            u = x + t * a
+            fl, v = divmod(y + t * b, m)
+            yield u % m, v, (z + t * (t - 1) // 2 * ab + t * ay_hi + t * ay_lo // m - u * fl) % m
 
     def iterate(self, p: Point, n: int) -> Point:
         m = self._modulus(p)

@@ -164,6 +164,10 @@ class WindowSet:
         members = ",".join(map(str, self.members()))
         return f'{{"hi":{self.hi},"lo":{self.lo},"members":[{members}]}}'
 
+    def to_csv(self) -> str:
+        """One member per line, in increasing order."""
+        return "".join(map("{}\n".format, self.members()))
+
     @classmethod
     def from_json(cls, text: str) -> "WindowSet":
         return cls.from_json_obj(json.loads(text))
@@ -347,6 +351,17 @@ class GridSet:
         )
         box = ",".join(map(str, self.box))
         return f'{{"box":[{box}],"members":[{rows}]}}'
+
+    def to_csv(self) -> str:
+        """One ``m,n`` line per member, in :meth:`members` order, written
+        from the masks as :meth:`to_json` is: each ``n`` is formatted once
+        for the box, and a row joins its members' ``n`` by ``\\nm,``."""
+        ns = list(map(str, range(self.nlo, self.nhi + 1)))
+        return "".join(
+            f"{m}," + f"\n{m},".join(compress(ns, bitops.bit_selectors(r))) + "\n"
+            for m, r in zip(range(self.mlo, self.mhi + 1), self.rows)
+            if r
+        )
 
     def to_bitmap_bytes(self) -> bytes:
         words = (self.n_width + 63) // 64

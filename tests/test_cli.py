@@ -471,3 +471,24 @@ def test_csv_output(tmp_path):
     assert main(["returns", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]) == 0
     rows = out.read_text().split()
     assert rows == [str(n) for n in range(-4, 5, 2)]
+
+
+ROTATION_RETURNS = {
+    "system": {"type": "rotation", "alpha": ["1/4"]},
+    "family": ["n"],
+    "epsilon": "0.3",
+}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("nilcheck", {"windows": 5}, "windows"),
+    ("nilcheck", {"windows": [[1, 2]]}, "windows"),
+    ("returns", dict(ROTATION_RETURNS, window=5), "window"),
+    ("returns", dict(ROTATION_RETURNS, box=5), "box"),
+])
+def test_malformed_windows_exit_2(tmp_path, capsys, command, cfg, key):
+    """A window, box or window list that is not a list of integers is a
+    config error: exit 2, a message, no report and no traceback."""
+    code, report, _ = run(tmp_path, command, cfg)
+    assert (code, report) == (2, None)
+    assert f"{command}: config error: bad {key} " in capsys.readouterr().err

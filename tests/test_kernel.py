@@ -29,6 +29,7 @@ from psynd import (
     WindowSet,
     Word,
     indicator_subshift_point,
+    parse_polynomial,
     parse_real,
     recurrence_times,
     return_set_1d,
@@ -258,7 +259,11 @@ def oracle_recurrence_times(sys, x, family, radius, eps, n_bound) -> WindowSet:
 # -- strategies ----------------------------------------------------------
 
 EPSILONS = [Fraction(1, 1000), Fraction(3, 10), Fraction(1, 2), Fraction(2, 3)]
-FAMILIES = [["n"], ["n^2"], ["n", "n^2"], ["n^3+n"], ["2n", "n^2", "n^3+n"]]
+# ["n^2"], ["n^2", "n^4"] and ["n^4+n^2"] are even: return_set_1d decides
+# them once per |n| and mirrors the mask
+FAMILIES = [
+    ["n"], ["n^2"], ["n", "n^2"], ["n^3+n"], ["2n", "n^2", "n^3+n"], ["n^2", "n^4"], ["n^4+n^2"],
+]
 NORMAL_FAMILIES = [["n"], ["n^2"], ["n", "n^2"], ["n^3+n"], ["-n", "2n", "n^2"]]
 NAMES = ["sqrt2", "sqrt3", "golden", "e", "pi"]
 
@@ -314,10 +319,26 @@ def queries(draw):
     return sys, x, center, draw(st.sampled_from(EPSILONS))
 
 
-window = st.tuples(st.integers(-40, 0), st.integers(0, 40))
+# across 0 (often asymmetric), all negative, all positive, and the
+# one-point windows [0, 0] and [-1, -1]
+window = st.one_of(
+    st.sampled_from([(0, 0), (-1, -1)]),
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40)).map(lambda w: (min(w), max(w))),
+)
 
 
 # -- differential tests --------------------------------------------------
+
+
+@given(st.integers(-(10**9), 10**9).filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_is_even_matches_eval(n):
+    # p(-n) - p(n) of the odd-part polynomials below vanishes only at n = 0
+    for text, even in [("0", True), ("n", False), ("n^2", True), ("n^3+n", False),
+                       ("n^2+n", False), ("n^4-n^2", True)]:
+        p = parse_polynomial(text)
+        assert p.is_even() is even
+        assert (p.eval(-n) == p.eval(n)) is even
 
 
 @given(queries(), st.lists(st.integers(-(10**12), 10**12), max_size=40))
@@ -386,6 +407,11 @@ def test_windows_longer_than_a_chunk(eps):
     assert return_set_2d(q) == oracle_return_set_2d(q)
     got = recurrence_times(sys, x, fam, 1, eps, half)
     assert got == oracle_recurrence_times(sys, x, fam, 1, eps, half)
+    # an even family: |n| runs over two chunks, mirrored onto the longer
+    # negative side, so a time lost at the chunk edge shows at both signs
+    even = PolyFamily.parse(["n^2", "n^4"])
+    q = ReturnQuery(sys, x, x, eps, even, (-CHUNK - 10, half))
+    assert return_set_1d(q) == oracle_return_set_1d(q)
 
 
 @pytest.mark.parametrize("alpha", ["1/5", "2/7"])

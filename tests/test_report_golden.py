@@ -4,10 +4,13 @@ The benchmark digests cover set masks only.  The ``returns`` and
 ``induced`` reports also echo points (``x``, ``center``) and list orbit
 points in ``induced`` blocks, so their bytes fix the point encoding of
 every coordinate system: hex ``coords_fixed`` at 2^bits for named
-constants, reduced fractions for rationals.  The ``thma`` and ``analyze``
-reports fix the text of embedded member lists, planar and linear, in
-JSON and in CSV, next to their certificates (a syndetic refutation
-among them).  A digest changes only if a report byte changes.
+constants, reduced fractions for rationals.  The ``nilcheck`` report and
+the ``returns`` report of ``n^2`` on a skew product, over a window that
+is longer below 0 than above, fix return sets of an even family, which
+are decided once per |n|.  The ``thma`` and ``analyze`` reports fix the
+text of embedded member lists, planar and linear, in JSON and in CSV,
+next to their certificates (a syndetic refutation among them).  A
+digest changes only if a report byte changes.
 """
 
 import hashlib
@@ -96,6 +99,19 @@ CASES = {
         "box": [-50, 50, -20, 20],
         "certificates": {"pws2d": {"b1_max": 6, "b2_max": 6, "w": 3, "h": 3}},
     }),
+    "nilcheck-heisenberg-named-nested": ("nilcheck", {
+        "system": {"type": "heisenberg", "alpha": "sqrt2-1", "beta": "sqrt3-1"},
+        "family": ["n^2"],
+        "epsilon": "1/5",
+        "windows": [1000, 3000],
+    }),
+    "returns-skew-golden-n2": ("returns", {
+        "system": {"type": "skew", "alpha": "golden"},
+        "family": ["n^2"],
+        "epsilon": "1/5",
+        "window": [-700, 400],
+        "certificates": {"pws": {"b_max": 4, "L": 20}},
+    }),
     "analyze-random-syndetic-refuted": ("analyze", {
         "seed": 5,
         "set": {"kind": "random_thick_syndetic", "window": [-2000, 2999]},
@@ -103,6 +119,7 @@ CASES = {
     }),
 }
 CASES["thma-sturmian-golden-area-csv"] = (*CASES["thma-sturmian-golden-area"], "--format", "csv")
+CASES["returns-skew-golden-n2-csv"] = (*CASES["returns-skew-golden-n2"], "--format", "csv")
 CASES["analyze-random-syndetic-refuted-csv"] = (
     *CASES["analyze-random-syndetic-refuted"], "--format", "csv",
 )
@@ -117,7 +134,10 @@ DIGESTS = {
     "returns-heisenberg-rational-box": "41004a1b08bee236dbea73c1fc5c29054fbeae5509363da1ba166a1573043084",
     "returns-heisenberg-rational-x-center": "d1162cc8f16741fe0c65d443e35a4a2a36f6a6ebf16e26198dcd8e46f05b053d",
     "returns-rotation-sqrt2-x-center": "cbe38d6118e4b9f3936c4d23ed0cd03eef0da4c977806dbdb9671a0e0bd63e7c",
+    "nilcheck-heisenberg-named-nested": "08b6407296df3b99b2fc0f6423d897d92cc79d45806fda89087583fea97099c4",
     "returns-skew-golden-coords-fixed": "0a29898b6c9a30d2c5e358d6c0c88582cfd714ea92633e7cde5daf7a2c3edeba",
+    "returns-skew-golden-n2": "607fc6cbc2f7d46f658d3ba259a2cb0d39a8a37b11e21a982d470f5b15b0eadd",
+    "returns-skew-golden-n2-csv": "d3dca9013b74856e688b9213c4533ace8b0c5e3024fb282ab2f29576456c65f2",
     "thma-sturmian-golden-area": "e9893c16f4fcaba2b43e2195e5d4ff74e229076ad31a1e2a9084529e72e2c359",
     "thma-sturmian-golden-area-csv": "a117f65767f92af1f093813f4411941c1b642d8f47622fdd90703d322d6bacee",
     "thma-sturmian-sqrt2-shape": "738eedc7308a52358aaac8da73d1a3649afb8160d73fae4556fc8a65815081cd",

@@ -2,9 +2,10 @@
 
 Sets go into reports as JSON text generated straight from their masks
 (``WindowSet.to_json``, ``GridSet.to_json``, ``cli._dump_json``), and
-their members come from ``bitops.iter_bits``.  Each is checked here
-against the plain construction it replaces: ``json.dumps`` of
-``to_json_obj()`` and the byte-wise bit scan.
+into ``--format csv`` output the same way (``to_csv``); their members
+come from ``bitops.iter_bits``.  Each is checked here against the plain
+construction it replaces: ``json.dumps`` of ``to_json_obj()``, one
+formatted line per member, and the byte-wise bit scan.
 """
 
 import json
@@ -102,16 +103,27 @@ def grid_sets(draw) -> GridSet:
     return GridSet((mlo, mlo + m_width - 1, nlo, nlo + n_width - 1), rows)
 
 
+def csv_per_member(the_set) -> str:
+    """The former CSV writer, one formatted line per member, kept as the oracle."""
+    if isinstance(the_set, GridSet):
+        rows = [f"{m},{n}" for m, n in the_set.members()]
+    else:
+        rows = list(map(str, the_set.members()))
+    return "\n".join(rows) + ("\n" if rows else "")
+
+
 def check_window(s: WindowSet) -> None:
     text = s.to_json()
     assert text == dumps(s.to_json_obj())
     assert WindowSet.from_json(text) == s
+    assert s.to_csv() == csv_per_member(s)
 
 
 def check_grid(e: GridSet) -> None:
     text = e.to_json()
     assert text == dumps(e.to_json_obj())
     assert GridSet.from_json_obj(json.loads(text)) == e
+    assert e.to_csv() == csv_per_member(e)
 
 
 @given(window_sets())
