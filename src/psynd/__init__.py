@@ -9,7 +9,6 @@ from .errors import (
     EmptySetError,
     NoRowError,
     NotIntegralError,
-    NotPartitionError,
     NotNormalFormError,
     NotVanishingError,
     PsyndError,
@@ -55,14 +54,11 @@ from .systems import (
     SkewProduct,
     SystemSpec,
     TorusRotation,
-    Word,
-    indicator_subshift_point,
     system_from_json_obj,
 )
 from .windows import (
     GapSummary,
     GridSet,
-    PartitionResult,
     PwsCert,
     PwsCert2D,
     Syndetic2DCert,
@@ -78,13 +74,10 @@ from .windows import (
     longest_run,
     max_gap,
     max_rectangle,
-    partition_pws,
     pws_witness,
     pws_witness_2d,
-    run_starts,
     syndetic_2d_certificate,
     syndetic_certificate,
-    thickly_syndetic_certificate,
     verify_pws,
     verify_pws_2d,
     verify_syndetic,

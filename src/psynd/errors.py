@@ -17,10 +17,6 @@ class BadEpsilonError(PsyndError, ValueError):
     """Epsilon must be strictly positive."""
 
 
-class NotPartitionError(PsyndError, ValueError):
-    """Cells overlap or fail to cover the window."""
-
-
 class NoRowError(PsyndError, LookupError):
     """No row of the grid admits a witness at the given parameters."""
 

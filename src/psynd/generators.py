@@ -21,6 +21,13 @@ def sturmian_window(
 
     Irrational slopes are decided against the scaled fixed-point
     approximant, rationals exactly.
+
+    This is the coding of the rotation by alpha by [0, 1/2), yet it stays a
+    loop of one addition per n rather than a return set into the open ball
+    of radius 1/4 around 1/4.  That ball misses the point 0 of the
+    half-open interval, so the return set drops n = 0 for an irrational
+    slope and every multiple of q for alpha = p/q; and it takes two to
+    three times as long as the loop on windows of 1e5 to 2e5 integers.
     """
     spec = parse_real(alpha)
     if spec.is_rational:
@@ -81,25 +88,31 @@ def window_from_source(obj: dict, rng: Optional[random.Random] = None) -> Window
 
     kinds: literal {lo, hi, members}, file {path}, sturmian {alpha,
     window}, congruence {modulus, residues, window}, full {window},
-    random_thick_syndetic {window} (uses the supplied seeded rng).
+    random_thick_syndetic {window} (uses the supplied seeded rng).  A
+    source of the wrong shape, such as a file holding a JSON list or a
+    string of members, raises ValueError.
     """
     kind = obj.get("kind")
-    if kind == "literal":
-        return WindowSet.from_members(int(obj["lo"]), int(obj["hi"]), obj["members"])
-    if kind == "file":
-        return load_window_file(obj["path"])
-    if kind == "sturmian":
-        lo, hi = obj["window"]
-        return sturmian_window(obj["alpha"], int(lo), int(hi), int(obj.get("bits", DEFAULT_BITS)))
-    if kind == "congruence":
-        lo, hi = obj["window"]
-        return congruence_window(int(obj["modulus"]), obj["residues"], int(lo), int(hi))
-    if kind == "full":
-        lo, hi = obj["window"]
-        return WindowSet.full(int(lo), int(hi))
-    if kind == "random_thick_syndetic":
-        if rng is None:
-            raise ValueError("random source needs a seeded rng")
-        lo, hi = obj["window"]
-        return random_thick_syndetic(int(lo), int(hi), rng)
+    try:
+        if kind == "literal":
+            return WindowSet.from_members(int(obj["lo"]), int(obj["hi"]), obj["members"])
+        if kind == "file":
+            return load_window_file(obj["path"])
+        if kind == "sturmian":
+            lo, hi = obj["window"]
+            bits = int(obj.get("bits", DEFAULT_BITS))
+            return sturmian_window(obj["alpha"], int(lo), int(hi), bits)
+        if kind == "congruence":
+            lo, hi = obj["window"]
+            return congruence_window(int(obj["modulus"]), obj["residues"], int(lo), int(hi))
+        if kind == "full":
+            lo, hi = obj["window"]
+            return WindowSet.full(int(lo), int(hi))
+        if kind == "random_thick_syndetic":
+            if rng is None:
+                raise ValueError("random source needs a seeded rng")
+            lo, hi = obj["window"]
+            return random_thick_syndetic(int(lo), int(hi), rng)
+    except TypeError as exc:
+        raise ValueError(f"bad set source: {exc}") from exc
     raise ValueError(f"unknown set source kind {kind!r}")

@@ -6,7 +6,8 @@ Four concrete system families, each with a closed-form n-th iterate:
 * ``SkewProduct``   -- (x, y) -> (x + alpha, x + y) on the 2-torus;
 * ``HeisenbergNil`` -- left translation by tau = (alpha, beta, 0) on the
   Heisenberg nilmanifold, points reduced to the fundamental cube;
-* ``IndicatorSubshift`` -- the left shift acting on windowed 0/1 words.
+* ``IndicatorSubshift`` -- the left shift acting on windowed 0/1 words,
+  each a ``WindowSet`` whose members are the letters 1.
 
 A point of a coordinate system is a tuple of exact ``Fraction``s in
 [0, 1).  Systems whose parameters are all rational hold them as they
@@ -25,8 +26,10 @@ of the points (its square for the Heisenberg group, so that
 ``(u * v) // M`` is exact).  Every result is therefore exact, and the
 same on every machine.  eps becomes one integer half-width L, the
 largest integer below eps * M, so a circle test is
-``((x - c + L) + t * s) % M <= 2 * L``.  The subshift decides time by
-time on its words.  ``in_ball`` is ``hits`` at the single time 0.
+``((x - c + L) + t * s) % M <= 2 * L``.  The subshift builds, over the
+letters of x near the requested times, the mask of the times whose letters
+agree with the center's out to the radius eps asks for, and reads each
+time off it as one bit.  ``in_ball`` is ``hits`` at the single time 0.
 
 All system and point values are immutable; methods are pure functions.
 """
@@ -40,6 +43,7 @@ from itertools import chain
 from math import lcm
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
+from . import bitops
 from .constants import DEFAULT_BITS, RealSpec, parse_real
 from .errors import BadEpsilonError, EmptySetError, WindowExhaustedError
 from .windows import WindowSet
@@ -55,33 +59,7 @@ class Point:
         return f"Point{self.coords}"
 
 
-@dataclass(frozen=True)
-class Word:
-    """Windowed two-sided 0/1 word; letter i lives at mask bit i - lo."""
-
-    mask: int
-    lo: int
-    hi: int
-
-    def letter(self, i: int) -> int:
-        if not self.lo <= i <= self.hi:
-            raise WindowExhaustedError(f"letter {i} outside word window [{self.lo},{self.hi}]")
-        return (self.mask >> (i - self.lo)) & 1
-
-    def covers(self, i: int) -> bool:
-        return self.lo <= i <= self.hi
-
-    def recenter(self, n: int) -> "Word":
-        return Word(self.mask, self.lo - n, self.hi - n)
-
-    def to_string(self) -> str:
-        return "".join(str((self.mask >> k) & 1) for k in range(self.hi - self.lo + 1))
-
-    def __repr__(self) -> str:
-        return f"Word({self.to_string()}, lo={self.lo})"
-
-
-PointLike = Union[Point, Word]
+PointLike = Union[Point, WindowSet]
 
 
 def _epsilon(eps) -> Fraction:
@@ -389,20 +367,25 @@ class HeisenbergNil(_System):
 class IndicatorSubshift:
     """Left shift on windowed 0/1 words, seeded by an indicator word.
 
-    The metric is 1/(k+1) where k is the smallest |i| with a letter
-    disagreement; windowed words only support decisions their letters
-    can justify, otherwise WindowExhaustedError is raised.
+    A point is a ``WindowSet``: the word whose letter i is 1 exactly at
+    the members, known on the window only.  The metric is 1/(k+1) where
+    k is the smallest |i| with a letter disagreement; windowed words only
+    support decisions their letters can justify, otherwise
+    WindowExhaustedError is raised.
     """
 
     base: WindowSet
 
-    def base_point(self) -> Word:
-        return indicator_subshift_point(self.base)
+    def base_point(self) -> WindowSet:
+        """The indicator word of the base set on its own window, centered at 0."""
+        if self.base.is_empty():
+            raise EmptySetError("indicator point of an empty set")
+        return self.base
 
-    def point_to_json(self, w: Word) -> dict:
-        return {"word": w.to_string(), "lo": w.lo, "hi": w.hi}
+    def point_to_json(self, w: WindowSet) -> dict:
+        return {"word": format(w.mask, f"0{w.width}b")[::-1], "lo": w.lo, "hi": w.hi}
 
-    def point_from_json(self, obj) -> Word:
+    def point_from_json(self, obj) -> WindowSet:
         """A word of 0/1 letters on [lo, hi]."""
         try:
             word, lo, hi = obj["word"], int(obj["lo"]), int(obj["hi"])
@@ -410,57 +393,72 @@ class IndicatorSubshift:
             raise ValueError(f"a subshift point needs word, lo and hi, got {obj!r}") from exc
         if not isinstance(word, str) or set(word) - {"0", "1"} or len(word) != hi - lo + 1:
             raise ValueError(f"word must be {hi - lo + 1} letters 0/1, got {word!r}")
-        return Word(int("0" + word[::-1], 2), lo, hi)
+        return WindowSet(lo, hi, int("0" + word[::-1], 2))
 
-    def in_ball(self, a: Word, c: Word, eps) -> bool:
-        """Strict ball test of one word: ``hits`` at time 0."""
-        return self.hits(a, c, eps, [0])[0]
+    in_ball = _System.in_ball  # ``hits`` at time 0
 
-    def iterate(self, w: Word, n: int) -> Word:
-        if not w.covers(n):
+    def iterate(self, w: WindowSet, n: int) -> WindowSet:
+        if not w.lo <= n <= w.hi:
             raise WindowExhaustedError(
                 f"shift by {n} loses the center letter (window [{w.lo},{w.hi}])"
             )
-        return w.recenter(n)
+        return w.shift(-n)
 
-    @staticmethod
-    def _refute_radius(eps) -> int:
-        # largest k with 1/(k+1) >= eps, i.e. a disagreement at k <= this
-        # refutes "distance < eps"; -1 when even k=0 cannot refute
+    def hits(self, x: WindowSet, center: WindowSet, eps, times: Sequence[int]) -> List[bool]:
+        """[T^t x in B(center, eps) for t in times], read off two masks over w,
+        the letters of x within the radius R of the times; letter i of T^t x
+        is letter t + i of x.  Rank by rank, in the order 0, 1, -1, ..., R, -R,
+        a time leaves ``agree`` where its letters at the rank differ, and moves
+        to ``stuck`` where x or the center has no letter there before any
+        disagreement.  ``agree`` after rank R is the ball.  The first time in
+        list order that lies outside x's window, or is stuck, raises.
+        """
         e = _epsilon(eps)
-        return e.denominator // e.numerator - 1
-
-    def hits(self, x: Word, center: Word, eps, times: Sequence[int]) -> List[bool]:
-        """[T^t x in B(center, eps) for t in times], one shifted word at a time."""
-        k_ref = self._refute_radius(eps)
-        return [self._agrees(self.iterate(x, t), center, k_ref, eps) for t in times]
-
-    @staticmethod
-    def _agrees(a: Word, c: Word, k_ref: int, eps) -> bool:
-        for k in range(0, k_ref + 1):
+        # largest R with 1/(R+1) >= eps, -1 when no disagreement refutes the ball
+        radius = e.denominator // e.numerator - 1
+        reach = max(radius, 0)
+        first = min(max(min(times, default=x.lo) - reach, x.lo), x.hi)
+        w = x.restrict(first, max(min(max(times, default=x.lo) + reach, x.hi), first))
+        width, full = w.width, bitops.mask_of(w.width)
+        agree, stuck = full, 0
+        for k in range(radius + 1):
             for i in (k, -k) if k else (0,):
-                if not (a.covers(i) and c.covers(i)):
-                    raise WindowExhaustedError(
-                        f"ball decision at eps={eps} needs letters to radius {k_ref}"
-                    )
-                if a.letter(i) != c.letter(i):
-                    return False
-        return True
+                covered = 0
+                if center.lo <= i <= center.hi:  # the times t with t + i in w
+                    covered = bitops.mask_of(max(0, width - abs(i))) << max(0, -i)
+                differ = (w.mask >> i if i >= 0 else w.mask << -i) ^ (full if i in center else 0)
+                stuck |= agree & ~covered
+                agree &= covered & ~differ
+            if not agree:
+                break
+        # one byte per time of w; the bit above it fixes the length
+        top = 1 << width
+        yes, short = bitops.bit_selectors(agree | top), bitops.bit_selectors(stuck | top)
+        out = []
+        for t in times:
+            if not x.lo <= t <= x.hi:
+                self.iterate(x, t)  # raises: T^t x has no letter at 0
+            if short[t - w.lo]:
+                raise WindowExhaustedError(
+                    f"ball decision at eps={eps} needs letters to radius {radius}"
+                )
+            out.append(yes[t - w.lo] == 1)
+        return out
 
-    def point_distance(self, a: Word, c: Word) -> Fraction:
+    def point_distance(self, a: WindowSet, c: WindowSet) -> Fraction:
         """Exact metric value; requires agreement to be decidable over the
         full common coverage when no disagreement is found."""
         radius = 0
         while True:
             for i in (radius, -radius) if radius else (0,):
-                if not (a.covers(i) and c.covers(i)):
-                    if a.lo == c.lo and a.hi == c.hi and a.mask == c.mask:
+                if not (a.lo <= i <= a.hi and c.lo <= i <= c.hi):
+                    if a == c:
                         return Fraction(0)
                     raise WindowExhaustedError(
                         "words agree over the whole common coverage; "
                         "distance is below resolution"
                     )
-                if a.letter(i) != c.letter(i):
+                if (i in a) != (i in c):
                     return Fraction(1, radius + 1)
             radius += 1
 
@@ -469,13 +467,6 @@ class IndicatorSubshift:
 
 
 SystemSpec = Union[TorusRotation, SkewProduct, HeisenbergNil, IndicatorSubshift]
-
-
-def indicator_subshift_point(s: WindowSet) -> Word:
-    """The indicator word of the set on its own window, centered at 0."""
-    if s.is_empty():
-        raise EmptySetError("indicator point of an empty set")
-    return Word(s.mask, s.lo, s.hi)
 
 
 CHUNK = 4096  # times per ``hits`` call; bounds the memory of one batch

@@ -28,12 +28,7 @@ from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional,
 from typing import Union, get_args, get_origin, get_type_hints
 
 from . import bitops
-from .errors import (
-    BadBoundError,
-    EmptySetError,
-    NoRowError,
-    NotPartitionError,
-)
+from .errors import BadBoundError, EmptySetError, NoRowError
 
 _BITMAP_MAGIC = b"PSYN"
 _VERSION_1D = 1
@@ -136,9 +131,6 @@ class WindowSet:
         self._check_same_window(other)
         return WindowSet(self.lo, self.hi, self.mask & other.mask)
 
-    def complement(self) -> "WindowSet":
-        return WindowSet(self.lo, self.hi, self.mask ^ bitops.mask_of(self.width))
-
     def shift(self, t: int) -> "WindowSet":
         """Translate the set and its window by ``t``."""
         return WindowSet(self.lo + t, self.hi + t, self.mask)
@@ -180,16 +172,19 @@ class WindowSet:
 
     @classmethod
     def from_bitmap_bytes(cls, raw: bytes) -> "WindowSet":
+        """Inverse of :meth:`to_bitmap_bytes`; ValueError on a malformed header
+        or a body of the wrong length, raised before any mask is built."""
         if raw[:4] != _BITMAP_MAGIC:
             raise ValueError("bad magic")
+        if len(raw) < 22:
+            raise ValueError(f"bitmap header needs 22 bytes, got {len(raw)}")
         version, lo, hi = struct.unpack_from("<Hqq", raw, 4)
         if version != _VERSION_1D:
             raise ValueError(f"unsupported bitmap version {version}")
-        width = hi - lo + 1
-        words = (width + 63) // 64
-        body = raw[4 + 18 : 4 + 18 + words * 8]
-        mask = int.from_bytes(body, "little") & bitops.mask_of(width)
-        return cls(lo, hi, mask)
+        width, body = hi - lo + 1, raw[22:]
+        if width < 1 or len(body) != (width + 63) // 64 * 8:
+            raise ValueError(f"bitmap body of {len(body)} bytes for the window [{lo}, {hi}]")
+        return cls(lo, hi, int.from_bytes(body, "little") & bitops.mask_of(width))
 
 
 class GridSet:
@@ -634,31 +629,6 @@ def pws_witness(s: WindowSet, b_max: int, l_run: int) -> Optional[PwsCert]:
     return None
 
 
-def run_starts(s: WindowSet, n: int) -> WindowSet:
-    """Positions where a run of ``n`` consecutive members begins.
-
-    The result lives on the (n-1)-shrunk window, where the whole run is
-    decidable.
-    """
-    if n < 1:
-        raise BadBoundError("run length must be >= 1")
-    if n > s.width:
-        raise BadBoundError("run length exceeds window")
-    width = s.width - (n - 1)
-    return WindowSet(s.lo, s.hi - (n - 1), bitops.and_reduce(s.mask, n) & bitops.mask_of(width))
-
-
-def thickly_syndetic_certificate(
-    s: WindowSet, n: int, gap_bound: int
-) -> Union[SyndeticCert, SyndeticRefutation]:
-    """Certify that length-``n`` runs start syndetically (gap ``gap_bound``).
-
-    Thick syndeticity asks this for every n; on a window it is checked
-    one run length at a time.
-    """
-    return syndetic_certificate(run_starts(s, n), gap_bound)
-
-
 def find_ap(s: WindowSet, k: int) -> Optional[Tuple[int, int]]:
     """First (a, d) with a, a+d, ..., a+(k-1)d all members; d >= 1.
 
@@ -864,14 +834,6 @@ def grid_slice(e: GridSet, m: int) -> WindowSet:
     return WindowSet(e.nlo, e.nhi, e.rows[m - e.mlo])
 
 
-def _strongest(
-    candidates: Iterable[Tuple[int, WindowSet]], b_max: int, l_run: int
-) -> Optional[Tuple[int, PwsCert]]:
-    """(key, witness) of the strongest witness, in ``best_slice``'s order, or None."""
-    found = [(key, cert) for key, s in candidates if (cert := pws_witness(s, b_max, l_run))]
-    return min(found, key=lambda kc: (-kc[1].interval[1], kc[1].shift_bound, kc[0]), default=None)
-
-
 def best_slice(
     e: GridSet, b_max: int, l_run: int
 ) -> Tuple[int, PwsCert]:
@@ -881,51 +843,14 @@ def best_slice(
     bound, then smaller row index.  Raises NoRowError when no row
     admits any witness at (b_max, L).
     """
-    found = _strongest(((m, grid_slice(e, m)) for m in range(e.mlo, e.mhi + 1)), b_max, l_run)
-    if found is None:
+    found = [
+        (m, cert)
+        for m in range(e.mlo, e.mhi + 1)
+        if (cert := pws_witness(grid_slice(e, m), b_max, l_run))
+    ]
+    if not found:
         raise NoRowError(f"no row admits a witness at b_max={b_max}, L={l_run}")
-    return found
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    index: int
-    cert: PwsCert
-    used_fallback: bool
-
-
-def partition_pws(
-    cells: Sequence[WindowSet], b_max: int, l_run: int
-) -> PartitionResult:
-    """Pick the cell of a window partition with the strongest PS witness.
-
-    Cells must share one window, be pairwise disjoint, and cover it.
-    If no cell succeeds at (b_max, L) the shift bound is swept further,
-    up to width-L: a partition cell holding at least L members always
-    dilates to a length-L run inside the shrunk interior by then, so
-    the pigeonhole guarantee stays checkable; such results are flagged
-    ``used_fallback``.
-    """
-    if not cells:
-        raise NotPartitionError("no cells")
-    lo, hi = cells[0].lo, cells[0].hi
-    acc = 0
-    for c in cells:
-        if (c.lo, c.hi) != (lo, hi):
-            raise NotPartitionError("cells on different windows")
-        if acc & c.mask:
-            raise NotPartitionError("cells overlap")
-        acc |= c.mask
-    if acc != bitops.mask_of(hi - lo + 1):
-        raise NotPartitionError("cells miss points of the window")
-
-    for b in [b_max, *range(b_max + 1, max(0, hi - lo + 1 - l_run) + 1)]:
-        found = _strongest(enumerate(cells), b, l_run)
-        if found is not None:
-            return PartitionResult(*found, used_fallback=b > b_max)
-    raise NoRowError(
-        f"no cell admits a witness for L={l_run} even with unbounded shifts"
-    )
+    return min(found, key=lambda mc: (-mc[1].interval[1], mc[1].shift_bound, mc[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,28 @@
 """Driver behavior: reports, determinism, verification, exit codes."""
 
 import json
+import struct
+from fractions import Fraction
 
 import pytest
 
 from psynd import (
     GridSet,
     PolyFamily,
+    ReturnQuery,
+    WindowSet,
     combinatorial_set_2d,
     longest_run,
+    max_gap,
     max_rectangle,
     pws_witness,
     pws_witness_2d,
+    return_set_1d,
     syndetic_2d_certificate,
     syndetic_certificate,
+    system_from_json_obj,
 )
-from psynd.cli import main
+from psynd.cli import NILCHECK_DEFAULTS, main
 from psynd.generators import sturmian_window
 from psynd.returnsets import masked_dilation_2d
 
@@ -192,6 +199,32 @@ def test_nilcheck_small_windows(tmp_path):
     assert all(isinstance(v, int) for v in gaps.values())
 
 
+def test_nilcheck_windows_match_direct_return_sets(tmp_path):
+    # the numbers of each window are those of the return set on that window
+    code, report, _ = run(tmp_path, "nilcheck", {"windows": [1000, 0, 300]})
+    assert code == 0
+    sys_spec = system_from_json_obj(NILCHECK_DEFAULTS["system"])
+    x = sys_spec.base_point()
+    for w in (1000, 0, 300):
+        query = ReturnQuery(sys_spec, x, x, Fraction(1, 5), PolyFamily.parse(["n^2"]), (-w, w))
+        rs = return_set_1d(query)
+        assert report["results"]["counts"][str(w)] == rs.count()
+        assert report["results"]["max_gap"][str(w)] == (max_gap(rs) if rs.count() else None)
+
+
+def test_nilcheck_no_windows(tmp_path):
+    code, report, _ = run(tmp_path, "nilcheck", {"windows": []})
+    assert code == 0
+    assert report["results"] == {"counts": {}, "max_gap": {}, "stable": False}
+
+
+@pytest.mark.parametrize("widths", [[-5], [100, -5]])
+def test_nilcheck_negative_width_exit_2(tmp_path, capsys, widths):
+    code, report, _ = run(tmp_path, "nilcheck", {"windows": widths})
+    assert (code, report) == (2, None)
+    assert "nilcheck: config error: " in capsys.readouterr().err
+
+
 def test_thmb_with_literal_target(tmp_path):
     cfg = {
         "set": {"kind": "congruence", "modulus": 2, "residues": [0], "window": [-100, 100]},
@@ -275,6 +308,21 @@ def test_file_set_source(tmp_path):
     code, report, _ = run(tmp_path, "analyze", cfg)
     assert code == 0
     assert report["results"]["max_gap"] == 2
+
+
+@pytest.mark.parametrize("name, raw, message", [
+    ("short-header.psyn", b"PSYN" + struct.pack("<Hq", 1, 0), "header"),
+    ("short-body.psyn", WindowSet.full(0, 100).to_bitmap_bytes()[:-8], "body"),
+    ("list.json", b"[0, 1, 2]", "bad set source"),
+    ("members.json", b'{"lo": 0, "hi": 5, "members": "012"}', "bad set source"),
+], ids=["short-header", "short-body", "json-list", "string-members"])
+def test_malformed_set_file_exit_2(tmp_path, capsys, name, raw, message):
+    path = tmp_path / name
+    path.write_bytes(raw)
+    code, report, _ = run(tmp_path, "analyze", {"set": {"kind": "file", "path": str(path)}})
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err
+    assert "analyze: config error: " in err and message in err
 
 
 def test_induced_report(tmp_path):

@@ -16,7 +16,6 @@ from psynd import (
     apply_map,
     shift_block,
     block_distance,
-    indicator_subshift_point,
     orbit_block,
     parse_polynomial,
     parse_real,
@@ -156,7 +155,7 @@ def test_block_distance_differs_only_at_edge():
 def test_block_distance_sturmian_hand_value():
     s = sturmian_window("golden", -60, 60)
     shift_sys = IndicatorSubshift(s)
-    x = indicator_subshift_point(s)
+    x = shift_sys.base_point()
     fam = PolyFamily.parse(["n^2"])
     base = orbit_block(shift_sys, x, fam, 2)
     shifted = shift_block(orbit_block(shift_sys, x, fam, 3), 1)
@@ -219,7 +218,7 @@ def test_periodic_extension_orbit_word():
     # the periodised central patch of a polynomial orbit is fixed by shifting by 2k+1
     s = sturmian_window("golden", -200, 200)
     shift_sys = IndicatorSubshift(s)
-    x = indicator_subshift_point(s)
+    x = shift_sys.base_point()
     k = 3
     p = parse_polynomial("n^2")
     word = tuple(shift_sys.iterate(x, p.eval(j)) for j in range(-k, k + 1))

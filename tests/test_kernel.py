@@ -2,7 +2,9 @@
 code they replaced.
 
 The oracles below are the earlier per-point implementation, kept verbatim
-apart from taking the system as an argument.  They work on points in the
+apart from taking the system as an argument and from reading a subshift
+word, now a ``WindowSet``, through its window bounds and ``in`` (the
+rank-by-rank letter loop is unchanged).  They work on points in the
 old form: ``Fraction`` coordinates on a rational system, integers at
 2^bits on a named-constant one (``old_form`` converts).  They are
 ``iterate`` with its own mod-1, floor and fixed-point product, ``in_ball``
@@ -27,8 +29,6 @@ from psynd import (
     TorusRotation,
     WindowExhaustedError,
     WindowSet,
-    Word,
-    indicator_subshift_point,
     parse_polynomial,
     parse_real,
     recurrence_times,
@@ -44,7 +44,7 @@ from psynd.systems import CHUNK, Point
 
 def old_form(sys, p):
     """A point as the oracles take it: integers at 2^bits on the fixed path."""
-    if isinstance(p, Word) or sys.exact:
+    if isinstance(p, WindowSet) or sys.exact:
         return p
     scaled = [c * (1 << sys.bits) for c in p.coords]
     assert all(v.denominator == 1 for v in scaled)
@@ -101,11 +101,11 @@ def oracle_iterate(sys, x, n):
         ab = _mul(sys, a, b)
         u, v, w = x.coords
         return _reduce(sys, u + n * a, v + n * b, w + _c2(n) * ab + _mul(sys, n * a, v))
-    if not x.covers(n):
+    if not x.lo <= n <= x.hi:
         raise WindowExhaustedError(
             f"shift by {n} loses the center letter (window [{x.lo},{x.hi}])"
         )
-    return x.recenter(n)
+    return x.shift(-n)
 
 
 def _as_eps(eps) -> Fraction:
@@ -176,11 +176,11 @@ def oracle_in_ball(sys, a, c, eps) -> bool:
     k_ref = t.numerator // t.denominator
     for k in range(0, k_ref + 1):
         for i in (k, -k) if k else (0,):
-            if not (a.covers(i) and c.covers(i)):
+            if not (a.lo <= i <= a.hi and c.lo <= i <= c.hi):
                 raise WindowExhaustedError(
                     f"ball decision at eps={eps} needs letters to radius {k_ref}"
                 )
-            if a.letter(i) != c.letter(i):
+            if (i in a) != (i in c):
                 return False
     return True
 
@@ -444,7 +444,7 @@ def test_subshift_matches_per_point_loop(bits, shift, win, fam, eps):
     if base.is_empty():
         base = WindowSet(-20, 20, 1 << 20)
     sys = IndicatorSubshift(base)
-    x = indicator_subshift_point(base)
+    x = sys.base_point()
     center = sys.iterate(x, shift)
     q = ReturnQuery(sys, x, center, eps, PolyFamily.parse(fam), win)
     try:

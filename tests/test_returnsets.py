@@ -14,7 +14,6 @@ from psynd import (
     WindowSet,
     combinatorial_set_2d,
     grid_slice,
-    indicator_subshift_point,
     parse_real,
     pws_area_witness_2d,
     return_set_1d,
@@ -197,11 +196,11 @@ def test_patch_translation_embedding():
     s = sturmian_window("golden", -2000, 2000)
     fam = PolyFamily.parse(["n", "n^2"])
     shift_sys = IndicatorSubshift(s)
-    x = indicator_subshift_point(s)
+    x = shift_sys.base_point()
     # center must sit on a 1; pick the nearest letter-1 translate
     t0 = 137
     y = shift_sys.iterate(x, t0)
-    while y.letter(0) != 1:
+    while 0 not in y:
         t0 += 1
         y = shift_sys.iterate(x, t0)
     box = (-15, 15, -5, 5)
@@ -219,6 +218,25 @@ def test_patch_translation_embedding():
     found = next((t for t in sorted(range(-250, 251), key=abs) if embeds(t)), None)
     assert found is not None
     assert embeds(t0)  # the construction's own translation works
+
+
+def test_planar_rows_are_subshift_return_sets():
+    # Theorem A through the subshift: row m of {(m, n) : m + p_i(n) in S}
+    # is the return set of sigma^m 1_S into the cylinder [1] at 0, the
+    # ball of radius 1 around the one-letter word 1
+    s = sturmian_window("golden", -5000, 5000)
+    fam = PolyFamily.parse(["n", "n^2"])
+    box = (-300, 100, -70, 70)
+    members, validity = combinatorial_set_2d(s, fam, box)
+    shift_sys = IndicatorSubshift(s)
+    x = shift_sys.base_point()
+    cylinder = WindowSet(0, 0, 1)
+    full_row = WindowSet.full(box[2], box[3])
+    rows = [m for m in range(box[0], box[1] + 1) if grid_slice(validity, m) == full_row]
+    assert len(rows) == 401
+    for m in rows:
+        query = ReturnQuery(shift_sys, shift_sys.iterate(x, m), cylinder, 1, fam, box[2:])
+        assert return_set_1d(query) == grid_slice(members, m)
 
 
 def test_area_witness_respects_validity():

@@ -67,6 +67,19 @@ def test_bitmap_rejects_garbage():
         WindowSet.from_bitmap_bytes(b"NOPE" + b"\x00" * 40)
 
 
+def test_window_bitmap_rejects_bad_lengths():
+    raw = WindowSet.from_members(-2, 70, [-2, 0, 64, 70]).to_bitmap_bytes()
+    empty = b"PSYN" + struct.pack("<Hqq", 1, 5, 4)
+    for bad, message in [(raw[:21], "header"), (raw[:-1], "body"), (raw + bytes(8), "body"),
+                         (empty, "body")]:
+        with pytest.raises(ValueError, match=message):
+            WindowSet.from_bitmap_bytes(bad)
+    # a header declaring 2^40 bits over one word fails before any mask is built
+    huge = b"PSYN" + struct.pack("<Hqq", 1, 0, 2**40 - 1) + bytes(8)
+    with pytest.raises(ValueError, match="body"):
+        WindowSet.from_bitmap_bytes(huge)
+
+
 def test_certificate_json_roundtrip():
     certs = [
         SyndeticCert(3, (-7, 7)),

@@ -18,8 +18,6 @@ from psynd import (
     TorusRotation,
     WindowExhaustedError,
     WindowSet,
-    Word,
-    indicator_subshift_point,
     parse_polynomial,
     parse_real,
     system_from_json_obj,
@@ -161,28 +159,27 @@ def test_in_ball_heisenberg_wraparound():
 
 
 def test_subshift_point_examples():
-    w = indicator_subshift_point(WindowSet.from_members(-5, 5, [0]))
-    assert w.to_string() == "00000100000"
-    evens = indicator_subshift_point(
-        WindowSet.from_predicate(-5, 5, lambda n: n % 2 == 0)
-    )
-    assert evens.to_string() == "01010101010"
+    def word(s):
+        shift = IndicatorSubshift(s)
+        return shift.point_to_json(shift.base_point())["word"]
+
+    assert word(WindowSet.from_members(-5, 5, [0])) == "00000100000"
+    assert word(WindowSet.from_predicate(-5, 5, lambda n: n % 2 == 0)) == "01010101010"
     st = sturmian_window("golden", -50, 50)
-    word = indicator_subshift_point(st)
-    assert all(word.letter(n) == (1 if n in st else 0) for n in range(-50, 51))
+    assert IndicatorSubshift(st).base_point() is st
     with pytest.raises(EmptySetError):
-        indicator_subshift_point(WindowSet.empty(0, 4))
+        IndicatorSubshift(WindowSet.empty(0, 4)).base_point()
 
 
 def test_subshift_metric_decision():
     base = WindowSet.from_members(-30, 30, [0])
     shift = IndicatorSubshift(base)
     # agree to radius 9, differ at +10
-    a = Word(0, -15, 15)
-    b = Word(1 << (10 + 15), -15, 15)
+    a = WindowSet(-15, 15, 0)
+    b = WindowSet(-15, 15, 1 << (10 + 15))
     assert shift.point_distance(a, b) == Fraction(1, 11)
     assert shift.in_ball(a, b, 0.1)  # 1/11 < 0.1
-    c = Word(1 << (9 + 15), -15, 15)  # differ at +9: distance 1/10
+    c = WindowSet(-15, 15, 1 << (9 + 15))  # differ at +9: distance 1/10
     assert not shift.in_ball(a, c, Fraction(1, 10))
     assert shift.in_ball(a, c, 0.11)
 
@@ -192,7 +189,7 @@ def test_subshift_window_exhaustion():
     shift = IndicatorSubshift(base)
     w = shift.base_point()
     moved = shift.iterate(w, 3)
-    assert moved.letter(-3) == 1
+    assert -3 in moved
     with pytest.raises(WindowExhaustedError):
         shift.iterate(w, 7)
     with pytest.raises(WindowExhaustedError):
@@ -205,7 +202,7 @@ def test_subshift_ultrametric_like():
     shift = IndicatorSubshift(WindowSet.from_members(-40, 40, [0]))
     dist = shift.point_distance
     for _ in range(60):
-        a, b, c = (Word(rng.getrandbits(81), -40, 40) for _ in range(3))
+        a, b, c = (WindowSet(-40, 40, rng.getrandbits(81)) for _ in range(3))
         assert dist(a, c) <= max(dist(a, b), dist(b, c))
 
 

@@ -12,7 +12,6 @@ from psynd import (
     EmptySetError,
     GridSet,
     NoRowError,
-    NotPartitionError,
     SyndeticCert,
     SyndeticRefutation,
     WindowSet,
@@ -24,13 +23,10 @@ from psynd import (
     longest_run,
     max_gap,
     max_rectangle,
-    partition_pws,
     pws_witness,
     pws_witness_2d,
-    run_starts,
     syndetic_2d_certificate,
     syndetic_certificate,
-    thickly_syndetic_certificate,
     verify_pws,
     verify_pws_2d,
     verify_syndetic,
@@ -522,48 +518,6 @@ def test_best_slice_no_row():
         best_slice(e, 2, 3)
 
 
-def test_partition_evens_odds():
-    evens = WindowSet.from_predicate(0, 100, lambda n: n % 2 == 0)
-    odds = evens.complement()
-    result = partition_pws([evens, odds], 2, 20)
-    assert result.cert.shift_bound == 1
-    assert not result.used_fallback
-
-
-def test_partition_whole_window():
-    whole = WindowSet.full(0, 50)
-    result = partition_pws([whole], 2, 10)
-    assert result.index == 0 and result.cert.shift_bound == 0
-
-
-def test_partition_random_cells_picks_densest():
-    rng = random.Random(42)
-    lo, hi = 0, 10**4
-    labels = [rng.randint(0, 2) for _ in range(hi - lo + 1)]
-    cells = [
-        WindowSet.from_members(lo, hi, [lo + i for i, v in enumerate(labels) if v == k])
-        for k in range(3)
-    ]
-    result = partition_pws(cells, 4, 50)
-    assert verify_pws(cells[result.index], result.cert)
-
-
-def test_partition_fallback_reported():
-    evens = WindowSet.from_predicate(0, 60, lambda n: n % 2 == 0)
-    odds = evens.complement()
-    result = partition_pws([evens, odds], 0, 5)
-    assert result.used_fallback
-    assert verify_pws([evens, odds][result.index], result.cert)
-
-
-def test_partition_rejects_bad_cells():
-    a = WindowSet.from_predicate(0, 10, lambda n: n < 5)
-    with pytest.raises(NotPartitionError):
-        partition_pws([a, a], 1, 2)
-    with pytest.raises(NotPartitionError):
-        partition_pws([a], 1, 2)
-
-
 def naive_witness(s, bound, l_run):
     """Smallest b <= bound at which some x-run, each x with a member in
     [x, x+b] and x <= hi-b, is at least L long; (b, start, length) of the
@@ -605,64 +559,6 @@ def test_best_slice_complete_against_bruteforce():
         outcomes.add("tie" if sum(f[:2] == (length, b) for f in found) > 1 else "unique")
         assert best_slice(e, b_max, l_run) == (m, PwsCert(shift_bound=b, interval=(start, -length)))
     assert outcomes == {"none", "tie", "unique"}
-
-
-def test_partition_pws_complete_against_bruteforce():
-    """The first shift bound in b_max, b_max+1, ..., width-L at which a cell
-    has a witness; the strongest cell there; ``used_fallback`` past b_max."""
-    rng = random.Random(78)
-    outcomes = set()
-    for _ in range(300):
-        lo = rng.randint(-10, 10)
-        hi = lo + rng.randint(0, 40)
-        k = rng.randint(1, 4)
-        labels = [rng.randrange(k) for _ in range(hi - lo + 1)]
-        cells = [WindowSet.from_members(lo, hi, [lo + i for i, v in enumerate(labels) if v == c])
-                 for c in range(k)]
-        b_max, l_run = rng.randint(0, 3), rng.randint(1, 12)
-        want = None
-        for bound in [b_max, *range(b_max + 1, max(0, hi - lo + 1 - l_run) + 1)]:
-            found = [(-w[2], w[0], i, w[1]) for i, s in enumerate(cells)
-                     if (w := naive_witness(s, bound, l_run)) is not None]
-            if found:
-                length, b, index, start = min(found)
-                want = (index, PwsCert(shift_bound=b, interval=(start, -length)), bound > b_max)
-                break
-        if want is None:
-            outcomes.add("none")
-            with pytest.raises(NoRowError):
-                partition_pws(cells, b_max, l_run)
-            continue
-        outcomes.add("fallback" if want[2] else "direct")
-        got = partition_pws(cells, b_max, l_run)
-        assert (got.index, got.cert, got.used_fallback) == want
-    assert outcomes == {"none", "fallback", "direct"}
-
-
-# -- thickly syndetic ------------------------------------------------------
-
-
-def test_run_starts_matches_naive():
-    rng = random.Random(31)
-    for _ in range(25):
-        s = WindowSet.from_predicate(0, 120, lambda i: rng.random() < 0.6)
-        for n in (1, 2, 5):
-            got = set(run_starts(s, n).members())
-            want = {
-                i
-                for i in range(0, 121 - (n - 1))
-                if all(i + j in s for j in range(n))
-            }
-            assert got == want
-
-
-def test_thickly_syndetic_periodic_runs():
-    # runs of length 3 recur with period 10: their starts have gaps <= 10
-    s = WindowSet.from_predicate(0, 500, lambda i: i % 10 <= 2)
-    cert = thickly_syndetic_certificate(s, 3, 10)
-    assert isinstance(cert, SyndeticCert)
-    refutation = thickly_syndetic_certificate(s, 4, 10)
-    assert isinstance(refutation, SyndeticRefutation)
 
 
 # -- find_ap --------------------------------------------------------------
