@@ -93,6 +93,15 @@ def reverse_bits(x: int, width: int) -> int:
     return int(format(x, f"0{width}b")[::-1], 2)
 
 
+def tile_mask(x: int, period: int, width: int) -> int:
+    """The ``width``-bit mask whose bit i is bit ``i % period`` of x."""
+    x &= mask_of(period)
+    while period < width:
+        x |= x << period
+        period *= 2
+    return x & mask_of(width)
+
+
 def smear_down(x: int, b: int) -> int:
     """Union of right-shifts of ``x`` by 0..b (dilation by the shift set [0,b]).
 

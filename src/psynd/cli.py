@@ -19,6 +19,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import islice
+from math import factorial
 from pathlib import Path
 from typing import Optional
 
@@ -278,18 +279,22 @@ def cmd_thmb(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
 
 def _rational_rotation_oracle(sys_obj: dict, family: PolyFamily, eps, lo: int, hi: int) -> WindowSet:
     """Independent modular-arithmetic evaluation for 1-dim rational rotations
-    started at 0 with center 0.  It calls ``p.eval(n)`` per n on purpose, to
-    share no evaluation code with the forward-difference path it checks."""
+    started at 0 with center 0, exact on every n of the window.  n is a
+    member when every p(n) a mod q lies within eps of 0; p(n) mod q repeats
+    with period q d! for degree d, so the word of one period, decided by
+    ``p.eval(n)`` per n to share no evaluation code with the
+    forward-difference path it checks, is repeated over the window."""
     alpha = Fraction(sys_obj["alpha"][0] if isinstance(sys_obj["alpha"], list) else sys_obj["alpha"])
     q = alpha.denominator
     a = alpha.numerator % q
-    e = Fraction(eps)
-    allowed = {r for r in range(q) if min(Fraction(r, q), Fraction(q - r, q)) < e}
-    mask = 0
-    for n in range(lo, hi + 1):
-        if all((p.eval(n) * a) % q in allowed for p in family.polys):
-            mask |= 1 << (n - lo)
-    return WindowSet(lo, hi, mask)
+    allowed = {r for r in range(q) if min(Fraction(r, q), Fraction(q - r, q)) < Fraction(eps)}
+    period = q * factorial(max([0, *(p.degree for p in family.polys)]))
+    word = "".join(
+        "1" if all((p.eval(n) * a) % q in allowed for p in family.polys) else "0"
+        for n in range(lo, min(hi, lo + period - 1) + 1)
+    )
+    width = hi - lo + 1
+    return WindowSet(lo, hi, int((word * (width // len(word) + 1))[:width][::-1], 2))
 
 
 def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int]:
@@ -347,16 +352,9 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
             elif pws_cfg.get("mandatory"):
                 return report, INFEASIBLE
         if oracle:
-            if not (
-                isinstance(sys_spec, TorusRotation)
-                and sys_spec.exact
-                and sys_spec.dim == 1
-                and "x" not in cfg
-                and "center" not in cfg
-            ):
-                raise ConfigError(
-                    "--oracle needs a 1-dim rational rotation from the base point"
-                )
+            if not (isinstance(sys_spec, TorusRotation) and sys_spec.exact and sys_spec.dim == 1
+                    and "x" not in cfg and "center" not in cfg):
+                raise ConfigError("--oracle needs a 1-dim rational rotation from the base point")
             o = _rational_rotation_oracle(cfg["system"], family, eps_f, lo, hi)
             report["results"]["oracle_match"] = o == rs
     return report, 0

@@ -89,9 +89,11 @@ def window_from_source(obj: dict, rng: Optional[random.Random] = None) -> Window
     kinds: literal {lo, hi, members}, file {path}, sturmian {alpha,
     window}, congruence {modulus, residues, window}, full {window},
     random_thick_syndetic {window} (uses the supplied seeded rng).  A
-    source of the wrong shape, such as a file holding a JSON list or a
-    string of members, raises ValueError.
+    source of the wrong shape, such as one that is not an object, a file
+    holding a JSON list or a string of members, raises ValueError.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a set source must be an object, got {obj!r}")
     kind = obj.get("kind")
     try:
         if kind == "literal":

@@ -26,9 +26,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+from . import bitops
 from .errors import NotNormalFormError, RadiusExhaustedError
 from .polynomials import PolyFamily, check_normal_form
-from .systems import PointLike, SystemSpec, chunks, survivors
+from .systems import PointLike, SystemSpec, chunks, fold_period, survivors
 from .windows import WindowSet
 
 
@@ -268,7 +269,8 @@ def recurrence_times(
     within eps of the base block in the sup metric }.
 
     Recomputation (not trimming) keeps the comparison radius constant,
-    which is what the infinite-sequence statement truncates to.
+    which is what the infinite-sequence statement truncates to.  A window
+    wider than its ``fold_period`` P tiles the mask of [-N, P - N).
     """
     violation = check_normal_form(family)
     if violation is not None:
@@ -279,8 +281,10 @@ def recurrence_times(
         [sys.iterate(x, p.eval(j)) for p in higher]
         for j in range(-radius, radius + 1)
     ]
+    period = fold_period(sys, x, family)
+    tiled = period is not None and period <= 2 * n_bound
     mask = 0
-    for chunk in chunks(-n_bound, n_bound):
+    for chunk in chunks(-n_bound, period - n_bound - 1 if tiled else n_bound):
         start, alive = chunk.start, chunk
         # the filters run in the order of the per-n checks, so each
         # (n, coordinate) pair is decided only when the earlier ones held
@@ -292,6 +296,8 @@ def recurrence_times(
             for vals, center in zip(tables, row):
                 alive = survivors(sys, x, center, eps, alive, [vals[n + off] for n in alive])
         mask |= sum(1 << (n - start) for n in alive) << (start + n_bound)
+    if tiled:
+        mask = bitops.tile_mask(mask, period, 2 * n_bound + 1)
     return WindowSet(-n_bound, n_bound, mask)
 
 

@@ -16,6 +16,13 @@ forward differences, so they equal the per-time ``eval`` values.
 ``return_set_1d`` decides an even family (p_i(-n) = p_i(n) for every
 i, as for n^2 or n^4 + n^2) once per |n| and mirrors the mask onto the
 negative times, which ask the same questions.
+
+Period lemma: an integer-valued p of degree d has p(n + Q d!) = p(n)
+mod Q, as it sums integer multiples of C(n, k) = f_k(n) / k!, k <= d,
+with f_k in Z[n].  So when T^Q x = x (``fold_period``) the return set
+on Z has period P = Q d!, and on a wider window ``return_set_1d`` and
+``recurrence_times`` decide [lo, lo + P) only and tile the mask.  Named
+constants never fold: their P would be about 2^256.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import List, Optional, Tuple, Union
 from . import bitops
 from .errors import BadBoundError, BadEpsilonError, EmptySetError
 from .polynomials import PolyFamily
-from .systems import PointLike, SystemSpec, chunks, survivors
+from .systems import PointLike, SystemSpec, chunks, fold_period, survivors
 from .windows import GridSet, PwsCert2D, WindowSet, column_dilations, max_rectangle_cols
 
 
@@ -56,12 +63,15 @@ def return_set_1d(q: ReturnQuery) -> WindowSet:
 
     When every p_i is even, n and -n ask the same question, so a window
     reaching below 0 is decided on the |n| range [dlo, dhi] only; the
-    n < 0 part of the mask is that result's bits reversed.
+    n < 0 part of the mask is that result's bits reversed.  A window wider
+    than its ``fold_period`` P tiles the mask of [lo, lo + P) instead.
     """
     lo, hi = q.window
     sys, x, center, eps = q.sys, q.x, q.center, q.eps
-    fold = lo < 0 and lo <= hi and all(p.is_even() for p in q.family.polys)
-    dlo, dhi = (max(0, -hi), max(hi, -lo)) if fold else (lo, hi)
+    period = fold_period(sys, x, q.family)
+    tiled = period is not None and period <= hi - lo
+    fold = not tiled and lo < 0 and lo <= hi and all(p.is_even() for p in q.family.polys)
+    dlo, dhi = (max(0, -hi), max(hi, -lo)) if fold else (lo, lo + period - 1 if tiled else hi)
     mask = 0
     for chunk in chunks(dlo, dhi):
         start, alive = chunk.start, chunk
@@ -73,6 +83,8 @@ def return_set_1d(q: ReturnQuery) -> WindowSet:
         width = -lo - dlo + 1
         below = bitops.reverse_bits(mask & bitops.mask_of(width), width)
         mask = below | ((mask & bitops.mask_of(max(0, hi + 1))) << -lo)
+    if tiled:
+        mask = bitops.tile_mask(mask, period, hi - lo + 1)
     return WindowSet(lo, hi, mask)
 
 

@@ -40,12 +40,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from math import factorial, lcm
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import bitops
 from .constants import DEFAULT_BITS, RealSpec, parse_real
 from .errors import BadEpsilonError, EmptySetError, WindowExhaustedError
+from .polynomials import PolyFamily
 from .windows import WindowSet
 
 
@@ -483,6 +484,21 @@ def survivors(
     """The entries of ``alive`` whose time t (same position in ``times``)
     puts T^t x in B(center, eps)."""
     return [n for n, hit in zip(alive, sys.hits(x, center, eps, times)) if hit]
+
+
+def fold_period(sys: SystemSpec, x: PointLike, family: PolyFamily) -> Optional[int]:
+    """P = Q d!, a period in n of the decisions about T^{p_i(n)} x (the lemma
+    in ``returnsets``): Q is the lcm of the denominators of the parameters and
+    of x, doubled on the skew product and the Heisenberg group for their
+    C(t, 2) terms.  None on a failed check T^Q x = x, a named constant or a subshift."""
+    if isinstance(sys, IndicatorSubshift) or not sys.exact:
+        return None
+    q = lcm(*(v.denominator for v in chain(sys._params, x.coords)))
+    if not isinstance(sys, TorusRotation):
+        q *= 2
+    if sys.iterate(x, q) != x:
+        return None
+    return q * factorial(max([0, *(p.degree for p in family.polys)]))
 
 
 def system_from_json_obj(obj: dict) -> SystemSpec:

@@ -35,6 +35,20 @@ _VERSION_1D = 1
 _VERSION_2D = 2
 
 
+def _read_bitmap(raw: bytes, fmt: str, version: int) -> Tuple[list, bytes]:
+    """Header fields after the version, and the body, of a ``PSYN`` bitmap;
+    ValueError on a bad magic, a short header or another version."""
+    if raw[:4] != _BITMAP_MAGIC:
+        raise ValueError("bad magic")
+    size = 4 + struct.calcsize(fmt)
+    if len(raw) < size:
+        raise ValueError(f"bitmap header needs {size} bytes, got {len(raw)}")
+    got, *header = struct.unpack_from(fmt, raw, 4)
+    if got != version:
+        raise ValueError(f"unsupported bitmap version {got}")
+    return header, raw[size:]
+
+
 class WindowSet:
     """Immutable subset of the integer interval ``[lo, hi]``.
 
@@ -174,14 +188,8 @@ class WindowSet:
     def from_bitmap_bytes(cls, raw: bytes) -> "WindowSet":
         """Inverse of :meth:`to_bitmap_bytes`; ValueError on a malformed header
         or a body of the wrong length, raised before any mask is built."""
-        if raw[:4] != _BITMAP_MAGIC:
-            raise ValueError("bad magic")
-        if len(raw) < 22:
-            raise ValueError(f"bitmap header needs 22 bytes, got {len(raw)}")
-        version, lo, hi = struct.unpack_from("<Hqq", raw, 4)
-        if version != _VERSION_1D:
-            raise ValueError(f"unsupported bitmap version {version}")
-        width, body = hi - lo + 1, raw[22:]
+        (lo, hi), body = _read_bitmap(raw, "<Hqq", _VERSION_1D)
+        width = hi - lo + 1
         if width < 1 or len(body) != (width + 63) // 64 * 8:
             raise ValueError(f"bitmap body of {len(body)} bytes for the window [{lo}, {hi}]")
         return cls(lo, hi, int.from_bytes(body, "little") & bitops.mask_of(width))
@@ -236,16 +244,8 @@ class GridSet:
         cls, box: Tuple[int, int, int, int], pred: Callable[[int, int], bool]
     ) -> "GridSet":
         mlo, mhi, nlo, nhi = box
-        rows = []
-        for m in range(mlo, mhi + 1):
-            r = 0
-            bit = 1
-            for n in range(nlo, nhi + 1):
-                if pred(m, n):
-                    r |= bit
-                bit <<= 1
-            rows.append(r)
-        return cls(box, rows)
+        cells = ((m, n) for m in range(mlo, mhi + 1) for n in range(nlo, nhi + 1))
+        return cls.from_members(box, (c for c in cells if pred(*c)))
 
     @classmethod
     def full(cls, box: Tuple[int, int, int, int]) -> "GridSet":
@@ -368,18 +368,15 @@ class GridSet:
 
     @classmethod
     def from_bitmap_bytes(cls, raw: bytes) -> "GridSet":
-        if raw[:4] != _BITMAP_MAGIC:
-            raise ValueError("bad magic")
-        version, mlo, mhi, nlo, nhi = struct.unpack_from("<Hqqqq", raw, 4)
-        if version != _VERSION_2D:
-            raise ValueError(f"unsupported bitmap version {version}")
-        words = (nhi - nlo + 1 + 63) // 64
-        off = 4 + 2 + 32
-        rows = []
+        """Inverse of :meth:`to_bitmap_bytes`; ValueError on a malformed header
+        or a body of the wrong length, raised before any row is built."""
+        (mlo, mhi, nlo, nhi), body = _read_bitmap(raw, "<Hqqqq", _VERSION_2D)
+        stride = (nhi - nlo + 64) // 64 * 8  # bytes per row
+        if mlo > mhi or nlo > nhi or len(body) != (mhi - mlo + 1) * stride:
+            raise ValueError(f"bitmap body of {len(body)} bytes for the box {(mlo, mhi, nlo, nhi)}")
         w_mask = bitops.mask_of(nhi - nlo + 1)
-        for _ in range(mhi - mlo + 1):
-            rows.append(int.from_bytes(raw[off : off + words * 8], "little") & w_mask)
-            off += words * 8
+        rows = [int.from_bytes(body[i : i + stride], "little") & w_mask
+                for i in range(0, len(body), stride)]
         return cls((mlo, mhi, nlo, nhi), rows)
 
 

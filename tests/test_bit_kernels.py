@@ -264,6 +264,13 @@ def test_mask_builders_match_per_bit_loops(lo, span, seed):
     assert got.mask == oracle_random_thick_syndetic(lo, hi, random.Random(seed))
 
 
+@given(st.integers(0, 2**70), st.integers(1, 70), st.integers(1, 300))
+@settings(max_examples=100, deadline=None)
+def test_tile_mask_repeats_the_low_word(x, period, width):
+    want = sum(1 << i for i in range(width) if (x >> (i % period)) & 1)
+    assert bitops.tile_mask(x, period, width) == want
+
+
 def test_from_members_names_the_first_member_outside():
     for members, bad in [([3, 11, -1], 11), ([3, -1, 11], -1), ([0, 11], 11), ([-1, 10], -1)]:
         with pytest.raises(ValueError, match=f"member {bad} outside window"):

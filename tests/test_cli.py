@@ -325,6 +325,17 @@ def test_malformed_set_file_exit_2(tmp_path, capsys, name, raw, message):
     assert "analyze: config error: " in err and message in err
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("analyze", {"set": 5}),
+    ("thmb", {**THMB_ROW_CFG, "target": [0, 1, 2]}),
+], ids=["analyze-set-number", "thmb-target-list"])
+def test_set_source_not_an_object_exit_2(tmp_path, capsys, command, cfg):
+    code, report, _ = run(tmp_path, command, cfg)
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err
+    assert f"{command}: config error: " in err and "must be an object" in err
+
+
 def test_induced_report(tmp_path):
     cfg = {
         "system": {"type": "rotation", "alpha": ["1/4"]},

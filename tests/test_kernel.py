@@ -11,9 +11,13 @@ old form: ``Fraction`` coordinates on a rational system, integers at
 (the 27-translate minimum for the Heisenberg group), and the return-set
 and recurrence loops that call both once per (time, polynomial) pair.
 The library must give the same points, decisions and masks bit for bit.
+
+The per-n ``--oracle`` of ``psynd returns``, which the one-period oracle
+replaced, is kept verbatim as ``model_rational_rotation_oracle``.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -35,9 +39,11 @@ from psynd import (
     return_set_1d,
     return_set_2d,
 )
+from psynd import bitops
+from psynd.cli import _rational_rotation_oracle
 from psynd.errors import BadEpsilonError, NotNormalFormError
 from psynd.polynomials import check_normal_form
-from psynd.systems import CHUNK, Point
+from psynd.systems import CHUNK, Point, fold_period
 
 # -- oracles: the per-point code the kernel replaced --------------------
 
@@ -256,6 +262,22 @@ def oracle_recurrence_times(sys, x, family, radius, eps, n_bound) -> WindowSet:
     return WindowSet(-n_bound, n_bound, mask)
 
 
+def model_rational_rotation_oracle(sys_obj: dict, family: PolyFamily, eps, lo: int, hi: int) -> WindowSet:
+    """Independent modular-arithmetic evaluation for 1-dim rational rotations
+    started at 0 with center 0.  It calls ``p.eval(n)`` per n on purpose, to
+    share no evaluation code with the forward-difference path it checks."""
+    alpha = Fraction(sys_obj["alpha"][0] if isinstance(sys_obj["alpha"], list) else sys_obj["alpha"])
+    q = alpha.denominator
+    a = alpha.numerator % q
+    e = Fraction(eps)
+    allowed = {r for r in range(q) if min(Fraction(r, q), Fraction(q - r, q)) < e}
+    mask = 0
+    for n in range(lo, hi + 1):
+        if all((p.eval(n) * a) % q in allowed for p in family.polys):
+            mask |= 1 << (n - lo)
+    return WindowSet(lo, hi, mask)
+
+
 # -- strategies ----------------------------------------------------------
 
 EPSILONS = [Fraction(1, 1000), Fraction(3, 10), Fraction(1, 2), Fraction(2, 3)]
@@ -454,3 +476,125 @@ def test_subshift_matches_per_point_loop(bits, shift, win, fam, eps):
             return_set_1d(q)
     else:
         assert return_set_1d(q) == want
+
+
+# -- rational systems: one period decided, then tiled ----------------------
+
+# small denominators keep P = Q d! near the window widths below, so that
+# windows both shorter and longer than P occur
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def rational_queries(draw):
+    """(system, x, center, eps) on a rational system; center is x or an iterate of it."""
+    kind = draw(st.sampled_from(["rotation1", "rotation2", "skew", "heisenberg"]))
+    real = lambda: parse_real(str(draw(small_rationals)))  # noqa: E731
+    if kind.startswith("rotation"):
+        sys = TorusRotation(tuple(real() for _ in range(int(kind[-1]))))
+    elif kind == "skew":
+        sys = SkewProduct(real())
+    else:
+        sys = HeisenbergNil(real(), real())
+    x = sys.make_point([draw(small_rationals) for _ in sys.base_point().coords])
+    center = sys.iterate(x, draw(st.integers(-50, 50))) if draw(st.booleans()) else x
+    return sys, x, center, draw(st.sampled_from(EPSILONS))
+
+
+# C(n, 2) and C(n, 3) are not integer polynomials: p(n + Q) = p(n) mod Q
+# can fail for them, and only p(n + Q d!) = p(n) mod Q holds
+FOLD_FAMILIES = FAMILIES + [["[0,0,1]"], ["n", "[0,0,0,1]"]]
+
+# up to 300 points: mostly across 0 or all negative
+wide_window = st.tuples(st.integers(-320, 20), st.integers(1, 300)).map(
+    lambda t: (t[0], t[0] + t[1] - 1)
+)
+
+
+@given(rational_queries(), wide_window, st.sampled_from(FOLD_FAMILIES))
+@settings(max_examples=80, deadline=None)
+def test_folded_return_set_1d_matches_per_point_loop(query, win, fam):
+    sys, x, center, eps = query
+    q = ReturnQuery(sys, x, center, eps, PolyFamily.parse(fam), win)
+    assert return_set_1d(q) == oracle_return_set_1d(q)
+
+
+@given(
+    rational_queries(),
+    st.sampled_from(NORMAL_FAMILIES + [["n", "[0,0,1]"]]),
+    st.integers(0, 2),
+    st.integers(0, 120),
+)
+@settings(max_examples=40, deadline=None)
+def test_folded_recurrence_times_matches_per_point_loop(query, fam, radius, n_bound):
+    sys, x, _, eps = query
+    family = PolyFamily.parse(fam)
+    got = recurrence_times(sys, x, family, radius, eps, n_bound)
+    assert got == oracle_recurrence_times(sys, x, family, radius, eps, n_bound)
+
+
+@pytest.mark.parametrize("sys, coords, period", [
+    (TorusRotation((parse_real("1/6"),)), ["0"], 6 * 6),
+    (TorusRotation((parse_real("1/6"), parse_real("3/4"))), ["1/3", "0"], 12 * 6),
+    (SkewProduct(parse_real("2/5")), ["1/2", "0"], 2 * 10 * 6),
+    (HeisenbergNil(parse_real("1/3"), parse_real("1/2")), ["0", "1/2", "1/4"], 2 * 12 * 6),
+], ids=["rotation1", "rotation2", "skew", "heisenberg"])
+def test_windows_wider_than_the_period_fold(sys, coords, period):
+    # P = Q d! with d = 3 for n^3 + n, and the window holds about 2.5 periods
+    x = sys.make_point(coords)
+    fam = PolyFamily.parse(["n", "n^3+n"])
+    assert fold_period(sys, x, fam) == period
+    half = 5 * period // 4
+    q = ReturnQuery(sys, x, x, Fraction(3, 10), fam, (-half, half))
+    assert return_set_1d(q) == oracle_return_set_1d(q)
+    got = recurrence_times(sys, x, fam, 1, Fraction(3, 10), half)
+    assert got == oracle_recurrence_times(sys, x, fam, 1, Fraction(3, 10), half)
+
+
+def test_no_fold_when_the_candidate_period_fails():
+    # Q = 2 lcm(8, 5, 4) = 80, but the term t a y of T^80 x is 80 * 3/8 * 1/4
+    # = 15/2, so T^80 x != x.  The set is not 80-periodic: a fold would be wrong
+    heis = HeisenbergNil(parse_real("3/8"), parse_real("1/5"))
+    x = heis.make_point(["0", "1/4", "0"])
+    fam = PolyFamily.parse(["n"])
+    assert heis.iterate(x, 80) != x
+    assert fold_period(heis, x, fam) is None
+    q = ReturnQuery(heis, x, x, Fraction(1, 3), fam, (-200, 400))
+    want = oracle_return_set_1d(q)
+    assert bitops.tile_mask(want.mask, 80, want.width) != want.mask
+    assert return_set_1d(q) == want
+    got = recurrence_times(heis, x, fam, 0, Fraction(1, 3), 300)
+    assert got == oracle_recurrence_times(heis, x, fam, 0, Fraction(1, 3), 300)
+
+
+@pytest.mark.parametrize("sys", [
+    TorusRotation((parse_real("sqrt2"),)),
+    IndicatorSubshift(WindowSet(-5, 5, 0b10110100101)),
+], ids=["named-constant", "subshift"])
+def test_no_fold_without_a_rational_period(sys):
+    assert fold_period(sys, sys.base_point(), PolyFamily.parse(["n^2"])) is None
+
+
+@st.composite
+def unit_rotations(draw):
+    q = draw(st.integers(1, 12))
+    a = draw(st.sampled_from([a for a in range(q) if gcd(a, q) == 1]))
+    return {"type": "rotation", "alpha": [f"{a + q * draw(st.integers(-1, 1))}/{q}"]}
+
+
+@given(
+    unit_rotations(),
+    st.sampled_from([["n^2"], ["n", "n^2"], ["n^3+n"], ["n^4-n^2"], ["2n", "n^4-n^2"],
+                     ["[0,0,1]"], ["n", "[0,0,0,0,1]"]]),
+    st.sampled_from(EPSILONS),
+    st.integers(-400, 400),
+    st.integers(1, 700),
+)
+@settings(max_examples=150, deadline=None)
+def test_one_period_oracle_matches_per_n_model(sys_obj, fam, eps, lo, width):
+    # n^4 - n^2 or C(n, 4) at q = 12 has P = 288: windows both shorter and
+    # longer occur; C(n, k) repeats mod q with period q k!, not q
+    family = PolyFamily.parse(fam)
+    hi = lo + width - 1
+    want = model_rational_rotation_oracle(sys_obj, family, eps, lo, hi)
+    assert _rational_rotation_oracle(sys_obj, family, eps, lo, hi) == want

@@ -80,6 +80,19 @@ def test_window_bitmap_rejects_bad_lengths():
         WindowSet.from_bitmap_bytes(huge)
 
 
+def test_grid_bitmap_rejects_bad_lengths():
+    raw = GridSet.full((0, 3, 0, 9)).to_bitmap_bytes()
+    empty = b"PSYN" + struct.pack("<Hqqqq", 2, 0, 3, 5, 4)
+    for bad, message in [(raw[:6], "header"), (raw[:37], "header"), (raw[:-8], "body"),
+                         (raw[:-1], "body"), (raw + bytes(8), "body"), (empty, "body")]:
+        with pytest.raises(ValueError, match=message):
+            GridSet.from_bitmap_bytes(bad)
+    # 2^40 rows declared over one word fail before any row is built
+    huge = b"PSYN" + struct.pack("<Hqqqq", 2, 0, 2**40 - 1, 0, 9) + bytes(8)
+    with pytest.raises(ValueError, match="body"):
+        GridSet.from_bitmap_bytes(huge)
+
+
 def test_certificate_json_roundtrip():
     certs = [
         SyndeticCert(3, (-7, 7)),
