@@ -16,24 +16,11 @@ section 7-3).  No Python step runs per cell.
 from __future__ import annotations
 
 from itertools import compress, count
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 
 def mask_of(width: int) -> int:
     return (1 << width) - 1
-
-
-def from_positions(positions: Iterable[int], width: int) -> int:
-    """Mask of ``width`` bits with bit ``i`` set for each ``i`` in ``positions``.
-
-    Bits go into a bytearray that becomes an int once, so a wide mask
-    costs no growing-int operation per bit.  Positions must lie in
-    [0, width).
-    """
-    buf = bytearray((width + 7) // 8)
-    for i in positions:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
 
 
 def _swap_mask(side: int, j: int) -> int:
@@ -171,6 +158,7 @@ def has_run(x: int, k: int) -> Optional[int]:
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_SELECTOR_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def bit_selectors(x: int) -> bytes:
@@ -181,6 +169,13 @@ def bit_selectors(x: int) -> bytes:
     sequence indexed by bit position.
     """
     return bin(x)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def from_selectors(sel: bytes) -> int:
+    """Inverse of :func:`bit_selectors`: bit i is byte i of ``sel`` (0 or 1),
+    as binary digits read backwards by ``int``, in C (base 2 is exempt from
+    ``int_max_str_digits``).  Empty ``sel`` gives 0."""
+    return int(sel.translate(_SELECTOR_DIGITS)[::-1] or b"0", 2)
 
 
 def iter_bits(x: int, start: int = 0) -> Iterator[int]:

@@ -14,6 +14,7 @@ empty set, or a subshift word too short for the requested decision.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -140,7 +141,7 @@ def cmd_analyze(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
             "set_source": cfg["set"],
             "certificates": cfg.get("certificates", {}),
         },
-        "set": s if s.width <= 200000 else {"lo": s.lo, "hi": s.hi},
+        "set": s,
         "results": {},
         "certificates": [],
     }
@@ -449,6 +450,8 @@ def cmd_nilcheck(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
 
 def cmd_verify(report_path: str) -> int:
     """Re-verify every certificate in a report; a malformed report exits 2 first."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # until the JSON is freed: it has no cycles, yet a collection rescans it
     try:
         report = json.loads(Path(report_path).read_text(encoding="utf-8"))
         set_obj = report.get("set") if isinstance(report, dict) else None
@@ -457,6 +460,7 @@ def cmd_verify(report_path: str) -> int:
         planar = "box" in set_obj
         the_set = (GridSet if planar else WindowSet).from_json_obj(set_obj)
         certs = [cert_from_json_obj(obj) for obj in report.get("certificates", [])]
+        del report, set_obj
         # built per call, so that the verifier names are resolved when verify runs
         verifiers = {
             windows.PwsCert2D: verify_pws_2d,
@@ -474,6 +478,9 @@ def cmd_verify(report_path: str) -> int:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"verify: bad report: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     failures = 0
     for cert in certs:
         ok = verifiers[type(cert)](the_set, cert)

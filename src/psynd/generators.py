@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -36,16 +37,8 @@ def sturmian_window(
     scaled = spec.fixed(bits)
     mask_mod = (1 << bits) - 1
     half = 1 << (bits - 1)
-    width = hi - lo + 1
-
-    def positions():
-        x = lo * scaled
-        for i in range(width):
-            if x & mask_mod < half:
-                yield i
-            x += scaled
-
-    return WindowSet(lo, hi, bitops.from_positions(positions(), width))
+    xs = accumulate(repeat(scaled, hi - lo), initial=lo * scaled)
+    return WindowSet(lo, hi, bitops.from_selectors(bytes([x & mask_mod < half for x in xs])))
 
 
 def congruence_window(modulus: int, residues, lo: int, hi: int) -> WindowSet:
@@ -63,17 +56,16 @@ def random_thick_syndetic(
     width = hi - lo + 1
     gap = rng.randint(1, 6)
     phase = rng.randint(0, gap - 1)
-
-    def positions():
-        pos = lo
-        while pos <= hi:
-            run = rng.randint(max(1, width // 20), max(2, width // 5))
-            hole = rng.randint(0, max(1, width // 10))
-            first = pos + (phase - pos) % gap  # first n >= pos with n % gap == phase
-            yield from range(first - lo, min(pos + run, hi + 1) - lo, gap)
-            pos += run + hole
-
-    return WindowSet(lo, hi, bitops.from_positions(positions(), width))
+    sel = bytearray(width)
+    pos = lo
+    while pos <= hi:
+        run = rng.randint(max(1, width // 20), max(2, width // 5))
+        hole = rng.randint(0, max(1, width // 10))
+        first = pos + (phase - pos) % gap  # first n >= pos with n % gap == phase
+        block = range(first - lo, min(pos + run, hi + 1) - lo, gap)
+        sel[block.start : block.stop : gap] = bytes([1]) * len(block)
+        pos += run + hole
+    return WindowSet(lo, hi, bitops.from_selectors(sel))
 
 
 def load_window_file(path: str) -> WindowSet:

@@ -488,17 +488,17 @@ def survivors(
 
 def fold_period(sys: SystemSpec, x: PointLike, family: PolyFamily) -> Optional[int]:
     """P = Q d!, a period in n of the decisions about T^{p_i(n)} x (the lemma
-    in ``returnsets``): Q is the lcm of the denominators of the parameters and
-    of x, doubled on the skew product and the Heisenberg group for their
-    C(t, 2) terms.  None on a failed check T^Q x = x, a named constant or a subshift."""
+    in ``returnsets``), Q the first candidate with T^Q x = x.  L, the lcm of the
+    denominators of the parameters and of x, on a rotation; 2L for the C(t, 2)
+    terms of the skew product and the Heisenberg group, then 2L^2 for the latter's
+    t a y (15/2 at t = 2L = 80, a = 3/8, y = 1/4), at which every term is an
+    integer.  None when no candidate passes, on a named constant or a subshift."""
     if isinstance(sys, IndicatorSubshift) or not sys.exact:
         return None
     q = lcm(*(v.denominator for v in chain(sys._params, x.coords)))
-    if not isinstance(sys, TorusRotation):
-        q *= 2
-    if sys.iterate(x, q) != x:
-        return None
-    return q * factorial(max([0, *(p.degree for p in family.polys)]))
+    candidates = (q,) if isinstance(sys, TorusRotation) else (2 * q, 2 * q * q)
+    q = next((c for c in candidates if sys.iterate(x, c) == x), None)
+    return None if q is None else q * factorial(max([0, *(p.degree for p in family.polys)]))
 
 
 def system_from_json_obj(obj: dict) -> SystemSpec:

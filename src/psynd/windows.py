@@ -23,7 +23,9 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, fields
-from itertools import compress, repeat
+from functools import reduce
+from itertools import compress, islice, product, repeat, starmap
+from operator import or_, sub
 from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -76,18 +78,16 @@ class WindowSet:
 
     @classmethod
     def from_members(cls, lo: int, hi: int, members: Iterable[int]) -> "WindowSet":
-        def positions():
-            for m in members:
-                if not lo <= m <= hi:
-                    raise ValueError(f"member {m} outside window [{lo},{hi}]")
-                yield m - lo
-
-        return cls(lo, hi, bitops.from_positions(positions(), hi - lo + 1))
+        sel = bytearray(max(0, hi - lo + 1))
+        for m in members:
+            if not lo <= m <= hi:
+                raise ValueError(f"member {m} outside window [{lo},{hi}]")
+            sel[m - lo] = 1
+        return cls(lo, hi, bitops.from_selectors(sel))
 
     @classmethod
     def from_predicate(cls, lo: int, hi: int, pred: Callable[[int], bool]) -> "WindowSet":
-        positions = (n - lo for n in range(lo, hi + 1) if pred(n))
-        return cls(lo, hi, bitops.from_positions(positions, hi - lo + 1))
+        return cls(lo, hi, bitops.from_selectors(bytes(map(bool, map(pred, range(lo, hi + 1))))))
 
     @classmethod
     def full(cls, lo: int, hi: int) -> "WindowSet":
@@ -228,24 +228,28 @@ class GridSet:
         cls, box: Tuple[int, int, int, int], members: Iterable[Tuple[int, int]]
     ) -> "GridSet":
         mlo, mhi, nlo, nhi = box
-        stride = (nhi - nlo + 8) // 8  # bytes per row
-        buf = bytearray(stride * (mhi - mlo + 1))
+        w = nhi - nlo + 1
+        sel = bytearray(max(0, w * (mhi - mlo + 1)))
         for m, n in members:
             if not (mlo <= m <= mhi and nlo <= n <= nhi):
                 raise ValueError(f"member {(m, n)} outside box")
-            k = n - nlo
-            buf[(m - mlo) * stride + (k >> 3)] |= 1 << (k & 7)
-        raw = memoryview(buf)
-        return cls(box, [int.from_bytes(raw[i : i + stride], "little")
-                         for i in range(0, len(buf), stride)])
+            sel[(m - mlo) * w + n - nlo] = 1
+        return cls._from_cells(box, sel)
 
     @classmethod
     def from_predicate(
         cls, box: Tuple[int, int, int, int], pred: Callable[[int, int], bool]
     ) -> "GridSet":
         mlo, mhi, nlo, nhi = box
-        cells = ((m, n) for m in range(mlo, mhi + 1) for n in range(nlo, nhi + 1))
-        return cls.from_members(box, (c for c in cells if pred(*c)))
+        cells = product(range(mlo, mhi + 1), range(nlo, nhi + 1))
+        return cls._from_cells(box, bytes(map(bool, starmap(pred, cells))))
+
+    @classmethod
+    def _from_cells(cls, box: Tuple[int, int, int, int], sel: bytes) -> "GridSet":
+        """The set whose cell (m, n) is selector byte (m - mlo) w + n - nlo."""
+        w = box[3] - box[2] + 1
+        return cls(box, [bitops.from_selectors(sel[i * w : i * w + w])
+                         for i in range(box[1] - box[0] + 1)])
 
     @classmethod
     def full(cls, box: Tuple[int, int, int, int]) -> "GridSet":
@@ -858,19 +862,22 @@ def best_slice(
 def _covered(s: WindowSet, lo: int, hi: int, w0: int, w1: int) -> bool:
     """True when every x in [lo, hi] has a member of ``s`` in [x+w0, x+w1].
 
-    Every positive certificate is such a claim.  Walks the members in order,
-    keeping the first x not yet served; member p serves [p-w1, p-w0].
+    Every positive certificate is such a claim.  Member p serves [p-w1, p-w0],
+    so only the members p_1 < ... < p_k in [lo+w0, hi+w1] serve [lo, hi], and
+    they cover it iff p_1 - w1 <= lo, p_k - w0 >= hi and no gap p_{j+1} - p_j
+    exceeds w1 - w0 + 1.  Such gaps make the intervals meet.  A larger gap
+    leaves the hole [p_j - w0 + 1, p_{j+1} - w1 - 1], served by no member,
+    whose start lies in [lo, hi]: above lo as p_j >= lo + w0, and not above
+    the hole's end, which p_{j+1} <= hi + w1 puts below hi.  With w1 < w0
+    the test fails: p - w1 <= lo <= hi <= p - w0 is impossible, and two
+    members differ by more than w1 - w0 + 1 <= 0.
     """
+    if lo > hi:
+        return True
     a, b = max(lo + w0, s.lo), min(hi + w1, s.hi)
-    x = lo
-    if a <= b:
-        for p in s.restrict(a, b).members():
-            if p - w1 > x:
-                return False
-            x = max(x, p - w0 + 1)
-            if x > hi:
-                return True
-    return x > hi
+    ps = list(s.restrict(a, b).members()) if a <= b else []
+    return (bool(ps) and ps[0] - w1 <= lo and ps[-1] - w0 >= hi
+            and max(map(sub, islice(ps, 1, None), ps), default=0) <= w1 - w0 + 1)
 
 
 def _covered_2d(
@@ -879,9 +886,7 @@ def _covered_2d(
     """True when every (m, n) in ``region`` has a member in [m+i0, m+i1] x [n+j0, n+j1]."""
     mlo, mhi, nlo, nhi = region
     for m in range(mlo, mhi + 1):
-        acc = 0
-        for r in e.rows[max(m + i0 - e.mlo, 0) : max(m + i1 - e.mlo + 1, 0)]:
-            acc |= r
+        acc = reduce(or_, e.rows[max(m + i0 - e.mlo, 0) : max(m + i1 - e.mlo + 1, 0)], 0)
         if not _covered(WindowSet(e.nlo, e.nhi, acc), nlo, nhi, j0, j1):
             return False
     return True

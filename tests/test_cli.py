@@ -1,11 +1,13 @@
 """Driver behavior: reports, determinism, verification, exit codes."""
 
+import gc
 import json
 import struct
 from fractions import Fraction
 
 import pytest
 
+import psynd.cli
 from psynd import (
     GridSet,
     PolyFamily,
@@ -436,6 +438,68 @@ def test_verify_malformed_report_exit_2(tmp_path, capsys, set_kind, cert, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("set_obj, message", [
+    ({"lo": 0, "hi": 10, "members": [1, 2.5]}, "not float"),
+    ({"lo": 0, "hi": 10, "members": [1, "2"]}, "'<=' not supported"),
+    ({"lo": 0, "hi": 10, "members": [3, 11, 12, -1]}, "member 11 outside window [0,10]"),
+    ({"box": [0, 4, 0, 4], "members": [[0, 1.5]]}, "not float"),
+    ({"box": [0, 4, 0, 4], "members": [["0", 1]]}, "'<=' not supported"),
+    ({"box": [0, 4, 0, 4], "members": [[0, 1], [0, 1, 2]]}, "too many values to unpack"),
+    ({"box": [0, 4, 0, 4], "members": [[0, 0], [0, 5], [5, 0]]}, "member (0, 5) outside box"),
+], ids=["float", "string", "outside", "2d-float", "2d-string", "2d-triple", "2d-outside"])
+def test_verify_malformed_members_exit_2(tmp_path, capsys, set_obj, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"set": set_obj, "certificates": []}))
+    assert main(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verify: bad report: ") and message in captured.err
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("outcome", [0, 1, 2], ids=["ok", "FAIL", "bad-report"])
+def test_verify_restores_the_gc_state(tmp_path, monkeypatch, enabled, outcome):
+    # the set decodes with the cyclic GC paused, and the certificates verify
+    # with the caller's state back, whichever way verify ends
+    the_set, cert, tamper = TAMPERED["pws2d"]
+    obj = cert.to_json_obj()
+    if outcome == 1:
+        tamper(obj)
+    if outcome == 2:
+        obj = {"type": "bogus"}
+    seen = {}
+
+    def spy(name, fn):
+        def wrapper(*args):
+            seen[name] = gc.isenabled()
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(GridSet, "from_json_obj", spy("decode", GridSet.from_json_obj))
+    monkeypatch.setattr(psynd.cli, "verify_pws_2d", spy("verify", psynd.cli.verify_pws_2d))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert verify_report(tmp_path, the_set, obj) == outcome
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen["decode"] is False
+    assert seen.get("verify", enabled) is enabled
+
+
+def test_analyze_embeds_a_set_wider_than_2e5(tmp_path, capsys):
+    cfg = {"set": {"kind": "sturmian", "alpha": "golden", "window": [-150000, 150000]},
+           "certificates": {"syndetic": {"N": 3}, "pws": {"b_max": 2, "L": 1000}}}
+    code, report, out_path = run(tmp_path, "analyze", cfg)
+    assert code == 0
+    assert report["set"]["lo"] == -150000 and report["set"]["hi"] == 150000
+    assert report["set"]["members"] == list(sturmian_window("golden", -150000, 150000).members())
+    assert main(["verify", "--config", str(out_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["thick: ok", "syndetic: ok", "pws: ok"]
 
 
 def test_each_subcommand_takes_only_its_flags(tmp_path):

@@ -551,20 +551,22 @@ def test_windows_wider_than_the_period_fold(sys, coords, period):
     assert got == oracle_recurrence_times(sys, x, fam, 1, Fraction(3, 10), half)
 
 
-def test_no_fold_when_the_candidate_period_fails():
-    # Q = 2 lcm(8, 5, 4) = 80, but the term t a y of T^80 x is 80 * 3/8 * 1/4
-    # = 15/2, so T^80 x != x.  The set is not 80-periodic: a fold would be wrong
+def test_heisenberg_folds_at_2l_squared_when_2l_fails():
+    # 2L = 2 lcm(8, 5, 4) = 80, but the term t a y of T^80 x is 80 * 3/8 * 1/4
+    # = 15/2, so T^80 x != x and the set is not 80-periodic.  At 2L^2 = 3200
+    # every term is an integer: the window of 3601 points folds at P = 3200
     heis = HeisenbergNil(parse_real("3/8"), parse_real("1/5"))
     x = heis.make_point(["0", "1/4", "0"])
     fam = PolyFamily.parse(["n"])
     assert heis.iterate(x, 80) != x
-    assert fold_period(heis, x, fam) is None
-    q = ReturnQuery(heis, x, x, Fraction(1, 3), fam, (-200, 400))
+    assert fold_period(heis, x, fam) == 3200
+    q = ReturnQuery(heis, x, x, Fraction(1, 3), fam, (-1200, 2400))
     want = oracle_return_set_1d(q)
     assert bitops.tile_mask(want.mask, 80, want.width) != want.mask
+    assert bitops.tile_mask(want.mask, 3200, want.width) == want.mask
     assert return_set_1d(q) == want
-    got = recurrence_times(heis, x, fam, 0, Fraction(1, 3), 300)
-    assert got == oracle_recurrence_times(heis, x, fam, 0, Fraction(1, 3), 300)
+    got = recurrence_times(heis, x, fam, 0, Fraction(1, 3), 1700)
+    assert got == oracle_recurrence_times(heis, x, fam, 0, Fraction(1, 3), 1700)
 
 
 @pytest.mark.parametrize("sys", [
