@@ -320,6 +320,10 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
         "results": {},
         "certificates": [],
     }
+    if oracle and not (isinstance(sys_spec, TorusRotation) and sys_spec.exact and sys_spec.dim == 1
+                       and "x" not in cfg and "center" not in cfg and "box" not in cfg):
+        raise ConfigError("--oracle needs a window and a 1-dim rational rotation"
+                          " from the base point")
     if "box" in cfg:
         box = tuple(_ints(cfg, "box", 4))
         grid = return_set_2d(ReturnQuery(sys_spec, x, center, eps_f, family, box))
@@ -353,9 +357,6 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
             elif pws_cfg.get("mandatory"):
                 return report, INFEASIBLE
         if oracle:
-            if not (isinstance(sys_spec, TorusRotation) and sys_spec.exact and sys_spec.dim == 1
-                    and "x" not in cfg and "center" not in cfg):
-                raise ConfigError("--oracle needs a 1-dim rational rotation from the base point")
             o = _rational_rotation_oracle(cfg["system"], family, eps_f, lo, hi)
             report["results"]["oracle_match"] = o == rs
     return report, 0

@@ -26,10 +26,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from . import bitops
 from .errors import NotNormalFormError, RadiusExhaustedError
 from .polynomials import PolyFamily, check_normal_form
-from .systems import PointLike, SystemSpec, chunks, fold_period, survivors
+from .systems import PointLike, SystemSpec, fold_period, scan
 from .windows import WindowSet
 
 
@@ -281,24 +280,18 @@ def recurrence_times(
         [sys.iterate(x, p.eval(j)) for p in higher]
         for j in range(-radius, radius + 1)
     ]
-    period = fold_period(sys, x, family)
-    tiled = period is not None and period <= 2 * n_bound
-    mask = 0
-    for chunk in chunks(-n_bound, period - n_bound - 1 if tiled else n_bound):
-        start, alive = chunk.start, chunk
-        # the filters run in the order of the per-n checks, so each
-        # (n, coordinate) pair is decided only when the earlier ones held
+
+    def conds(start, size):
+        # the per-n checks in order; row j reads each table at offset j + radius
         for a in slopes:
-            alive = survivors(sys, x, x, eps, alive, [a * n for n in alive])
-        tables = [p.values(start - radius, len(chunk) + 2 * radius) for p in higher]
-        for j, row in zip(range(-radius, radius + 1), base_tail):
-            off = j + radius - start
+            yield x, range(a * start, a * (start + size), a)
+        tables = [p.values(start - radius, size + 2 * radius) for p in higher]
+        for off, row in enumerate(base_tail):
             for vals, center in zip(tables, row):
-                alive = survivors(sys, x, center, eps, alive, [vals[n + off] for n in alive])
-        mask |= sum(1 << (n - start) for n in alive) << (start + n_bound)
-    if tiled:
-        mask = bitops.tile_mask(mask, period, 2 * n_bound + 1)
-    return WindowSet(-n_bound, n_bound, mask)
+                yield center, vals[off : off + size]
+
+    period = fold_period(sys, x, family)
+    return WindowSet(-n_bound, n_bound, scan(sys, x, eps, conds, -n_bound, n_bound, period))
 
 
 @dataclass(frozen=True)

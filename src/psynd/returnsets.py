@@ -10,19 +10,18 @@ window; certificates must only be sought inside validity, because
 outside it membership of the underlying unbounded set is unknown.
 
 Ball membership uses strict inequality everywhere so results are
-bit-reproducible for a fixed precision.  The 1D sets take each
-polynomial's values over a chunk of consecutive times from exact
-forward differences, so they equal the per-time ``eval`` values.
-``return_set_1d`` decides an even family (p_i(-n) = p_i(n) for every
-i, as for n^2 or n^4 + n^2) once per |n| and mirrors the mask onto the
-negative times, which ask the same questions.
+bit-reproducible for a fixed precision.  Both sets are ``systems.scan``s:
+1D with the exact forward-difference values of each p_i over a chunk
+(equal to ``eval``), planar column by column with the times m + p_i(n).
+An even family (p_i(-n) = p_i(n) for every i, as for n^2 or n^4 + n^2)
+is decided once per |n| and mirrored onto the negative times.
 
 Period lemma: an integer-valued p of degree d has p(n + Q d!) = p(n)
 mod Q, as it sums integer multiples of C(n, k) = f_k(n) / k!, k <= d,
 with f_k in Z[n].  So when T^Q x = x (``fold_period``) the return set
-on Z has period P = Q d!, and on a wider window ``return_set_1d`` and
-``recurrence_times`` decide [lo, lo + P) only and tile the mask.  Named
-constants never fold: their P would be about 2^256.
+on Z has period P = Q d!, in m too for the planar set (Q divides P), and
+``scan`` decides one period and tiles it.  Named constants never fold:
+their P would be about 2^256.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import List, Optional, Tuple, Union
 from . import bitops
 from .errors import BadBoundError, BadEpsilonError, EmptySetError
 from .polynomials import PolyFamily
-from .systems import PointLike, SystemSpec, chunks, fold_period, survivors
+from .systems import PointLike, SystemSpec, fold_period, scan
 from .windows import GridSet, PwsCert2D, WindowSet, column_dilations, max_rectangle_cols
 
 
@@ -57,53 +56,40 @@ class ReturnQuery:
 def return_set_1d(q: ReturnQuery) -> WindowSet:
     """{ n in window : T^{p_i(n)} x lies in the ball for every i }.
 
-    Chunk by chunk, the times n still alive are filtered polynomial by
-    polynomial, so a pair (n, p_i) is decided only when every p_j before
-    p_i kept n.
-
     When every p_i is even, n and -n ask the same question, so a window
-    reaching below 0 is decided on the |n| range [dlo, dhi] only; the
-    n < 0 part of the mask is that result's bits reversed.  A window wider
-    than its ``fold_period`` P tiles the mask of [lo, lo + P) instead.
+    reaching below 0 is decided on the |n| range [dlo, dhi] only (itself
+    tiled when it folds); the n < 0 part of the mask is its bits reversed.
     """
     lo, hi = q.window
-    sys, x, center, eps = q.sys, q.x, q.center, q.eps
-    period = fold_period(sys, x, q.family)
-    tiled = period is not None and period <= hi - lo
-    fold = not tiled and lo < 0 and lo <= hi and all(p.is_even() for p in q.family.polys)
-    dlo, dhi = (max(0, -hi), max(hi, -lo)) if fold else (lo, lo + period - 1 if tiled else hi)
-    mask = 0
-    for chunk in chunks(dlo, dhi):
-        start, alive = chunk.start, chunk
-        for p in q.family.polys:
-            vals = p.values(start, len(chunk))
-            alive = survivors(sys, x, center, eps, alive, [vals[n - start] for n in alive])
-        mask |= sum(1 << (n - start) for n in alive) << (start - dlo)
+    polys = q.family.polys
+    fold = lo < 0 and lo <= hi and all(p.is_even() for p in polys)
+    dlo, dhi = (max(0, -hi), max(hi, -lo)) if fold else (lo, hi)
+    mask = scan(q.sys, q.x, q.eps, lambda start, size: [
+        (q.center, p.values(start, size)) for p in polys
+    ], dlo, dhi, fold_period(q.sys, q.x, q.family))
     if fold:  # bit k - dlo holds |n| = k; n = -k goes to bit -k - lo
         width = -lo - dlo + 1
         below = bitops.reverse_bits(mask & bitops.mask_of(width), width)
         mask = below | ((mask & bitops.mask_of(max(0, hi + 1))) << -lo)
-    if tiled:
-        mask = bitops.tile_mask(mask, period, hi - lo + 1)
     return WindowSet(lo, hi, mask)
 
 
 def return_set_2d(q: ReturnQuery) -> GridSet:
-    """{ (m, n) in box : T^{m + p_i(n)} x lies in the ball for every i },
-    column by column with the filtering of ``return_set_1d`` over m."""
+    """{ (m, n) in box : T^{m + p_i(n)} x lies in the ball for every i }; on
+    a box taller than its ``fold_period`` P, the columns of one P repeat."""
     mlo, mhi, nlo, nhi = q.window
-    sys, x, center, eps = q.sys, q.x, q.center, q.eps
-    polys = q.family.polys
-    rows = [0] * (mhi - mlo + 1)
-    for n in range(nlo, nhi + 1):
-        values = [p.eval(n) for p in polys]
-        bit = 1 << (n - nlo)
-        for alive in chunks(mlo, mhi):
-            for v in values:
-                alive = survivors(sys, x, center, eps, alive, [m + v for m in alive])
-            for m in alive:
-                rows[m - mlo] |= bit
-    return GridSet((mlo, mhi, nlo, nhi), rows)
+    period = fold_period(q.sys, q.x, q.family)
+
+    def column(n: int) -> int:
+        values = [p.eval(n) for p in q.family.polys]
+        return scan(q.sys, q.x, q.eps, lambda start, size: [
+            (q.center, range(start + v, start + v + size)) for v in values
+        ], mlo, mhi, period)
+
+    last = nhi if period is None else min(nhi, nlo + period - 1)
+    cols = [column(n) for n in range(nlo, last + 1)]
+    cols = [cols[i % len(cols)] for i in range(nhi - nlo + 1)]
+    return GridSet((mlo, mhi, nlo, nhi), bitops.transpose(cols, mhi - mlo + 1))
 
 
 def combinatorial_set_2d(

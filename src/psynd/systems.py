@@ -31,6 +31,10 @@ letters of x near the requested times, the mask of the times whose letters
 agree with the center's out to the radius eps asks for, and reads each
 time off it as one bit.  ``in_ball`` is ``hits`` at the single time 0.
 
+``scan``, the one loop over return times, filters the times still alive
+through ordered (center, times) pairs and tiles one ``fold_period``; the
+1D, planar and recurrence sets only say which pairs to ask about.
+
 All system and point values are immutable; methods are pure functions.
 """
 
@@ -39,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from math import factorial, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -299,35 +303,27 @@ class HeisenbergNil(_System):
 
     @staticmethod
     def _fiber(y: int, z: int, c1: int, c2: int, c3: int, m: int) -> int:
-        """min over q, r in {-1, 0, 1} of (y - c2 - q m)^2 + (z - c3 - q c1 - r m)^2.
+        """min over q in {-1, 0, 1} and integers r of (y - c2 - q m)^2 + (z - c3 - q c1 - r m)^2.
 
-        Plus the squared circle distance in x, this is the squared
-        distance from (x, y, z) to the nearest of the 27 lattice
-        translates (c1 + p, c2 + q, c3 + q c1 + r), p, q, r in {-1, 0, 1},
-        of the center; only the z term depends on two of p, q, r, so the
-        minimum splits by axis.  It approximates the quotient metric: a
-        translate farther out can be nearer.
+        Plus the squared circle distance in x, this is the squared distance d^2
+        to the nearest lattice translate (c1 + p, c2 + q, c3 + q c1 + r) of the
+        center c, and B(c, eps) is the open neighbourhood d < eps of c (the
+        lattice acts by a shear, so d is not claimed to be a metric).  r is the
+        nearest integer; the best q has |dy|, |dz| <= m/2, so d^2 <= m^2/2,
+        and |q| >= 2 gives dy^2 > m^2.
         """
-        best = None
-        for q in (-1, 0, 1):
-            dy = y - c2 - q * m
-            dz = z - c3 - q * c1
-            if 2 * dz > m:
-                dz -= m
-            elif 2 * dz < -m:
-                dz += m
-            d2 = dy * dy + dz * dz
-            if best is None or d2 < best:
-                best = d2
-        return best
+        h = m // 2
+        dy, dz = y - c2, z - c3 + h  # q = -1 and q = 1 add m and c1, or subtract them
+        return min((dy + m) ** 2 + ((dz + c1) % m - h) ** 2, dy * dy + (dz % m - h) ** 2,
+                   (dy - m) ** 2 + ((dz - c1) % m - h) ** 2)
 
     def hits(self, p: Point, center: Point, eps, times: Sequence[int]) -> List[bool]:
         """[T^t p in B(center, eps) for t in times].
 
-        The ball is taken in the 27-translate distance of ``_fiber``.
-        The circle distances in x and y bound it from below, so the
-        circle tests in x and then y reject over the whole time list
-        before z is computed for the times left.
+        The ball is the neighbourhood of ``_fiber``.  The circle distances
+        in x and y bound its distance from below, so the circle tests in x
+        and then y reject over the whole time list before z is computed
+        for the times left.
         """
         m = self._modulus(p, center)
         half = _below(eps, m)
@@ -349,6 +345,7 @@ class HeisenbergNil(_System):
         return out
 
     def point_distance(self, a: Point, c: Point) -> float:
+        """Distance to the nearest lattice translate of c (``_fiber``)."""
         m = self._modulus(a, c)
         a1, a2, a3 = self._scaled(a.coords, m)
         c1, c2, c3 = self._scaled(c.coords, m)
@@ -473,17 +470,29 @@ SystemSpec = Union[TorusRotation, SkewProduct, HeisenbergNil, IndicatorSubshift]
 CHUNK = 4096  # times per ``hits`` call; bounds the memory of one batch
 
 
-def chunks(lo: int, hi: int) -> Iterator[range]:
-    """[lo, hi] as consecutive ranges of at most CHUNK integers."""
-    return (range(s, min(s + CHUNK, hi + 1)) for s in range(lo, hi + 1, CHUNK))
+def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=None) -> int:
+    """Mask over [lo, hi]: bit n - lo is set when every (center, times) pair
+    of ``conds(start, size)`` puts T^{times[n - start]} x in B(center, eps).
 
-
-def survivors(
-    sys: SystemSpec, x: PointLike, center: PointLike, eps, alive: Sequence[int], times: Sequence[int]
-) -> List[int]:
-    """The entries of ``alive`` whose time t (same position in ``times``)
-    puts T^t x in B(center, eps)."""
-    return [n for n, hit in zip(alive, sys.hits(x, center, eps, times)) if hit]
+    Chunk by chunk ([start, start + size), at most CHUNK integers) the
+    offsets still alive are filtered pair by pair, so a pair is decided at n
+    only when every earlier pair kept n.  With a period P <= hi - lo, only
+    [lo, lo + P) is decided and its mask tiled.
+    """
+    tiled = period is not None and period <= hi - lo
+    top = lo + period - 1 if tiled else hi
+    mask = 0
+    for start in range(lo, top + 1, CHUNK):
+        size = min(CHUNK, top + 1 - start)
+        alive = range(size)
+        for center, times in conds(start, size):
+            if len(alive) < size:
+                times = [times[i] for i in alive]
+            alive = list(compress(alive, sys.hits(x, center, eps, times)))
+            if not alive:
+                break
+        mask |= sum(1 << i for i in alive) << (start - lo)
+    return bitops.tile_mask(mask, period, hi - lo + 1) if tiled else mask
 
 
 def fold_period(sys: SystemSpec, x: PointLike, family: PolyFamily) -> Optional[int]:

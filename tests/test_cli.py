@@ -180,6 +180,18 @@ def test_returns_oracle_flag(tmp_path):
     assert report["results"]["oracle_match"] is True
 
 
+@pytest.mark.parametrize("system, where", [
+    ({"type": "rotation", "alpha": ["1/12"]}, {"box": [-10, 10, -5, 5]}),
+    ({"type": "rotation", "alpha": ["sqrt2"]}, {"box": [-10, 10, -5, 5]}),
+    ({"type": "rotation", "alpha": ["sqrt2"]}, {"window": [-100, 100]}),
+], ids=["rational-box", "irrational-box", "irrational-window"])
+def test_returns_oracle_rejects_what_it_cannot_check(tmp_path, capsys, system, where):
+    cfg = {"system": system, "family": ["n", "n^2"], "epsilon": "1/20", **where}
+    code, report, _ = run(tmp_path, "returns", cfg, "--oracle")
+    assert (code, report) == (2, None)
+    assert "returns: config error: --oracle needs" in capsys.readouterr().err
+
+
 def test_returns_identity_family_full(tmp_path):
     cfg = {
         "system": {"type": "rotation", "alpha": ["1/4"]},

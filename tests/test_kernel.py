@@ -8,7 +8,8 @@ rank-by-rank letter loop is unchanged).  They work on points in the
 old form: ``Fraction`` coordinates on a rational system, integers at
 2^bits on a named-constant one (``old_form`` converts).  They are
 ``iterate`` with its own mod-1, floor and fixed-point product, ``in_ball``
-(the 27-translate minimum for the Heisenberg group), and the return-set
+(for the Heisenberg group the minimum over the lattice translates of the
+center, with r the nearest integer in z), and the return-set
 and recurrence loops that call both once per (time, polynomial) pair.
 The library must give the same points, decisions and masks bit for bit.
 
@@ -137,22 +138,24 @@ def _lt_eps(sys, dist, eps: Fraction) -> bool:
     return dist * eps.denominator < eps.numerator << sys.bits
 
 
-def _translates(sys, c: Point):
+def _translates(sys, a: Point, c: Point):
+    # p, q in {-1, 0, 1}; r is the integer nearest to a's z for each q
+    a3 = a.coords[2]
     c1, c2, c3 = c.coords
     one = Fraction(1) if sys.exact else (1 << sys.bits)
     for q in (-1, 0, 1):
         b2 = c2 + q * one
         zq = c3 + _mul(sys, c1, q * one)
+        r = (2 * (a3 - zq) + one) // (2 * one)
         for p_ in (-1, 0, 1):
             b1 = c1 + p_ * one
-            for r in (-1, 0, 1):
-                yield (b1, b2, zq + r * one)
+            yield (b1, b2, zq + r * one)
 
 
 def _dist2(sys, a: Point, c: Point):
     best = None
     a1, a2, a3 = a.coords
-    for t1, t2, t3 in _translates(sys, c):
+    for t1, t2, t3 in _translates(sys, a, c):
         d1 = a1 - t1
         d2_ = a2 - t2
         d3 = a3 - t3
@@ -341,12 +344,35 @@ def queries(draw):
     return sys, x, center, draw(st.sampled_from(EPSILONS))
 
 
+# small denominators keep P = Q d! near the window widths below, so that
+# windows both shorter and longer than P occur
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def rational_queries(draw):
+    """(system, x, center, eps) on a rational system; center is x or an iterate of it."""
+    kind = draw(st.sampled_from(["rotation1", "rotation2", "skew", "heisenberg"]))
+    real = lambda: parse_real(str(draw(small_rationals)))  # noqa: E731
+    if kind.startswith("rotation"):
+        sys = TorusRotation(tuple(real() for _ in range(int(kind[-1]))))
+    elif kind == "skew":
+        sys = SkewProduct(real())
+    else:
+        sys = HeisenbergNil(real(), real())
+    x = sys.make_point([draw(small_rationals) for _ in sys.base_point().coords])
+    center = sys.iterate(x, draw(st.integers(-50, 50))) if draw(st.booleans()) else x
+    return sys, x, center, draw(st.sampled_from(EPSILONS))
+
+
 # across 0 (often asymmetric), all negative, all positive, and the
 # one-point windows [0, 0] and [-1, -1]
 window = st.one_of(
     st.sampled_from([(0, 0), (-1, -1)]),
     st.tuples(st.integers(-40, 40), st.integers(-40, 40)).map(lambda w: (min(w), max(w))),
 )
+
+box = st.tuples(st.integers(-9, 0), st.integers(0, 9), st.integers(-6, 0), st.integers(0, 6))
 
 
 # -- differential tests --------------------------------------------------
@@ -375,16 +401,16 @@ def test_hits_matches_per_point_ball_test(query, times):
     assert sys.point_distance(x, center) == oracle_point_distance(sys, ox, oc)
 
 
-def test_heisenberg_translates_stay_within_one_lattice_step():
-    # the nearest translate of the center in z is two lattice steps away
-    # here; the 27-translate distance keeps r in {-1, 0, 1}, and so must
-    # the kernel: sqrt(0.7325) ~ 0.856 and not sqrt(0.0325) ~ 0.180
+def test_heisenberg_ball_takes_the_nearest_translate_in_z():
+    # the nearest translate of the center, (9/10, 21/20, -3/20), is two
+    # lattice steps away in z: sqrt(0.0325) ~ 0.180, where a single wrap
+    # of z gave sqrt(0.7325) ~ 0.856
     heis = HeisenbergNil(parse_real("1/3"), parse_real("1/5"))
     a = heis.make_point(["9/10", "19/20", "0"])
     c = heis.make_point(["9/10", "1/20", "19/20"])
-    assert heis.point_distance(a, c) == oracle_point_distance(heis, a, c) == 0.7325 ** 0.5
-    assert not heis.in_ball(a, c, Fraction(1, 2))
-    assert not oracle_in_ball(heis, a, c, Fraction(1, 2))
+    assert heis.point_distance(a, c) == oracle_point_distance(heis, a, c) == 0.0325 ** 0.5
+    assert heis.in_ball(a, c, Fraction(1, 2))
+    assert oracle_in_ball(heis, a, c, Fraction(1, 2))
 
 
 @given(queries(), window, st.sampled_from(FAMILIES))
@@ -395,13 +421,10 @@ def test_return_set_1d_matches_per_point_loop(query, win, fam):
     assert return_set_1d(q) == oracle_return_set_1d(q)
 
 
-@given(
-    queries(),
-    st.tuples(st.integers(-9, 0), st.integers(0, 9), st.integers(-6, 0), st.integers(0, 6)),
-    st.sampled_from(FAMILIES),
-)
-@settings(max_examples=80, deadline=None)
+@given(st.one_of(queries(), rational_queries()), box, st.sampled_from(FAMILIES))
+@settings(max_examples=120, deadline=None)
 def test_return_set_2d_matches_per_point_loop(query, box, fam):
+    # a rational query often has a fold period below the box's sides
     sys, x, center, eps = query
     q = ReturnQuery(sys, x, center, eps, PolyFamily.parse(fam), box)
     assert return_set_2d(q) == oracle_return_set_2d(q)
@@ -451,15 +474,26 @@ def test_recurrence_rows_reach_below_the_window(alpha, radius, n_bound):
     assert not got.is_empty()
 
 
+def _same_or_both_exhausted(oracle, kernel, q):
+    try:
+        want = oracle(q)
+    except WindowExhaustedError:
+        with pytest.raises(WindowExhaustedError):
+            kernel(q)
+    else:
+        assert kernel(q) == want
+
+
 @given(
     st.integers(0, 2**41 - 1),
     st.integers(-20, 20),
     window,
+    box,
     st.sampled_from(FAMILIES),
     st.sampled_from(EPSILONS + [Fraction(1, 10), Fraction(3, 2)]),
 )
 @settings(max_examples=150, deadline=None)
-def test_subshift_matches_per_point_loop(bits, shift, win, fam, eps):
+def test_subshift_matches_per_point_loop(bits, shift, win, box, fam, eps):
     # a pair the per-point loop would not reach never raises in the kernel
     # either: both give the same set, or both run out of letters
     base = WindowSet(-20, 20, bits)
@@ -468,38 +502,14 @@ def test_subshift_matches_per_point_loop(bits, shift, win, fam, eps):
     sys = IndicatorSubshift(base)
     x = sys.base_point()
     center = sys.iterate(x, shift)
-    q = ReturnQuery(sys, x, center, eps, PolyFamily.parse(fam), win)
-    try:
-        want = oracle_return_set_1d(q)
-    except WindowExhaustedError:
-        with pytest.raises(WindowExhaustedError):
-            return_set_1d(q)
-    else:
-        assert return_set_1d(q) == want
+    family = PolyFamily.parse(fam)
+    _same_or_both_exhausted(oracle_return_set_1d, return_set_1d,
+                            ReturnQuery(sys, x, center, eps, family, win))
+    _same_or_both_exhausted(oracle_return_set_2d, return_set_2d,
+                            ReturnQuery(sys, x, center, eps, family, box))
 
 
 # -- rational systems: one period decided, then tiled ----------------------
-
-# small denominators keep P = Q d! near the window widths below, so that
-# windows both shorter and longer than P occur
-small_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
-
-
-@st.composite
-def rational_queries(draw):
-    """(system, x, center, eps) on a rational system; center is x or an iterate of it."""
-    kind = draw(st.sampled_from(["rotation1", "rotation2", "skew", "heisenberg"]))
-    real = lambda: parse_real(str(draw(small_rationals)))  # noqa: E731
-    if kind.startswith("rotation"):
-        sys = TorusRotation(tuple(real() for _ in range(int(kind[-1]))))
-    elif kind == "skew":
-        sys = SkewProduct(real())
-    else:
-        sys = HeisenbergNil(real(), real())
-    x = sys.make_point([draw(small_rationals) for _ in sys.base_point().coords])
-    center = sys.iterate(x, draw(st.integers(-50, 50))) if draw(st.booleans()) else x
-    return sys, x, center, draw(st.sampled_from(EPSILONS))
-
 
 # C(n, 2) and C(n, 3) are not integer polynomials: p(n + Q) = p(n) mod Q
 # can fail for them, and only p(n + Q d!) = p(n) mod Q holds
@@ -549,6 +559,13 @@ def test_windows_wider_than_the_period_fold(sys, coords, period):
     assert return_set_1d(q) == oracle_return_set_1d(q)
     got = recurrence_times(sys, x, fam, 1, Fraction(3, 10), half)
     assert got == oracle_recurrence_times(sys, x, fam, 1, Fraction(3, 10), half)
+    # planar, with P = Q 2! for [n, n^2]: one box wider than P in m and
+    # narrower in n, folded in m; one the other way round, folded in n
+    fam = PolyFamily.parse(["n", "n^2"])
+    period = fold_period(sys, x, fam)
+    for a, b in ((5 * period // 8, period // 4), (period // 4, 5 * period // 8)):
+        q = ReturnQuery(sys, x, x, Fraction(3, 10), fam, (-a, a, -b, b))
+        assert return_set_2d(q) == oracle_return_set_2d(q)
 
 
 def test_heisenberg_folds_at_2l_squared_when_2l_fails():
