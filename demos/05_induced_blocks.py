@@ -47,7 +47,7 @@ print(f"shift-by-{k} of the n^2 block == apply_map^{k * k} of the (n^2+{2*k}n) b
 fam = PolyFamily.parse(["n", "n^2"])
 xb = split_block(rot, x, fam, radius=3)
 print("\nxi head (one point per linear slope):", xb.head)
-print("xi tail row at j=2:", xb.tail_entry(2))
+print("xi tail row at j=2:", xb.entry(2))
 print("actions commute:", apply_map(shift_block(xb, 1), 4) == shift_block(apply_map(xb, 4), 1))
 print("provenance recomputes:", shift_block(xb, 1).recomputed() == shift_block(xb, 1))
 

@@ -16,9 +16,8 @@ from .errors import (
     WindowExhaustedError,
 )
 from .induced import (
-    OrbitBlock,
+    Block,
     PeriodicBlock,
-    SplitBlock,
     shift_block,
     apply_map,
     block_distance,

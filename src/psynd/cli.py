@@ -100,9 +100,12 @@ def _emit(report: dict, out: Optional[str], fmt: str) -> None:
 
 def _load_config(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
 def _family(cfg: dict) -> PolyFamily:
@@ -371,8 +374,10 @@ def cmd_induced(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     eps = str(cfg.get("epsilon", "1/10"))
     n_bound = int(cfg.get("N", 1000))
     eps_f = Fraction(eps)
-    times = recurrence_times(sys_spec, x, family, radius, eps_f, n_bound)
     kind = cfg.get("block", "split")
+    if kind not in ("split", "orbit"):
+        raise ConfigError(f"bad block {kind!r}: 'split' (the default) or 'orbit'")
+    times = recurrence_times(sys_spec, x, family, radius, eps_f, n_bound)
     block = (
         split_block(sys_spec, x, family, radius)
         if kind == "split"
@@ -525,7 +530,8 @@ def main(argv: Optional[list] = None) -> int:
     except (EmptySetError, NoRowError, WindowExhaustedError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return INFEASIBLE
-    except (ConfigError, KeyError, ValueError) as exc:
+    # a value of the wrong JSON type (a number where a list or an object belongs)
+    except (ConfigError, AttributeError, KeyError, TypeError, ValueError) as exc:
         print(f"{args.command}: config error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     _emit(report, args.out, args.format)

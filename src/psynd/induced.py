@@ -1,11 +1,12 @@
 """Finite truncations of the sequence systems induced by a polynomial family.
 
-An :class:`OrbitBlock` is the window ``n in [-K, K]`` of the doubly
-infinite sequence of orbit tuples ``(T^{p_1(n)} x, ..., T^{p_d(n)} x)``.
-A :class:`SplitBlock` splits a normal-form family into a head carrying one
-point per linear member and a tail over the degree->=2 members only;
-the index shift then acts on the head through the product map
-``T^{a_1} x ... x T^{a_s}`` and on the tail by recentering.
+A :class:`Block` is the window ``n in [-K, K]`` of the doubly infinite
+sequence of orbit tuples ``(T^{p_1(n)} x, ..., T^{p_d(n)} x)``: a head of
+one point per linear slope and one row per n.  An ``orbit_block`` has no
+head and keeps every member in its rows; a ``split_block`` of a normal-form
+family keeps the linear members in the head, on which the index shift acts
+through the product map ``T^{a_1} x ... x T^{a_s}``, and only the
+degree->=2 members in its rows, on which it acts by recentering.
 
 Two action modes exist deliberately:
 
@@ -14,7 +15,7 @@ Two action modes exist deliberately:
 * ``recurrence_times`` recomputes -- the base point and family are
   known, so shifted blocks are rebuilt at full radius from provenance;
   each higher member is tabulated once per chunk by exact forward
-  differences, and every row of the block reads that one table.
+  differences, and every row of the split block reads that one table.
 
 Every block records its accumulated offsets and can be recomputed from
 them (``recomputed``), which is the test hook for provenance.
@@ -33,224 +34,123 @@ from .windows import WindowSet
 
 
 @dataclass(frozen=True)
-class OrbitBlock:
+class Block:
     """Truncated orbit-tuple sequence with provenance bookkeeping.
 
-    entries[K + n] = tuple of T^{p_i(n + applied_shift) + applied_T} x.
+    head[i]       = T^{a_i * applied_shift + applied_T} x, a_i the i-th linear
+                    slope of a split block (an orbit block has no head);
+    entries[K+n]  = tuple of T^{p(n + applied_shift) + applied_T} x over the
+                    members p the head does not carry.
     """
 
     sys: SystemSpec
     x: PointLike
     family: PolyFamily
     radius: int
+    split: bool
+    head: Tuple[PointLike, ...]
     entries: Tuple[Tuple[PointLike, ...], ...]
     applied_shift: int = 0
     applied_T: int = 0
+
+    @property
+    def slopes(self) -> Tuple[int, ...]:
+        return tuple(self.family.linear_slopes()) if self.split else ()
 
     def entry(self, n: int) -> Tuple[PointLike, ...]:
         if abs(n) > self.radius:
             raise RadiusExhaustedError(f"|{n}| > radius {self.radius}")
         return self.entries[self.radius + n]
 
-    def same_entries(self, other: "OrbitBlock") -> bool:
-        return self.radius == other.radius and self.entries == other.entries
+    def same_entries(self, other: "Block") -> bool:
+        return (self.radius, self.head, self.entries) == (other.radius, other.head, other.entries)
 
-    def recomputed(self) -> "OrbitBlock":
+    def recomputed(self) -> "Block":
         """Fresh evaluation from provenance; equals self when bookkeeping is right."""
-        return orbit_block(
-            self.sys,
-            self.x,
-            self.family,
-            self.radius,
-            shift=self.applied_shift,
-            t_power=self.applied_T,
-        )
+        return _build(self.sys, self.x, self.family, self.radius,
+                      self.applied_shift, self.applied_T, self.split)
 
     def to_json_obj(self) -> dict:
+        rows = [[self.sys.point_to_json(p) for p in row] for row in self.entries]
+        if self.split:
+            data = {"head": [self.sys.point_to_json(p) for p in self.head], "tail": rows}
+        else:
+            data = {"entries": rows}
         return {
-            "kind": "orbit",
+            "kind": "split" if self.split else "orbit",
             "system": self.sys.to_json_obj(),
             "x": self.sys.point_to_json(self.x),
             "family": self.family.to_strs(),
             "radius": self.radius,
             "applied_shift": self.applied_shift,
             "applied_T": self.applied_T,
-            "entries": [
-                [self.sys.point_to_json(p) for p in row] for row in self.entries
-            ],
+            **data,
         }
 
 
-@dataclass(frozen=True)
-class SplitBlock:
-    """Head/tail truncation for a normal-form family.
-
-    head[i]    = T^{a_i * applied_shift + applied_T} x  (linear members),
-    tail[K+n]  = tuple of T^{p_i(n + applied_shift) + applied_T} x over
-                 the degree->=2 members.
-    """
-
-    sys: SystemSpec
-    x: PointLike
-    family: PolyFamily
-    radius: int
-    head: Tuple[PointLike, ...]
-    tail: Tuple[Tuple[PointLike, ...], ...]
-    applied_shift: int = 0
-    applied_T: int = 0
-
-    @property
-    def slopes(self) -> Tuple[int, ...]:
-        return tuple(self.family.linear_slopes())
-
-    def tail_entry(self, n: int) -> Tuple[PointLike, ...]:
-        if abs(n) > self.radius:
-            raise RadiusExhaustedError(f"|{n}| > radius {self.radius}")
-        return self.tail[self.radius + n]
-
-    def same_entries(self, other: "SplitBlock") -> bool:
-        return (
-            self.radius == other.radius
-            and self.head == other.head
-            and self.tail == other.tail
-        )
-
-    def recomputed(self) -> "SplitBlock":
-        return split_block(
-            self.sys,
-            self.x,
-            self.family,
-            self.radius,
-            shift=self.applied_shift,
-            t_power=self.applied_T,
-        )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": "split",
-            "system": self.sys.to_json_obj(),
-            "x": self.sys.point_to_json(self.x),
-            "family": self.family.to_strs(),
-            "radius": self.radius,
-            "applied_shift": self.applied_shift,
-            "applied_T": self.applied_T,
-            "head": [self.sys.point_to_json(p) for p in self.head],
-            "tail": [
-                [self.sys.point_to_json(p) for p in row] for row in self.tail
-            ],
-        }
-
-
-def orbit_block(
-    sys: SystemSpec,
-    x: PointLike,
-    family: PolyFamily,
-    radius: int,
-    shift: int = 0,
-    t_power: int = 0,
-) -> OrbitBlock:
-    """Evaluate the orbit-tuple window at the given accumulated offsets."""
+def _build(sys, x, family, radius, shift, t_power, split) -> Block:
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    slopes = family.linear_slopes() if split else []
+    members = [p for p in family.polys if not split or p.degree >= 2]
+    head = tuple(sys.iterate(x, a * shift + t_power) for a in slopes)
     entries = tuple(
-        tuple(
-            sys.iterate(x, p.eval(n + shift) + t_power) for p in family.polys
-        )
+        tuple(sys.iterate(x, p.eval(n + shift) + t_power) for p in members)
         for n in range(-radius, radius + 1)
     )
-    return OrbitBlock(sys, x, family, radius, entries, shift, t_power)
+    return Block(sys, x, family, radius, split, head, entries, shift, t_power)
 
 
-def split_block(
-    sys: SystemSpec,
-    x: PointLike,
-    family: PolyFamily,
-    radius: int,
-    shift: int = 0,
-    t_power: int = 0,
-) -> SplitBlock:
+def orbit_block(sys: SystemSpec, x: PointLike, family: PolyFamily, radius: int,
+                shift: int = 0, t_power: int = 0) -> Block:
+    """Evaluate the orbit-tuple window at the given accumulated offsets."""
+    return _build(sys, x, family, radius, shift, t_power, split=False)
+
+
+def split_block(sys: SystemSpec, x: PointLike, family: PolyFamily, radius: int,
+                shift: int = 0, t_power: int = 0) -> Block:
     """Head/tail window; the family must be in normal form."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     violation = check_normal_form(family)
     if violation is not None:
         raise NotNormalFormError(f"family not in normal form: {violation}")
-    slopes = family.linear_slopes()
-    higher = [p for p in family.polys if p.degree >= 2]
-    head = tuple(sys.iterate(x, a * shift + t_power) for a in slopes)
-    tail = tuple(
-        tuple(sys.iterate(x, p.eval(n + shift) + t_power) for p in higher)
-        for n in range(-radius, radius + 1)
-    )
-    return SplitBlock(sys, x, family, radius, head, tail, shift, t_power)
+    return _build(sys, x, family, radius, shift, t_power, split=True)
 
 
-def shift_block(block, n: int):
+def shift_block(block: Block, n: int) -> Block:
     """Index shift: trims the radius to what the truncation supports."""
     if abs(n) > block.radius:
         raise RadiusExhaustedError(
             f"index shift by {n} exceeds block radius {block.radius}"
         )
     new_radius = block.radius - abs(n)
-    if isinstance(block, OrbitBlock):
-        entries = tuple(
-            block.entry(j + n) for j in range(-new_radius, new_radius + 1)
-        )
-        return replace(
-            block,
-            radius=new_radius,
-            entries=entries,
-            applied_shift=block.applied_shift + n,
-        )
-    if isinstance(block, SplitBlock):
-        head = tuple(
-            block.sys.iterate(p, a * n) for p, a in zip(block.head, block.slopes)
-        )
-        tail = tuple(
-            block.tail_entry(j + n) for j in range(-new_radius, new_radius + 1)
-        )
-        return replace(
-            block,
-            radius=new_radius,
-            head=head,
-            tail=tail,
-            applied_shift=block.applied_shift + n,
-        )
-    raise TypeError(f"not a block: {block!r}")
+    return replace(
+        block,
+        radius=new_radius,
+        head=tuple(block.sys.iterate(p, a * n) for p, a in zip(block.head, block.slopes)),
+        entries=tuple(block.entry(j + n) for j in range(-new_radius, new_radius + 1)),
+        applied_shift=block.applied_shift + n,
+    )
 
 
-def apply_map(block, m: int):
+def apply_map(block: Block, m: int) -> Block:
     """Apply T^m to every coordinate; the radius is preserved."""
     sys = block.sys
-    if isinstance(block, OrbitBlock):
-        entries = tuple(
-            tuple(sys.iterate(p, m) for p in row) for row in block.entries
-        )
-        return replace(block, entries=entries, applied_T=block.applied_T + m)
-    if isinstance(block, SplitBlock):
-        head = tuple(sys.iterate(p, m) for p in block.head)
-        tail = tuple(
-            tuple(sys.iterate(p, m) for p in row) for row in block.tail
-        )
-        return replace(block, head=head, tail=tail, applied_T=block.applied_T + m)
-    raise TypeError(f"not a block: {block!r}")
+    return replace(
+        block,
+        head=tuple(sys.iterate(p, m) for p in block.head),
+        entries=tuple(tuple(sys.iterate(p, m) for p in row) for row in block.entries),
+        applied_T=block.applied_T + m,
+    )
 
 
-def block_distance(b1, b2, r: int):
-    """Sup metric over head coordinates and tail window |j| <= r."""
+def block_distance(b1: Block, b2: Block, r: int):
+    """Sup metric over the head coordinates and the rows |j| <= r."""
     if r > b1.radius or r > b2.radius:
         raise RadiusExhaustedError(f"radius {r} exceeds a block's truncation")
     sys = b1.sys
     dist = Fraction(0)
-    if isinstance(b1, SplitBlock):
-        for p, q in zip(b1.head, b2.head):
-            dist = max(dist, sys.point_distance(p, q))
-        rows1 = (b1.tail_entry(j) for j in range(-r, r + 1))
-        rows2 = (b2.tail_entry(j) for j in range(-r, r + 1))
-    else:
-        rows1 = (b1.entry(j) for j in range(-r, r + 1))
-        rows2 = (b2.entry(j) for j in range(-r, r + 1))
-    for row1, row2 in zip(rows1, rows2):
+    window = range(-r, r + 1)
+    for row1, row2 in zip((b1.head, *map(b1.entry, window)), (b2.head, *map(b2.entry, window))):
         for p, q in zip(row1, row2):
             dist = max(dist, sys.point_distance(p, q))
     return dist
@@ -271,28 +171,20 @@ def recurrence_times(
     which is what the infinite-sequence statement truncates to.  A window
     wider than its ``fold_period`` P tiles the mask of [-N, P - N).
     """
-    violation = check_normal_form(family)
-    if violation is not None:
-        raise NotNormalFormError(f"family not in normal form: {violation}")
-    slopes = family.linear_slopes()
+    base = split_block(sys, x, family, radius)
     higher = [p for p in family.polys if p.degree >= 2]
-    base_tail = [
-        [sys.iterate(x, p.eval(j)) for p in higher]
-        for j in range(-radius, radius + 1)
-    ]
 
     def conds(start, size):
         # the per-n checks in order; row j reads each table at offset j + radius
-        for a in slopes:
-            yield x, range(a * start, a * (start + size), a)
+        for center, a in zip(base.head, base.slopes):
+            yield center, range(a * start, a * (start + size), a)
         tables = [p.values(start - radius, size + 2 * radius) for p in higher]
-        for off, row in enumerate(base_tail):
+        for off, row in enumerate(base.entries):
             for vals, center in zip(tables, row):
                 yield center, vals[off : off + size]
 
     period = fold_period(sys, x, family)
     return WindowSet(-n_bound, n_bound, scan(sys, x, eps, conds, -n_bound, n_bound, period))
-
 
 @dataclass(frozen=True)
 class PeriodicBlock:

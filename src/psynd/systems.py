@@ -491,7 +491,10 @@ def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=Non
             alive = list(compress(alive, sys.hits(x, center, eps, times)))
             if not alive:
                 break
-        mask |= sum(1 << i for i in alive) << (start - lo)
+        sel = bytearray(size)
+        for i in alive:
+            sel[i] = 1
+        mask |= bitops.from_selectors(sel) << (start - lo)
     return bitops.tile_mask(mask, period, hi - lo + 1) if tiled else mask
 
 

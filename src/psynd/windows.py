@@ -131,19 +131,7 @@ class WindowSet:
     def __repr__(self) -> str:
         return f"WindowSet([{self.lo},{self.hi}], {self.count()} members)"
 
-    # -- set algebra (same window only) ------------------------------
-
-    def _check_same_window(self, other: "WindowSet") -> None:
-        if (self.lo, self.hi) != (other.lo, other.hi):
-            raise ValueError("window mismatch")
-
-    def union(self, other: "WindowSet") -> "WindowSet":
-        self._check_same_window(other)
-        return WindowSet(self.lo, self.hi, self.mask | other.mask)
-
-    def intersect(self, other: "WindowSet") -> "WindowSet":
-        self._check_same_window(other)
-        return WindowSet(self.lo, self.hi, self.mask & other.mask)
+    # -- translation and restriction ---------------------------------
 
     def shift(self, t: int) -> "WindowSet":
         """Translate the set and its window by ``t``."""

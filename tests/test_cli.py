@@ -364,6 +364,33 @@ def test_induced_report(tmp_path):
     assert report["block"]["kind"] == "split"
 
 
+@pytest.mark.parametrize("kind", ["bogus", "Split", 1])
+def test_induced_unknown_block_kind_exit_2(tmp_path, capsys, kind):
+    cfg = {"system": {"type": "rotation", "alpha": ["1/4"]}, "family": ["n^2"], "block": kind}
+    code, report, _ = run(tmp_path, "induced", cfg)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert "induced: config error: bad block" in err and "'split'" in err and "'orbit'" in err
+
+
+MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("thmb", {"set": MOD3, "family": ["n^2"], "target": MOD3, "targets": {"N_values": 5}},
+     "'int' object is not iterable"),
+    ("analyze", {"set": MOD3, "certificates": {"syndetic": 3}}, "'int' object is not subscriptable"),
+    ("analyze", {"set": MOD3, "certificates": []}, "'list' object has no attribute"),
+    ("nilcheck", [1, 2], "is not a JSON object"),
+])
+def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
+    """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""
+    code, report, _ = run(tmp_path, command, cfg)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert f"{command}: config error: " in err and message in err
+
+
 def test_verify_roundtrip(tmp_path):
     _, _, out_path = run(tmp_path, "thma", {
         "set": {"kind": "sturmian", "alpha": "golden", "window": [-2000, 2000]},

@@ -44,7 +44,7 @@ def test_split_block_layout_for_n_nsquared():
     b = split_block(sys_spec, x, PolyFamily.parse(["n", "n^2"]), 4)
     assert b.head == (x,)
     for j in range(-4, 5):
-        assert b.tail_entry(j) == (sys_spec.iterate(x, j * j),)
+        assert b.entry(j) == (sys_spec.iterate(x, j * j),)
 
 
 def test_block_radius_zero_is_diagonal():
@@ -126,12 +126,35 @@ def test_radius_exhaustion():
         b.entry(3)
 
 
+@pytest.mark.parametrize("alpha", ["2/9", "sqrt2"])
+def test_family_without_linear_member_is_one_block_either_way(alpha):
+    sys_spec = rot(alpha)
+    x = sys_spec.base_point()
+    fam = PolyFamily.parse(["n^2", "n^3"])
+    ob, sb = orbit_block(sys_spec, x, fam, 5), split_block(sys_spec, x, fam, 5)
+    assert ob.head == sb.head == ()
+    assert ob.entries == sb.entries
+    assert ob.to_json_obj()["entries"] == sb.to_json_obj()["tail"]
+    assert sb.to_json_obj()["head"] == [] and "entries" not in sb.to_json_obj()
+    for b in (ob, sb):
+        moved = apply_map(shift_block(b, 2), 3)
+        assert moved == shift_block(apply_map(b, 3), 2)
+        assert moved.recomputed() == moved
+        assert b.recomputed() == b
+    assert block_distance(shift_block(ob, 1), ob, 3) == block_distance(shift_block(sb, 1), sb, 3)
+    assert block_distance(shift_block(ob, 1), ob, 3) > 0
+
+
 def test_block_distance_basics():
     sys_spec = rot("1/8")
     b = split_block(sys_spec, sys_spec.base_point(), PolyFamily.parse(["n", "n^2"]), 4)
     assert block_distance(b, b, 4) == 0
     with pytest.raises(RadiusExhaustedError):
         block_distance(b, shift_block(b, 2), 3)
+    linear = PolyFamily.parse(["n"])  # its split block keeps every point in the head
+    for make in (orbit_block, split_block):
+        moved = shift_block(make(sys_spec, sys_spec.base_point(), linear, 3), 1)
+        assert block_distance(moved, make(sys_spec, sys_spec.base_point(), linear, 2), 2) == Fraction(1, 8)
 
 
 def test_block_distance_differs_only_at_edge():
@@ -178,6 +201,12 @@ def test_recurrence_zero_always_present():
         sys_spec, sys_spec.base_point(), PolyFamily.parse(["n", "n^2"]), 3, 0.1, 50
     )
     assert 0 in times
+
+
+def test_recurrence_rejects_a_negative_radius():
+    sys_spec = rot("1/4")
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        recurrence_times(sys_spec, sys_spec.base_point(), PolyFamily.parse(["n^2"]), -1, 0.1, 5)
 
 
 def test_recurrence_rational_oracle():
