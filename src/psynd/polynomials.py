@@ -152,6 +152,13 @@ class IntegralPolynomial:
             seq = accumulate(seq, initial=d)
         return list(islice(seq, count))
 
+    def progression(self, lo: int, count: int) -> Sequence[int]:
+        """``values(lo, count)``, as a ``range`` (which ``scan`` walks) when p is linear."""
+        if self.degree != 1:
+            return self.values(lo, count)
+        c0, c1 = self.coeffs
+        return range(c0 + c1 * lo, c0 + c1 * (lo + count), c1)
+
     def shift(self, j: int) -> "IntegralPolynomial":
         """The re-vanished shift ``n -> p(n + j) - p(j)``.
 

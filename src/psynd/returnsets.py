@@ -65,7 +65,7 @@ def return_set_1d(q: ReturnQuery) -> WindowSet:
     fold = lo < 0 and lo <= hi and all(p.is_even() for p in polys)
     dlo, dhi = (max(0, -hi), max(hi, -lo)) if fold else (lo, hi)
     mask = scan(q.sys, q.x, q.eps, lambda start, size: [
-        (q.center, p.values(start, size)) for p in polys
+        (q.center, p.progression(start, size)) for p in polys
     ], dlo, dhi, fold_period(q.sys, q.x, q.family))
     if fold:  # bit k - dlo holds |n| = k; n = -k goes to bit -k - lo
         width = -lo - dlo + 1

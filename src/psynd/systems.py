@@ -26,10 +26,12 @@ of the points (its square for the Heisenberg group, so that
 ``(u * v) // M`` is exact).  Every result is therefore exact, and the
 same on every machine.  eps becomes one integer half-width L, the
 largest integer below eps * M, so a circle test is
-``((x - c + L) + t * s) % M <= 2 * L``.  The subshift builds, over the
-letters of x near the requested times, the mask of the times whose letters
-agree with the center's out to the radius eps asks for, and reads each
-time off it as one bit.  ``in_ball`` is ``hits`` at the single time 0.
+``((x - c + L) + t * s) % M <= 2 * L`` (``& (M - 1)`` when M = 2^bits), and
+on a ``range`` of times the first one is walked hit by hit (``_walk``).  The
+subshift builds, over the letters of x near the requested times, the mask of
+the times whose letters agree with the center's out to the radius eps asks
+for, and reads each time off it as one bit.  ``hit_indices`` gives the times
+that hit, ``hits`` flags, and ``in_ball`` is ``hits`` at the single time 0.
 
 ``scan``, the one loop over return times, filters the times still alive
 through ordered (center, times) pairs and tiles one ``fold_period``; the
@@ -42,8 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, compress
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import factorial, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -92,6 +94,66 @@ def _circle(d: int, m: int) -> int:
 def _unscaled(values, m: int) -> Point:
     """The point whose coordinates are the integers ``values`` at modulus m, mod 1."""
     return Point(tuple(Fraction(v % m, m) for v in values))
+
+
+@lru_cache(maxsize=256)
+def _gaps(step: int, width: int, m: int) -> Optional[Tuple[int, int, int, int]]:
+    """(a, ua, b, ub): the least j >= 1 with j step mod m in [0, width], and that
+    residue; the least with it in [m - width, m), and that residue minus m.
+    None when either is not found by j = CHUNK."""
+    a = b = v = 0
+    for j in range(1, CHUNK + 1):
+        v = (v + step) % m
+        if not a and v <= width:
+            a, ua = j, v
+        elif not b and v >= m - width:
+            b, ub = j, v - m
+        if a and b:
+            return a, ua, b, ub
+    return None
+
+
+def _walk(v0: int, step: int, width: int, m: int, count: int) -> Optional[List[int]]:
+    """The j < count, in order, with (v0 + j step) mod m <= width, or None.
+
+    The three-gap theorem (Slater, "Gaps and steps for the sequence n theta
+    mod 1", 1967): for 2 width < m, a point v of the arc [0, width] next
+    returns after a steps if v + ua <= width, else after b if v + ub >= 0,
+    else after a + b (``_gaps``).  So the first hit, if any, is among the
+    first a + b times.  None when 2 width >= m or ``_gaps`` is None.
+    """
+    step %= m
+    gaps = _gaps(step, width, m) if 2 * width < m else None
+    if gaps is None:
+        return None
+    a, ua, b, ub = gaps
+    j = next((j for j in range(min(count, a + b)) if (v0 + j * step) % m <= width), count)
+    v, out, top = (v0 + j * step) % m, [], width - ua
+    while j < count:
+        out.append(j)
+        if v <= top:
+            j, v = j + a, v + ua
+        elif v + ub >= 0:
+            j, v = j + b, v + ub
+        else:
+            j, v = j + a + b, v + ua + ub
+    return out
+
+
+def _on_arc(b: int, s: int, width: int, m: int, times: Sequence[int], near=None) -> List[int]:
+    """The i of ``near``, or of all times, with (b + times[i] s) mod m <= width:
+    walked on a whole range, else tested time by time, by & (m - 1) when m is
+    a power of 2 (every named constant), which equals % m on every int."""
+    if near is None:
+        if isinstance(times, range):
+            walked = _walk(b + times.start * s, times.step * s, width, m, len(times))
+            if walked is not None:
+                return walked
+        near = range(len(times))
+    if m & (m - 1):
+        return [i for i in near if (b + times[i] * s) % m <= width]
+    mask = m - 1
+    return [i for i in near if (b + times[i] * s) & mask <= width]
 
 
 class _System:
@@ -151,6 +213,11 @@ class _System:
         """Strict ball test of one point: ``hits`` at time 0."""
         return self.hits(a, c, eps, [0])[0]
 
+    def hits(self, x, center, eps, times: Sequence[int]) -> List[bool]:
+        """[T^t x in B(center, eps) for t in times]: ``hit_indices`` as flags."""
+        found = set(self.hit_indices(x, center, eps, times))
+        return [i in found for i in range(len(times))]
+
     def point_distance(self, a: Point, c: Point) -> Fraction:
         """Sup over the coordinates of the circle distance."""
         m = self._modulus(a, c)
@@ -182,18 +249,16 @@ class TorusRotation(_System):
         scaled = zip(self._scaled(x.coords, m), self._scaled(self._params, m))
         return _unscaled([u + n * s for u, s in scaled], m)
 
-    def hits(self, x: Point, center: Point, eps, times: Sequence[int]) -> List[bool]:
-        """[T^t x in B(center, eps) for t in times], coordinate by coordinate."""
+    def hit_indices(self, x: Point, center: Point, eps, times: Sequence[int]) -> List[int]:
+        """The i with T^{times[i]} x in B(center, eps), coordinate by coordinate."""
         m = self._modulus(x, center)
         half = _below(eps, m)
-        width = 2 * half
-        ok = [True] * len(times)
+        near = None
         for u, c, s in zip(
             self._scaled(x.coords, m), self._scaled(center.coords, m), self._scaled(self._params, m)
         ):
-            b = u - c + half
-            ok = [o and (b + t * s) % m <= width for o, t in zip(ok, times)]
-        return ok
+            near = _on_arc(u - c + half, s, 2 * half, m, times, near)
+        return list(range(len(times))) if near is None else near
 
     def to_json_obj(self) -> dict:
         return {
@@ -229,19 +294,20 @@ class SkewProduct(_System):
         (a,) = self._scaled(self._params, m)
         return _unscaled([x + n * a, y + n * x + n * (n - 1) // 2 * a], m)
 
-    def hits(self, p: Point, center: Point, eps, times: Sequence[int]) -> List[bool]:
-        """[T^t p in B(center, eps) for t in times]."""
+    def hit_indices(self, p: Point, center: Point, eps, times: Sequence[int]) -> List[int]:
+        """The i with T^{times[i]} p in B(center, eps): x by ``_on_arc``, then y."""
         m = self._modulus(p, center)
         half = _below(eps, m)
         width = 2 * half
         x, y = self._scaled(p.coords, m)
         c1, c2 = self._scaled(center.coords, m)
         (a,) = self._scaled(self._params, m)
-        b1, b2 = x - c1 + half, y - c2 + half
-        return [
-            (b1 + t * a) % m <= width and (b2 + t * x + t * (t - 1) // 2 * a) % m <= width
-            for t in times
-        ]
+        near = [(i, times[i]) for i in _on_arc(x - c1 + half, a, width, m, times)]
+        b2 = y - c2 + half
+        if m & (m - 1):
+            return [i for i, t in near if (b2 + t * x + t * (t - 1) // 2 * a) % m <= width]
+        mask = m - 1
+        return [i for i, t in near if (b2 + t * x + t * (t - 1) // 2 * a) & mask <= width]
 
     def to_json_obj(self) -> dict:
         return {"type": "skew", "alpha": str(self.alpha), "bits": self.bits}
@@ -317,13 +383,13 @@ class HeisenbergNil(_System):
         return min((dy + m) ** 2 + ((dz + c1) % m - h) ** 2, dy * dy + (dz % m - h) ** 2,
                    (dy - m) ** 2 + ((dz - c1) % m - h) ** 2)
 
-    def hits(self, p: Point, center: Point, eps, times: Sequence[int]) -> List[bool]:
-        """[T^t p in B(center, eps) for t in times].
+    def hit_indices(self, p: Point, center: Point, eps, times: Sequence[int]) -> List[int]:
+        """The i with T^{times[i]} p in B(center, eps).
 
         The ball is the neighbourhood of ``_fiber``.  The circle distances
         in x and y bound its distance from below, so the circle tests in x
-        and then y reject over the whole time list before z is computed
-        for the times left.
+        and then y (``_on_arc``) reject over the whole time list before z
+        is computed for the times left.
         """
         m = self._modulus(p, center)
         half = _below(eps, m)
@@ -332,16 +398,16 @@ class HeisenbergNil(_System):
         x, y, z = self._scaled(p.coords, m)
         c1, c2, c3 = self._scaled(center.coords, m)
         a, b = self._scaled(self._params, m)
-        b1, b2 = x - c1 + half, y - c2 + half
-        near = [i for i, t in enumerate(times) if (b1 + t * a) % m <= width]
-        near = [i for i in near if (b2 + times[i] * b) % m <= width]
-        out = [False] * len(times)
+        near = _on_arc(x - c1 + half, a, width, m, times)
+        near = _on_arc(y - c2 + half, b, width, m, times, near)
+        out = []
         orbit = self._orbit((x, y, z), a, b, m, [times[i] for i in near])
         for i, (u, v, w) in zip(near, orbit):
             d1 = (u - c1) % m
             if m - d1 < d1:
                 d1 = m - d1
-            out[i] = d1 * d1 + self._fiber(v, w, c1, c2, c3, m) <= limit
+            if d1 * d1 + self._fiber(v, w, c1, c2, c3, m) <= limit:
+                out.append(i)
         return out
 
     def point_distance(self, a: Point, c: Point) -> float:
@@ -393,7 +459,7 @@ class IndicatorSubshift:
             raise ValueError(f"word must be {hi - lo + 1} letters 0/1, got {word!r}")
         return WindowSet(lo, hi, int("0" + word[::-1], 2))
 
-    in_ball = _System.in_ball  # ``hits`` at time 0
+    in_ball, hits = _System.in_ball, _System.hits
 
     def iterate(self, w: WindowSet, n: int) -> WindowSet:
         if not w.lo <= n <= w.hi:
@@ -402,8 +468,8 @@ class IndicatorSubshift:
             )
         return w.shift(-n)
 
-    def hits(self, x: WindowSet, center: WindowSet, eps, times: Sequence[int]) -> List[bool]:
-        """[T^t x in B(center, eps) for t in times], read off two masks over w,
+    def hit_indices(self, x: WindowSet, center: WindowSet, eps, times: Sequence[int]) -> List[int]:
+        """The i with T^{times[i]} x in B(center, eps), read off two masks over w,
         the letters of x within the radius R of the times; letter i of T^t x
         is letter t + i of x.  Rank by rank, in the order 0, 1, -1, ..., R, -R,
         a time leaves ``agree`` where its letters at the rank differ, and moves
@@ -433,14 +499,15 @@ class IndicatorSubshift:
         top = 1 << width
         yes, short = bitops.bit_selectors(agree | top), bitops.bit_selectors(stuck | top)
         out = []
-        for t in times:
+        for i, t in enumerate(times):
             if not x.lo <= t <= x.hi:
                 self.iterate(x, t)  # raises: T^t x has no letter at 0
             if short[t - w.lo]:
                 raise WindowExhaustedError(
                     f"ball decision at eps={eps} needs letters to radius {radius}"
                 )
-            out.append(yes[t - w.lo] == 1)
+            if yes[t - w.lo]:
+                out.append(i)
         return out
 
     def point_distance(self, a: WindowSet, c: WindowSet) -> Fraction:
@@ -476,8 +543,9 @@ def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=Non
 
     Chunk by chunk ([start, start + size), at most CHUNK integers) the
     offsets still alive are filtered pair by pair, so a pair is decided at n
-    only when every earlier pair kept n.  With a period P <= hi - lo, only
-    [lo, lo + P) is decided and its mask tiled.
+    only when every earlier pair kept n; while all are alive, a pair's hits
+    (walked on a ``range``) are the offsets alive.  With a period
+    P <= hi - lo, only [lo, lo + P) is decided and its mask tiled.
     """
     tiled = period is not None and period <= hi - lo
     top = lo + period - 1 if tiled else hi
@@ -487,8 +555,10 @@ def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=Non
         alive = range(size)
         for center, times in conds(start, size):
             if len(alive) < size:
-                times = [times[i] for i in alive]
-            alive = list(compress(alive, sys.hits(x, center, eps, times)))
+                found = sys.hit_indices(x, center, eps, [times[i] for i in alive])
+                alive = [alive[i] for i in found]
+            else:  # alive[i] == i
+                alive = sys.hit_indices(x, center, eps, times)
             if not alive:
                 break
         sel = bytearray(size)

@@ -17,6 +17,7 @@ The per-n ``--oracle`` of ``psynd returns``, which the one-period oracle
 replaced, is kept verbatim as ``model_rational_rotation_oracle``.
 """
 
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -41,10 +42,10 @@ from psynd import (
     return_set_2d,
 )
 from psynd import bitops
-from psynd.cli import _rational_rotation_oracle
+from psynd.cli import _rational_rotation_oracle, main
 from psynd.errors import BadEpsilonError, NotNormalFormError
 from psynd.polynomials import check_normal_form
-from psynd.systems import CHUNK, Point, fold_period
+from psynd.systems import CHUNK, Point, _below, _walk, fold_period
 
 # -- oracles: the per-point code the kernel replaced --------------------
 
@@ -617,3 +618,189 @@ def test_one_period_oracle_matches_per_n_model(sys_obj, fam, eps, lo, width):
     hi = lo + width - 1
     want = model_rational_rotation_oracle(sys_obj, family, eps, lo, hi)
     assert _rational_rotation_oracle(sys_obj, family, eps, lo, hi) == want
+
+
+# -- the three-gap walk --------------------------------------------------
+#
+# A range of times is walked hit by hit (``systems._walk``); a list, or a
+# range the walk declines, is tested time by time.  The walk must give the
+# per-time decisions exactly, and decline (None) where the three-gap step
+# does not hold: 2 width >= m, or a gap not found within CHUNK steps.
+
+# 1/4 still walks (L < M/4 strictly); 3/10 and 1/2 give 2L >= M/2 and fall back
+WALK_EPSILONS = [Fraction(1, 1000), Fraction(1, 10), Fraction(249, 1000), Fraction(1, 4),
+                 Fraction(3, 10), Fraction(1, 2)]
+
+
+def per_time(sys, x, center, eps, times):
+    """The per-point ball test at every time."""
+    ox, oc = old_form(sys, x), old_form(sys, center)
+    return [oracle_in_ball(sys, oracle_iterate(sys, ox, t), oc, eps) for t in times]
+
+
+def steps(k: int, start: int, count: int) -> range:
+    """The times k n for n in [start, start + count): a member n, 2n or -n, or a
+    recurrence head of slope k."""
+    return range(k * start, k * (start + count), k)
+
+
+@st.composite
+def walk_queries(draw):
+    sys, x, center, _ = draw(queries())
+    return sys, x, center, draw(st.sampled_from(WALK_EPSILONS))
+
+
+@given(
+    st.sampled_from([60, 97, 1 << 20, 1 << 128, 1 << 256]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_walk_matches_per_time(m, data):
+    # the moduli past the exhaustive test below; the powers of 2 are the named path
+    if m < 100:
+        width = data.draw(st.integers(0, m))
+    else:
+        width = 2 * _below(data.draw(st.sampled_from(WALK_EPSILONS)), m)
+    step = data.draw(st.integers(-m, 2 * m))
+    v0 = data.draw(st.integers(-3 * m, 3 * m))
+    count = data.draw(st.one_of(st.integers(0, 12), st.integers(0, 400)))
+    got = _walk(v0, step, width, m, count)
+    if 2 * width >= m:
+        assert got is None
+    if got is not None:
+        assert got == [j for j in range(count) if (v0 + j * step) % m <= width]
+
+
+def test_walk_matches_per_time_on_every_small_case():
+    # every arc, step and start for m <= 16: each boundary v + ua = width,
+    # v + ub = 0 and each first hit at index a + b - 1 occurs
+    walked = 0
+    for m in range(1, 17):
+        for width in range(m):
+            for step in range(m):
+                for v0 in range(m):
+                    got = _walk(v0, step, width, m, 3 * m)
+                    if 2 * width >= m:
+                        assert got is None
+                    if got is not None:
+                        walked += 1
+                        assert got == [j for j in range(3 * m) if (v0 + j * step) % m <= width]
+    assert walked > 5000
+
+
+def test_walk_takes_the_named_constant_steps():
+    # sqrt2 at eps 1/10: gaps exist within a few steps, so the walk decides
+    m = 1 << 256
+    s = parse_real("sqrt2").fixed(256) % m
+    width = 2 * _below(Fraction(1, 10), m)
+    got = _walk(width // 2, s, width, m, 5000)
+    assert got is not None and len(got) > 500
+    assert got == [j for j in range(5000) if (width // 2 + j * s) % m <= width]
+
+
+@given(walk_queries(), st.sampled_from([1, 2, -1]), st.integers(-300, 300),
+       st.one_of(st.integers(0, 12), st.integers(0, 300)))
+@settings(max_examples=250, deadline=None)
+def test_walked_hits_match_per_point_ball_test(query, k, start, count):
+    # 1- and 2-dim rotations, skew and Heisenberg x; rational, and named at
+    # 128 and 256 bits; windows across 0; counts below a + b
+    sys, x, center, eps = query
+    times = steps(k, start, count)
+    assert sys.hits(x, center, eps, times) == per_time(sys, x, center, eps, times)
+
+
+@given(walk_queries(), st.sampled_from([1, 2, -1]), st.integers(-CHUNK, CHUNK),
+       st.integers(CHUNK + 1, CHUNK + 300))
+@settings(max_examples=30, deadline=None)
+def test_walked_hits_past_a_chunk_match_per_time(query, k, start, count):
+    # the list path is the per-time test, itself checked per point above
+    sys, x, center, eps = query
+    times = steps(k, start, count)
+    assert sys.hits(x, center, eps, times) == sys.hits(x, center, eps, list(times))
+
+
+@given(walk_queries(), window, st.sampled_from([["n"], ["2n", "n^2"], ["-n", "n^2"],
+                                                ["n", "-n"]]))
+@settings(max_examples=120, deadline=None)
+def test_walked_return_set_1d_matches_per_point_loop(query, win, fam):
+    sys, x, center, eps = query
+    q = ReturnQuery(sys, x, center, eps, PolyFamily.parse(fam), win)
+    assert return_set_1d(q) == oracle_return_set_1d(q)
+
+
+@given(walk_queries(), box, st.sampled_from([["n"], ["n", "n^2"]]))
+@settings(max_examples=80, deadline=None)
+def test_walked_return_set_2d_matches_per_point_loop(query, box, fam):
+    # every column's times m + p_i(n) are a range in m
+    sys, x, center, eps = query
+    q = ReturnQuery(sys, x, center, eps, PolyFamily.parse(fam), box)
+    assert return_set_2d(q) == oracle_return_set_2d(q)
+
+
+@given(walk_queries(), st.sampled_from(NORMAL_FAMILIES), st.integers(0, 2), st.integers(0, 60))
+@settings(max_examples=80, deadline=None)
+def test_walked_recurrence_heads_match_per_point_loop(query, fam, radius, n_bound):
+    # the heads are ranges of slope 1, -1 or 2
+    sys, x, _, eps = query
+    family = PolyFamily.parse(fam)
+    got = recurrence_times(sys, x, family, radius, eps, n_bound)
+    assert got == oracle_recurrence_times(sys, x, family, radius, eps, n_bound)
+
+
+@given(st.sampled_from([Fraction(1, 1000), Fraction(1, 10), Fraction(249, 1000)]),
+       st.sampled_from([1, 2, -1]))
+@settings(max_examples=12, deadline=None)
+def test_walked_return_sets_longer_than_a_chunk(eps, k):
+    sys = TorusRotation((parse_real("golden"),), bits=128)
+    x = sys.base_point()
+    half = CHUNK // 2 + 10
+    fam = PolyFamily.parse([f"{k}n", "n^2"])
+    q = ReturnQuery(sys, x, x, eps, fam, (-half, half))
+    assert return_set_1d(q) == oracle_return_set_1d(q)
+
+
+# -- fallbacks -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha, coord", [
+    ("0", "1/7"),    # s = 0: no j s ever lands in [m - width, m)
+    ("1/2", "1/7"),  # s = m/2
+    ("1/3", "1/5"),  # s/m = 1/3 at m = 15: only 0 of the subgroup is in the arc
+])
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 1000)])
+def test_missing_gaps_fall_back_to_per_time(alpha, coord, eps):
+    sys = TorusRotation((parse_real(alpha),))
+    x = sys.make_point([coord])
+    m = sys._modulus(x, x)
+    (s,) = sys._scaled(sys._params, m)
+    assert _walk(0, s, 2 * _below(eps, m), m, 100) is None
+    for k in (1, 2, -1):
+        times = steps(k, -40, 81)
+        assert sys.hits(x, x, eps, times) == per_time(sys, x, x, eps, times)
+
+
+def test_tiny_epsilon_falls_back_to_per_time():
+    # at eps 1/10^6 the first return takes more than CHUNK steps
+    sys = TorusRotation((parse_real("sqrt2"),))
+    x = sys.base_point()
+    eps = Fraction(1, 10**6)
+    m = 1 << sys.bits
+    (s,) = sys._scaled(sys._params, m)
+    assert _walk(0, s, 2 * _below(eps, m), m, 100) is None
+    times = range(-100000, 100001)
+    want = sys.hits(x, x, eps, list(times))
+    assert any(want) and sys.hits(x, x, eps, times) == want
+    got = return_set_1d(ReturnQuery(sys, x, x, eps, PolyFamily.parse(["n"]), (-100000, 100000)))
+    assert list(got.members()) == [t for t, hit in zip(times, want) if hit]
+
+
+def test_rotation_with_no_coordinates_keeps_every_time(tmp_path):
+    sys = TorusRotation(())
+    x = sys.base_point()
+    assert sys.hits(x, x, Fraction(1, 10), range(-5, 6)) == [True] * 11
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"system": {"type": "rotation", "alpha": []}, "family": ["n", "n^2"],
+                               "epsilon": "1/10", "window": [-5, 5]}))
+    out = tmp_path / "report.json"
+    assert main(["returns", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["set"]["members"] == list(range(-5, 6))

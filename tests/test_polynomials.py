@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psynd import (
@@ -55,6 +55,36 @@ def test_values_match_eval(coeffs, lo, count):
     # degree 0-6 and the zero polynomial; the small lo make windows cross 0
     p = IntegralPolynomial(coeffs)
     assert p.values(lo, count) == [p.eval(n) for n in range(lo, lo + count)]
+
+
+@given(
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.one_of(st.integers(-(10**12), 10**12), st.integers(-CHUNK - 10, 10)),
+    st.sampled_from([0, 1, 2, CHUNK + 1]),
+)
+@settings(max_examples=200, deadline=None)
+def test_progression_of_a_linear_member_is_its_values(c0, c1, lo, count):
+    # n, 2n, -n and c0 + c1 n of either sign: the times return_set_1d walks
+    p = IntegralPolynomial([c0, c1])
+    got = p.progression(lo, count)
+    assert isinstance(got, range)
+    assert list(got) == p.values(lo, count)
+
+
+@given(
+    st.one_of(st.lists(st.integers(-9, 9), max_size=1),
+              st.lists(st.integers(-9, 9), min_size=3, max_size=6)),
+    st.integers(-CHUNK - 10, 10),
+    st.sampled_from([0, 1, CHUNK + 1]),
+)
+@settings(max_examples=100, deadline=None)
+def test_progression_keeps_the_list_for_other_degrees(coeffs, lo, count):
+    # the zero polynomial, constants and degree >= 2
+    p = IntegralPolynomial(coeffs)
+    assume(p.degree != 1)
+    got = p.progression(lo, count)
+    assert type(got) is list and got == p.values(lo, count)
 
 
 @given(
