@@ -47,10 +47,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import factorial, lcm
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from . import bitops
-from .constants import DEFAULT_BITS, RealSpec, parse_real
+from .constants import DEFAULT_BITS, MIN_BITS, RealSpec, parse_real
 from .errors import BadEpsilonError, EmptySetError, WindowExhaustedError
 from .polynomials import PolyFamily
 from .windows import WindowSet
@@ -345,8 +345,9 @@ class HeisenbergNil(_System):
         return m * m if self.exact else m
 
     @staticmethod
-    def _orbit(xyz, a: int, b: int, m: int, times: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
-        """T^t (x, y, z) for t in times, at the modulus m and reduced mod m.
+    def _height(y: int, z: int, a: int, b: int, m: int) -> Callable[[int, int, int], int]:
+        """(t, u, fl) -> the z of T^t (x, y, z) at the modulus m, not yet reduced
+        mod m, given u = x + t a and fl = floor((y + t b) / m).
 
         The point and tau = (a, b, 0) come scaled to m.  The z of
         tau^t (x, y, z) is z + C(t,2) ab + t a y; the reduction to the
@@ -354,18 +355,16 @@ class HeisenbergNil(_System):
         a y = hi m + lo, floor(t a y / m) = t hi + floor(t lo / m) for
         either sign of t, so no product with y is taken per time.
         """
-        x, y, z = xyz
         ab = a * b // m
         ay_hi, ay_lo = divmod(a * y, m)
-        for t in times:
-            u = x + t * a
-            fl, v = divmod(y + t * b, m)
-            yield u % m, v, (z + t * (t - 1) // 2 * ab + t * ay_hi + t * ay_lo // m - u * fl) % m
+        return lambda t, u, fl: z + t * (t - 1) // 2 * ab + t * ay_hi + t * ay_lo // m - u * fl
 
     def iterate(self, p: Point, n: int) -> Point:
         m = self._modulus(p)
-        a, b = self._scaled(self._params, m)
-        return _unscaled(next(self._orbit(self._scaled(p.coords, m), a, b, m, [n])), m)
+        (x, y, z), (a, b) = self._scaled(p.coords, m), self._scaled(self._params, m)
+        u = x + n * a
+        fl, v = divmod(y + n * b, m)
+        return _unscaled([u, v, self._height(y, z, a, b, m)(n, u, fl)], m)
 
     @staticmethod
     def _fiber(y: int, z: int, c1: int, c2: int, c3: int, m: int) -> int:
@@ -376,7 +375,10 @@ class HeisenbergNil(_System):
         center c, and B(c, eps) is the open neighbourhood d < eps of c (the
         lattice acts by a shear, so d is not claimed to be a metric).  r is the
         nearest integer; the best q has |dy|, |dz| <= m/2, so d^2 <= m^2/2,
-        and |q| >= 2 gives dy^2 > m^2.
+        and |q| >= 2 gives dy^2 > m^2.  Every q but the one nearest in y has
+        |dy| >= m/2, so for eps <= 1/2 ``hit_indices`` takes that q alone at
+        m = 2^bits; this minimum serves larger eps, rational m and
+        ``point_distance``.
         """
         h = m // 2
         dy, dz = y - c2, z - c3 + h  # q = -1 and q = 1 add m and c1, or subtract them
@@ -384,30 +386,48 @@ class HeisenbergNil(_System):
                    (dy - m) ** 2 + ((dz - c1) % m - h) ** 2)
 
     def hit_indices(self, p: Point, center: Point, eps, times: Sequence[int]) -> List[int]:
-        """The i with T^{times[i]} p in B(center, eps).
+        """The i with T^{times[i]} p in B(center, eps), the neighbourhood of ``_fiber``.
 
-        The ball is the neighbourhood of ``_fiber``.  The circle distances
-        in x and y bound its distance from below, so the circle tests in x
-        and then y (``_on_arc``) reject over the whole time list before z
-        is computed for the times left.
+        The circle distances d1 in x and dy in y bound its distance from
+        below, so the circle tests in x and then y (``_on_arc``) reject over
+        the whole time list first.  For eps <= 1/2 (limit < (m/2)^2) only the
+        translate q nearest in y can be in the ball, so at m = 2^bits each time
+        left spends the budget limit - d1^2 - dy^2, is rejected when that is
+        negative, and only then computes z: it hits when the squared
+        nearest-r residual in z of translate q fits in the budget.  Otherwise
+        each time left takes ``_fiber``'s minimum over three translates.
         """
         m = self._modulus(p, center)
         half = _below(eps, m)
-        width = 2 * half
         limit = _below(Fraction(eps) ** 2, m * m)
         x, y, z = self._scaled(p.coords, m)
         c1, c2, c3 = self._scaled(center.coords, m)
         a, b = self._scaled(self._params, m)
-        near = _on_arc(x - c1 + half, a, width, m, times)
-        near = _on_arc(y - c2 + half, b, width, m, times, near)
-        out = []
-        orbit = self._orbit((x, y, z), a, b, m, [times[i] for i in near])
-        for i, (u, v, w) in zip(near, orbit):
-            d1 = (u - c1) % m
-            if m - d1 < d1:
-                d1 = m - d1
-            if d1 * d1 + self._fiber(v, w, c1, c2, c3, m) <= limit:
-                out.append(i)
+        near = _on_arc(x - c1 + half, a, 2 * half, m, times)
+        near = _on_arc(y - c2 + half, b, 2 * half, m, times, near)
+        height, h, out = self._height(y, z, a, b, m), m // 2, []
+        if m & (m - 1) or limit >= h * h:
+            for i in near:
+                t = times[i]
+                u = x + t * a
+                fl, v = divmod(y + t * b, m)
+                d1 = _circle(u - c1, m)
+                if d1 * d1 + self._fiber(v, height(t, u, fl), c1, c2, c3, m) <= limit:
+                    out.append(i)
+            return out
+        bits, mask = m.bit_length() - 1, m - 1
+        for i in near:
+            t = times[i]
+            u, yy = x + t * a, y + t * b
+            # past both arcs |d1|, |dy| <= half < m/2: the circle distances
+            d1 = ((u - c1 + half) & mask) - half
+            dy = ((yy - c2 + half) & mask) - half
+            room = limit - d1 * d1 - dy * dy
+            if room >= 0:
+                q = ((yy & mask) - c2 - dy) >> bits  # the translate nearest in y
+                dz = ((height(t, u, yy >> bits) - c3 - q * c1 + h) & mask) - h
+                if dz * dz <= room:
+                    out.append(i)
         return out
 
     def point_distance(self, a: Point, c: Point) -> float:
@@ -585,7 +605,9 @@ def fold_period(sys: SystemSpec, x: PointLike, family: PolyFamily) -> Optional[i
 
 def system_from_json_obj(obj: dict) -> SystemSpec:
     kind = obj["type"]
-    bits = int(obj.get("bits", DEFAULT_BITS))
+    bits = obj.get("bits", DEFAULT_BITS)
+    if type(bits) is not int or bits < MIN_BITS:
+        raise ValueError(f"bad bits {bits!r}: an integer >= {MIN_BITS}")
     if kind == "rotation":
         alphas = obj["alpha"]
         if isinstance(alphas, (str, int)):

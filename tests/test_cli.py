@@ -373,6 +373,7 @@ def test_induced_unknown_block_kind_exit_2(tmp_path, capsys, kind):
     assert "induced: config error: bad block" in err and "'split'" in err and "'orbit'" in err
 
 
+HEIS_NAMED = {"type": "heisenberg", "alpha": "sqrt2-1", "beta": "sqrt3-1"}
 MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
 
 
@@ -382,6 +383,10 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
     ("analyze", {"set": MOD3, "certificates": {"syndetic": 3}}, "'int' object is not subscriptable"),
     ("analyze", {"set": MOD3, "certificates": []}, "'list' object has no attribute"),
     ("nilcheck", [1, 2], "is not a JSON object"),
+    *[("nilcheck", {"system": {**HEIS_NAMED, "bits": bits}}, f"bad bits {bits!r}")
+      for bits in [256.9, "256", -3, 127, True, None]],
+    ("returns", {"system": {"type": "rotation", "alpha": ["1/4"], "bits": 64}, "family": ["n"],
+                 "window": [0, 9]}, "bad bits 64: an integer >= 128"),
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""

@@ -19,7 +19,7 @@ replaced, is kept verbatim as ``model_rational_rotation_oracle``.
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -284,7 +284,7 @@ def model_rational_rotation_oracle(sys_obj: dict, family: PolyFamily, eps, lo: i
 
 # -- strategies ----------------------------------------------------------
 
-EPSILONS = [Fraction(1, 1000), Fraction(3, 10), Fraction(1, 2), Fraction(2, 3)]
+EPSILONS = [Fraction(1, 1000), Fraction(1, 5), Fraction(3, 10), Fraction(1, 2), Fraction(2, 3)]
 # ["n^2"], ["n^2", "n^4"] and ["n^4+n^2"] are even: return_set_1d decides
 # them once per |n| and mirrors the mask
 FAMILIES = [
@@ -412,6 +412,71 @@ def test_heisenberg_ball_takes_the_nearest_translate_in_z():
     assert heis.point_distance(a, c) == oracle_point_distance(heis, a, c) == 0.0325 ** 0.5
     assert heis.in_ball(a, c, Fraction(1, 2))
     assert oracle_in_ball(heis, a, c, Fraction(1, 2))
+
+
+# eps <= 1/2 takes one translate of the center, the one nearest in y; above,
+# three.  The draws put y on both sides of the switch
+BOUNDARY_EPSILONS = [Fraction(1, 5), Fraction(49, 100), Fraction(1, 2), Fraction(51, 100),
+                     Fraction(2, 3)]
+near_edge = st.fractions(0, Fraction(1, 20), max_denominator=10**6)
+near_zero = st.one_of(near_edge, near_edge.map(lambda v: -v))
+unit_interval = st.fractions(0, 1, max_denominator=10**6)
+small_offset = st.fractions(Fraction(-3, 10), Fraction(3, 10), max_denominator=10**6)
+
+
+@st.composite
+def boundary_queries(draw):
+    """(system, x, center, eps, times): at the first time, T^t x has its y
+    near 0 or 1 with the center's also near 0 or 1, so that the translate
+    nearest in y is q = -1, 0 or 1, or 1/2 + a little from the center's, so
+    that two translates are about as near; its x is near the center's, and
+    its z near that of the translate q, which need not be the nearest."""
+    named = draw(st.booleans())
+    alpha, beta = (parse_real(draw(reals(named))) for _ in range(2))
+    sys = HeisenbergNil(alpha, beta, bits=draw(st.sampled_from([128, 256])))
+    scale = 1 << sys.bits
+    snap = (lambda v: v % 1) if sys.exact else (lambda v: Fraction(int(v % 1 * scale), scale))
+    c1, c3 = snap(draw(unit_interval)), snap(draw(unit_interval))
+    c2 = snap(draw(near_zero))
+    y = draw(st.one_of(near_zero, near_zero.map(lambda v: c2 + Fraction(1, 2) + v)))
+    q = draw(st.sampled_from([-1, 0, 1]))
+    target = Point(tuple(snap(v) for v in (c1 + draw(small_offset), y, c3 + q * c1 + draw(small_offset))))
+    center = Point((c1, c2, c3))
+    t0 = draw(st.integers(-(10**12), 10**12))
+    times = [t0] + draw(st.lists(st.integers(-(10**12), 10**12), max_size=20))
+    return sys, sys.iterate(target, -t0), center, draw(st.sampled_from(BOUNDARY_EPSILONS)), times
+
+
+@given(boundary_queries())
+@settings(max_examples=400, deadline=None)
+def test_heisenberg_hits_across_the_one_translate_switch(query):
+    sys, x, center, eps, times = query
+    ox, oc = old_form(sys, x), old_form(sys, center)
+    want = [oracle_in_ball(sys, oracle_iterate(sys, ox, t), oc, eps) for t in times]
+    assert sys.hits(x, center, eps, times) == want
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("eps", BOUNDARY_EPSILONS)
+def test_heisenberg_ball_edge_in_z(bits, eps):
+    # d1 and dy spend half the budget; the z residual +-k fits what is left
+    # and +-(k + 1) does not, where k < m/2 is the nearest-r residual.  The
+    # translate nearest in y is q, by the center's y near 0, at m/3 or near 1
+    m = 1 << bits
+    sys = HeisenbergNil(parse_real("sqrt2-1"), parse_real("sqrt3-1"), bits=bits)
+    half, limit = _below(eps, m), _below(eps * eps, m * m)
+    d1 = dy = half // 2
+    k = isqrt(limit - d1 * d1 - dy * dy)
+    c1, c3 = m // 5, m // 7
+    for q, c2 in [(-1, m - 5), (0, m // 3), (1, 5)]:
+        dy_q = -dy if q == 1 else dy
+        c = Point(tuple(Fraction(v, m) for v in (c1, c2, c3)))
+        for sign in (1, -1):
+            for j in (0, 1):
+                at = [c1 + d1, c2 + dy_q + q * m, c3 + q * c1 + sign * (k + j)]
+                p = Point(tuple(Fraction(v % m, m) for v in at))
+                assert sys.hits(p, c, eps, [0]) == [j == 0]
+                assert oracle_in_ball(sys, old_form(sys, p), old_form(sys, c), eps) is (j == 0)
 
 
 @given(queries(), window, st.sampled_from(FAMILIES))

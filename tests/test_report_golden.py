@@ -4,10 +4,12 @@ The benchmark digests cover set masks only.  The ``returns`` and
 ``induced`` reports also echo points (``x``, ``center``) and list orbit
 points in ``induced`` blocks, so their bytes fix the point encoding of
 every coordinate system: hex ``coords_fixed`` at 2^bits for named
-constants, reduced fractions for rationals.  The ``nilcheck`` report and
+constants, reduced fractions for rationals.  The ``nilcheck`` reports and
 the ``returns`` report of ``n^2`` on a skew product, over a window that
 is longer below 0 than above, fix return sets of an even family, which
-are decided once per |n|.  The ``thma`` and ``analyze`` reports fix the
+are decided once per |n|; two of the ``nilcheck`` reports sit at eps 1/2
+and 51/100, on both sides of the Heisenberg ball's switch from one
+translate of the center to three.  The ``thma`` and ``analyze`` reports fix the
 text of embedded member lists, planar and linear, in JSON and in CSV,
 next to their certificates (a syndetic refutation among them).  A
 digest changes only if a report byte changes.
@@ -105,6 +107,18 @@ CASES = {
         "epsilon": "1/5",
         "windows": [1000, 3000],
     }),
+    "nilcheck-heisenberg-named-eps-1-2": ("nilcheck", {
+        "system": {"type": "heisenberg", "alpha": "sqrt2-1", "beta": "sqrt3-1"},
+        "family": ["n^2"],
+        "epsilon": "1/2",
+        "windows": [2000],
+    }),
+    "nilcheck-heisenberg-named-eps-51-100": ("nilcheck", {
+        "system": {"type": "heisenberg", "alpha": "sqrt2-1", "beta": "sqrt3-1"},
+        "family": ["n^2"],
+        "epsilon": "51/100",
+        "windows": [2000],
+    }),
     "returns-skew-golden-n2": ("returns", {
         "system": {"type": "skew", "alpha": "golden"},
         "family": ["n^2"],
@@ -134,6 +148,8 @@ DIGESTS = {
     "returns-heisenberg-rational-box": "41004a1b08bee236dbea73c1fc5c29054fbeae5509363da1ba166a1573043084",
     "returns-heisenberg-rational-x-center": "d1162cc8f16741fe0c65d443e35a4a2a36f6a6ebf16e26198dcd8e46f05b053d",
     "returns-rotation-sqrt2-x-center": "cbe38d6118e4b9f3936c4d23ed0cd03eef0da4c977806dbdb9671a0e0bd63e7c",
+    "nilcheck-heisenberg-named-eps-1-2": "52b7d716eed4b24479377ad32bb26a85e3e0b6a54b2618dc7321c7612f443e91",
+    "nilcheck-heisenberg-named-eps-51-100": "3c0b34ecc68511654cdafeaabd2e4f20196523ce4cc6e1e4f365b321916800d9",
     "nilcheck-heisenberg-named-nested": "08b6407296df3b99b2fc0f6423d897d92cc79d45806fda89087583fea97099c4",
     "returns-skew-golden-coords-fixed": "0a29898b6c9a30d2c5e358d6c0c88582cfd714ea92633e7cde5daf7a2c3edeba",
     "returns-skew-golden-n2": "607fc6cbc2f7d46f658d3ba259a2cb0d39a8a37b11e21a982d470f5b15b0eadd",
