@@ -5,12 +5,14 @@ bit ``i`` being the ``i``-th position counted from the low end.  All
 kernels here are pure functions of plain ints so they stay trivially
 thread-safe and easy to oracle against naive set code.
 
-A bit matrix is a list of row masks of one width.  ``transpose`` turns it
-into the masks of its columns, so that 2D kernels can work along either
-axis with whole-mask operations: the matrix is cut into square tiles,
-each tile is packed into one int, and its off-diagonal blocks are swapped
-in log2 rounds (the recursive block swap of Warren, *Hacker's Delight*,
-section 7-3).  No Python step runs per cell.
+A bit matrix is a list of masks of one width.  ``transpose`` turns it into
+the masks of its other axis.  A ``GridSet`` keeps its columns, the axis
+its kernels work along, so the transpose serves only where rows come in
+or go out (``GridSet(box, rows)`` and its ``rows`` view).  The matrix is
+cut into square tiles, each tile is packed into one int, and its
+off-diagonal blocks are swapped in log2 rounds (the recursive block swap
+of Warren, *Hacker's Delight*, section 7-3).  No Python step runs per
+cell.
 """
 
 from __future__ import annotations

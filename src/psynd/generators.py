@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import bitops
-from .constants import DEFAULT_BITS, parse_real
+from .constants import DEFAULT_BITS, config_bits, parse_real
 from .windows import WindowSet
 
 
@@ -75,6 +75,14 @@ def load_window_file(path: str) -> WindowSet:
     return WindowSet.from_json_obj(json.loads(raw.decode("utf-8")))
 
 
+def _window(obj: dict) -> list:
+    """A set source's ``window`` [lo, hi], two JSON integers, else ValueError."""
+    window = obj["window"]
+    if not (isinstance(window, list) and len(window) == 2 and all(type(v) is int for v in window)):
+        raise ValueError(f"bad window {window!r}: two integers")
+    return window
+
+
 def window_from_source(obj: dict, rng: Optional[random.Random] = None) -> WindowSet:
     """Build a WindowSet from a config source description.
 
@@ -93,20 +101,15 @@ def window_from_source(obj: dict, rng: Optional[random.Random] = None) -> Window
         if kind == "file":
             return load_window_file(obj["path"])
         if kind == "sturmian":
-            lo, hi = obj["window"]
-            bits = int(obj.get("bits", DEFAULT_BITS))
-            return sturmian_window(obj["alpha"], int(lo), int(hi), bits)
+            return sturmian_window(obj["alpha"], *_window(obj), config_bits(obj))
         if kind == "congruence":
-            lo, hi = obj["window"]
-            return congruence_window(int(obj["modulus"]), obj["residues"], int(lo), int(hi))
+            return congruence_window(int(obj["modulus"]), obj["residues"], *_window(obj))
         if kind == "full":
-            lo, hi = obj["window"]
-            return WindowSet.full(int(lo), int(hi))
+            return WindowSet.full(*_window(obj))
         if kind == "random_thick_syndetic":
             if rng is None:
                 raise ValueError("random source needs a seeded rng")
-            lo, hi = obj["window"]
-            return random_thick_syndetic(int(lo), int(hi), rng)
+            return random_thick_syndetic(*_window(obj), rng)
     except TypeError as exc:
         raise ValueError(f"bad set source: {exc}") from exc
     raise ValueError(f"unknown set source kind {kind!r}")

@@ -386,10 +386,8 @@ def check_normal_form(family: PolyFamily) -> Optional[NormalFormViolation]:
         d = p.degree
         if d <= 0:
             return NormalFormViolation(idx, idx, 0, 0, "constant member")
-        if d == 1:
+        if d == 1:  # a != 0: p(0) = 0, and the top coefficient is never zero
             a = int(p.monomial_view()[1])
-            if a == 0:
-                return NormalFormViolation(idx, idx, 0, 0, "zero slope")
             if a in slopes:
                 return NormalFormViolation(slopes[a], idx, 0, 0, "duplicate slope")
             slopes[a] = idx

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from . import bitops
 from .errors import BadBoundError, BadEpsilonError, EmptySetError
@@ -89,7 +89,7 @@ def return_set_2d(q: ReturnQuery) -> GridSet:
     last = nhi if period is None else min(nhi, nlo + period - 1)
     cols = [column(n) for n in range(nlo, last + 1)]
     cols = [cols[i % len(cols)] for i in range(nhi - nlo + 1)]
-    return GridSet((mlo, mhi, nlo, nhi), bitops.transpose(cols, mhi - mlo + 1))
+    return GridSet._from_cols(q.window, cols)
 
 
 def combinatorial_set_2d(
@@ -101,8 +101,7 @@ def combinatorial_set_2d(
     window; members is a subset of validity by construction.
     """
     mlo, mhi, nlo, nhi = box
-    m_width = mhi - mlo + 1
-    m_mask = bitops.mask_of(m_width)
+    m_mask = bitops.mask_of(mhi - mlo + 1)
     member_cols = []
     valid_cols = []
     for n in range(nlo, nhi + 1):
@@ -120,20 +119,7 @@ def combinatorial_set_2d(
             member_col &= col & m_mask
         valid_cols.append(valid_col)
         member_cols.append(member_col)
-    return (
-        GridSet(box, bitops.transpose(member_cols, m_width)),
-        GridSet(box, bitops.transpose(valid_cols, m_width)),
-    )
-
-
-def _columns(members: GridSet, validity: GridSet) -> Tuple[List[int], List[int]]:
-    """Column masks over m of members and validity, which share one box."""
-    if members.box != validity.box:
-        raise ValueError("box mismatch")
-    return (
-        bitops.transpose(members.rows, members.n_width),
-        bitops.transpose(validity.rows, validity.n_width),
-    )
+    return GridSet._from_cols(box, member_cols), GridSet._from_cols(box, valid_cols)
 
 
 def masked_dilation_2d(
@@ -145,11 +131,12 @@ def masked_dilation_2d(
     by a real member), but certificates are kept inside validity so
     that the whole claim is decidable from the window.
     """
-    cols, valid = _columns(members, validity)
-    for dilated in column_dilations(cols, members.m_width, b1, b2, valid):
+    if members.box != validity.box:
+        raise ValueError("box mismatch")
+    for dilated in column_dilations(members.cols, members.m_width, b1, b2, validity.cols):
         pass
     box = (members.mlo, members.mhi - b1, members.nlo, members.nhi - b2)
-    return GridSet(box, bitops.transpose(dilated, members.m_width - b1))
+    return GridSet._from_cols(box, dilated)
 
 
 def pws_area_witness_2d(
@@ -163,22 +150,22 @@ def pws_area_witness_2d(
     all-ones rectangle of at least ``min_area``; the certificate records that
     dilation's largest rectangle, under ``max_rectangle``'s tie rule.
 
-    Runs on column masks over m: members and validity are transposed once,
-    each b1 smears every column once, and each step of b2 ORs in one more
-    column (``column_dilations``).  Each attempt asks ``max_rectangle_cols``
-    only for areas above ``min_area - 1``, so a failing attempt stops after a
-    few run tests and a passing one gets the rectangle a full
-    ``max_rectangle`` finds.
+    Runs on the columns over m: each b1 smears every column once, and each
+    step of b2 ORs in one more column (``column_dilations``).  Each attempt
+    asks ``max_rectangle_cols`` only for areas above ``min_area - 1``, so a
+    failing attempt stops after a few run tests and a passing one gets the
+    rectangle a full ``max_rectangle`` finds.
     """
     if b1_max < 0 or b2_max < 0:
         raise BadBoundError("shift bounds must be >= 0")
     if min_area < 1:
         raise BadBoundError("min_area must be >= 1")
-    cols, valid = _columns(members, validity)
+    if members.box != validity.box:
+        raise ValueError("box mismatch")
     mlo, mhi, nlo, nhi = members.box
     b2_top = min(b2_max, members.n_width - 1)
     for b1 in range(0, min(b1_max, members.m_width - 1) + 1):
-        dilations = column_dilations(cols, members.m_width, b1, b2_top, valid)
+        dilations = column_dilations(members.cols, members.m_width, b1, b2_top, validity.cols)
         for b2, dilated in enumerate(dilations):
             _, rect = max_rectangle_cols(dilated, (mlo, mhi - b1, nlo, nhi - b2), min_area - 1)
             if rect is not None:

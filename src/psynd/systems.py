@@ -50,7 +50,7 @@ from math import factorial, lcm
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from . import bitops
-from .constants import DEFAULT_BITS, MIN_BITS, RealSpec, parse_real
+from .constants import DEFAULT_BITS, RealSpec, config_bits, parse_real
 from .errors import BadEpsilonError, EmptySetError, WindowExhaustedError
 from .polynomials import PolyFamily
 from .windows import WindowSet
@@ -605,9 +605,7 @@ def fold_period(sys: SystemSpec, x: PointLike, family: PolyFamily) -> Optional[i
 
 def system_from_json_obj(obj: dict) -> SystemSpec:
     kind = obj["type"]
-    bits = obj.get("bits", DEFAULT_BITS)
-    if type(bits) is not int or bits < MIN_BITS:
-        raise ValueError(f"bad bits {bits!r}: an integer >= {MIN_BITS}")
+    bits = config_bits(obj)
     if kind == "rotation":
         alphas = obj["alpha"]
         if isinstance(alphas, (str, int)):

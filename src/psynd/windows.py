@@ -186,27 +186,41 @@ class WindowSet:
 class GridSet:
     """Immutable subset of the integer box ``[mlo,mhi] x [nlo,nhi]``.
 
-    Stored row-major: ``rows[m - mlo]`` is the bitmask over the n-range
-    of row ``m``.
+    Stored by columns: ``cols[n - nlo]`` is the bitmask over the m-range of
+    column ``n``.  That is how the planar sets are built (for a fixed n,
+    the m with every m + p_i(n) in S) and searched.  ``GridSet(box, rows)``
+    takes row masks over the n-range, and :attr:`rows` gives them back:
+    these are the only transposes, and only row-major output reads rows.
     """
 
-    __slots__ = ("mlo", "mhi", "nlo", "nhi", "rows")
+    __slots__ = ("mlo", "mhi", "nlo", "nhi", "cols")
 
     def __init__(self, box: Tuple[int, int, int, int], rows: Sequence[int]):
+        self._fill(box, rows, "row")
+
+    @classmethod
+    def _from_cols(cls, box: Tuple[int, int, int, int], cols: Sequence[int]) -> "GridSet":
+        """The set whose column n is ``cols[n - nlo]``, a mask over the m-range."""
+        e = object.__new__(cls)
+        e._fill(box, cols, "column")
+        return e
+
+    def _fill(self, box: Tuple[int, int, int, int], masks: Sequence[int], kind: str) -> None:
+        """Store the box and its columns, given one mask per row (over the
+        n-range, then transposed) or per column; ValueError on a bad shape."""
         mlo, mhi, nlo, nhi = box
         if mlo > mhi or nlo > nhi:
             raise ValueError("empty box")
-        if len(rows) != mhi - mlo + 1:
-            raise ValueError("row count does not match box")
-        w = nhi - nlo + 1
-        for r in rows:
-            if r < 0 or r >> w:
-                raise ValueError("row mask outside box")
-        object.__setattr__(self, "mlo", mlo)
-        object.__setattr__(self, "mhi", mhi)
-        object.__setattr__(self, "nlo", nlo)
-        object.__setattr__(self, "nhi", nhi)
-        object.__setattr__(self, "rows", tuple(rows))
+        count, width = mhi - mlo + 1, nhi - nlo + 1
+        if kind == "column":
+            count, width = width, count
+        if len(masks) != count:
+            raise ValueError(f"{kind} count does not match box")
+        if any(x < 0 or x >> width for x in masks):
+            raise ValueError(f"{kind} mask outside box")
+        cols = bitops.transpose(masks, width) if kind == "row" else masks
+        for name, value in zip(self.__slots__, (*box, tuple(cols))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("GridSet is immutable")
@@ -215,40 +229,35 @@ class GridSet:
     def from_members(
         cls, box: Tuple[int, int, int, int], members: Iterable[Tuple[int, int]]
     ) -> "GridSet":
+        """The set of ``members``, set one selector byte per cell, column by column."""
         mlo, mhi, nlo, nhi = box
-        w = nhi - nlo + 1
-        sel = bytearray(max(0, w * (mhi - mlo + 1)))
+        h = mhi - mlo + 1
+        sel = bytearray(max(0, h * (nhi - nlo + 1)))
         for m, n in members:
             if not (mlo <= m <= mhi and nlo <= n <= nhi):
                 raise ValueError(f"member {(m, n)} outside box")
-            sel[(m - mlo) * w + n - nlo] = 1
-        return cls._from_cells(box, sel)
+            sel[(n - nlo) * h + m - mlo] = 1
+        return cls._from_cols(box, [bitops.from_selectors(sel[j * h : j * h + h])
+                                    for j in range(nhi - nlo + 1)])
 
     @classmethod
     def from_predicate(
         cls, box: Tuple[int, int, int, int], pred: Callable[[int, int], bool]
     ) -> "GridSet":
+        """The set of cells where ``pred`` is true, called in row-major order."""
         mlo, mhi, nlo, nhi = box
-        cells = product(range(mlo, mhi + 1), range(nlo, nhi + 1))
-        return cls._from_cells(box, bytes(map(bool, starmap(pred, cells))))
-
-    @classmethod
-    def _from_cells(cls, box: Tuple[int, int, int, int], sel: bytes) -> "GridSet":
-        """The set whose cell (m, n) is selector byte (m - mlo) w + n - nlo."""
-        w = box[3] - box[2] + 1
-        return cls(box, [bitops.from_selectors(sel[i * w : i * w + w])
-                         for i in range(box[1] - box[0] + 1)])
+        sel = bytes(map(bool, starmap(pred, product(range(mlo, mhi + 1), range(nlo, nhi + 1)))))
+        w = nhi - nlo + 1
+        return cls(box, [bitops.from_selectors(sel[i * w : i * w + w]) for i in range(mhi - mlo + 1)])
 
     @classmethod
     def full(cls, box: Tuple[int, int, int, int]) -> "GridSet":
         mlo, mhi, nlo, nhi = box
-        row = bitops.mask_of(nhi - nlo + 1)
-        return cls(box, [row] * (mhi - mlo + 1))
+        return cls._from_cols(box, [bitops.mask_of(mhi - mlo + 1)] * (nhi - nlo + 1))
 
     @classmethod
     def empty(cls, box: Tuple[int, int, int, int]) -> "GridSet":
-        mlo, mhi, _, _ = box
-        return cls(box, [0] * (mhi - mlo + 1))
+        return cls._from_cols(box, [0] * (box[3] - box[2] + 1))
 
     @property
     def box(self) -> Tuple[int, int, int, int]:
@@ -262,11 +271,17 @@ class GridSet:
     def m_width(self) -> int:
         return self.mhi - self.mlo + 1
 
+    @property
+    def rows(self) -> Tuple[int, ...]:
+        """``rows[m - mlo]``, the mask over the n-range of row m: one transpose
+        of the whole grid per read, so read it once."""
+        return tuple(bitops.transpose(self.cols, self.m_width))
+
     def __contains__(self, point: Tuple[int, int]) -> bool:
         m, n = point
         if not (self.mlo <= m <= self.mhi and self.nlo <= n <= self.nhi):
             return False
-        return bool(self.rows[m - self.mlo] >> (n - self.nlo) & 1)
+        return bool(self.cols[n - self.nlo] >> (m - self.mlo) & 1)
 
     def members(self) -> Iterator[Tuple[int, int]]:
         for m, r in zip(range(self.mlo, self.mhi + 1), self.rows):
@@ -274,44 +289,35 @@ class GridSet:
                 yield from zip(repeat(m), bitops.iter_bits(r, self.nlo))
 
     def count(self) -> int:
-        return sum(bitops.popcount(r) for r in self.rows)
+        return sum(map(bitops.popcount, self.cols))
 
     def is_empty(self) -> bool:
-        return all(r == 0 for r in self.rows)
+        return not any(self.cols)
 
     def intersect(self, other: "GridSet") -> "GridSet":
         if self.box != other.box:
             raise ValueError("box mismatch")
-        return GridSet(self.box, [a & b for a, b in zip(self.rows, other.rows)])
+        return GridSet._from_cols(self.box, [a & b for a, b in zip(self.cols, other.cols)])
 
     def restrict(self, box: Tuple[int, int, int, int]) -> "GridSet":
         """Restriction to a sub-box of the current box."""
         mlo, mhi, nlo, nhi = box
         if mlo < self.mlo or mhi > self.mhi or nlo < self.nlo or nhi > self.nhi:
             raise ValueError("restriction exceeds box")
-        keep = bitops.mask_of(nhi - nlo + 1)
-        shift = nlo - self.nlo
-        rows = [
-            (self.rows[m - self.mlo] >> shift) & keep for m in range(mlo, mhi + 1)
-        ]
-        return GridSet(box, rows)
+        keep = bitops.mask_of(mhi - mlo + 1)
+        shift = mlo - self.mlo
+        cols = self.cols[nlo - self.nlo : nhi - self.nlo + 1]
+        return GridSet._from_cols(box, [(c >> shift) & keep for c in cols])
 
     def n_projection(self) -> WindowSet:
         """{ n : some (m, n) is a member }, as a WindowSet over the n-range."""
-        acc = 0
-        for r in self.rows:
-            acc |= r
-        return WindowSet(self.nlo, self.nhi, acc)
+        return WindowSet(self.nlo, self.nhi, bitops.from_selectors(bytes(map(bool, self.cols))))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GridSet)
-            and self.box == other.box
-            and self.rows == other.rows
-        )
+        return isinstance(other, GridSet) and (self.box, self.cols) == (other.box, other.cols)
 
     def __hash__(self) -> int:
-        return hash((self.box, self.rows))
+        return hash((self.box, self.cols))
 
     def __repr__(self) -> str:
         return f"GridSet({self.box}, {self.count()} members)"
@@ -714,13 +720,12 @@ def pws_witness_2d(
     b2_cap = min(b2_max, e.n_width - h)
     if b2_cap < 0:
         return None
-    cols = bitops.transpose(e.rows, e.n_width)
     for b1 in range(0, b1_cap + 1):
-        for widest in column_dilations(cols, e.m_width, b1, b2_cap):
+        for widest in column_dilations(e.cols, e.m_width, b1, b2_cap):
             pass
         if _first_rect(widest, w, h) is None:
             continue
-        for b2, dilated in enumerate(column_dilations(cols, e.m_width, b1, b2_cap)):
+        for b2, dilated in enumerate(column_dilations(e.cols, e.m_width, b1, b2_cap)):
             pos = _first_rect(dilated, w, h)
             if pos is not None:
                 return PwsCert2D(shift_box=(b1, b2), rect=(e.mlo + pos[0], e.nlo + pos[1], w, h))
@@ -728,8 +733,8 @@ def pws_witness_2d(
 
 
 def max_rectangle(e: GridSet) -> Tuple[int, Optional[Tuple[int, int, int, int]]]:
-    """Largest all-ones rectangle of ``e``: ``max_rectangle_cols`` on its column masks."""
-    return max_rectangle_cols(bitops.transpose(e.rows, e.n_width), e.box)
+    """Largest all-ones rectangle of ``e``: ``max_rectangle_cols`` on its columns."""
+    return max_rectangle_cols(e.cols, e.box)
 
 
 def max_rectangle_cols(
@@ -787,7 +792,8 @@ def max_rectangle_cols(
 def syndetic_2d_certificate(
     e: GridSet, l_bound: int
 ) -> Union[Syndetic2DCert, Syndetic2DRefutation]:
-    """Certify that every point of the L-shrunk box lies in ``e + [-L, L]^2``."""
+    """Certify that every point of the L-shrunk box lies in ``e + [-L, L]^2``,
+    or refute it at the first uncovered (m, n), lowest m, then lowest n."""
     if l_bound < 0:
         raise BadBoundError("L must be >= 0")
     mlo, mhi = e.mlo + l_bound, e.mhi - l_bound
@@ -795,32 +801,27 @@ def syndetic_2d_certificate(
     if mlo > mhi or nlo > nhi:
         return Syndetic2DCert(l_bound=l_bound, checked_box=(mlo, mhi, nlo, nhi))
     # (m,n) in E + [-L,L]^2  iff  some member in [m-L,m+L] x [n-L,n+L]:
-    # smearing the left-shifted row by 2L realizes the two-sided dilation
-    width = e.n_width
-    two_sided = [
-        bitops.smear_down(r << l_bound, 2 * l_bound) & bitops.mask_of(width)
-        for r in e.rows
+    # smearing the left-shifted column by 2L realizes the two-sided dilation
+    keep = bitops.mask_of(e.m_width)
+    two_sided = [bitops.smear_down(c << l_bound, 2 * l_bound) & keep for c in e.cols]
+    want = bitops.mask_of(mhi - mlo + 1) << l_bound
+    firsts = [  # (m, n) offsets of the lowest uncovered point of each column
+        (bitops.lowest_set_bit(missing), j)
+        for j in range(l_bound, nhi - e.nlo + 1)
+        if (missing := want & ~reduce(or_, two_sided[j - l_bound : j + l_bound + 1]))
     ]
-    nrows = len(two_sided)
-    for i in range(mlo - e.mlo, mhi - e.mlo + 1):
-        acc = 0
-        for j in range(max(0, i - l_bound), min(nrows, i + l_bound + 1)):
-            acc |= two_sided[j]
-        want = bitops.mask_of(nhi - nlo + 1) << (nlo - e.nlo)
-        missing = want & ~acc
-        if missing:
-            n_idx = bitops.lowest_set_bit(missing)
-            return Syndetic2DRefutation(
-                l_bound=l_bound, point=(e.mlo + i, e.nlo + n_idx)
-            )
+    if firsts:
+        i, j = min(firsts)
+        return Syndetic2DRefutation(l_bound=l_bound, point=(e.mlo + i, e.nlo + j))
     return Syndetic2DCert(l_bound=l_bound, checked_box=(mlo, mhi, nlo, nhi))
 
 
 def grid_slice(e: GridSet, m: int) -> WindowSet:
-    """Row ``m`` of the grid as a WindowSet over the n-range."""
+    """Row ``m`` of the grid as a WindowSet over the n-range: bit m of each column."""
     if not e.mlo <= m <= e.mhi:
         raise ValueError(f"row {m} outside box rows [{e.mlo},{e.mhi}]")
-    return WindowSet(e.nlo, e.nhi, e.rows[m - e.mlo])
+    i = m - e.mlo
+    return WindowSet(e.nlo, e.nhi, bitops.from_selectors(bytes(c >> i & 1 for c in e.cols)))
 
 
 def best_slice(
@@ -834,8 +835,8 @@ def best_slice(
     """
     found = [
         (m, cert)
-        for m in range(e.mlo, e.mhi + 1)
-        if (cert := pws_witness(grid_slice(e, m), b_max, l_run))
+        for m, row in zip(range(e.mlo, e.mhi + 1), e.rows)  # one transpose
+        if (cert := pws_witness(WindowSet(e.nlo, e.nhi, row), b_max, l_run))
     ]
     if not found:
         raise NoRowError(f"no row admits a witness at b_max={b_max}, L={l_run}")
@@ -871,11 +872,12 @@ def _covered(s: WindowSet, lo: int, hi: int, w0: int, w1: int) -> bool:
 def _covered_2d(
     e: GridSet, region: Tuple[int, int, int, int], i0: int, i1: int, j0: int, j1: int
 ) -> bool:
-    """True when every (m, n) in ``region`` has a member in [m+i0, m+i1] x [n+j0, n+j1]."""
+    """True when every (m, n) in ``region`` has a member in [m+i0, m+i1] x [n+j0, n+j1]:
+    for each n, the OR of columns n+j0..n+j1 covers the m-range as ``_covered``."""
     mlo, mhi, nlo, nhi = region
-    for m in range(mlo, mhi + 1):
-        acc = reduce(or_, e.rows[max(m + i0 - e.mlo, 0) : max(m + i1 - e.mlo + 1, 0)], 0)
-        if not _covered(WindowSet(e.nlo, e.nhi, acc), nlo, nhi, j0, j1):
+    for n in range(nlo, nhi + 1):
+        acc = reduce(or_, e.cols[max(n + j0 - e.nlo, 0) : max(n + j1 - e.nlo + 1, 0)], 0)
+        if not _covered(WindowSet(e.mlo, e.mhi, acc), mlo, mhi, i0, i1):
             return False
     return True
 

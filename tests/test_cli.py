@@ -387,6 +387,12 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
       for bits in [256.9, "256", -3, 127, True, None]],
     ("returns", {"system": {"type": "rotation", "alpha": ["1/4"], "bits": 64}, "family": ["n"],
                  "window": [0, 9]}, "bad bits 64: an integer >= 128"),
+    *[("analyze", {"set": {"kind": "sturmian", "alpha": "golden", "window": [0, 9], "bits": bits}},
+       f"bad bits {bits!r}: an integer >= 128") for bits in [256.9, "256", -3, 127, True, None]],
+    *[("analyze", {"seed": 0, "set": {**source, "window": window}}, f"bad window {window!r}")
+      for source in [{"kind": "sturmian", "alpha": "golden"}, MOD3, {"kind": "full"},
+                     {"kind": "random_thick_syndetic"}]
+      for window in [[0.5, 99.9], [0, "99"], [False, 99], [0], 7]],
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""

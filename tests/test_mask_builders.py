@@ -7,6 +7,7 @@ same order, and a member outside the window must be named by the same
 message.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import compress, count
@@ -255,6 +256,46 @@ def test_grid_from_members_matches_old(box, density, seed):
     want = old_grid_from_members(box, members)
     assert GridSet.from_members(box, members) == want
     assert GridSet.from_members(box, as_lists) == want
+
+
+@given(boxes(), st.floats(0, 1), st.integers(0, 2**32), st.data())
+@settings(max_examples=60, deadline=None)
+def test_grid_queries_match_the_cells(box, density, seed, data):
+    """``GridSet(box, rows)`` and the column constructor on the transposed rows
+    build the same set, and its queries and outputs agree with its cells."""
+    rng = random.Random(seed)
+    mlo, mhi, nlo, nhi = box
+    w = nhi - nlo + 1
+    cells = sorted((m, n) for m in range(mlo, mhi + 1) for n in range(nlo, nhi + 1)
+                   if rng.random() < density)
+    rows = [0] * (mhi - mlo + 1)
+    for m, n in cells:
+        rows[m - mlo] |= 1 << (n - nlo)
+    e = GridSet(box, rows)
+    assert e == GridSet._from_cols(box, bitops.transpose(rows, w))
+    assert e.rows == tuple(rows)
+    assert list(e.members()) == cells
+    assert (e.count(), e.is_empty()) == (len(cells), not cells)
+    cell_set = set(cells)
+    probes = [(m, n) for m in (mlo - 1, mlo, mhi, mhi + 1) for n in (nlo - 1, nlo, nhi, nhi + 1)]
+    probes += [(rng.randint(mlo, mhi), rng.randint(nlo, nhi)) for _ in range(50)]
+    assert all((p in e) == (p in cell_set) for p in probes)
+    m0 = data.draw(st.integers(mlo, mhi))
+    m1 = data.draw(st.integers(m0, mhi))
+    n0 = data.draw(st.integers(nlo, nhi))
+    n1 = data.draw(st.integers(n0, nhi))
+    assert list(e.restrict((m0, m1, n0, n1)).members()) == [
+        (m, n) for m, n in cells if m0 <= m <= m1 and n0 <= n <= n1]
+    other = GridSet.from_predicate(box, lambda m, n: rng.random() < 0.5)
+    assert set(e.intersect(other).members()) == cell_set & set(other.members())
+    assert list(e.n_projection().members()) == sorted({n for _, n in cells})
+    assert json.loads(e.to_json()) == e.to_json_obj() == {
+        "box": list(box), "members": [list(c) for c in cells]}
+    assert e.to_csv() == "".join(f"{m},{n}\n" for m, n in cells)
+    stride = (w + 63) // 64 * 8
+    assert e.to_bitmap_bytes()[-len(rows) * stride :] == b"".join(
+        r.to_bytes(stride, "little") for r in rows)
+    assert GridSet.from_bitmap_bytes(e.to_bitmap_bytes()) == e
 
 
 @given(boxes(), st.data())

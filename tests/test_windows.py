@@ -459,6 +459,35 @@ def test_syndetic_2d_examples():
         syndetic_2d_certificate(full, -1)
 
 
+SIDES = st.just(1) | st.integers(1, 12)
+
+
+@given(SIDES, SIDES, st.integers(0, 8), st.floats(0, 1), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_syndetic_2d_certificate_matches_bruteforce(height, width, l_bound, density, seed):
+    """A certificate exactly when every point of the L-shrunk box has a member
+    within L in each coordinate; otherwise the refutation names the first
+    such point that has none, lowest m, then lowest n.  One-row and
+    one-column boxes and L of half a side or more are drawn."""
+    rng = random.Random(seed)
+    box = (-3, height - 4, 5, width + 4)
+    cells = {(m, n) for m in range(box[0], box[1] + 1) for n in range(box[2], box[3] + 1)
+             if rng.random() < density}
+    e = GridSet.from_members(box, cells)
+    shrunk = (box[0] + l_bound, box[1] - l_bound, box[2] + l_bound, box[3] - l_bound)
+    uncovered = [
+        (m, n) for m in range(shrunk[0], shrunk[1] + 1) for n in range(shrunk[2], shrunk[3] + 1)
+        if not any(abs(m - a) <= l_bound and abs(n - b) <= l_bound for a, b in cells)
+    ]
+    got = syndetic_2d_certificate(e, l_bound)
+    if uncovered:
+        assert got == Syndetic2DRefutation(l_bound=l_bound, point=uncovered[0])
+        assert verify_syndetic_2d_refutation(e, got)
+    else:
+        assert got == Syndetic2DCert(l_bound=l_bound, checked_box=shrunk)
+        assert verify_syndetic_2d(e, got)
+
+
 def test_max_rectangle_against_naive():
     rng = random.Random(5)
     for _ in range(20):
