@@ -5,6 +5,7 @@ from .constants import RealSpec, parse_real
 from .errors import (
     BadBoundError,
     BadEpsilonError,
+    ConfigError,
     DegreeTooLowError,
     EmptySetError,
     NoRowError,

@@ -25,8 +25,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import windows
-from .errors import EmptySetError, NoRowError, PsyndError, WindowExhaustedError
-from .generators import window_from_source
+from .constants import parse_real
+from .errors import ConfigError, EmptySetError, NoRowError, WindowExhaustedError, take
+from .generators import read_source, window_from_source
 from .induced import orbit_block, recurrence_times, split_block
 from .polynomials import PolyFamily
 from .returnsets import (
@@ -63,10 +64,6 @@ PARSE_ERROR = 2
 INFEASIBLE = 3
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _dump_json(report: dict) -> str:
     """Compact JSON with sorted keys; a set value is written from its masks.
 
@@ -86,12 +83,9 @@ def _dump_json(report: dict) -> str:
 def _emit(report: dict, out: Optional[str], fmt: str) -> None:
     if fmt == "json":
         text = _dump_json(report)
-    elif fmt == "csv":
+    else:  # csv; no set, or only its window: no lines
         the_set = report.get("set")
-        # no set, or only its window: no lines
         text = the_set.to_csv() if isinstance(the_set, (WindowSet, GridSet)) else ""
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -109,41 +103,35 @@ def _load_config(path: str) -> dict:
 
 
 def _family(cfg: dict) -> PolyFamily:
+    texts = take(cfg, "family", [str])
     try:
-        return PolyFamily.parse(cfg["family"])
-    except (KeyError, ValueError, PsyndError) as exc:
-        raise ConfigError(f"bad family: {exc}") from exc
-
-
-def _ints(cfg: dict, key: str, length: Optional[int] = None) -> list:
-    """``cfg[key]`` as a list of ints, of ``length`` entries when given."""
-    value = cfg[key]
-    if not isinstance(value, list):
-        raise ConfigError(f"bad {key} {value!r}: not a list")
-    try:
-        out = [int(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
-    if length is not None and len(out) != length:
-        raise ConfigError(f"bad {key} {value!r}: needs {length} integers")
-    return out
+        return PolyFamily.parse(texts)
+    except ValueError as exc:
+        raise ConfigError(f"bad family {texts!r}: {exc}") from exc
 
 
 def _seeded(cfg: dict, override: Optional[int]) -> tuple[int, random.Random]:
-    seed = override if override is not None else int(cfg.get("seed", 0))
+    seed = take(cfg, "seed", int, 0)
+    seed = seed if override is None else override
     return seed, random.Random(seed)
 
 
 def cmd_analyze(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     seed, rng = _seeded(cfg, seed)
-    s = window_from_source(cfg["set"], rng)
+    source = read_source(take(cfg, "set", dict))
+    certs_cfg = take(cfg, "certificates", dict, {})
+    syn = take(certs_cfg, "syndetic", dict, None)
+    n_syn = None if syn is None else take(syn, "N", int, least=1)
+    pws = take(certs_cfg, "pws", dict, None)
+    b_max = 16 if pws is None else take(pws, "b_max", int, least=0)
+    l_run = None if pws is None else take(pws, "L", int, least=1)
+    ap_k = take(take(certs_cfg, "ap", dict, {}), "k", int, 3, least=3)
+    syn_mandatory, pws_mandatory = (take(c or {}, "mandatory", bool, False) for c in (syn, pws))
+    s = window_from_source(source, rng)
     report: dict = {
         "experiment": "analyze",
         "seed": seed,
-        "query": {
-            "set_source": cfg["set"],
-            "certificates": cfg.get("certificates", {}),
-        },
+        "query": {"set_source": cfg["set"], "certificates": certs_cfg},
         "set": s,
         "results": {},
         "certificates": [],
@@ -158,22 +146,19 @@ def cmd_analyze(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     run = longest_run(s)
     report["results"]["longest_run"] = run.to_json_obj()
     report["certificates"].append(run.to_json_obj())
-    certs_cfg = cfg.get("certificates", {})
-    if "syndetic" in certs_cfg:
-        res = syndetic_certificate(s, int(certs_cfg["syndetic"]["N"]))
+    if n_syn is not None:
+        res = syndetic_certificate(s, n_syn)
         report["certificates"].append(res.to_json_obj())
-        if isinstance(res, windows.SyndeticRefutation) and certs_cfg["syndetic"].get("mandatory"):
+        if isinstance(res, windows.SyndeticRefutation) and syn_mandatory:
             code = INFEASIBLE
-    pws_cfg = certs_cfg.get("pws", {"b_max": 16, "L": max(2, s.width // 10)})
-    cert = pws_witness(s, int(pws_cfg["b_max"]), int(pws_cfg["L"]))
+    cert = pws_witness(s, b_max, max(2, s.width // 10) if l_run is None else l_run)
     if cert is not None:
         report["certificates"].append(cert.to_json_obj())
         report["results"]["pws"] = cert.to_json_obj()
     else:
         report["results"]["pws"] = None
-        if pws_cfg.get("mandatory"):
+        if pws_mandatory:
             code = INFEASIBLE
-    ap_k = int(certs_cfg.get("ap", {}).get("k", 3))
     ap = find_ap(s, ap_k)
     report["results"]["ap"] = {"k": ap_k, "found": list(ap) if ap else None}
     return report, code
@@ -181,13 +166,17 @@ def cmd_analyze(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
 
 def cmd_thma(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     seed, rng = _seeded(cfg, seed)
-    s = window_from_source(cfg["set"], rng)
+    source = read_source(take(cfg, "set", dict))
     family = _family(cfg)
-    box = tuple(_ints(cfg, "box", 4))
+    box = tuple(take(cfg, "box", [int], size=4))
+    certs_cfg = take(take(cfg, "certificates", dict, {}), "pws2d", dict, {})
+    b1_max, b2_max = (take(certs_cfg, k, int, 8, least=0) for k in ("b1_max", "b2_max"))
+    w, h = (take(certs_cfg, k, int, None, least=1) for k in ("w", "h"))
+    by_shape = w is not None and h is not None
+    min_area = None if by_shape else take(certs_cfg, "min_area", int, 400, least=1)
+    mandatory = take(certs_cfg, "mandatory", bool, False)
+    s = window_from_source(source, rng)
     members, validity = combinatorial_set_2d(s, family, box)
-    certs_cfg = cfg.get("certificates", {}).get("pws2d", {})
-    b1_max = int(certs_cfg.get("b1_max", 8))
-    b2_max = int(certs_cfg.get("b2_max", 8))
     report: dict = {
         "experiment": "thma",
         "seed": seed,
@@ -205,16 +194,13 @@ def cmd_thma(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
         },
         "certificates": [],
     }
-    by_shape = "w" in certs_cfg and "h" in certs_cfg
     if by_shape:
-        cert = pws_witness_2d(members, b1_max, b2_max, int(certs_cfg["w"]), int(certs_cfg["h"]))
+        cert = pws_witness_2d(members, b1_max, b2_max, w, h)
     else:
-        cert = pws_area_witness_2d(
-            members, validity, b1_max, b2_max, int(certs_cfg.get("min_area", 400))
-        )
+        cert = pws_area_witness_2d(members, validity, b1_max, b2_max, min_area)
     if cert is None:
         report["results"]["pws2d"] = None
-        return report, INFEASIBLE if certs_cfg.get("mandatory") else 0
+        return report, INFEASIBLE if mandatory else 0
     report["results"]["pws2d"] = cert.to_json_obj()
     report["certificates"].append(cert.to_json_obj())
     if by_shape:
@@ -243,20 +229,25 @@ def cmd_thmb(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     (b_max 3, L 12 by default).  The row and its witness are reported.
     """
     seed, rng = _seeded(cfg, seed)
-    s = window_from_source(cfg["set"], rng)
+    source = read_source(take(cfg, "set", dict))
     family = _family(cfg)
-    row = None
-    if "target" in cfg:
-        target = window_from_source(cfg["target"], rng)
+    target_cfg = take(cfg, "target", dict, None)
+    if target_cfg is None:
+        box = tuple(take(cfg, "box", [int], size=4))
+        pws_cfg = take(take(cfg, "certificates", dict, {}), "pws", dict, {})
+        b_max, l_run = take(pws_cfg, "b_max", int, 3, least=0), take(pws_cfg, "L", int, 12, least=1)
     else:
-        box = tuple(_ints(cfg, "box", 4))
+        target_source = read_source(target_cfg)
+    n_values = take(take(cfg, "targets", dict, {}), "N_values", [int], [5, 10, 15, 20])
+    s = window_from_source(source, rng)
+    row = None
+    if target_cfg is not None:
+        target = window_from_source(target_source, rng)
+    else:
         members, _ = combinatorial_set_2d(s, family, box)
-        pws_cfg = cfg.get("certificates", {}).get("pws", {})
-        b_max, l_run = int(pws_cfg.get("b_max", 3)), int(pws_cfg.get("L", 12))
         m_star, row_cert = best_slice(members, b_max, l_run)
         target = grid_slice(members, m_star)
         row = {"m": m_star, "b_max": b_max, "L": l_run, "pws": row_cert.to_json_obj()}
-    n_values = [int(n) for n in cfg.get("targets", {}).get("N_values", [5, 10, 15, 20])]
     found = {}
     for n_bound in n_values:
         try:
@@ -288,10 +279,11 @@ def _rational_rotation_oracle(sys_obj: dict, family: PolyFamily, eps, lo: int, h
     with period q d! for degree d, so the word of one period, decided by
     ``p.eval(n)`` per n to share no evaluation code with the
     forward-difference path it checks, is repeated over the window."""
-    alpha = Fraction(sys_obj["alpha"][0] if isinstance(sys_obj["alpha"], list) else sys_obj["alpha"])
+    alpha = sys_obj["alpha"]
+    alpha = parse_real(alpha[0] if isinstance(alpha, list) else alpha).as_fraction()
     q = alpha.denominator
     a = alpha.numerator % q
-    allowed = {r for r in range(q) if min(Fraction(r, q), Fraction(q - r, q)) < Fraction(eps)}
+    allowed = {r for r in range(q) if min(Fraction(r, q), Fraction(q - r, q)) < eps}
     period = q * factorial(max([0, *(p.degree for p in family.polys)]))
     word = "".join(
         "1" if all((p.eval(n) * a) % q in allowed for p in family.polys) else "0"
@@ -303,12 +295,23 @@ def _rational_rotation_oracle(sys_obj: dict, family: PolyFamily, eps, lo: int, h
 
 def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int]:
     seed, _ = _seeded(cfg, seed)
-    sys_spec = system_from_json_obj(cfg["system"])
+    sys_cfg = take(cfg, "system", dict)
+    sys_spec = system_from_json_obj(sys_cfg)
     family = _family(cfg)
-    x = sys_spec.point_from_json(cfg["x"]) if "x" in cfg else sys_spec.base_point()
-    center = sys_spec.point_from_json(cfg["center"]) if "center" in cfg else x
-    eps = str(cfg["epsilon"])
-    eps_f = Fraction(eps)
+    x_cfg, center_cfg = take(cfg, "x", dict, None), take(cfg, "center", dict, None)
+    x = sys_spec.base_point() if x_cfg is None else sys_spec.point_from_json(x_cfg)
+    center = x if center_cfg is None else sys_spec.point_from_json(center_cfg)
+    eps, eps_f = take(cfg, "epsilon", str), take(cfg, "epsilon", str, parse=Fraction)
+    box = take(cfg, "box", [int], None, size=4)
+    window = take(cfg, "window", [int], size=2) if box is None else None
+    pws_cfg = take(take(cfg, "certificates", dict, {}), "pws2d" if box else "pws", dict, {})
+    keys = {"b_max": 0, "L": 1} if box is None else {"b1_max": 0, "b2_max": 0, "w": 1, "h": 1}
+    bounds = [take(pws_cfg, k, int, least=n) for k, n in keys.items()] if pws_cfg else None
+    mandatory = take(pws_cfg, "mandatory", bool, False)
+    if oracle and not (isinstance(sys_spec, TorusRotation) and sys_spec.exact and sys_spec.dim == 1
+                       and x_cfg is None and center_cfg is None and box is None):
+        raise ConfigError("--oracle needs a window and a 1-dim rational rotation"
+                          " from the base point")
     report: dict = {
         "experiment": "returns",
         "seed": seed,
@@ -318,71 +321,46 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
             "epsilon": eps,
             "x": sys_spec.point_to_json(x),
             "center": sys_spec.point_to_json(center),
-            "window": cfg.get("window", cfg.get("box")),
+            "window": window if box is None else box,
         },
         "results": {},
         "certificates": [],
     }
-    if oracle and not (isinstance(sys_spec, TorusRotation) and sys_spec.exact and sys_spec.dim == 1
-                       and "x" not in cfg and "center" not in cfg and "box" not in cfg):
-        raise ConfigError("--oracle needs a window and a 1-dim rational rotation"
-                          " from the base point")
-    if "box" in cfg:
-        box = tuple(_ints(cfg, "box", 4))
-        grid = return_set_2d(ReturnQuery(sys_spec, x, center, eps_f, family, box))
+    if box is not None:
+        grid = return_set_2d(ReturnQuery(sys_spec, x, center, eps_f, family, tuple(box)))
         report["set"] = grid
         report["results"]["count"] = grid.count()
-        pws_cfg = cfg.get("certificates", {}).get("pws2d")
-        if pws_cfg:
-            cert = pws_witness_2d(
-                grid,
-                int(pws_cfg["b1_max"]),
-                int(pws_cfg["b2_max"]),
-                int(pws_cfg["w"]),
-                int(pws_cfg["h"]),
-            )
-            if cert:
-                report["certificates"].append(cert.to_json_obj())
-            elif pws_cfg.get("mandatory"):
-                return report, INFEASIBLE
+        cert = bounds and pws_witness_2d(grid, *bounds)
     else:
-        lo, hi = _ints(cfg, "window", 2)
-        rs = return_set_1d(ReturnQuery(sys_spec, x, center, eps_f, family, (lo, hi)))
+        rs = return_set_1d(ReturnQuery(sys_spec, x, center, eps_f, family, tuple(window)))
         report["set"] = rs
         report["results"]["count"] = rs.count()
         if not rs.is_empty():
             report["results"]["max_gap"] = gap_summary(rs).max_gap
-        pws_cfg = cfg.get("certificates", {}).get("pws")
-        if pws_cfg:
-            cert = pws_witness(rs, int(pws_cfg["b_max"]), int(pws_cfg["L"]))
-            if cert:
-                report["certificates"].append(cert.to_json_obj())
-            elif pws_cfg.get("mandatory"):
-                return report, INFEASIBLE
-        if oracle:
-            o = _rational_rotation_oracle(cfg["system"], family, eps_f, lo, hi)
-            report["results"]["oracle_match"] = o == rs
+        cert = bounds and pws_witness(rs, *bounds)
+    if cert:
+        report["certificates"].append(cert.to_json_obj())
+    elif bounds and mandatory:
+        return report, INFEASIBLE
+    if oracle:
+        o = _rational_rotation_oracle(sys_cfg, family, eps_f, *window)
+        report["results"]["oracle_match"] = o == rs
     return report, 0
 
 
 def cmd_induced(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     seed, _ = _seeded(cfg, seed)
-    sys_spec = system_from_json_obj(cfg["system"])
+    sys_spec = system_from_json_obj(take(cfg, "system", dict))
     family = _family(cfg)
-    x = sys_spec.point_from_json(cfg["x"]) if "x" in cfg else sys_spec.base_point()
-    radius = int(cfg.get("radius", 3))
-    eps = str(cfg.get("epsilon", "1/10"))
-    n_bound = int(cfg.get("N", 1000))
-    eps_f = Fraction(eps)
-    kind = cfg.get("block", "split")
-    if kind not in ("split", "orbit"):
-        raise ConfigError(f"bad block {kind!r}: 'split' (the default) or 'orbit'")
+    x_cfg = take(cfg, "x", dict, None)
+    x = sys_spec.base_point() if x_cfg is None else sys_spec.point_from_json(x_cfg)
+    radius = take(cfg, "radius", int, 3, least=0)
+    eps = take(cfg, "epsilon", str, "1/10")
+    eps_f = take(cfg, "epsilon", str, "1/10", parse=Fraction)
+    n_bound = take(cfg, "N", int, 1000, least=0)
+    kind = take(cfg, "block", ("split", "orbit"), "split")
     times = recurrence_times(sys_spec, x, family, radius, eps_f, n_bound)
-    block = (
-        split_block(sys_spec, x, family, radius)
-        if kind == "split"
-        else orbit_block(sys_spec, x, family, radius)
-    )
+    block = (split_block if kind == "split" else orbit_block)(sys_spec, x, family, radius)
     report = {
         "experiment": "induced",
         "seed": seed,
@@ -423,11 +401,11 @@ def cmd_nilcheck(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     merged = dict(NILCHECK_DEFAULTS)
     merged.update(cfg)
     seed, _ = _seeded(merged, seed)
-    sys_spec = system_from_json_obj(merged["system"])
+    sys_spec = system_from_json_obj(take(merged, "system", dict))
     family = _family(merged)
+    eps, eps_f = take(merged, "epsilon", str), take(merged, "epsilon", str, parse=Fraction)
+    widths = take(merged, "windows", [int], least=0)
     x = sys_spec.base_point()
-    eps_f = Fraction(str(merged["epsilon"]))
-    widths = _ints(merged, "windows")
     gaps = {}
     counts = {}
     for w in widths:
@@ -441,7 +419,7 @@ def cmd_nilcheck(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
         "query": {
             "system": sys_spec.to_json_obj(),
             "family": family.to_strs(),
-            "epsilon": str(merged["epsilon"]),
+            "epsilon": eps,
             "windows": widths,
         },
         "results": {
@@ -465,7 +443,7 @@ def cmd_verify(report_path: str) -> int:
             raise ValueError("report has no embedded set")
         planar = "box" in set_obj
         the_set = (GridSet if planar else WindowSet).from_json_obj(set_obj)
-        certs = [cert_from_json_obj(obj) for obj in report.get("certificates", [])]
+        certs = [cert_from_json_obj(obj) for obj in take(report, "certificates", list, [])]
         del report, set_obj
         # built per call, so that the verifier names are resolved when verify runs
         verifiers = {
@@ -481,7 +459,7 @@ def cmd_verify(report_path: str) -> int:
         for cert in certs:
             if type(cert) not in verifiers:
                 raise ValueError(f"{cert.type} certificate on a {'2D' if planar else '1D'} set")
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"verify: bad report: {exc}", file=sys.stderr)
         return PARSE_ERROR
     finally:
@@ -530,8 +508,8 @@ def main(argv: Optional[list] = None) -> int:
     except (EmptySetError, NoRowError, WindowExhaustedError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return INFEASIBLE
-    # a value of the wrong JSON type (a number where a list or an object belongs)
-    except (ConfigError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    # a ConfigError, or a value the library refuses; any other exception is a psynd bug
+    except ValueError as exc:
         print(f"{args.command}: config error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     _emit(report, args.out, args.format)

@@ -24,15 +24,6 @@ MIN_BITS = 128
 _NAMES = ("sqrt2", "sqrt3", "golden", "e", "pi")
 
 
-def config_bits(obj: dict) -> int:
-    """A config object's ``bits`` (``DEFAULT_BITS`` when absent): a JSON integer
-    of at least ``MIN_BITS``, else ValueError naming the key."""
-    bits = obj.get("bits", DEFAULT_BITS)
-    if type(bits) is not int or bits < MIN_BITS:
-        raise ValueError(f"bad bits {bits!r}: an integer >= {MIN_BITS}")
-    return bits
-
-
 def _fixed_sqrt(radicand: int, bits: int) -> int:
     # floor(sqrt(radicand) * 2^bits) via one exact integer sqrt
     return isqrt(radicand << (2 * bits))

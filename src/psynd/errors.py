@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``take``, the reader of config values."""
+
+import reprlib
 
 
 class PsyndError(Exception):
@@ -43,3 +45,54 @@ class WindowExhaustedError(PsyndError, ValueError):
 
 class RadiusExhaustedError(PsyndError, ValueError):
     """Block truncation radius too small for the requested action."""
+
+
+class ConfigError(PsyndError, ValueError):
+    """A config or report value that is missing, of the wrong JSON type, or out of range."""
+
+
+_ONE = {int: "an integer", bool: "a boolean", str: "a string", dict: "an object", list: "a list"}
+
+
+def take(obj: dict, key: str, kind, default=..., *, least=None, size=None, parse=None):
+    """``obj[key]``, or ``default`` when the key is absent and a default is given.
+
+    ``kind`` is a JSON type: ``int`` (never a bool or a float), ``bool``, ``str``,
+    ``dict`` or ``list``; ``[t]``, a list of ``t`` (of ``size`` items when given); or
+    a tuple of the values allowed.  ``least`` bounds every integer from below.
+    ``parse``, when given, is applied to the value (to each item of a list) and
+    to the default.  Anything else, or a value ``parse`` refuses, raises
+    ConfigError naming the key and the value.
+    """
+    item = kind[0] if isinstance(kind, list) else kind
+
+    def fits(values: list) -> bool:  # in C loops: a report may hold a million members
+        if isinstance(item, tuple):
+            return all(v in item for v in values)
+        return set(map(type, values)) <= {item} and (
+            least is None or min(values, default=least) >= least)
+
+    if not isinstance(obj, dict):
+        raise ConfigError(f"missing {key}: {reprlib.repr(obj)} is not an object")
+    value = obj.get(key, default)
+    if key in obj and not (fits([value]) if item is kind else type(value) is list
+                           and len(value) == (size or len(value)) and fits(value)):
+        raise ConfigError(f"bad {key} {reprlib.repr(value)}: {_what(item, kind, least, size)}")
+    if value is ...:
+        raise ConfigError(f"missing {key}: {_what(item, kind, least, size)}")
+    if parse is None:
+        return value
+    try:
+        return parse(value) if item is kind else list(map(parse, value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad {key} {reprlib.repr(value)}: {exc}") from exc
+
+
+def _what(item, kind, least, size) -> str:
+    if isinstance(item, tuple):
+        what = " or ".join(map(repr, item))
+    elif item is kind:
+        what = _ONE[item]
+    else:
+        what = f"a list of {f'{size} ' if size else ''}{_ONE[item].split()[-1]}s"
+    return what if least is None else f"{what} >= {least}"

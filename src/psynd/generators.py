@@ -8,10 +8,10 @@ import random
 from fractions import Fraction
 from itertools import accumulate, repeat
 from pathlib import Path
-from typing import Optional
 
 from . import bitops
-from .constants import DEFAULT_BITS, config_bits, parse_real
+from .constants import DEFAULT_BITS, MIN_BITS, parse_real
+from .errors import ConfigError, take
 from .windows import WindowSet
 
 
@@ -69,47 +69,41 @@ def random_thick_syndetic(
 
 
 def load_window_file(path: str) -> WindowSet:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read set file {path}: {exc}") from exc
     if raw[:4] == b"PSYN":
         return WindowSet.from_bitmap_bytes(raw)
     return WindowSet.from_json_obj(json.loads(raw.decode("utf-8")))
 
 
-def _window(obj: dict) -> list:
-    """A set source's ``window`` [lo, hi], two JSON integers, else ValueError."""
-    window = obj["window"]
-    if not (isinstance(window, list) and len(window) == 2 and all(type(v) is int for v in window)):
-        raise ValueError(f"bad window {window!r}: two integers")
-    return window
+def read_source(obj: dict) -> tuple:
+    """A config set source as ``(builder, args)``, every value read by ``take``
+    before anything is built; ``window_from_source`` builds it.
 
-
-def window_from_source(obj: dict, rng: Optional[random.Random] = None) -> WindowSet:
-    """Build a WindowSet from a config source description.
-
-    kinds: literal {lo, hi, members}, file {path}, sturmian {alpha,
-    window}, congruence {modulus, residues, window}, full {window},
-    random_thick_syndetic {window} (uses the supplied seeded rng).  A
-    source of the wrong shape, such as one that is not an object, a file
-    holding a JSON list or a string of members, raises ValueError.
+    kinds: literal {lo, hi, members}, file {path}, sturmian {alpha, window,
+    bits}, congruence {modulus, residues, window}, full {window},
+    random_thick_syndetic {window} (draws from the seeded rng).
     """
-    if not isinstance(obj, dict):
-        raise ValueError(f"a set source must be an object, got {obj!r}")
-    kind = obj.get("kind")
-    try:
-        if kind == "literal":
-            return WindowSet.from_members(int(obj["lo"]), int(obj["hi"]), obj["members"])
-        if kind == "file":
-            return load_window_file(obj["path"])
-        if kind == "sturmian":
-            return sturmian_window(obj["alpha"], *_window(obj), config_bits(obj))
-        if kind == "congruence":
-            return congruence_window(int(obj["modulus"]), obj["residues"], *_window(obj))
-        if kind == "full":
-            return WindowSet.full(*_window(obj))
-        if kind == "random_thick_syndetic":
-            if rng is None:
-                raise ValueError("random source needs a seeded rng")
-            return random_thick_syndetic(*_window(obj), rng)
-    except TypeError as exc:
-        raise ValueError(f"bad set source: {exc}") from exc
-    raise ValueError(f"unknown set source kind {kind!r}")
+    kind = take(obj, "kind", ("literal", "file", "sturmian", "congruence", "full",
+                              "random_thick_syndetic"))
+    if kind == "literal":
+        return WindowSet.from_members, (take(obj, "lo", int), take(obj, "hi", int),
+                                        take(obj, "members", [int]))
+    if kind == "file":
+        return load_window_file, (take(obj, "path", str),)
+    window = tuple(take(obj, "window", [int], size=2))
+    if kind == "sturmian":
+        bits = take(obj, "bits", int, DEFAULT_BITS, least=MIN_BITS)
+        return sturmian_window, (take(obj, "alpha", str, parse=parse_real), *window, bits)
+    if kind == "congruence":
+        return congruence_window, (take(obj, "modulus", int, least=1),
+                                   take(obj, "residues", [int]), *window)
+    return (WindowSet.full if kind == "full" else random_thick_syndetic), window
+
+
+def window_from_source(source: tuple, rng: random.Random) -> WindowSet:
+    """The set of a source read by ``read_source``; the random source draws from ``rng``."""
+    build, args = source
+    return build(*args, rng) if build is random_thick_syndetic else build(*args)

@@ -50,8 +50,8 @@ from math import factorial, lcm
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from . import bitops
-from .constants import DEFAULT_BITS, RealSpec, config_bits, parse_real
-from .errors import BadEpsilonError, EmptySetError, WindowExhaustedError
+from .constants import DEFAULT_BITS, MIN_BITS, RealSpec, parse_real
+from .errors import BadEpsilonError, ConfigError, EmptySetError, WindowExhaustedError, take
 from .polynomials import PolyFamily
 from .windows import WindowSet
 
@@ -196,18 +196,14 @@ class _System:
         fixed = self._scaled(x.coords, 1 << self.bits)
         return {"coords_fixed": [hex(c) for c in fixed], "bits": self.bits}
 
-    def point_from_json(self, obj) -> Point:
+    def point_from_json(self, obj: dict) -> Point:
         """``coords_fixed`` read mod 2^bits at the system's precision, or ``coords`` read mod 1."""
-        if isinstance(obj, dict) and "coords_fixed" in obj:
+        if "coords_fixed" in obj:
             if self.exact or obj.get("bits") != self.bits:
-                raise ValueError("fixed-point coordinates do not match system precision")
-            fixed = obj["coords_fixed"]
-            if not (isinstance(fixed, list) and all(isinstance(c, str) for c in fixed)):
-                raise ValueError(f"coords_fixed must be a list of hex strings, got {fixed!r}")
+                raise ConfigError("fixed-point coordinates do not match system precision")
+            fixed = take(obj, "coords_fixed", [str])
             return self.make_point([Fraction(int(c, 16), 1 << self.bits) for c in fixed])
-        if isinstance(obj, dict) and "coords" in obj:
-            return self.make_point(obj["coords"])
-        raise ValueError(f"a point needs coords or coords_fixed, got {obj!r}")
+        return self.make_point(take(obj, "coords", [str], parse=parse_real))
 
     def in_ball(self, a: Point, c: Point, eps) -> bool:
         """Strict ball test of one point: ``hits`` at time 0."""
@@ -469,14 +465,11 @@ class IndicatorSubshift:
     def point_to_json(self, w: WindowSet) -> dict:
         return {"word": format(w.mask, f"0{w.width}b")[::-1], "lo": w.lo, "hi": w.hi}
 
-    def point_from_json(self, obj) -> WindowSet:
+    def point_from_json(self, obj: dict) -> WindowSet:
         """A word of 0/1 letters on [lo, hi]."""
-        try:
-            word, lo, hi = obj["word"], int(obj["lo"]), int(obj["hi"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"a subshift point needs word, lo and hi, got {obj!r}") from exc
-        if not isinstance(word, str) or set(word) - {"0", "1"} or len(word) != hi - lo + 1:
-            raise ValueError(f"word must be {hi - lo + 1} letters 0/1, got {word!r}")
+        word, lo, hi = take(obj, "word", str), take(obj, "lo", int), take(obj, "hi", int)
+        if set(word) - {"0", "1"} or len(word) != hi - lo + 1:
+            raise ConfigError(f"bad word {word!r}: {hi - lo + 1} letters 0/1")
         return WindowSet(lo, hi, int("0" + word[::-1], 2))
 
     in_ball, hits = _System.in_ball, _System.hits
@@ -604,17 +597,16 @@ def fold_period(sys: SystemSpec, x: PointLike, family: PolyFamily) -> Optional[i
 
 
 def system_from_json_obj(obj: dict) -> SystemSpec:
-    kind = obj["type"]
-    bits = config_bits(obj)
-    if kind == "rotation":
-        alphas = obj["alpha"]
-        if isinstance(alphas, (str, int)):
-            alphas = [alphas]
-        return TorusRotation(tuple(parse_real(a) for a in alphas), bits=bits)
-    if kind == "skew":
-        return SkewProduct(parse_real(obj["alpha"]), bits=bits)
-    if kind == "heisenberg":
-        return HeisenbergNil(parse_real(obj["alpha"]), parse_real(obj["beta"]), bits=bits)
+    """The system of a config object; ConfigError names a key of the wrong type."""
+    kind = take(obj, "type", ("rotation", "skew", "heisenberg", "subshift"))
+    bits = take(obj, "bits", int, DEFAULT_BITS, least=MIN_BITS)
     if kind == "subshift":
-        return IndicatorSubshift(WindowSet.from_json_obj(obj["base"]))
-    raise ValueError(f"unknown system type {kind!r}")
+        return IndicatorSubshift(WindowSet.from_json_obj(take(obj, "base", dict)))
+    if kind == "heisenberg":
+        alpha, beta = (take(obj, k, str, parse=parse_real) for k in ("alpha", "beta"))
+        return HeisenbergNil(alpha, beta, bits=bits)
+    if kind == "skew":
+        return SkewProduct(take(obj, "alpha", str, parse=parse_real), bits=bits)
+    one = isinstance(obj.get("alpha"), str)  # a 1-torus may give its alpha bare
+    alphas = take(obj, "alpha", str if one else [str], parse=parse_real)
+    return TorusRotation((alphas,) if one else tuple(alphas), bits=bits)

@@ -20,7 +20,6 @@ pure function, safe to call concurrently.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, fields
 from functools import reduce
@@ -30,7 +29,7 @@ from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional,
 from typing import Union, get_args, get_origin, get_type_hints
 
 from . import bitops
-from .errors import BadBoundError, EmptySetError, NoRowError
+from .errors import BadBoundError, ConfigError, EmptySetError, NoRowError, take
 
 _BITMAP_MAGIC = b"PSYN"
 _VERSION_1D = 1
@@ -151,7 +150,8 @@ class WindowSet:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "WindowSet":
-        return cls.from_members(int(obj["lo"]), int(obj["hi"]), obj["members"])
+        lo, hi = take(obj, "lo", int), take(obj, "hi", int)
+        return cls.from_members(lo, hi, take(obj, "members", [int]))
 
     def to_json(self) -> str:
         """Compact JSON of :meth:`to_json_obj`, keys sorted, written from the mask."""
@@ -161,10 +161,6 @@ class WindowSet:
     def to_csv(self) -> str:
         """One member per line, in increasing order."""
         return "".join(map("{}\n".format, self.members()))
-
-    @classmethod
-    def from_json(cls, text: str) -> "WindowSet":
-        return cls.from_json_obj(json.loads(text))
 
     def to_bitmap_bytes(self) -> bytes:
         """Raw bitmap: magic, version u16, lo/hi i64, 64-bit LE words."""
@@ -327,8 +323,11 @@ class GridSet:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GridSet":
-        box = tuple(int(v) for v in obj["box"])
-        return cls.from_members(box, obj["members"])
+        box, members = tuple(take(obj, "box", [int], size=4)), take(obj, "members", list)
+        try:
+            return cls.from_members(box, members)
+        except TypeError as exc:  # a member that is not a pair of integers
+            raise ConfigError(f"bad members: {exc}") from exc
 
     def to_json(self) -> str:
         """Compact JSON of :meth:`to_json_obj`, keys sorted, written from the masks.
@@ -405,22 +404,16 @@ class _Cert:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "_Cert":
-        """Inverse of ``to_json_obj``; ValueError names a missing or ill-typed field."""
+        """Inverse of ``to_json_obj``; ConfigError names a missing or ill-typed field."""
         values = {}
         for f in fields(cls):
-            if f.name not in obj:
-                raise ValueError(f"{cls.type} certificate has no field {f.name!r}")
-            value, hint = obj[f.name], get_type_hints(cls)[f.name]
-            bad = f"{cls.type} certificate field {f.name!r} is not"
+            hint = get_type_hints(cls)[f.name]
             if get_origin(hint) is tuple:
-                size = len(get_args(hint))
-                if not (isinstance(value, list) and len(value) == size
-                        and all(type(v) is int for v in value)):
-                    raise ValueError(f"{bad} a list of {size} integers")
-                value = tuple(value)
-            elif not (type(value) is int or (value is None and type(None) in get_args(hint))):
-                raise ValueError(f"{bad} an integer")
-            values[f.name] = value
+                values[f.name] = tuple(take(obj, f.name, [int], size=len(get_args(hint))))
+            elif f.name in obj and obj[f.name] is None and type(None) in get_args(hint):
+                values[f.name] = None
+            else:
+                values[f.name] = take(obj, f.name, int)
         return cls(**values)
 
 
@@ -501,11 +494,8 @@ class Syndetic2DRefutation(_Cert, tag="syndetic2d_refutation"):
 
 
 def cert_from_json_obj(obj: dict) -> _Cert:
-    """Decode a certificate by its ``type`` tag; ValueError on an unknown tag or a bad field."""
-    kind = obj.get("type") if isinstance(obj, dict) else None
-    if str(kind) not in CERT_TYPES:
-        raise ValueError(f"unknown certificate type {kind!r}")
-    return CERT_TYPES[str(kind)].from_json_obj(obj)
+    """Decode a certificate by its ``type`` tag; ConfigError on an unknown tag or a bad field."""
+    return CERT_TYPES[take(obj, "type", tuple(CERT_TYPES))].from_json_obj(obj)
 
 
 @dataclass(frozen=True)

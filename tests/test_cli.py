@@ -180,6 +180,16 @@ def test_returns_oracle_flag(tmp_path):
     assert report["results"]["oracle_match"] is True
 
 
+def test_returns_oracle_reads_alpha_as_the_system_does(tmp_path):
+    # the oracle parses alpha with parse_real, as the system does; Fraction() refuses "1 / 4"
+    cfg = {"system": {"type": "rotation", "alpha": ["1 / 4"]}, "family": ["n^2"],
+           "epsilon": "1/5", "window": [-40, 40]}
+    plain = run(tmp_path, "returns", cfg)[1]
+    code, report, _ = run(tmp_path, "returns", cfg, "--oracle")
+    assert code == 0 and report["results"].pop("oracle_match") is True
+    assert report == plain
+
+
 @pytest.mark.parametrize("system, where", [
     ({"type": "rotation", "alpha": ["1/12"]}, {"box": [-10, 10, -5, 5]}),
     ({"type": "rotation", "alpha": ["sqrt2"]}, {"box": [-10, 10, -5, 5]}),
@@ -327,8 +337,8 @@ def test_file_set_source(tmp_path):
 @pytest.mark.parametrize("name, raw, message", [
     ("short-header.psyn", b"PSYN" + struct.pack("<Hq", 1, 0), "header"),
     ("short-body.psyn", WindowSet.full(0, 100).to_bitmap_bytes()[:-8], "body"),
-    ("list.json", b"[0, 1, 2]", "bad set source"),
-    ("members.json", b'{"lo": 0, "hi": 5, "members": "012"}', "bad set source"),
+    ("list.json", b"[0, 1, 2]", "missing lo: [0, 1, 2] is not an object"),
+    ("members.json", b'{"lo": 0, "hi": 5, "members": "012"}', "bad members '012': a list"),
 ], ids=["short-header", "short-body", "json-list", "string-members"])
 def test_malformed_set_file_exit_2(tmp_path, capsys, name, raw, message):
     path = tmp_path / name
@@ -347,7 +357,8 @@ def test_set_source_not_an_object_exit_2(tmp_path, capsys, command, cfg):
     code, report, _ = run(tmp_path, command, cfg)
     assert (code, report) == (2, None)
     err = capsys.readouterr().err
-    assert f"{command}: config error: " in err and "must be an object" in err
+    key = "set" if command == "analyze" else "target"
+    assert f"{command}: config error: bad {key} " in err and ": an object" in err
 
 
 def test_induced_report(tmp_path):
@@ -378,10 +389,14 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
 
 
 @pytest.mark.parametrize("command, cfg, message", [
-    ("thmb", {"set": MOD3, "family": ["n^2"], "target": MOD3, "targets": {"N_values": 5}},
-     "'int' object is not iterable"),
-    ("analyze", {"set": MOD3, "certificates": {"syndetic": 3}}, "'int' object is not subscriptable"),
-    ("analyze", {"set": MOD3, "certificates": []}, "'list' object has no attribute"),
+    # explicit ids keep the test names these cases had before their messages named the key
+    pytest.param("thmb", {"set": MOD3, "family": ["n^2"], "target": MOD3,
+                          "targets": {"N_values": 5}}, "bad N_values 5: a list of integers",
+                 id="thmb-cfg0-'int' object is not iterable"),
+    pytest.param("analyze", {"set": MOD3, "certificates": {"syndetic": 3}},
+                 "bad syndetic 3: an object", id="analyze-cfg1-'int' object is not subscriptable"),
+    pytest.param("analyze", {"set": MOD3, "certificates": []}, "bad certificates []: an object",
+                 id="analyze-cfg2-'list' object has no attribute"),
     ("nilcheck", [1, 2], "is not a JSON object"),
     *[("nilcheck", {"system": {**HEIS_NAMED, "bits": bits}}, f"bad bits {bits!r}")
       for bits in [256.9, "256", -3, 127, True, None]],
@@ -393,6 +408,22 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
       for source in [{"kind": "sturmian", "alpha": "golden"}, MOD3, {"kind": "full"},
                      {"kind": "random_thick_syndetic"}]
       for window in [[0.5, 99.9], [0, "99"], [False, 99], [0], 7]],
+    # a float, a string or a bool where an integer, a list or a bool belongs
+    ("thma", {"set": MOD3, "family": ["n"], "box": [-10.5, 10.9, -3, 3]},
+     "bad box [-10.5, 10.9, -3, 3]: a list of 4 integers"),
+    ("induced", {"system": {"type": "rotation", "alpha": ["1/4"]}, "family": ["n^2"], "N": 2.5},
+     "bad N 2.5: an integer >= 0"),
+    ("thmb", {"set": MOD3, "family": ["n^2"], "target": MOD3, "targets": {"N_values": [5.9]}},
+     "bad N_values [5.9]: a list of integers"),
+    ("analyze", {"set": {"kind": "literal", "lo": 0.5, "hi": 9, "members": [1]}},
+     "bad lo 0.5: an integer"),
+    ("analyze", {"set": {**MOD3, "modulus": 3.7}}, "bad modulus 3.7: an integer >= 1"),
+    ("analyze", {"set": {**MOD3, "residues": ["0"]}}, "bad residues ['0']: a list of integers"),
+    ("analyze", {"seed": "7", "set": MOD3}, "bad seed '7': an integer"),
+    ("thma", {"set": MOD3, "family": "n", "box": [-10, 10, -3, 3]},
+     "bad family 'n': a list of strings"),
+    ("analyze", {"set": MOD3, "certificates": {"pws": {"b_max": 0, "L": 90, "mandatory": "no"}}},
+     "bad mandatory 'no': a boolean"),
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""
@@ -475,9 +506,9 @@ def test_verify_genuine_reports_skip_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("set_kind, cert, message", [
-    ("1d", {"type": "bogus"}, "unknown certificate type 'bogus'"),
-    ("1d", {"type": "pws", "shift_bound": 1}, "no field 'interval'"),
-    ("1d", {"type": "thick", "run_start": "3", "run_length": 2}, "'run_start' is not an integer"),
+    ("1d", {"type": "bogus"}, "bad type 'bogus': 'syndetic' or "),
+    ("1d", {"type": "pws", "shift_bound": 1}, "missing interval: a list of 2 integers"),
+    ("1d", {"type": "thick", "run_start": "3", "run_length": 2}, "bad run_start '3': an integer"),
     ("1d", {"type": "pws2d", "shift_box": [0, 0], "rect": [0, 0, 1, 1]}, "pws2d certificate on a 1D set"),
     ("2d", {"type": "thick", "run_start": 0, "run_length": 1}, "thick certificate on a 2D set"),
 ], ids=["unknown-type", "missing-field", "ill-typed-field", "2d-on-1d", "1d-on-2d"])
@@ -491,14 +522,18 @@ def test_verify_malformed_report_exit_2(tmp_path, capsys, set_kind, cert, messag
 
 
 @pytest.mark.parametrize("set_obj, message", [
-    ({"lo": 0, "hi": 10, "members": [1, 2.5]}, "not float"),
-    ({"lo": 0, "hi": 10, "members": [1, "2"]}, "'<=' not supported"),
+    ({"lo": 0, "hi": 10, "members": [1, 2.5]}, "bad members [1, 2.5]: a list of integers"),
+    ({"lo": 0, "hi": 10, "members": [1, "2"]}, "bad members [1, '2']: a list of integers"),
     ({"lo": 0, "hi": 10, "members": [3, 11, 12, -1]}, "member 11 outside window [0,10]"),
     ({"box": [0, 4, 0, 4], "members": [[0, 1.5]]}, "not float"),
     ({"box": [0, 4, 0, 4], "members": [["0", 1]]}, "'<=' not supported"),
     ({"box": [0, 4, 0, 4], "members": [[0, 1], [0, 1, 2]]}, "too many values to unpack"),
     ({"box": [0, 4, 0, 4], "members": [[0, 0], [0, 5], [5, 0]]}, "member (0, 5) outside box"),
-], ids=["float", "string", "outside", "2d-float", "2d-string", "2d-triple", "2d-outside"])
+    ({"lo": 0.5, "hi": "9", "members": [1, 2]}, "bad lo 0.5: an integer"),
+    ({"box": [0, 3.5, 0, "3"], "members": [[0, 1]]},
+     "bad box [0, 3.5, 0, '3']: a list of 4 integers"),
+], ids=["float", "string", "outside", "2d-float", "2d-string", "2d-triple", "2d-outside",
+        "float-bound", "2d-float-bound"])
 def test_verify_malformed_members_exit_2(tmp_path, capsys, set_obj, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"set": set_obj, "certificates": []}))
@@ -600,10 +635,13 @@ SUBSHIFT = {
     # a dropped axis would answer the 1-torus question, members [-3, 0, 3]
     (dict(TORUS2, x={"coords": ["1/2"]}), "has 2 coordinates"),
     (dict(TORUS2, x={"coords": ["1/2", "1/5", "0"]}), "has 2 coordinates"),
-    (dict(TORUS2, x=5), "needs coords or coords_fixed"),
-    (dict(TORUS2, system={"type": "rotation", "alpha": ["sqrt2", "1/5"]},
-          x={"coords_fixed": [5, 7], "bits": 256}), "hex strings"),
-    (dict(SUBSHIFT, x={"coords": ["1/2"]}), "needs word, lo and hi"),
+    # explicit ids keep the test names these cases had before their messages named the key
+    pytest.param(dict(TORUS2, x=5), "bad x 5: an object", id="cfg2-needs coords or coords_fixed"),
+    pytest.param(dict(TORUS2, system={"type": "rotation", "alpha": ["sqrt2", "1/5"]},
+                      x={"coords_fixed": [5, 7], "bits": 256}),
+                 "bad coords_fixed [5, 7]: a list of strings", id="cfg3-hex strings"),
+    pytest.param(dict(SUBSHIFT, x={"coords": ["1/2"]}), "missing word: a string",
+                 id="cfg4-needs word, lo and hi"),
     (dict(SUBSHIFT, x={"word": "0002000", "lo": -3, "hi": 3}), "7 letters 0/1"),
 ])
 def test_returns_malformed_point_exit_2(tmp_path, capsys, cfg, message):
@@ -665,3 +703,46 @@ def test_malformed_windows_exit_2(tmp_path, capsys, command, cfg, key):
     code, report, _ = run(tmp_path, command, cfg)
     assert (code, report) == (2, None)
     assert f"{command}: config error: bad {key} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, kernel, error", [
+    ("analyze", "gap_summary", KeyError),
+    ("returns", "return_set_1d", TypeError),
+    ("thma", "combinatorial_set_2d", AttributeError),
+    ("induced", "recurrence_times", KeyError),
+])
+def test_program_fault_is_not_a_config_error(tmp_path, capsys, monkeypatch, command, kernel, error):
+    """A kernel that raises KeyError, TypeError or AttributeError is a psynd bug:
+    main lets it propagate (a traceback), and prints no config error."""
+    cfgs = {
+        "analyze": {"set": MOD3},
+        "returns": dict(ROTATION_RETURNS, window=[-10, 10]),
+        "thma": {"set": MOD3, "family": ["n"], "box": [0, 5, 0, 5]},
+        "induced": {"system": {"type": "rotation", "alpha": ["1/4"]}, "family": ["n^2"]},
+    }
+
+    def broken(*args, **kwargs):
+        raise error("internal")
+
+    monkeypatch.setattr(psynd.cli, kernel, broken)
+    with pytest.raises(error, match="internal"):
+        run(tmp_path, command, cfgs[command])
+    assert "config error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("analyze", {"set": {"kind": "file", "path": "no-such-set.json"}}, "cannot read set file"),
+    ("returns", dict(ROTATION_RETURNS, epsilon="1/0", window=[0, 9]), "bad epsilon '1/0'"),
+    ("induced", {"system": {"type": "skew", "alpha": "golden"}, "family": ["n"], "epsilon": "x"},
+     "bad epsilon 'x'"),
+    ("analyze", {"set": {"kind": "sturmian", "alpha": "golden+", "window": [0, 9]}},
+     "bad alpha 'golden+'"),
+    ("returns", dict(ROTATION_RETURNS, system={"type": "rotation", "alpha": ["1/4", "sqrt7"]},
+                     window=[0, 9]), "bad alpha ['1/4', 'sqrt7']"),
+], ids=["missing-file", "zero-denominator", "not-a-number", "bad-constant", "bad-constant-list"])
+def test_unreadable_values_exit_2(tmp_path, capsys, command, cfg, message):
+    """A value of the right JSON type that cannot be read is a config error
+    naming the key; a missing set file and a zero denominator ended in a traceback."""
+    code, report, _ = run(tmp_path, command, cfg)
+    assert (code, report) == (2, None)
+    assert f"{command}: config error: {message}" in capsys.readouterr().err

@@ -115,7 +115,7 @@ def csv_per_member(the_set) -> str:
 def check_window(s: WindowSet) -> None:
     text = s.to_json()
     assert text == dumps(s.to_json_obj())
-    assert WindowSet.from_json(text) == s
+    assert WindowSet.from_json_obj(json.loads(text)) == s
     assert s.to_csv() == csv_per_member(s)
 
 
