@@ -29,7 +29,7 @@ from .constants import parse_real
 from .errors import ConfigError, EmptySetError, NoRowError, WindowExhaustedError, take
 from .generators import read_source, window_from_source
 from .induced import orbit_block, recurrence_times, split_block
-from .polynomials import PolyFamily
+from .polynomials import PolyFamily, check_normal_form
 from .returnsets import (
     ReturnQuery,
     combinatorial_set_2d,
@@ -102,12 +102,20 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _family(cfg: dict) -> PolyFamily:
+def _family(cfg: dict, normal: bool = False) -> PolyFamily:
+    """The config's family; with ``normal``, refused unless it is in normal form."""
     texts = take(cfg, "family", [str])
     try:
-        return PolyFamily.parse(texts)
+        family = PolyFamily.parse(texts)
     except ValueError as exc:
         raise ConfigError(f"bad family {texts!r}: {exc}") from exc
+    v = check_normal_form(family) if normal else None
+    if v is not None:
+        what = (f"member {v.i} {texts[v.i]!r} is constant" if v.i == v.j else
+                f"member {v.j} {texts[v.j]!r} is member {v.i} {texts[v.i]!r} "
+                f"shifted by {v.k} ({v.reason})")
+        raise ConfigError(f"bad family {texts!r}: not in normal form, {what}")
+    return family
 
 
 def _seeded(cfg: dict, override: Optional[int]) -> tuple[int, random.Random]:
@@ -351,7 +359,7 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
 def cmd_induced(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     seed, _ = _seeded(cfg, seed)
     sys_spec = system_from_json_obj(take(cfg, "system", dict))
-    family = _family(cfg)
+    family = _family(cfg, normal=True)
     x_cfg = take(cfg, "x", dict, None)
     x = sys_spec.base_point() if x_cfg is None else sys_spec.point_from_json(x_cfg)
     radius = take(cfg, "radius", int, 3, least=0)

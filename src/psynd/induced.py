@@ -101,19 +101,17 @@ def _build(sys, x, family, radius, shift, t_power, split) -> Block:
     return Block(sys, x, family, radius, split, head, entries, shift, t_power)
 
 
-def orbit_block(sys: SystemSpec, x: PointLike, family: PolyFamily, radius: int,
-                shift: int = 0, t_power: int = 0) -> Block:
-    """Evaluate the orbit-tuple window at the given accumulated offsets."""
-    return _build(sys, x, family, radius, shift, t_power, split=False)
+def orbit_block(sys: SystemSpec, x: PointLike, family: PolyFamily, radius: int) -> Block:
+    """Evaluate the orbit-tuple window around x."""
+    return _build(sys, x, family, radius, 0, 0, split=False)
 
 
-def split_block(sys: SystemSpec, x: PointLike, family: PolyFamily, radius: int,
-                shift: int = 0, t_power: int = 0) -> Block:
+def split_block(sys: SystemSpec, x: PointLike, family: PolyFamily, radius: int) -> Block:
     """Head/tail window; the family must be in normal form."""
     violation = check_normal_form(family)
     if violation is not None:
         raise NotNormalFormError(f"family not in normal form: {violation}")
-    return _build(sys, x, family, radius, shift, t_power, split=True)
+    return _build(sys, x, family, radius, 0, 0, split=True)
 
 
 def shift_block(block: Block, n: int) -> Block:

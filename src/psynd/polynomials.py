@@ -16,7 +16,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from typing import Iterable, List, Optional, Sequence, Tuple
+from math import comb
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     DegreeTooLowError,
@@ -27,18 +28,9 @@ from .errors import (
 
 def binom_int(n: int, k: int) -> int:
     """C(n, k) for any integer n and k >= 0 (falling-factorial definition)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k == 0:
-        return 1
     if n < 0:
-        return (-1) ** k * binom_int(k - n - 1, k)
-    if k > n:
-        return 0
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - i + 1) // i
-    return result
+        return (-1) ** k * comb(k - n - 1, k)
+    return comb(n, k)
 
 
 class IntegralPolynomial:
@@ -177,12 +169,6 @@ class IntegralPolynomial:
         out[0] = 0
         return IntegralPolynomial(out)
 
-    def sub(self, other: "IntegralPolynomial") -> "IntegralPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return IntegralPolynomial([x - y for x, y in zip(a, b)])
-
     def vanishes_at_zero(self) -> bool:
         return not self.coeffs or self.coeffs[0] == 0
 
@@ -283,7 +269,7 @@ def parse_polynomial(text: str) -> IntegralPolynomial:
 
 def essentially_distinct(p: IntegralPolynomial, q: IntegralPolynomial) -> bool:
     """True iff p - q is non-constant."""
-    return p.sub(q).degree >= 1
+    return p.coeffs[1:] != q.coeffs[1:]
 
 
 def shift_coincidence(
@@ -291,26 +277,18 @@ def shift_coincidence(
 ) -> Optional[int]:
     """Integer j with ``q = p.shift(j)``, if one exists.
 
-    For degree >= 2 the subleading monomial coefficient of p.shift(j) is
-    strictly monotone in j, so matching leading then subleading
-    coefficients pins the unique candidate; one exact polynomial
-    comparison settles it.  For lower degrees shifting is the identity.
+    For degree d >= 2, Vandermonde makes the C(n, d-1) coefficient of
+    p.shift(j) equal to c_{d-1} + j * c_d, strictly monotone in j, so it
+    pins the one candidate; one exact comparison settles it.  For lower
+    degrees shifting is the identity.
     """
     d = p.degree
     if d != q.degree:
         return None
-    if d <= 0:
+    if d <= 1:
         return 0 if p == q else None
-    if p.leading() != q.leading():
-        return None
-    if d == 1:
-        return 0 if p == q else None
-    # subleading of p.shift(j) is  lead * d * j + subleading(p)
-    delta = (q.subleading() - p.subleading()) / (p.leading() * d)
-    if delta.denominator != 1:
-        return None
-    j = delta.numerator
-    return j if p.shift(j) == q else None
+    j, rem = divmod(q.coeffs[d - 1] - p.coeffs[d - 1], p.coeffs[d])
+    return j if rem == 0 and p.shift(j) == q else None
 
 
 @dataclass(frozen=True)
@@ -366,40 +344,41 @@ class PolyFamily:
 
     def linear_slopes(self) -> List[int]:
         """Slopes of the degree-1 members, in family order."""
-        out = []
-        for p in self.polys:
-            if p.degree == 1:
-                a = p.monomial_view()[1]
-                out.append(int(a))  # integer because p is integral and p(0)=0
-        return out
+        return [p.coeffs[1] for p in self.polys if p.degree == 1]
+
+
+def _coincidences(family: PolyFamily) -> Iterator[Tuple[int, int, int]]:
+    """``(removed, kept, j)`` with ``family[removed] == family[kept].shift(j)``.
+
+    Each member, in index order, is compared with the earlier members kept
+    so far (those that matched none); the first one it matches removes it.
+    """
+    kept: List[int] = []
+    for idx, p in enumerate(family.polys):
+        for k in kept:
+            j = shift_coincidence(family.polys[k], p)
+            if j is not None:
+                yield idx, k, j
+                break
+        else:
+            kept.append(idx)
 
 
 def check_normal_form(family: PolyFamily) -> Optional[NormalFormViolation]:
     """Normal-form check: distinct nonzero linear slopes, all other members
     of degree >= 2 with no shift coincidence between any two of them.
 
-    Returns None when the family is in normal form, otherwise a witness.
+    Returns None when the family is in normal form, otherwise a witness:
+    the first constant member, or else the reduction's first removal.
     """
-    slopes: dict = {}
-    higher: List[int] = []
     for idx, p in enumerate(family.polys):
-        d = p.degree
-        if d <= 0:
+        if p.degree <= 0:
             return NormalFormViolation(idx, idx, 0, 0, "constant member")
-        if d == 1:  # a != 0: p(0) = 0, and the top coefficient is never zero
-            a = int(p.monomial_view()[1])
-            if a in slopes:
-                return NormalFormViolation(slopes[a], idx, 0, 0, "duplicate slope")
-            slopes[a] = idx
-        else:
-            higher.append(idx)
-    for ai in range(len(higher)):
-        for bi in range(ai + 1, len(higher)):
-            i, j = higher[ai], higher[bi]
-            delta = shift_coincidence(family.polys[i], family.polys[j])
-            if delta is not None:
-                # family[j] == family[i].shift(delta), i.e. p_i^[delta] = p_j^[0]
-                return NormalFormViolation(i, j, delta, 0, "shift coincidence")
+    for removed, kept, j in _coincidences(family):
+        # family[removed] == family[kept].shift(j), i.e. p_kept^[j] = p_removed^[0]
+        linear = family.polys[removed].degree == 1
+        return NormalFormViolation(kept, removed, j, 0,
+                                   "duplicate slope" if linear else "shift coincidence")
     return None
 
 
@@ -419,30 +398,15 @@ def reduce_to_normal_form(family: PolyFamily) -> NormalFormReduction:
     for idx, p in enumerate(family.polys):
         if p.degree <= 0:
             raise NotVanishingError(f"member {idx} is constant")
-    kept: List[int] = []
-    covering: List[Tuple[int, int, int]] = []
-    for idx, p in enumerate(family.polys):
-        matched = False
-        for k_idx in kept:
-            q = family.polys[k_idx]
-            if p.degree == 1 and q.degree == 1:
-                if p == q:  # equal slopes: any shift works, record 0
-                    covering.append((idx, k_idx, 0))
-                    matched = True
-                    break
-            elif p.degree >= 2 and q.degree >= 2:
-                delta = shift_coincidence(q, p)
-                if delta is not None:
-                    covering.append((idx, k_idx, delta))
-                    matched = True
-                    break
-        if not matched:
-            kept.append(idx)
-    core = PolyFamily(family.polys[i] for i in kept)
+    covering = list(_coincidences(family))
+    removed = {rem for rem, _, _ in covering}
+    kept = [idx for idx in range(len(family)) if idx not in removed]
     # the kept indices re-map positionally in the core family
     remap = {orig: new for new, orig in enumerate(kept)}
-    covering_final = tuple((rem, remap[k], j) for rem, k, j in covering)
-    return NormalFormReduction(core=core, covering=covering_final)
+    return NormalFormReduction(
+        core=PolyFamily(family.polys[idx] for idx in kept),
+        covering=tuple((rem, remap[k], j) for rem, k, j in covering),
+    )
 
 
 def separation_constant(p: IntegralPolynomial, q: IntegralPolynomial) -> Fraction:

@@ -202,11 +202,12 @@ def shift_cover_search(
         feasible &= (s.mask >> off) & bitops.mask_of(width)
         if not feasible:
             return None
-    # nearest set bit to a = 0, ties to the positive side
-    p0 = -a_lo
-    max_d = max(abs(a_lo), abs(a_hi))
-    for d in range(0, max_d + 1):
-        for pos in (p0 + d, p0 - d) if d else (p0,):
-            if 0 <= pos < width and (feasible >> pos) & 1:
-                return a_lo + pos
-    return None
+    # the nearest set bit to a = 0 is the lowest one at or above it or the
+    # highest one below it; ties to the positive side
+    p0 = max(-a_lo, 0)
+    above = feasible >> p0 << p0
+    below = feasible ^ above
+    nearest = [a_lo + bitops.lowest_set_bit(above)] if above else []
+    if below:
+        nearest.append(a_lo + below.bit_length() - 1)
+    return min(nearest, key=lambda a: (abs(a), -a))

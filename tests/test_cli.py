@@ -424,6 +424,11 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
      "bad family 'n': a list of strings"),
     ("analyze", {"set": MOD3, "certificates": {"pws": {"b_max": 0, "L": 90, "mandatory": "no"}}},
      "bad mandatory 'no': a boolean"),
+    # a family that induced cannot split
+    ("induced", {"system": {"type": "rotation", "alpha": ["1/4"]}, "family": ["n^2", "n^2+2n"],
+                 "epsilon": "1/10"},
+     "bad family ['n^2', 'n^2+2n']: not in normal form, member 1 'n^2+2n' is member 0 'n^2' "
+     "shifted by 1"),
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""

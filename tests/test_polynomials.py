@@ -174,6 +174,41 @@ def test_shift_coincidence_detection():
     assert shift_coincidence(nsq, parse_polynomial("2n^2")) is None
 
 
+def test_shift_coincidence_is_the_bruteforce_search():
+    # q == p.shift(j) exactly when q(n) == p(n + j) - p(j) at n = 0..D, D the
+    # larger degree; every j in [-J, J] is tried against one table of p's
+    # values, and the q built here never coincide at |j| > 20
+    rng = random.Random(0x5CC)
+    big_j = 60
+    kinds = set()
+    for _ in range(3000):
+        p = _random_vanishing_poly(rng) if rng.random() < 0.95 else IntegralPolynomial.zero()
+        kind = rng.choice(["shift", "nudged", "same top", "random"])
+        if kind == "shift":
+            q = p.shift(rng.randint(-8, 8))
+        elif kind == "nudged":  # a shift with one lower coefficient moved; at c_0, q(0) != 0
+            cs = list(p.shift(rng.randint(-8, 8)).coeffs) or [0]
+            cs[rng.randrange(max(len(cs) - 1, 1))] += rng.choice([-2, -1, 1, 2])
+            q = IntegralPolynomial(cs)
+        elif kind == "same top":  # equal degree and leading coefficient
+            q = IntegralPolynomial([rng.randint(-6, 6) for _ in p.coeffs[:-1]] + list(p.coeffs[-1:]))
+        else:
+            q = IntegralPolynomial(rng.randint(-6, 6) for _ in range(rng.randint(0, 5)))
+        d = max(p.degree, q.degree, 0)
+        table = p.values(-big_j, 2 * big_j + d + 1)
+        at = [q.eval(n) for n in range(d + 1)]
+        want = [j for j in range(-big_j, big_j + 1)
+                if all(table[big_j + j + n] - table[big_j + j] == at[n] for n in range(d + 1))]
+        got = shift_coincidence(p, q)
+        if p.degree >= 2:
+            assert [got] == want if want else got is None, (p, q)
+        else:  # shifting is the identity below degree 2: every j or none
+            assert (got, len(want)) in {(0, 2 * big_j + 1), (None, 0)}, (p, q)
+        kinds.add((kind, p.degree >= 2, got is not None))
+    assert {(k, True, True) for k in ("shift", "nudged", "same top")} <= kinds
+    assert {(k, True, False) for k in ("nudged", "same top", "random")} <= kinds
+
+
 def test_check_normal_form_shift_class_family():
     fam = PolyFamily.parse(["n^2", "n^2+2n", "n^2+6n"])
     v = check_normal_form(fam)
@@ -192,6 +227,18 @@ def test_check_normal_form_linear_violations():
     assert v is not None and v.reason == "duplicate slope"
     v = check_normal_form(PolyFamily.parse(["[0]", "n"]))
     assert v is not None and v.reason == "constant member"
+
+
+def test_check_normal_form_witness_is_the_first_removal():
+    # a family with more than one violation is witnessed by the reduction's
+    # first removal, whatever the degree; constant members come first
+    fam = PolyFamily.parse(["n^2", "n^2+2n", "2n", "2n"])
+    v = check_normal_form(fam)
+    assert (v.i, v.j, v.k, v.t, v.reason) == (0, 1, 1, 0, "shift coincidence")
+    v = check_normal_form(PolyFamily.parse(["2n", "2n", "[0]"]))
+    assert (v.i, v.j, v.reason) == (2, 2, "constant member")
+    v = check_normal_form(PolyFamily.parse(["n^2", "3n", "n^3", "3n", "n^2-2n"]))
+    assert (v.i, v.j, v.k, v.t, v.reason) == (1, 3, 0, 0, "duplicate slope")
 
 
 def test_family_requires_vanishing():
@@ -233,6 +280,50 @@ def test_reduce_random_families():
         assert check_normal_form(red.core) is None
         for removed, kept, j in red.covering:
             assert red.core[kept].shift(j) == fam[removed]
+        _assert_check_is_first_removal(fam, red)
+
+
+def _assert_check_is_first_removal(fam, red):
+    """check_normal_form is None exactly when nothing is removed, and otherwise
+    witnesses the first covering triple, its kept index read in ``fam``."""
+    v = check_normal_form(fam)
+    if not red.covering:
+        assert v is None
+        return
+    removed = {rem for rem, _, _ in red.covering}
+    kept_at = [idx for idx in range(len(fam)) if idx not in removed]
+    rem, kept, j = red.covering[0]
+    assert (v.i, v.j, v.k, v.t) == (kept_at[kept], rem, j, 0)
+    assert v.reason == ("duplicate slope" if fam[rem].degree == 1 else "shift coincidence")
+
+
+def test_reduce_mixed_linear_and_shifted_families():
+    # equal linear members next to shift-coincident higher ones; a zero member
+    # is refused by the reduction and reported first by the check
+    rng = random.Random(2718)
+    for _ in range(200):
+        slopes = [rng.choice([-3, -1, 1, 2, 5]) for _ in range(rng.randint(0, 3))]
+        higher = [_random_vanishing_poly(rng) for _ in range(rng.randint(0, 2))]
+        higher = [p if p.degree >= 2 else IntegralPolynomial([0, 1, 1]) for p in higher]
+        fam_list = [IntegralPolynomial([0, a]) for a in slopes] + higher
+        fam_list += [p.shift(rng.randint(-4, 4)) for p in higher if rng.random() < 0.7]
+        rng.shuffle(fam_list)
+        if rng.random() < 0.2:
+            fam_list.insert(rng.randint(0, len(fam_list)), IntegralPolynomial.zero())
+        fam = PolyFamily(fam_list)
+        zeros = [idx for idx, p in enumerate(fam) if p.degree < 0]
+        if zeros:
+            v = check_normal_form(fam)
+            assert (v.i, v.j, v.reason) == (zeros[0], zeros[0], "constant member")
+            with pytest.raises(NotVanishingError):
+                reduce_to_normal_form(fam)
+            continue
+        red = reduce_to_normal_form(fam)
+        assert check_normal_form(red.core) is None
+        assert red.core.linear_slopes() == list(dict.fromkeys(fam.linear_slopes()))
+        for removed, kept, j in red.covering:
+            assert red.core[kept].shift(j) == fam[removed]
+        _assert_check_is_first_removal(fam, red)
 
 
 def test_separation_constant_values():
