@@ -13,7 +13,8 @@ dilation of B -- the planar analogue of the 1D run witness.
 from psynd import PolyFamily, grid_slice, pws_area_witness_2d, shift_cover_search
 from psynd.generators import sturmian_window
 from psynd.returnsets import combinatorial_set_2d, masked_dilation_2d
-from psynd.windows import best_slice, max_rectangle, verify_pws_2d
+from psynd.check import verify_pws_2d
+from psynd.windows import best_slice, max_rectangle
 
 s = sturmian_window("golden", -5000, 5000)
 family = PolyFamily.parse(["n", "n^2"])

@@ -1,6 +1,20 @@
 """Finite-window workbench for piecewise-syndetic structure, polynomial
 return-time sets, and the sequence systems they induce."""
 
+from .check import (
+    PwsCert,
+    PwsCert2D,
+    Syndetic2DCert,
+    Syndetic2DRefutation,
+    SyndeticCert,
+    SyndeticRefutation,
+    ThickCert,
+    verify_pws,
+    verify_pws_2d,
+    verify_syndetic,
+    verify_syndetic_2d,
+    verify_thick,
+)
 from .constants import RealSpec, parse_real
 from .errors import (
     BadBoundError,
@@ -59,12 +73,6 @@ from .systems import (
 from .windows import (
     GapSummary,
     GridSet,
-    PwsCert,
-    PwsCert2D,
-    Syndetic2DCert,
-    SyndeticCert,
-    SyndeticRefutation,
-    ThickCert,
     WindowSet,
     best_slice,
     dilate,
@@ -78,11 +86,6 @@ from .windows import (
     pws_witness_2d,
     syndetic_2d_certificate,
     syndetic_certificate,
-    verify_pws,
-    verify_pws_2d,
-    verify_syndetic,
-    verify_syndetic_2d,
-    verify_thick,
 )
 
 __version__ = "0.1.0"

@@ -280,13 +280,13 @@ def shift_coincidence(
     For degree d >= 2, Vandermonde makes the C(n, d-1) coefficient of
     p.shift(j) equal to c_{d-1} + j * c_d, strictly monotone in j, so it
     pins the one candidate; one exact comparison settles it.  For lower
-    degrees shifting is the identity.
+    degrees every shift is p.shift(0) = p - p(0), so j = 0 stands for all.
     """
     d = p.degree
     if d != q.degree:
         return None
     if d <= 1:
-        return 0 if p == q else None
+        return 0 if p.shift(0) == q else None
     j, rem = divmod(q.coeffs[d - 1] - p.coeffs[d - 1], p.coeffs[d])
     return j if rem == 0 and p.shift(j) == q else None
 

@@ -31,10 +31,11 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from . import bitops
+from .check import PwsCert2D
 from .errors import BadBoundError, BadEpsilonError, EmptySetError
 from .polynomials import PolyFamily
 from .systems import PointLike, SystemSpec, fold_period, scan
-from .windows import GridSet, PwsCert2D, WindowSet, column_dilations, max_rectangle_cols
+from .windows import GridSet, WindowSet, column_dilations, max_rectangle_cols
 
 
 @dataclass(frozen=True)

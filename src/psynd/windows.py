@@ -2,11 +2,11 @@
 
 A :class:`WindowSet` models an integer set restricted to an interval
 ``[lo, hi]``; a :class:`GridSet` models a planar set restricted to a box.
-Detection ops return small certificate objects that one covering scan,
-independent of the detection kernels, re-verifies against the raw set; all
-piecewise-syndetic claims are made only on the shift-shrunk interior of
-the window so that a finite truncation never manufactures a witness the
-underlying unbounded set would not have.
+Detection ops return the certificates of :mod:`psynd.check`, whose
+covering scans, independent of the detection kernels, re-verify them
+against the raw set; all piecewise-syndetic claims are made only on the
+shift-shrunk interior of the window so that a finite truncation never
+manufactures a witness the underlying unbounded set would not have.
 
 Shift sets are restricted to intervals ``[0, b]`` (boxes in 2D).  This
 loses no witnesses: a union of shifts over any finite set F is contained
@@ -21,14 +21,15 @@ pure function, safe to call concurrently.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, islice, product, repeat, starmap
-from operator import or_, sub
-from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-from typing import Union, get_args, get_origin, get_type_hints
+from itertools import compress, product, repeat, starmap
+from operator import or_
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import bitops
+from .check import PwsCert, PwsCert2D, Syndetic2DCert, Syndetic2DRefutation, SyndeticCert
+from .check import SyndeticRefutation, ThickCert
 from .errors import BadBoundError, ConfigError, EmptySetError, NoRowError, take
 
 _BITMAP_MAGIC = b"PSYN"
@@ -377,127 +378,6 @@ class GridSet:
         return cls((mlo, mhi, nlo, nhi), rows)
 
 
-# ---------------------------------------------------------------------------
-# Certificates
-# ---------------------------------------------------------------------------
-
-
-CERT_TYPES: Dict[str, type] = {}  # type tag -> certificate class
-
-
-class _Cert:
-    """A certificate's JSON form: its ``type`` tag, then its fields, tuples as lists.
-
-    A subclass names its tag, ``class C(_Cert, tag=...)``, entering it in ``CERT_TYPES``.
-    """
-
-    type: ClassVar[str]
-
-    def __init_subclass__(cls, tag: str, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls.type = tag
-        CERT_TYPES[tag] = cls
-
-    def to_json_obj(self) -> dict:
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {"type": self.type, **{k: list(v) if isinstance(v, tuple) else v for k, v in values}}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "_Cert":
-        """Inverse of ``to_json_obj``; ConfigError names a missing or ill-typed field."""
-        values = {}
-        for f in fields(cls):
-            hint = get_type_hints(cls)[f.name]
-            if get_origin(hint) is tuple:
-                values[f.name] = tuple(take(obj, f.name, [int], size=len(get_args(hint))))
-            elif f.name in obj and obj[f.name] is None and type(None) in get_args(hint):
-                values[f.name] = None
-            else:
-                values[f.name] = take(obj, f.name, int)
-        return cls(**values)
-
-
-@dataclass(frozen=True)
-class SyndeticCert(_Cert, tag="syndetic"):
-    """Every length-``gap_bound`` subinterval of ``checked_interval`` meets the set."""
-
-    gap_bound: int
-    checked_interval: Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class SyndeticRefutation(_Cert, tag="syndetic_refutation"):
-    """First length-N subinterval missing the set, with the containing gap size."""
-
-    gap: int
-    location: int
-    length: int
-
-
-@dataclass(frozen=True)
-class ThickCert(_Cert, tag="thick"):
-    """``[run_start, run_start+run_length-1]`` is contained in the set."""
-
-    run_start: Optional[int]
-    run_length: int
-
-
-@dataclass(frozen=True)
-class PwsCert(_Cert, tag="pws"):
-    """Dilating the set by the shift interval [0, shift_bound] covers ``interval``.
-
-    ``interval`` is (start, length); it always lies inside the
-    shift_bound-shrunk window, so re-dilation of the raw window set
-    reproduces it.  Its JSON form is the object ``{"start", "length"}``.
-    """
-
-    shift_bound: int
-    interval: Tuple[int, int]
-
-    def to_json_obj(self) -> dict:
-        start, length = self.interval
-        return {**super().to_json_obj(), "interval": {"start": start, "length": length}}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "PwsCert":
-        interval = obj.get("interval")
-        if isinstance(interval, dict):
-            obj = {**obj, "interval": [interval.get("start"), interval.get("length")]}
-        return super().from_json_obj(obj)
-
-
-@dataclass(frozen=True)
-class PwsCert2D(_Cert, tag="pws2d"):
-    """Dilating by the shift box [0,b1]x[0,b2] covers the rectangle.
-
-    ``rect`` is (m0, n0, w, h): rows m0..m0+w-1, columns n0..n0+h-1.
-    """
-
-    shift_box: Tuple[int, int]
-    rect: Tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class Syndetic2DCert(_Cert, tag="syndetic2d"):
-    """Every point of ``checked_box`` has a member within ``l_bound`` in each coordinate."""
-
-    l_bound: int
-    checked_box: Tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class Syndetic2DRefutation(_Cert, tag="syndetic2d_refutation"):
-    """A point of the L-shrunk box with no member within ``l_bound`` in each coordinate."""
-
-    l_bound: int
-    point: Tuple[int, int]
-
-
-def cert_from_json_obj(obj: dict) -> _Cert:
-    """Decode a certificate by its ``type`` tag; ConfigError on an unknown tag or a bad field."""
-    return CERT_TYPES[take(obj, "type", tuple(CERT_TYPES))].from_json_obj(obj)
-
-
 @dataclass(frozen=True)
 class GapSummary:
     """Interior max gap plus boundary lead-in/tail-out gap lower bounds.
@@ -553,24 +433,15 @@ def syndetic_certificate(
     if lo > hi or hi - lo + 1 < n:
         # interior too small to contain any length-n window: vacuous cert
         return SyndeticCert(gap_bound=n, checked_interval=(lo, hi))
-    inner = s.restrict(lo, hi)
-    width = inner.width
-    holes = inner.mask ^ bitops.mask_of(width)
-    start = bitops.has_run(holes, n)
+    start = bitops.has_run(~s.mask >> n & bitops.mask_of(hi - lo + 1), n)
     if start is None:
         return SyndeticCert(gap_bound=n, checked_interval=(lo, hi))
     loc = lo + start
-    # containing gap: distance between the set members (or window edges)
-    # surrounding the failing interval
-    below = s.restrict(s.lo, loc - 1) if loc - 1 >= s.lo else None
-    above = s.restrict(loc, s.hi)
-    prev_member = None
-    if below is not None and not below.is_empty():
-        prev_member = below.lo + below.mask.bit_length() - 1
-    nxt = bitops.lowest_set_bit(above.mask)
-    next_member = above.lo + nxt if nxt is not None else None
-    left = prev_member if prev_member is not None else s.lo - 1
-    right = next_member if next_member is not None else s.hi + 1
+    # the gap around the failing interval: the highest member below it and
+    # the lowest above it, two bit scans, the window edges +-1 standing in
+    left = s.lo - 1 + (s.mask & bitops.mask_of(loc - s.lo)).bit_length()
+    above = s.mask >> (loc - s.lo)
+    right = loc + bitops.lowest_set_bit(above) if above else s.hi + 1
     return SyndeticRefutation(gap=right - left, location=loc, length=n)
 
 
@@ -831,103 +702,3 @@ def best_slice(
     if not found:
         raise NoRowError(f"no row admits a witness at b_max={b_max}, L={l_run}")
     return min(found, key=lambda mc: (-mc[1].interval[1], mc[1].shift_bound, mc[0]))
-
-
-# ---------------------------------------------------------------------------
-# Verification
-# ---------------------------------------------------------------------------
-
-
-def _covered(s: WindowSet, lo: int, hi: int, w0: int, w1: int) -> bool:
-    """True when every x in [lo, hi] has a member of ``s`` in [x+w0, x+w1].
-
-    Every positive certificate is such a claim.  Member p serves [p-w1, p-w0],
-    so only the members p_1 < ... < p_k in [lo+w0, hi+w1] serve [lo, hi], and
-    they cover it iff p_1 - w1 <= lo, p_k - w0 >= hi and no gap p_{j+1} - p_j
-    exceeds w1 - w0 + 1.  Such gaps make the intervals meet.  A larger gap
-    leaves the hole [p_j - w0 + 1, p_{j+1} - w1 - 1], served by no member,
-    whose start lies in [lo, hi]: above lo as p_j >= lo + w0, and not above
-    the hole's end, which p_{j+1} <= hi + w1 puts below hi.  With w1 < w0
-    the test fails: p - w1 <= lo <= hi <= p - w0 is impossible, and two
-    members differ by more than w1 - w0 + 1 <= 0.
-    """
-    if lo > hi:
-        return True
-    a, b = max(lo + w0, s.lo), min(hi + w1, s.hi)
-    ps = list(s.restrict(a, b).members()) if a <= b else []
-    return (bool(ps) and ps[0] - w1 <= lo and ps[-1] - w0 >= hi
-            and max(map(sub, islice(ps, 1, None), ps), default=0) <= w1 - w0 + 1)
-
-
-def _covered_2d(
-    e: GridSet, region: Tuple[int, int, int, int], i0: int, i1: int, j0: int, j1: int
-) -> bool:
-    """True when every (m, n) in ``region`` has a member in [m+i0, m+i1] x [n+j0, n+j1]:
-    for each n, the OR of columns n+j0..n+j1 covers the m-range as ``_covered``."""
-    mlo, mhi, nlo, nhi = region
-    for n in range(nlo, nhi + 1):
-        acc = reduce(or_, e.cols[max(n + j0 - e.nlo, 0) : max(n + j1 - e.nlo + 1, 0)], 0)
-        if not _covered(WindowSet(e.mlo, e.mhi, acc), mlo, mhi, i0, i1):
-            return False
-    return True
-
-
-def verify_syndetic(s: WindowSet, cert: SyndeticCert) -> bool:
-    """Each x in [lo, hi-N+1] has a member in [x, x+N-1]."""
-    lo, hi = cert.checked_interval
-    n = cert.gap_bound
-    return _covered(s, lo, hi - n + 1, 0, n - 1)
-
-
-def verify_pws(s: WindowSet, cert: PwsCert) -> bool:
-    """The interval lies in the b-shrunk window and each x has a member in [x, x+b]."""
-    b = cert.shift_bound
-    start, length = cert.interval
-    if start < s.lo or start + length - 1 > s.hi - b:
-        return False
-    return _covered(s, start, start + length - 1, 0, b)
-
-
-def verify_thick(s: WindowSet, cert: ThickCert) -> bool:
-    if cert.run_length == 0:
-        return True
-    if cert.run_start is None:
-        return False
-    return _covered(s, cert.run_start, cert.run_start + cert.run_length - 1, 0, 0)
-
-
-def verify_syndetic_refutation(s: WindowSet, cert: SyndeticRefutation) -> bool:
-    """The hole lies in the N-shrunk window and holds no member; ``gap`` is the
-    next member minus the previous one, the window edge +-1 standing in."""
-    loc, n = cert.location, cert.length
-    if n < 1 or loc < s.lo + n or loc + n - 1 > s.hi - n:
-        return False
-    left = s.lo - 1 + (s.mask & bitops.mask_of(loc - s.lo)).bit_length()
-    above = s.mask >> (loc - s.lo)
-    right = loc + bitops.lowest_set_bit(above) if above else s.hi + 1
-    return right >= loc + n and cert.gap == right - left
-
-
-def verify_pws_2d(e: GridSet, cert: PwsCert2D) -> bool:
-    """The rect lies in the shrunk box and each point has a member in +[0,b1]x[0,b2]."""
-    b1, b2 = cert.shift_box
-    m0, n0, w, h = cert.rect
-    if m0 < e.mlo or m0 + w - 1 > e.mhi - b1:
-        return False
-    if n0 < e.nlo or n0 + h - 1 > e.nhi - b2:
-        return False
-    return _covered_2d(e, (m0, m0 + w - 1, n0, n0 + h - 1), 0, b1, 0, b2)
-
-
-def verify_syndetic_2d(e: GridSet, cert: Syndetic2DCert) -> bool:
-    """Each point of the checked box has a member in +[-L, L]^2."""
-    l_bound = cert.l_bound
-    return _covered_2d(e, cert.checked_box, -l_bound, l_bound, -l_bound, l_bound)
-
-
-def verify_syndetic_2d_refutation(e: GridSet, cert: Syndetic2DRefutation) -> bool:
-    """The point lies in the L-shrunk box and has no member in +[-L, L]^2."""
-    (m, n), l_bound = cert.point, cert.l_bound
-    near = (m - l_bound, m + l_bound, n - l_bound, n + l_bound)
-    inside = e.mlo <= near[0] and near[1] <= e.mhi and e.nlo <= near[2] and near[3] <= e.nhi
-    return l_bound >= 0 and inside and e.restrict(near).is_empty()

@@ -48,15 +48,12 @@ from psynd import (
 )
 from psynd.returnsets import combinatorial_set_2d
 from psynd.systems import HeisenbergNil
+from psynd.check import Syndetic2DCert, SyndeticCert, SyndeticRefutation, verify_syndetic_2d
 from psynd.windows import (
-    SyndeticCert,
-    SyndeticRefutation,
     best_slice,
     grid_slice,
     longest_run,
-    verify_syndetic_2d,
     syndetic_2d_certificate,
-    Syndetic2DCert,
 )
 from psynd.generators import sturmian_window
 

@@ -24,6 +24,7 @@ from psynd import (
     syndetic_certificate,
     system_from_json_obj,
 )
+from psynd.check import CERT_TYPES
 from psynd.cli import NILCHECK_DEFAULTS, main
 from psynd.generators import sturmian_window
 from psynd.returnsets import masked_dilation_2d
@@ -474,6 +475,15 @@ TAMPERED = {
 }
 
 
+# each certificate type on a set of the other dimension; the first two ids predate the rest
+OTHER_DIMENSION = {
+    {"pws2d": "2d-on-1d", "thick": "1d-on-2d"}.get(kind, f"{kind}-on-other-dimension"): (
+        "1d" if the_set is STRIPES else "2d", cert.to_json_obj(),
+        f"{kind} certificate on a {'1D' if the_set is STRIPES else '2D'} set")
+    for kind, (the_set, cert, _) in TAMPERED.items()
+}
+
+
 def verify_report(tmp_path, the_set, *certs):
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"set": the_set.to_json_obj(), "certificates": list(certs)}))
@@ -482,6 +492,7 @@ def verify_report(tmp_path, the_set, *certs):
 
 @pytest.mark.parametrize("kind", TAMPERED)
 def test_verify_checks_every_certificate_type(tmp_path, capsys, kind):
+    assert set(TAMPERED) == set(CERT_TYPES)  # a new certificate type needs a case here
     the_set, cert, tamper = TAMPERED[kind]
     obj = cert.to_json_obj()
     assert obj["type"] == kind
@@ -491,6 +502,26 @@ def test_verify_checks_every_certificate_type(tmp_path, capsys, kind):
     assert verify_report(tmp_path, the_set, obj) == 1
     assert capsys.readouterr().out == f"{kind}: FAIL\n"
 
+
+
+@pytest.mark.parametrize("the_set, cert, verdict", [
+    (GOLDEN, {"type": "syndetic", "gap_bound": 3, "checked_interval": [0, 10**12]}, "FAIL"),
+    (GOLDEN, {"type": "syndetic", "gap_bound": 3, "checked_interval": [-10**30, 10**30]}, "FAIL"),
+    (GOLDEN, {"type": "thick", "run_start": 0, "run_length": 10**12}, "FAIL"),
+    (GOLDEN, {"type": "thick", "run_start": -10**30, "run_length": 10**31}, "FAIL"),
+    (STRIPES, {"type": "syndetic2d", "l_bound": 1, "checked_box": [-20, 10**12, -20, 20]},
+     "FAIL"),
+    (STRIPES, {"type": "syndetic2d", "l_bound": 1, "checked_box": [-19, 19, -19, 10**12]},
+     "FAIL"),
+    # an empty m-range claims nothing, however long the n-range
+    (STRIPES, {"type": "syndetic2d", "l_bound": 1, "checked_box": [5, 4, 0, 10**12]}, "ok"),
+], ids=["syndetic", "syndetic-huge", "thick", "thick-huge", "syndetic2d-m", "syndetic2d-n",
+        "syndetic2d-vacuous"])
+def test_verify_forged_far_bounds_cost_no_more_than_the_set(tmp_path, capsys, the_set, cert,
+                                                             verdict):
+    # bounds far outside the set are read, not scanned: no huge mask, no long loop
+    assert verify_report(tmp_path, the_set, cert) == (verdict == "FAIL")
+    assert capsys.readouterr().out == f"{cert['type']}: {verdict}\n"
 
 def test_verify_genuine_reports_skip_nothing(tmp_path, capsys):
     # a refuted N in analyze, and a thma witness: every certificate is checked
@@ -514,9 +545,8 @@ def test_verify_genuine_reports_skip_nothing(tmp_path, capsys):
     ("1d", {"type": "bogus"}, "bad type 'bogus': 'syndetic' or "),
     ("1d", {"type": "pws", "shift_bound": 1}, "missing interval: a list of 2 integers"),
     ("1d", {"type": "thick", "run_start": "3", "run_length": 2}, "bad run_start '3': an integer"),
-    ("1d", {"type": "pws2d", "shift_box": [0, 0], "rect": [0, 0, 1, 1]}, "pws2d certificate on a 1D set"),
-    ("2d", {"type": "thick", "run_start": 0, "run_length": 1}, "thick certificate on a 2D set"),
-], ids=["unknown-type", "missing-field", "ill-typed-field", "2d-on-1d", "1d-on-2d"])
+    *OTHER_DIMENSION.values(),
+], ids=["unknown-type", "missing-field", "ill-typed-field", *OTHER_DIMENSION])
 def test_verify_malformed_report_exit_2(tmp_path, capsys, set_kind, cert, message):
     the_set = GOLDEN if set_kind == "1d" else STRIPES
     genuine = longest_run(GOLDEN) if set_kind == "1d" else syndetic_2d_certificate(STRIPES, 1)

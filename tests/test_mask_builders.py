@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from psynd import GridSet, WindowSet, bitops
 from psynd.constants import DEFAULT_BITS, parse_real
 from psynd.generators import random_thick_syndetic, sturmian_window
-from psynd.windows import _covered
+from psynd.check import _covered
 
 
 def old_from_positions(positions, width):
@@ -388,18 +388,18 @@ def test_covered_matches_the_member_walk(window, density, seed, data):
     b = data.draw(st.integers(a - 3, hi + 25))
     w0 = data.draw(st.integers(-8, 8))
     w1 = data.draw(st.integers(w0 - 3, w0 + 12))  # w1 < w0 included
-    assert _covered(s, a, b, w0, w1) == old_covered(s, a, b, w0, w1)
+    assert _covered(s.mask, s.lo, a, b, w0, w1) == old_covered(s, a, b, w0, w1)
 
 
 def test_covered_edge_cases():
     s = WindowSet.from_members(-10, 10, [-10, -7, -4, 0, 3, 10])
-    assert _covered(s, 5, 4, 0, 0)  # empty region
-    assert _covered(s, 0, -100, 3, 1)  # empty region, even with w1 < w0
-    assert not _covered(s, 0, 0, 0, -1)  # a point, w1 < w0
-    assert not _covered(s, -10, -10, 1, 0)
-    assert _covered(s, -10, 3, 0, 3)  # gaps of 3 and 4 at w1 - w0 + 1 = 4
-    assert not _covered(s, -10, 4, 0, 3)  # 4 needs a member in [4, 7]: the gap 3..10 is 7
-    assert _covered(s, -13, -12, 2, 3)  # partly outside the window, served by -10
-    assert not _covered(s, 20, 30, -5, 5)  # no member serves it
-    assert _covered(WindowSet.full(0, 4), 0, 4, 0, 0)
-    assert not _covered(WindowSet.empty(0, 4), 0, 0, -100, 100)
+    assert _covered(s.mask, s.lo, 5, 4, 0, 0)  # empty region
+    assert _covered(s.mask, s.lo, 0, -100, 3, 1)  # empty region, even with w1 < w0
+    assert not _covered(s.mask, s.lo, 0, 0, 0, -1)  # a point, w1 < w0
+    assert not _covered(s.mask, s.lo, -10, -10, 1, 0)
+    assert _covered(s.mask, s.lo, -10, 3, 0, 3)  # gaps of 3 and 4 at w1 - w0 + 1 = 4
+    assert not _covered(s.mask, s.lo, -10, 4, 0, 3)  # 4 needs a member in [4, 7]: the gap 3..10 is 7
+    assert _covered(s.mask, s.lo, -13, -12, 2, 3)  # partly outside the window, served by -10
+    assert not _covered(s.mask, s.lo, 20, 30, -5, 5)  # no member serves it
+    assert _covered(WindowSet.full(0, 4).mask, 0, 0, 4, 0, 0)
+    assert not _covered(0, 0, 0, 0, -100, 100)

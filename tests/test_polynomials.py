@@ -172,6 +172,9 @@ def test_shift_coincidence_detection():
     assert shift_coincidence(nsq, parse_polynomial("n^2+n")) is None
     assert shift_coincidence(nsq, parse_polynomial("n^3")) is None
     assert shift_coincidence(nsq, parse_polynomial("2n^2")) is None
+    # below degree 2 every shift is p - p(0), which is not p when p(0) != 0
+    for p, want in (("n+1", None), ("2n-3", None), ("3n", 0)):
+        assert shift_coincidence(parse_polynomial(p), parse_polynomial(p)) == want
 
 
 def test_shift_coincidence_is_the_bruteforce_search():

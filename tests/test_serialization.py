@@ -21,7 +21,7 @@ from psynd import (
     parse_real,
     split_block,
 )
-from psynd.windows import Syndetic2DRefutation, cert_from_json_obj
+from psynd.check import Syndetic2DRefutation, cert_from_json_obj
 
 
 def test_window_json_roundtrip():
