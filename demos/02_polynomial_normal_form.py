@@ -5,11 +5,11 @@ structural and all arithmetic is exact.  The interesting operation is
 the re-vanished shift p^[j](n) = p(n+j) - p(j): families of
 polynomials that are shifts of one another generate the same orbit
 data, and the normal form keeps one representative per shift class.
+`psynd induced` reduces its family this way and reports the covering.
 """
 
 from psynd import (
     PolyFamily,
-    check_normal_form,
     essentially_distinct,
     parse_polynomial,
     reduce_to_normal_form,
@@ -18,7 +18,7 @@ from psynd import (
 )
 
 p = parse_polynomial("n^2")
-print(f"p = {p.to_monomial_str()}, binomial form {p.to_binomial_str()}")
+print(f"p = {p.to_monomial_str()}, binomial coefficients {list(p.coeffs)}")
 print(f"p(7) = {p.eval(7)}, p(-7) = {p.eval(-7)}")
 
 # Shifting re-vanishes at 0.
@@ -28,10 +28,8 @@ for j in (1, 3, -2):
 
 # The family {n^2, n^2+2n, n^2+6n} looks diverse but is one shift class.
 family = PolyFamily.parse(["n^2", "n^2+2n", "n^2+6n"])
-violation = check_normal_form(family)
-print(f"\nnormal-form violation: {violation}")
 reduction = reduce_to_normal_form(family)
-print(f"core after reduction: {reduction.core}")
+print(f"\n{family} reduces to the core {reduction.core}")
 print("covering (removed, kept, shift):", reduction.covering)
 for removed, kept, j in reduction.covering:
     lhs = reduction.core[kept].shift(j).to_monomial_str()
@@ -39,7 +37,7 @@ for removed, kept, j in reduction.covering:
 
 # Mixed families keep distinct linear slopes and distinct shift classes.
 ok_family = PolyFamily.parse(["3n", "5n", "n^2", "n^3"])
-print(f"\n{ok_family} violation: {check_normal_form(ok_family)}")
+print(f"\n{ok_family} is in normal form: {reduce_to_normal_form(ok_family).covering == ()}")
 
 # Separation constant: how far apart two shift parameters must be so
 # that all four shifted polynomials stay pairwise essentially distinct.

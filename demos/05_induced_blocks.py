@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from psynd import (
     IntegralPolynomial,
+    PeriodicBlock,
     PolyFamily,
     TorusRotation,
     apply_map,
@@ -19,7 +20,6 @@ from psynd import (
     block_distance,
     orbit_block,
     parse_real,
-    periodic_extension,
     recurrence_times,
     split_block,
 )
@@ -67,6 +67,6 @@ print(f"distance of the shifted n^2 block from base at radius 3: {float(d):.4f}"
 
 # Periodic words are shift-periodic blocks of their own length.
 word = ("a", "b", "c")
-block = periodic_extension(word, center_offset=1)
+block = PeriodicBlock(word, 1)
 print("\nperiodic word materialized to radius 4:", "".join(block.materialize(4)))
 print("fixed by shifting by the period:", block.shifted(3) == block)

@@ -37,14 +37,12 @@ from .induced import (
     apply_map,
     block_distance,
     orbit_block,
-    periodic_extension,
     recurrence_times,
     split_block,
 )
 from .polynomials import (
     IntegralPolynomial,
     PolyFamily,
-    check_normal_form,
     essentially_distinct,
     parse_polynomial,
     reduce_to_normal_form,

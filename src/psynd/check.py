@@ -183,16 +183,17 @@ def verify_syndetic(s, cert: SyndeticCert) -> bool:
 
 
 def verify_pws(s, cert: PwsCert) -> bool:
-    """The interval lies in the b-shrunk window and each x has a member in [x, x+b]."""
+    """The nonempty interval lies in the b-shrunk window and each x has a member in [x, x+b]."""
     b, (start, length) = cert.shift_bound, cert.interval
-    if start < s.lo or start + length - 1 > s.hi - b:
+    if length < 1 or start < s.lo or start + length - 1 > s.hi - b:
         return False
     return _covered(s.mask, s.lo, start, start + length - 1, 0, b)
 
 
 def verify_thick(s, cert: ThickCert) -> bool:
-    if cert.run_length == 0:
-        return True
+    """Every x of the run is a member; a run of length 0 claims nothing, a negative one is false."""
+    if cert.run_length <= 0:
+        return cert.run_length == 0
     if cert.run_start is None:
         return False
     return _covered(s.mask, s.lo, cert.run_start, cert.run_start + cert.run_length - 1, 0, 0)
@@ -211,10 +212,10 @@ def verify_syndetic_refutation(s, cert: SyndeticRefutation) -> bool:
 
 
 def verify_pws_2d(e, cert: PwsCert2D) -> bool:
-    """The rect lies in the shrunk box and each point has a member in +[0,b1]x[0,b2]."""
+    """The nonempty rect lies in the shrunk box and each point has a member in +[0,b1]x[0,b2]."""
     (b1, b2), (m0, n0, w, h) = cert.shift_box, cert.rect
     mlo, mhi, nlo, nhi = e.box
-    if m0 < mlo or m0 + w - 1 > mhi - b1 or n0 < nlo or n0 + h - 1 > nhi - b2:
+    if w < 1 or h < 1 or m0 < mlo or m0 + w - 1 > mhi - b1 or n0 < nlo or n0 + h - 1 > nhi - b2:
         return False
     return _covered_2d(e, (m0, m0 + w - 1, n0, n0 + h - 1), 0, b1, 0, b2)
 

@@ -4,7 +4,9 @@ Subcommands: analyze, thma, thmb, returns, induced, nilcheck, verify.
 Every experiment reads a JSON config, runs the library pipeline, and
 writes one report (JSON, or CSV point lists for plotting).  Identical
 config and precision produce byte-identical JSON; all randomness is
-seeded from the config and the seed is echoed in the report.
+seeded from the config and the seed is echoed in the report.  Each
+subcommand reads its config before any work, then refuses any key that
+nothing read.
 
 Exit codes: 0 success, 1 verification failure, 2 config/parse error,
 3 infeasible: a mandatory certificate that could not be produced, an
@@ -29,10 +31,11 @@ from .check import SyndeticRefutation, ThickCert, cert_from_json_obj, verify_pws
 from .check import verify_syndetic, verify_syndetic_2d, verify_syndetic_2d_refutation
 from .check import verify_syndetic_refutation, verify_thick
 from .constants import parse_real
-from .errors import ConfigError, EmptySetError, NoRowError, WindowExhaustedError, take
+from .errors import Config, ConfigError, EmptySetError, NoRowError, NotNormalFormError
+from .errors import WindowExhaustedError, refuse_unread, take
 from .generators import read_source, window_from_source
 from .induced import orbit_block, recurrence_times, split_block
-from .polynomials import PolyFamily, check_normal_form
+from .polynomials import PolyFamily, reduce_to_normal_form
 from .returnsets import (
     ReturnQuery,
     combinatorial_set_2d,
@@ -91,7 +94,7 @@ def _emit(report: dict, out: Optional[str], fmt: str) -> None:
 
 def _load_config(path: str) -> dict:
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=Config)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -99,20 +102,12 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _family(cfg: dict, normal: bool = False) -> PolyFamily:
-    """The config's family; with ``normal``, refused unless it is in normal form."""
+def _family(cfg: dict) -> PolyFamily:
     texts = take(cfg, "family", [str])
     try:
-        family = PolyFamily.parse(texts)
+        return PolyFamily.parse(texts)
     except ValueError as exc:
         raise ConfigError(f"bad family {texts!r}: {exc}") from exc
-    v = check_normal_form(family) if normal else None
-    if v is not None:
-        what = (f"member {v.i} {texts[v.i]!r} is constant" if v.i == v.j else
-                f"member {v.j} {texts[v.j]!r} is member {v.i} {texts[v.i]!r} "
-                f"shifted by {v.k} ({v.reason})")
-        raise ConfigError(f"bad family {texts!r}: not in normal form, {what}")
-    return family
 
 
 def _seeded(cfg: dict, override: Optional[int]) -> tuple[int, random.Random]:
@@ -132,6 +127,7 @@ def cmd_analyze(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     l_run = None if pws is None else take(pws, "L", int, least=1)
     ap_k = take(take(certs_cfg, "ap", dict, {}), "k", int, 3, least=3)
     syn_mandatory, pws_mandatory = (take(c or {}, "mandatory", bool, False) for c in (syn, pws))
+    refuse_unread(cfg)
     s = window_from_source(source, rng)
     report: dict = {
         "experiment": "analyze",
@@ -180,6 +176,7 @@ def cmd_thma(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     by_shape = w is not None and h is not None
     min_area = None if by_shape else take(certs_cfg, "min_area", int, 400, least=1)
     mandatory = take(certs_cfg, "mandatory", bool, False)
+    refuse_unread(cfg)
     s = window_from_source(source, rng)
     members, validity = combinatorial_set_2d(s, family, box)
     report: dict = {
@@ -244,6 +241,7 @@ def cmd_thmb(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     else:
         target_source = read_source(target_cfg)
     n_values = take(take(cfg, "targets", dict, {}), "N_values", [int], [5, 10, 15, 20])
+    refuse_unread(cfg)
     s = window_from_source(source, rng)
     row = None
     if target_cfg is not None:
@@ -313,6 +311,7 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
     keys = {"b_max": 0, "L": 1} if box is None else {"b1_max": 0, "b2_max": 0, "w": 1, "h": 1}
     bounds = [take(pws_cfg, k, int, least=n) for k, n in keys.items()] if pws_cfg else None
     mandatory = take(pws_cfg, "mandatory", bool, False)
+    refuse_unread(cfg)
     if oracle and not (isinstance(sys_spec, TorusRotation) and sys_spec.exact and sys_spec.dim == 1
                        and x_cfg is None and center_cfg is None and box is None):
         raise ConfigError("--oracle needs a window and a 1-dim rational rotation"
@@ -354,9 +353,17 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
 
 
 def cmd_induced(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
+    """Recurrence times and a block of the family's normal-form core; when the
+    reduction removed members, ``results.reduction`` gives the core and the
+    covering triples (removed family index, kept core index, shift j)."""
     seed, _ = _seeded(cfg, seed)
     sys_spec = system_from_json_obj(take(cfg, "system", dict))
-    family = _family(cfg, normal=True)
+    family = _family(cfg)
+    try:
+        reduction = reduce_to_normal_form(family)
+    except NotNormalFormError as exc:  # a zero member
+        raise ConfigError(f"bad family {cfg['family']!r}: {exc}") from exc
+    core = reduction.core
     x_cfg = take(cfg, "x", dict, None)
     x = sys_spec.base_point() if x_cfg is None else sys_spec.point_from_json(x_cfg)
     radius = take(cfg, "radius", int, 3, least=0)
@@ -364,8 +371,9 @@ def cmd_induced(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     eps_f = take(cfg, "epsilon", str, "1/10", parse=Fraction)
     n_bound = take(cfg, "N", int, 1000, least=0)
     kind = take(cfg, "block", ("split", "orbit"), "split")
-    times = recurrence_times(sys_spec, x, family, radius, eps_f, n_bound)
-    block = (split_block if kind == "split" else orbit_block)(sys_spec, x, family, radius)
+    refuse_unread(cfg)
+    times = recurrence_times(sys_spec, x, core, radius, eps_f, n_bound)
+    block = (split_block if kind == "split" else orbit_block)(sys_spec, x, core, radius)
     report = {
         "experiment": "induced",
         "seed": seed,
@@ -385,6 +393,9 @@ def cmd_induced(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
         "block": block.to_json_obj(),
         "certificates": [],
     }
+    if reduction.covering:
+        report["results"]["reduction"] = {"core": core.to_strs(),
+                                          "covering": [list(t) for t in reduction.covering]}
     return report, 0
 
 
@@ -403,13 +414,13 @@ def cmd_nilcheck(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     ``false`` means a larger window met a larger gap; it does not mean
     the gaps are unbounded.
     """
-    merged = dict(NILCHECK_DEFAULTS)
-    merged.update(cfg)
+    merged = Config(NILCHECK_DEFAULTS | cfg)
     seed, _ = _seeded(merged, seed)
     sys_spec = system_from_json_obj(take(merged, "system", dict))
     family = _family(merged)
     eps, eps_f = take(merged, "epsilon", str), take(merged, "epsilon", str, parse=Fraction)
     widths = take(merged, "windows", [int], least=0)
+    refuse_unread(merged)
     x = sys_spec.base_point()
     gaps = {}
     counts = {}

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and ``take``, the reader of config values."""
+"""Exception types shared across the package, and ``take``, the reader of config values,
+with ``refuse_unread``, which names the config keys that nothing read."""
 
 import reprlib
 
@@ -51,6 +52,40 @@ class ConfigError(PsyndError, ValueError):
     """A config or report value that is missing, of the wrong JSON type, or out of range."""
 
 
+class Config(dict):
+    """A config object as loaded from JSON, recording every key that is looked up,
+    by ``take`` or any other read, so that ``refuse_unread`` can name the rest."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def refuse_unread(obj, path: str = "") -> None:
+    """Raise ConfigError naming the first key of a loaded config, at any depth,
+    that nothing has read: a misspelled key or one the subcommand does not use."""
+    if not isinstance(obj, Config):  # a value, or a config built in code
+        return
+    for key, value in obj.items():
+        if key not in obj.read:
+            raise ConfigError(f"unused key {path}{key}: nothing reads it")
+        refuse_unread(value, f"{path}{key}.")
+
+
 _ONE = {int: "an integer", bool: "a boolean", str: "a string", dict: "an object", list: "a list"}
 
 
@@ -69,7 +104,7 @@ def take(obj: dict, key: str, kind, default=..., *, least=None, size=None, parse
     def fits(values: list) -> bool:  # in C loops: a report may hold a million members
         if isinstance(item, tuple):
             return all(v in item for v in values)
-        return set(map(type, values)) <= {item} and (
+        return set(map(type, values)) <= ({dict, Config} if item is dict else {item}) and (
             least is None or min(values, default=least) >= least)
 
     if not isinstance(obj, dict):

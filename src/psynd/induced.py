@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .errors import NotNormalFormError, RadiusExhaustedError
-from .polynomials import PolyFamily, check_normal_form
+from .polynomials import PolyFamily, reduce_to_normal_form
 from .systems import PointLike, SystemSpec, fold_period, scan
 from .windows import WindowSet
 
@@ -108,9 +108,9 @@ def orbit_block(sys: SystemSpec, x: PointLike, family: PolyFamily, radius: int) 
 
 def split_block(sys: SystemSpec, x: PointLike, family: PolyFamily, radius: int) -> Block:
     """Head/tail window; the family must be in normal form."""
-    violation = check_normal_form(family)
-    if violation is not None:
-        raise NotNormalFormError(f"family not in normal form: {violation}")
+    covering = reduce_to_normal_form(family).covering
+    if covering:
+        raise NotNormalFormError(f"{family!r} not in normal form: (removed, kept, j) {covering}")
     return _build(sys, x, family, radius, 0, 0, split=True)
 
 
@@ -188,8 +188,9 @@ def recurrence_times(
 class PeriodicBlock:
     """Two-sided periodic sequence over an arbitrary finite word.
 
-    entry(i) = word[(i + phase) mod len(word)]; shifting by the word
-    length fixes the block exactly, whatever the requested radius.
+    entry(i) = word[(i + phase) mod len(word)], so phase k centers a word
+    written as (x_{-k}, ..., x_k); shifting by the word length fixes the
+    block exactly, whatever the requested radius.
     """
 
     word: Tuple
@@ -213,11 +214,3 @@ class PeriodicBlock:
     def materialize(self, radius: int) -> Tuple:
         return tuple(self.entry(i) for i in range(-radius, radius + 1))
 
-
-def periodic_extension(word: Sequence, center_offset: int = 0) -> PeriodicBlock:
-    """Materializable two-sided periodic sequence of the given word.
-
-    ``center_offset`` names the word position sitting at index 0; pass
-    k for a word written as (x_{-k}, ..., x_k).
-    """
-    return PeriodicBlock(tuple(word), center_offset)

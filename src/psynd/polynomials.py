@@ -17,13 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import comb
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (
-    DegreeTooLowError,
-    NotIntegralError,
-    NotVanishingError,
-)
+from .errors import DegreeTooLowError, NotIntegralError, NotNormalFormError, NotVanishingError
 
 
 def binom_int(n: int, k: int) -> int:
@@ -191,9 +187,6 @@ class IntegralPolynomial:
 
     # -- text forms --------------------------------------------------
 
-    def to_binomial_str(self) -> str:
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
-
     def to_monomial_str(self) -> str:
         view = self.monomial_view()
         if all(a == 0 for a in view):
@@ -291,17 +284,6 @@ def shift_coincidence(
     return j if rem == 0 and p.shift(j) == q else None
 
 
-@dataclass(frozen=True)
-class NormalFormViolation:
-    """Witness that the family is not in normal form: p_i^[k] == p_j^[t]."""
-
-    i: int
-    j: int
-    k: int
-    t: int
-    reason: str
-
-
 class PolyFamily:
     """Ordered family of integral polynomials, all vanishing at 0."""
 
@@ -347,66 +329,36 @@ class PolyFamily:
         return [p.coeffs[1] for p in self.polys if p.degree == 1]
 
 
-def _coincidences(family: PolyFamily) -> Iterator[Tuple[int, int, int]]:
-    """``(removed, kept, j)`` with ``family[removed] == family[kept].shift(j)``.
-
-    Each member, in index order, is compared with the earlier members kept
-    so far (those that matched none); the first one it matches removes it.
-    """
-    kept: List[int] = []
-    for idx, p in enumerate(family.polys):
-        for k in kept:
-            j = shift_coincidence(family.polys[k], p)
-            if j is not None:
-                yield idx, k, j
-                break
-        else:
-            kept.append(idx)
-
-
-def check_normal_form(family: PolyFamily) -> Optional[NormalFormViolation]:
-    """Normal-form check: distinct nonzero linear slopes, all other members
-    of degree >= 2 with no shift coincidence between any two of them.
-
-    Returns None when the family is in normal form, otherwise a witness:
-    the first constant member, or else the reduction's first removal.
-    """
-    for idx, p in enumerate(family.polys):
-        if p.degree <= 0:
-            return NormalFormViolation(idx, idx, 0, 0, "constant member")
-    for removed, kept, j in _coincidences(family):
-        # family[removed] == family[kept].shift(j), i.e. p_kept^[j] = p_removed^[0]
-        linear = family.polys[removed].degree == 1
-        return NormalFormViolation(kept, removed, j, 0,
-                                   "duplicate slope" if linear else "shift coincidence")
-    return None
-
-
 @dataclass(frozen=True)
 class NormalFormReduction:
     core: PolyFamily
-    covering: Tuple[Tuple[int, int, int], ...]  # (removed index, kept index, shift j)
+    covering: Tuple[Tuple[int, int, int], ...]  # (removed family index, kept core index, shift j)
 
 
 def reduce_to_normal_form(family: PolyFamily) -> NormalFormReduction:
-    """Remove later-indexed shift-duplicates until the family is in normal form.
+    """Remove later-indexed shift-duplicates until the family is in normal form:
+    distinct nonzero linear slopes, and no shift coincidence between any two
+    members of degree >= 2.  This is the one place that decides normal form.
 
-    Every removed member q satisfies ``q == kept.shift(j)``; the covering
+    Every removed member q satisfies ``q == core[kept].shift(j)``; the covering
     triples make that machine-checkable.  Deterministic: scanning is in
-    index order and the later member of a coinciding pair is dropped.
+    index order and the later member of a coinciding pair is dropped.  A zero
+    member is in no normal form and raises NotNormalFormError.
     """
+    kept: List[int] = []  # family indices of the core, in order
+    covering = []
     for idx, p in enumerate(family.polys):
         if p.degree <= 0:
-            raise NotVanishingError(f"member {idx} is constant")
-    covering = list(_coincidences(family))
-    removed = {rem for rem, _, _ in covering}
-    kept = [idx for idx in range(len(family)) if idx not in removed]
-    # the kept indices re-map positionally in the core family
-    remap = {orig: new for new, orig in enumerate(kept)}
-    return NormalFormReduction(
-        core=PolyFamily(family.polys[idx] for idx in kept),
-        covering=tuple((rem, remap[k], j) for rem, k, j in covering),
-    )
+            raise NotNormalFormError(f"member {idx} is constant")
+        # the first earlier core member that p is a shift of removes p
+        for pos, k in enumerate(kept):
+            j = shift_coincidence(family.polys[k], p)
+            if j is not None:
+                covering.append((idx, pos, j))
+                break
+        else:
+            kept.append(idx)
+    return NormalFormReduction(PolyFamily(family.polys[k] for k in kept), tuple(covering))
 
 
 def separation_constant(p: IntegralPolynomial, q: IntegralPolynomial) -> Fraction:

@@ -291,11 +291,6 @@ class GridSet:
     def is_empty(self) -> bool:
         return not any(self.cols)
 
-    def intersect(self, other: "GridSet") -> "GridSet":
-        if self.box != other.box:
-            raise ValueError("box mismatch")
-        return GridSet._from_cols(self.box, [a & b for a, b in zip(self.cols, other.cols)])
-
     def restrict(self, box: Tuple[int, int, int, int]) -> "GridSet":
         """Restriction to a sub-box of the current box."""
         mlo, mhi, nlo, nhi = box

@@ -20,18 +20,17 @@ import mpmath
 from psynd import (
     GridSet,
     IntegralPolynomial,
+    PeriodicBlock,
     PolyFamily,
     ReturnQuery,
     TorusRotation,
     WindowSet,
     apply_map,
     shift_block,
-    check_normal_form,
     essentially_distinct,
     max_gap,
     orbit_block,
     parse_real,
-    periodic_extension,
     pws_area_witness_2d,
     pws_witness,
     pws_witness_2d,
@@ -294,7 +293,7 @@ def test_criterion_5_normal_form_reduction():
         rng.shuffle(fam_list)
         fam = PolyFamily(fam_list)
         red = reduce_to_normal_form(fam)
-        if check_normal_form(red.core) is not None:
+        if reduce_to_normal_form(red.core).covering:  # the core is in normal form
             random_ok = False
             break
         for removed, kept, j in red.covering:
@@ -454,7 +453,7 @@ def test_criterion_8_induced_identities():
     for _ in range(100):
         length = rng.randint(1, 12)
         word = tuple(rng.randint(0, 9) for _ in range(length))
-        block = periodic_extension(word, rng.randint(0, length - 1))
+        block = PeriodicBlock(word, rng.randint(0, length - 1))
         if block.shifted(length) != block:
             periodic_ok = False
         if block.materialize(15) != block.shifted(length).materialize(15):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 import struct
 from fractions import Fraction
 
@@ -17,8 +18,10 @@ from psynd import (
     longest_run,
     max_gap,
     max_rectangle,
+    parse_polynomial,
     pws_witness,
     pws_witness_2d,
+    recurrence_times,
     return_set_1d,
     syndetic_2d_certificate,
     syndetic_certificate,
@@ -28,6 +31,7 @@ from psynd.check import CERT_TYPES
 from psynd.cli import NILCHECK_DEFAULTS, main
 from psynd.generators import sturmian_window
 from psynd.returnsets import masked_dilation_2d
+from test_polynomials import random_shift_family
 
 
 def run(tmp_path, command, cfg, *extra):
@@ -385,6 +389,44 @@ def test_induced_unknown_block_kind_exit_2(tmp_path, capsys, kind):
     assert "induced: config error: bad block" in err and "'split'" in err and "'orbit'" in err
 
 
+def test_induced_reduces_a_family_to_normal_form(tmp_path):
+    # criterion 5's family is one shift class: the times and the block are the core's
+    cfg = {"system": {"type": "rotation", "alpha": ["sqrt2"]},
+           "family": ["n^2", "n^2+2n", "n^2+6n"], "radius": 2, "epsilon": "1/5", "N": 300}
+    code, report, _ = run(tmp_path, "induced", cfg)
+    assert code == 0
+    assert report["results"]["reduction"] == {"core": ["n^2"], "covering": [[1, 0, 1], [2, 0, 3]]}
+    assert report["query"]["family"] == cfg["family"]
+    assert report["block"]["family"] == ["n^2"]
+    sys_spec = system_from_json_obj(cfg["system"])
+    times = recurrence_times(sys_spec, sys_spec.base_point(), PolyFamily.parse(["n^2"]), 2,
+                             Fraction(1, 5), 300)
+    assert report["set"] == times.to_json_obj() and times.count() > 1
+
+
+def test_induced_covering_rederives_each_removed_member(tmp_path):
+    # from the report alone: each removed member is its core member shifted by j, the
+    # core is the other members in order, and a family in normal form has no reduction
+    rng = random.Random(0x1D)
+    removals = 0
+    for _ in range(40):
+        family = random_shift_family(rng).to_strs()
+        cfg = {"system": {"type": "rotation", "alpha": ["1/5"]}, "family": family,
+               "radius": 1, "N": 20}
+        code, report, _ = run(tmp_path, "induced", cfg)
+        assert code == 0
+        reduction = report["results"].get("reduction", {"core": family, "covering": []})
+        core, covering = reduction["core"], reduction["covering"]
+        assert (covering == []) == ("reduction" not in report["results"])
+        for removed, kept, j in covering:
+            assert parse_polynomial(core[kept]).shift(j) == parse_polynomial(family[removed])
+        removed = {r for r, _, _ in covering}
+        assert core == [p for idx, p in enumerate(family) if idx not in removed]
+        assert report["block"]["family"] == core
+        removals += len(covering)
+    assert removals > 0
+
+
 HEIS_NAMED = {"type": "heisenberg", "alpha": "sqrt2-1", "beta": "sqrt3-1"}
 MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
 
@@ -425,11 +467,10 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
      "bad family 'n': a list of strings"),
     ("analyze", {"set": MOD3, "certificates": {"pws": {"b_max": 0, "L": 90, "mandatory": "no"}}},
      "bad mandatory 'no': a boolean"),
-    # a family that induced cannot split
-    ("induced", {"system": {"type": "rotation", "alpha": ["1/4"]}, "family": ["n^2", "n^2+2n"],
-                 "epsilon": "1/10"},
-     "bad family ['n^2', 'n^2+2n']: not in normal form, member 1 'n^2+2n' is member 0 'n^2' "
-     "shifted by 1"),
+    # a zero member, which no reduction to normal form removes
+    pytest.param("induced", {"system": {"type": "rotation", "alpha": ["1/4"]},
+                             "family": ["n^2", "0"], "epsilon": "1/10"},
+                 "bad family ['n^2', '0']: member 1 is constant", id="induced-cfg46-zero member"),
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""
@@ -781,3 +822,68 @@ def test_unreadable_values_exit_2(tmp_path, capsys, command, cfg, message):
     code, report, _ = run(tmp_path, command, cfg)
     assert (code, report) == (2, None)
     assert f"{command}: config error: {message}" in capsys.readouterr().err
+
+
+SQRT2_RETURNS = dict(ROTATION_RETURNS, system={"type": "rotation", "alpha": ["sqrt2"]},
+                     window=[0, 9])
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("analyze", {"set": {"kind": "sturmian", "alpha": "golden", "window": [0, 999]},
+                 "certificates": {"pws": {"b_max": 0, "L": 900, "mandatroy": True}}},
+     "certificates.pws.mandatroy"),
+    ("analyze", {"set": MOD3, "seeds": 3}, "seeds"),
+    ("analyze", {"set": dict(MOD3, bits=256)}, "set.bits"),
+    ("analyze", {"set": MOD3, "certificates": {"pws2d": {}}}, "certificates.pws2d"),
+    ("thma", {"set": MOD3, "family": ["n"], "box": [0, 5, 0, 5],
+              "certificates": {"pws2d": {"w": 2, "h": 2, "min_area": 4}}},
+     "certificates.pws2d.min_area"),
+    ("thmb", {"set": MOD3, "family": ["n"], "target": dict(MOD3, alpha="golden")},
+     "target.alpha"),
+    ("thmb", {"set": MOD3, "family": ["n"], "target": MOD3, "box": [0, 5, 0, 5]}, "box"),
+    ("returns", dict(ROTATION_RETURNS, window=[0, 9], box=[0, 5, 0, 5]), "window"),
+    ("returns", dict(ROTATION_RETURNS, window=[0, 9], certificates={"pws2d": {}}),
+     "certificates.pws2d"),
+    ("returns", dict(ROTATION_RETURNS, window=[0, 9],
+                     system={"type": "rotation", "alpha": ["1/4"], "beta": "1/3"}), "system.beta"),
+    ("returns", dict(SQRT2_RETURNS, x={"coords": ["1/3"], "bits": 256}), "x.bits"),
+    ("returns", dict(SQRT2_RETURNS, center={"coords_fixed": ["0x5"], "bits": 256,
+                                            "coords": ["1/3"]}), "center.coords"),
+    ("induced", {"system": {"type": "rotation", "alpha": ["1/4"]}, "family": ["n^2"],
+                 "radius": 1, "N": 9, "window": [0, 9]}, "window"),
+    ("nilcheck", {"window": [100]}, "window"),
+    ("nilcheck", {"system": dict(HEIS_NAMED, gamma="1/2"), "windows": [10]}, "system.gamma"),
+])
+def test_unused_keys_exit_2(tmp_path, capsys, command, cfg, key):
+    """A key that nothing reads, at any depth, is a config error naming its path:
+    a misspelling no longer passes for an absent key."""
+    code, report, _ = run(tmp_path, command, cfg)
+    assert (code, report) == (2, None)
+    assert f"{command}: config error: unused key {key}: nothing reads it" in capsys.readouterr().err
+
+
+def test_unused_keys_in_a_report_do_not_fail_verify(tmp_path, capsys):
+    the_set = WindowSet.from_members(0, 9, [1, 2, 3])
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"set": dict(the_set.to_json_obj(), note=1), "extra": {},
+                                "certificates": [dict(longest_run(the_set).to_json_obj())]}))
+    assert main(["verify", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "thick: ok\n"
+
+
+TINY = WindowSet.from_members(0, 9, [1])
+
+
+@pytest.mark.parametrize("the_set, cert, verdict", [
+    (TINY, {"type": "thick", "run_start": 5, "run_length": -3}, "FAIL"),
+    (TINY, {"type": "thick", "run_start": 5, "run_length": 0}, "ok"),
+    (TINY, {"type": "pws", "shift_bound": 0, "interval": {"start": 4, "length": -7}}, "FAIL"),
+    (TINY, {"type": "pws", "shift_bound": 0, "interval": {"start": 4, "length": 0}}, "FAIL"),
+    (STRIPES, {"type": "pws2d", "shift_box": [0, 0], "rect": [0, 0, -3, 2]}, "FAIL"),
+    (STRIPES, {"type": "pws2d", "shift_box": [0, 0], "rect": [0, 0, 1, 0]}, "FAIL"),
+], ids=["thick-negative", "thick-empty", "pws-negative", "pws-empty", "pws2d-negative-w",
+        "pws2d-empty-h"])
+def test_verify_refuses_empty_and_negative_lengths(tmp_path, capsys, the_set, cert, verdict):
+    # a pws interval or rectangle claims at least one point; a thick run of 0 claims nothing
+    assert verify_report(tmp_path, the_set, cert) == (verdict == "FAIL")
+    assert capsys.readouterr().out == f"{cert['type']}: {verdict}\n"

@@ -9,6 +9,7 @@ from psynd import (
     IndicatorSubshift,
     IntegralPolynomial,
     NotNormalFormError,
+    PeriodicBlock,
     PolyFamily,
     RadiusExhaustedError,
     TorusRotation,
@@ -19,7 +20,6 @@ from psynd import (
     orbit_block,
     parse_polynomial,
     parse_real,
-    periodic_extension,
     recurrence_times,
     split_block,
 )
@@ -56,8 +56,9 @@ def test_block_radius_zero_is_diagonal():
 
 def test_split_block_requires_normal_form():
     sys_spec = rot("1/7")
-    with pytest.raises(NotNormalFormError):
-        split_block(sys_spec, sys_spec.base_point(), PolyFamily.parse(["n^2", "n^2+2n"]), 2)
+    for texts in (["n^2", "n^2+2n"], ["n", "0"]):  # a shift coincidence, a zero member
+        with pytest.raises(NotNormalFormError):
+            split_block(sys_spec, sys_spec.base_point(), PolyFamily.parse(texts), 2)
 
 
 def test_act_identity():
@@ -228,16 +229,16 @@ def test_recurrence_sqrt2_nonempty():
 
 
 def test_periodic_extension_examples():
-    word01 = periodic_extension(("0", "1"))
+    word01 = PeriodicBlock(("0", "1"))
     assert word01.materialize(3) == ("1", "0", "1", "0", "1", "0", "1")
-    const = periodic_extension(("a",))
+    const = PeriodicBlock(("a",))
     assert const.shifted(1) == const
 
     rng = random.Random(3)
     for _ in range(50):
         length = rng.randint(1, 9)
         word = tuple(rng.randint(0, 1) for _ in range(length))
-        block = periodic_extension(word, center_offset=rng.randint(0, length - 1))
+        block = PeriodicBlock(word, rng.randint(0, length - 1))
         assert block.shifted(length) == block
         radius = rng.randint(0, 12)
         assert block.shifted(length).materialize(radius) == block.materialize(radius)
@@ -251,7 +252,7 @@ def test_periodic_extension_orbit_word():
     k = 3
     p = parse_polynomial("n^2")
     word = tuple(shift_sys.iterate(x, p.eval(j)) for j in range(-k, k + 1))
-    block = periodic_extension(word, center_offset=k)
+    block = PeriodicBlock(word, k)
     assert block.entry(0) == shift_sys.iterate(x, 0)
     assert block.shifted(2 * k + 1) == block
     assert block.materialize(10) == block.shifted(2 * k + 1).materialize(10)

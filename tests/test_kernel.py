@@ -44,7 +44,7 @@ from psynd import (
 from psynd import bitops
 from psynd.cli import _rational_rotation_oracle, main
 from psynd.errors import BadEpsilonError, NotNormalFormError
-from psynd.polynomials import check_normal_form
+from psynd.polynomials import reduce_to_normal_form
 from psynd.systems import CHUNK, Point, _below, _walk, fold_period
 
 # -- oracles: the per-point code the kernel replaced --------------------
@@ -237,9 +237,8 @@ def oracle_return_set_2d(q: ReturnQuery) -> GridSet:
 
 
 def oracle_recurrence_times(sys, x, family, radius, eps, n_bound) -> WindowSet:
-    violation = check_normal_form(family)
-    if violation is not None:
-        raise NotNormalFormError(f"family not in normal form: {violation}")
+    if reduce_to_normal_form(family).covering:  # a zero member raises there
+        raise NotNormalFormError(f"family not in normal form: {family!r}")
     x = old_form(sys, x)
     slopes = family.linear_slopes()
     higher = [p for p in family.polys if p.degree >= 2]

@@ -91,7 +91,7 @@ def oracle_pws_witness_2d(
 
 def oracle_masked_dilation_2d(members: GridSet, validity: GridSet, b1: int, b2: int) -> GridSet:
     d = oracle_dilate_2d(members, b1, b2)
-    return d.intersect(validity.restrict(d.box))
+    return GridSet(d.box, [a & b for a, b in zip(d.rows, validity.restrict(d.box).rows)])
 
 
 def oracle_pws_area_witness_2d(

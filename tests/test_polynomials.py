@@ -11,9 +11,9 @@ from psynd import (
     DegreeTooLowError,
     IntegralPolynomial,
     NotIntegralError,
+    NotNormalFormError,
     NotVanishingError,
     PolyFamily,
-    check_normal_form,
     essentially_distinct,
     parse_polynomial,
     reduce_to_normal_form,
@@ -156,7 +156,6 @@ def test_monomial_str_roundtrip():
     for text in ("n^2+2n", "n^3-3n^2+3n", "5n", "0", "2n^4-n"):
         p = parse_polynomial(text)
         assert parse_polynomial(p.to_monomial_str()) == p
-        assert parse_polynomial(p.to_binomial_str()) == p
 
 
 def test_essentially_distinct():
@@ -212,53 +211,60 @@ def test_shift_coincidence_is_the_bruteforce_search():
     assert {(k, True, False) for k in ("nudged", "same top", "random")} <= kinds
 
 
-def test_check_normal_form_shift_class_family():
-    fam = PolyFamily.parse(["n^2", "n^2+2n", "n^2+6n"])
-    v = check_normal_form(fam)
-    assert v is not None
-    assert (v.i, v.j, v.k, v.t) == (0, 1, 1, 0)  # p_0^[1] == p_1^[0]
-    assert fam[0].shift(v.k) == fam[1].shift(v.t)
-
-
-def test_check_normal_form_ok_families():
-    assert check_normal_form(PolyFamily.parse(["n^2", "n^3"])) is None
-    assert check_normal_form(PolyFamily.parse(["3n", "5n", "n^2"])) is None
-
-
-def test_check_normal_form_linear_violations():
-    v = check_normal_form(PolyFamily.parse(["2n", "2n"]))
-    assert v is not None and v.reason == "duplicate slope"
-    v = check_normal_form(PolyFamily.parse(["[0]", "n"]))
-    assert v is not None and v.reason == "constant member"
-
-
-def test_check_normal_form_witness_is_the_first_removal():
-    # a family with more than one violation is witnessed by the reduction's
-    # first removal, whatever the degree; constant members come first
-    fam = PolyFamily.parse(["n^2", "n^2+2n", "2n", "2n"])
-    v = check_normal_form(fam)
-    assert (v.i, v.j, v.k, v.t, v.reason) == (0, 1, 1, 0, "shift coincidence")
-    v = check_normal_form(PolyFamily.parse(["2n", "2n", "[0]"]))
-    assert (v.i, v.j, v.reason) == (2, 2, "constant member")
-    v = check_normal_form(PolyFamily.parse(["n^2", "3n", "n^3", "3n", "n^2-2n"]))
-    assert (v.i, v.j, v.k, v.t, v.reason) == (1, 3, 0, 0, "duplicate slope")
-
-
 def test_family_requires_vanishing():
     with pytest.raises(NotVanishingError):
         PolyFamily.parse(["n^2+1"])
 
 
+def test_check_normal_form_shift_class_family():
+    # a family is in normal form exactly when its reduction removes nothing;
+    # here the first removal is p_1 = p_0 shifted by 1
+    fam = PolyFamily.parse(["n^2", "n^2+2n", "n^2+6n"])
+    red = reduce_to_normal_form(fam)
+    assert red.covering != ()
+    assert red.covering[0] == (1, 0, 1)
+    assert fam[0].shift(1) == fam[1]
+
+
+def test_check_normal_form_ok_families():
+    for texts in (["n^2", "n^3"], ["3n", "5n", "n^2"]):
+        assert reduce_to_normal_form(PolyFamily.parse(texts)).covering == ()
+
+
 def test_reduce_example_family():
-    red = reduce_to_normal_form(PolyFamily.parse(["n^2", "n^2+2n", "n^2+6n"]))
+    # one shift class: n^2+2n = (n+1)^2 - 1^2 and n^2+6n = (n+3)^2 - 3^2
+    fam = PolyFamily.parse(["n^2", "n^2+2n", "n^2+6n"])
+    red = reduce_to_normal_form(fam)
     assert red.core == PolyFamily.parse(["n^2"])
     assert red.covering == ((1, 0, 1), (2, 0, 3))
+    assert [fam[0].shift(j) for _, _, j in red.covering] == [fam[1], fam[2]]
 
 
 def test_reduce_identity_on_normal_form():
     fam = PolyFamily.parse(["n", "n^2"])
     red = reduce_to_normal_form(fam)
     assert red.core == fam and red.covering == ()
+
+
+def test_reduce_linear_violations():
+    # equal slopes: the later member is the earlier one shifted by any j, reported as 0
+    red = reduce_to_normal_form(PolyFamily.parse(["2n", "2n"]))
+    assert red.core == PolyFamily.parse(["2n"]) and red.covering == ((1, 0, 0),)
+    with pytest.raises(NotNormalFormError, match="member 0 is constant"):
+        reduce_to_normal_form(PolyFamily.parse(["[0]", "n"]))
+
+
+def test_reduce_families_with_several_violations():
+    # every later member of a shift class goes, whatever its degree, and
+    # ``kept`` indexes the core; a zero member anywhere refuses the family
+    red = reduce_to_normal_form(PolyFamily.parse(["n^2", "n^2+2n", "2n", "2n"]))
+    assert red.core == PolyFamily.parse(["n^2", "2n"])
+    assert red.covering == ((1, 0, 1), (3, 1, 0))
+    with pytest.raises(NotNormalFormError, match="member 2 is constant"):
+        reduce_to_normal_form(PolyFamily.parse(["2n", "2n", "[0]"]))
+    red = reduce_to_normal_form(PolyFamily.parse(["n^2", "3n", "n^3", "3n", "n^2-2n"]))
+    assert red.core == PolyFamily.parse(["n^2", "3n", "n^3"])
+    assert red.covering == ((3, 1, 0), (4, 0, -1))
 
 
 def _random_vanishing_poly(rng, max_deg=4):
@@ -269,40 +275,36 @@ def _random_vanishing_poly(rng, max_deg=4):
     return IntegralPolynomial(coeffs)
 
 
+def random_shift_family(rng) -> PolyFamily:
+    """1-4 random members and 0-3 shifted copies of them, which exercise the covering."""
+    base = [_random_vanishing_poly(rng) for _ in range(rng.randint(1, 4))]
+    fam_list = list(base)
+    for _ in range(rng.randint(0, 3)):
+        fam_list.append(rng.choice(base).shift(rng.randint(-5, 5)))
+    rng.shuffle(fam_list)
+    return PolyFamily(fam_list)
+
+
 def test_reduce_random_families():
     rng = random.Random(314159)
     for _ in range(100):
-        base = [_random_vanishing_poly(rng) for _ in range(rng.randint(1, 4))]
-        # sprinkle in shifted copies to exercise the covering
-        fam_list = list(base)
-        for _ in range(rng.randint(0, 3)):
-            fam_list.append(rng.choice(base).shift(rng.randint(-5, 5)))
-        rng.shuffle(fam_list)
-        fam = PolyFamily(fam_list)
-        red = reduce_to_normal_form(fam)
-        assert check_normal_form(red.core) is None
-        for removed, kept, j in red.covering:
-            assert red.core[kept].shift(j) == fam[removed]
-        _assert_check_is_first_removal(fam, red)
+        fam = random_shift_family(rng)
+        _assert_reduction_of(fam, reduce_to_normal_form(fam))
 
 
-def _assert_check_is_first_removal(fam, red):
-    """check_normal_form is None exactly when nothing is removed, and otherwise
-    witnesses the first covering triple, its kept index read in ``fam``."""
-    v = check_normal_form(fam)
-    if not red.covering:
-        assert v is None
-        return
-    removed = {rem for rem, _, _ in red.covering}
-    kept_at = [idx for idx in range(len(fam)) if idx not in removed]
-    rem, kept, j = red.covering[0]
-    assert (v.i, v.j, v.k, v.t) == (kept_at[kept], rem, j, 0)
-    assert v.reason == ("duplicate slope" if fam[rem].degree == 1 else "shift coincidence")
+def _assert_reduction_of(fam, red):
+    """The core is the unremoved members in order, reduces to itself, and
+    each covering triple re-derives its removed member from the core."""
+    removed = [rem for rem, _, _ in red.covering]
+    assert list(red.core) == [p for idx, p in enumerate(fam) if idx not in removed]
+    assert reduce_to_normal_form(red.core).covering == ()
+    for rem, kept, j in red.covering:
+        assert red.core[kept].shift(j) == fam[rem]
 
 
 def test_reduce_mixed_linear_and_shifted_families():
     # equal linear members next to shift-coincident higher ones; a zero member
-    # is refused by the reduction and reported first by the check
+    # is refused by the reduction
     rng = random.Random(2718)
     for _ in range(200):
         slopes = [rng.choice([-3, -1, 1, 2, 5]) for _ in range(rng.randint(0, 3))]
@@ -316,17 +318,12 @@ def test_reduce_mixed_linear_and_shifted_families():
         fam = PolyFamily(fam_list)
         zeros = [idx for idx, p in enumerate(fam) if p.degree < 0]
         if zeros:
-            v = check_normal_form(fam)
-            assert (v.i, v.j, v.reason) == (zeros[0], zeros[0], "constant member")
-            with pytest.raises(NotVanishingError):
+            with pytest.raises(NotNormalFormError, match=f"member {zeros[0]} is constant"):
                 reduce_to_normal_form(fam)
             continue
         red = reduce_to_normal_form(fam)
-        assert check_normal_form(red.core) is None
         assert red.core.linear_slopes() == list(dict.fromkeys(fam.linear_slopes()))
-        for removed, kept, j in red.covering:
-            assert red.core[kept].shift(j) == fam[removed]
-        _assert_check_is_first_removal(fam, red)
+        _assert_reduction_of(fam, red)
 
 
 def test_separation_constant_values():

@@ -113,11 +113,11 @@ def naive_verdict(s, cert):
     if isinstance(cert, PwsCert):
         b = cert.shift_bound
         start, length = cert.interval
-        return start >= s.lo and start + length - 1 <= s.hi - b and all(
+        return length >= 1 and start >= s.lo and start + length - 1 <= s.hi - b and all(
             any((x + i) in s for i in range(b + 1)) for x in range(start, start + length)
         )
     if isinstance(cert, ThickCert):
-        return cert.run_length == 0 or cert.run_start is not None and all(
+        return cert.run_length == 0 or cert.run_length > 0 and cert.run_start is not None and all(
             (cert.run_start + i) in s for i in range(cert.run_length)
         )
     if isinstance(cert, SyndeticRefutation):
@@ -132,7 +132,7 @@ def naive_verdict(s, cert):
     if isinstance(cert, PwsCert2D):
         (b1, b2), (m0, n0, w, h) = cert.shift_box, cert.rect
         inside = s.mlo <= m0 and m0 + w - 1 <= s.mhi - b1 and s.nlo <= n0 and n0 + h - 1 <= s.nhi - b2
-        return inside and all(
+        return w >= 1 and h >= 1 and inside and all(
             any((m + i, n + j) in s for i in range(b1 + 1) for j in range(b2 + 1))
             for m in range(m0, m0 + w)
             for n in range(n0, n0 + h)
