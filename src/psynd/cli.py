@@ -172,8 +172,8 @@ def cmd_thma(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     box = tuple(take(cfg, "box", [int], size=4))
     certs_cfg = take(take(cfg, "certificates", dict, {}), "pws2d", dict, {})
     b1_max, b2_max = (take(certs_cfg, k, int, 8, least=0) for k in ("b1_max", "b2_max"))
-    w, h = (take(certs_cfg, k, int, None, least=1) for k in ("w", "h"))
-    by_shape = w is not None and h is not None
+    by_shape = "w" in certs_cfg or "h" in certs_cfg  # then both are required
+    w, h = (take(certs_cfg, k, int, ... if by_shape else None, least=1) for k in ("w", "h"))
     min_area = None if by_shape else take(certs_cfg, "min_area", int, 400, least=1)
     mandatory = take(certs_cfg, "mandatory", bool, False)
     refuse_unread(cfg)

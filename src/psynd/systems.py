@@ -27,7 +27,14 @@ of the points (its square for the Heisenberg group, so that
 same on every machine.  eps becomes one integer half-width L, the
 largest integer below eps * M, so a circle test is
 ``((x - c + L) + t * s) % M <= 2 * L`` (``& (M - 1)`` when M = 2^bits), and
-on a ``range`` of times the first one is walked hit by hit (``_walk``).  The
+on a ``range`` of times the first one is walked hit by hit (``_walk``).
+``arc_mask`` decides one arc over a whole window instead, as one mask tiled in
+blocks of the rotation (the Sturmian sets of ``generators``).  Both stay, each
+on the work where it wins: the walk costs one step per hit, the tiling about
+sqrt(count) steps whatever the arc.  Measured in-process on a 2-vCPU VM, the
+golden Sturmian half-circle on [0, 199999] takes 16 ms walked and 3 ms tiled,
+while ``scan``'s 4096-time chunks of the sqrt2 rotation at eps 1/10 on
+[-1e5, 1e5] take 6 ms walked and 23 ms tiled.  The
 subshift builds, over the letters of x near the requested times, the mask of
 the times whose letters agree with the center's out to the radius eps asks
 for, and reads each time off it as one bit.  ``hit_indices`` gives the times
@@ -45,8 +52,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
-from math import factorial, lcm
+from itertools import accumulate, chain
+from math import factorial, isqrt, lcm
+from operator import xor
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from . import bitops
@@ -138,6 +146,53 @@ def _walk(v0: int, step: int, width: int, m: int, count: int) -> Optional[List[i
         else:
             j, v = j + a + b, v + ua + ub
     return out
+
+
+def arc_mask(v0: int, step: int, width: int, m: int, count: int) -> int:
+    """Mask of the j < count with (v0 + j step) mod m <= width, for 0 <= width < m.
+
+    Block tiling of the rotation.  A block of q times drifts by
+    d = q step mod m, taken in (-m/2, m/2]; q is the j <= 2 sqrt(count) + 1
+    that minimises j + ceil(count / j) + count |d_j| / m, the residues, rows
+    and turns walked below.  A convergent j of step / m has
+    |d_j| < m / j' for the next convergent j' (Dirichlet), so the sum is
+    about sqrt(count) unless a convergent below 2 sqrt(count) is followed by
+    one just above it, and at most about count^(3/4) then.  Reflected by
+    x -> width - x, which keeps the arc, the drift is d >= 0.  The times
+    r + k q of residue r < q are then at v_r + k d, so their hits are one run
+    of rows k per turn t, the k with v_r + k d in [t m, t m + width], found by
+    division.  Each run toggles bit r at its first row and at the row after
+    its last; the xor prefix of the toggles is the rows, q bits each, and the
+    rows laid end to end are the mask.
+    """
+    step %= m
+
+    def drift(j: int) -> int:
+        dj = j * step % m
+        return dj - m if 2 * dj > m else dj
+
+    q = min(range(1, min(count, 2 * isqrt(count) + 1) + 1), default=1,
+            key=lambda j: j + -(-count // j) + count * abs(drift(j)) // m)
+    d = drift(q)
+    if d < 0:
+        v0, step, d = width - v0, -step, -d
+    nrows = -(-count // q)
+    toggles = [0] * (nrows + 1)
+    v = v0 % m
+    for r in range(q):
+        last = (count - 1 - r) // q
+        if not d:  # the residue stands still
+            spans = ((0, last),) if v <= width else ()
+        else:
+            spans = ((max(0, -((v - t * m) // d)), min(last, (t * m + width - v) // d))
+                     for t in range((v + last * d) // m + 1))
+        for a, b in spans:
+            if a <= b:
+                toggles[a] ^= 1 << r
+                toggles[b + 1] ^= 1 << r
+        v = (v + step) % m
+    rows = reversed(list(accumulate(toggles[:nrows], xor)))
+    return int("".join(map(f"{{:0{q}b}}".format, rows)) or "0", 2)
 
 
 def _on_arc(b: int, s: int, width: int, m: int, times: Sequence[int], near=None) -> List[int]:

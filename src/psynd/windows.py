@@ -156,12 +156,12 @@ class WindowSet:
 
     def to_json(self) -> str:
         """Compact JSON of :meth:`to_json_obj`, keys sorted, written from the mask."""
-        members = ",".join(map(str, self.members()))
+        members = ",".join(_member_blocks(self, ","))
         return f'{{"hi":{self.hi},"lo":{self.lo},"members":[{members}]}}'
 
     def to_csv(self) -> str:
         """One member per line, in increasing order."""
-        return "".join(map("{}\n".format, self.members()))
+        return "".join(block + "\n" for block in _member_blocks(self, "\n"))
 
     def to_bitmap_bytes(self) -> bytes:
         """Raw bitmap: magic, version u16, lo/hi i64, 64-bit LE words."""
@@ -178,6 +178,34 @@ class WindowSet:
         if width < 1 or len(body) != (width + 63) // 64 * 8:
             raise ValueError(f"bitmap body of {len(body)} bytes for the window [{lo}, {hi}]")
         return cls(lo, hi, int.from_bytes(body, "little") & bitops.mask_of(width))
+
+
+_UP = ([str(d) for d in range(1000)], [f"{d:03}" for d in range(1000)])
+_DOWN = tuple(table[::-1] for table in _UP)
+
+
+def _member_blocks(s: WindowSet, sep: str) -> Iterator[str]:
+    """The members of ``s`` as text joined by ``sep``, in increasing order, one
+    string per block of 1000 integers that has a member.
+
+    The n with |n| in [1000 k, 1000 k + 999] share their leading digits
+    ``pre`` (``k`` or ``-k``, none for k = 0), and their last three are
+    picked from a table of ``str(d)`` (k = 0) or ``f"{d:03}"`` by the
+    block's bit selectors, the table read backwards below 0.  A block is
+    ``pre + (sep + pre).join(picked)``, as :meth:`GridSet.to_json` joins its
+    rows, so no interpreted step runs per member.
+    """
+    lo, hi = s.lo, s.hi
+    sel = bitops.bit_selectors(s.mask)
+    blocks = [(-1000 * k - 999, min(-1000 * k, -1), f"-{k}" if k else "-", _DOWN[k > 0])
+              for k in range(-lo // 1000, max(-hi, 1) // 1000 - 1, -1)]
+    blocks += [(1000 * k, 1000 * k + 999, str(k) if k else "", _UP[k > 0])
+               for k in range(max(lo, 0) // 1000, hi // 1000 + 1)]
+    for base, top, pre, table in blocks:
+        start, end = max(lo, base), min(hi, top)
+        picks = sel[start - lo : end - lo + 1]
+        if 1 in picks:
+            yield pre + (sep + pre).join(compress(table[start - base:], picks))
 
 
 class GridSet:

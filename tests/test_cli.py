@@ -173,6 +173,21 @@ def test_thma_bad_bounds_exit_2(tmp_path, capsys, pws2d):
     assert "thma: config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("given, missing", [({"w": 3}, "h"), ({"h": 2, "min_area": 9}, "w")])
+def test_thma_lone_rect_side_exit_2(tmp_path, capsys, given, missing):
+    """A ``w`` without ``h`` (or the reverse) asks for the shape search: the
+    missing side is a config error, not a fall-back to the area search."""
+    cfg = {
+        "set": {"kind": "sturmian", "alpha": "golden", "window": [-2000, 2000]},
+        "family": ["n", "n^2"],
+        "box": [-100, 100, -40, 40],
+        "certificates": {"pws2d": given},
+    }
+    code, report, _ = run(tmp_path, "thma", cfg)
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err.startswith(f"thma: config error: missing {missing}: ")
+
+
 def test_returns_oracle_flag(tmp_path):
     cfg = {
         "system": {"type": "rotation", "alpha": ["1/6"]},

@@ -45,7 +45,7 @@ from psynd import bitops
 from psynd.cli import _rational_rotation_oracle, main
 from psynd.errors import BadEpsilonError, NotNormalFormError
 from psynd.polynomials import reduce_to_normal_form
-from psynd.systems import CHUNK, Point, _below, _walk, fold_period
+from psynd.systems import CHUNK, Point, _below, _walk, arc_mask, fold_period
 
 # -- oracles: the per-point code the kernel replaced --------------------
 
@@ -760,6 +760,30 @@ def test_walk_takes_the_named_constant_steps():
     got = _walk(width // 2, s, width, m, 5000)
     assert got is not None and len(got) > 500
     assert got == [j for j in range(5000) if (width // 2 + j * s) % m <= width]
+
+
+# -- the block tiling ----------------------------------------------------
+#
+# ``systems.arc_mask`` decides the same arc tests as the walk, for any arc,
+# as one mask built block by block; it must give every per-time decision.
+
+
+@given(
+    st.one_of(
+        st.integers(0, 256).map(lambda k: 1 << k),  # the named path, 2^0 to 2^256
+        st.integers(1, 40),
+        st.integers(1, 1 << 300),
+    ),
+    st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_arc_mask_matches_per_time(m, data):
+    width = data.draw(st.integers(0, m - 1))
+    step = data.draw(st.one_of(st.just(0), st.integers(-3 * m, 3 * m), st.integers(-9, 9)))
+    v0 = data.draw(st.integers(-3 * m, 3 * m))
+    count = data.draw(st.one_of(st.integers(1, 40), st.integers(1, 5000)))
+    want = sum(1 << j for j in range(count) if (v0 + j * step) % m <= width)
+    assert arc_mask(v0, step, width, m, count) == want
 
 
 @given(walk_queries(), st.sampled_from([1, 2, -1]), st.integers(-300, 300),

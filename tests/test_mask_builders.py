@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from psynd import GridSet, WindowSet, bitops
 from psynd.constants import DEFAULT_BITS, parse_real
-from psynd.generators import random_thick_syndetic, sturmian_window
+from psynd.generators import congruence_window, random_thick_syndetic, sturmian_window
 from psynd.check import _covered
 
 
@@ -346,11 +346,12 @@ def test_million_cell_grid_builders_match_old(box):
 
 
 @given(
-    st.sampled_from(["golden", "sqrt2", "pi-3", "e", "3/7", "-2/5", "1/2", "0"]),
+    st.sampled_from(["golden", "sqrt2", "pi-3", "e", "3/7", "-2/5", "1/2", "0",
+                     "sqrt2-1414213/1000000", "355/113", "1/99991"]),
     windows(),
     st.sampled_from([DEFAULT_BITS, 128, 200]),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_sturmian_window_matches_old(alpha, window, bits):
     lo, hi = window
     assert sturmian_window(alpha, lo, hi, bits) == old_sturmian_window(alpha, lo, hi, bits)
@@ -361,6 +362,21 @@ def test_sturmian_window_matches_old(alpha, window, bits):
 def test_wide_sturmian_window_matches_old(alpha, lo):
     hi = lo + WIDE - 1
     assert sturmian_window(alpha, lo, hi) == old_sturmian_window(alpha, lo, hi)
+
+
+@given(
+    st.integers(1, 60) | st.sampled_from([997, 5000, 10**6, 10**18]),
+    st.lists(st.integers(-10**7, 10**7), max_size=5),
+    windows(widths=(1, 2, 3, 64, 4301)),
+)
+@settings(max_examples=150, deadline=None)
+def test_congruence_window_matches_old(modulus, residues, window):
+    # moduli above and below the width (10**18 far above any window), windows
+    # across 0 and wholly negative
+    lo, hi = window
+    rs = {r % modulus for r in residues}
+    want = old_window_from_predicate(lo, hi, lambda n: n % modulus in rs)
+    assert congruence_window(modulus, residues, lo, hi) == want
 
 
 @given(windows(widths=(1, 2, 3, 4301, WIDE)), st.integers(0, 2**32))

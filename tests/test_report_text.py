@@ -89,9 +89,12 @@ def row_masks(draw, width: int) -> int:
 
 @st.composite
 def window_sets(draw) -> WindowSet:
-    # lo in [-400, 200] and widths to 260: windows fully negative, across 0, positive
-    lo = draw(st.integers(-400, 200))
-    width = draw(st.integers(1, 260))
+    # windows fully negative, across 0 and positive, short or up to 3000 wide,
+    # starting or ending near the text blocks' edges at +-999, +-1000, +-1001, +-2000
+    width = draw(st.integers(1, 260) | st.integers(1, 3000))
+    edge = draw(st.sampled_from([-2000, -1001, -1000, -999, 0, 999, 1000, 1001, 2000]))
+    lo = draw(st.integers(-400, 200) | st.integers(edge - 3, edge + 3)
+              | st.integers(edge - width - 2, edge - width + 4))
     return WindowSet(lo, lo + width - 1, draw(row_masks(width)))
 
 
