@@ -11,7 +11,7 @@ mask over the m-range).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice
 from operator import or_, sub
 from typing import ClassVar, Dict, Optional, Tuple, get_args, get_origin, get_type_hints
@@ -43,17 +43,29 @@ class _Cert:
         return {"type": self.type, **{k: list(v) if isinstance(v, tuple) else v for k, v in values}}
 
     @classmethod
+    @cache
+    def _field_kinds(cls) -> Tuple[Tuple[str, Optional[int], bool], ...]:
+        """Per field, read once per class: its name, its tuple length (None for an
+        integer) and whether it may be null."""
+        hints = get_type_hints(cls)
+        kinds = []
+        for f in fields(cls):
+            hint = hints[f.name]
+            size = len(get_args(hint)) if get_origin(hint) is tuple else None
+            kinds.append((f.name, size, type(None) in get_args(hint)))
+        return tuple(kinds)
+
+    @classmethod
     def from_json_obj(cls, obj: dict) -> "_Cert":
         """Inverse of ``to_json_obj``; ConfigError names a missing or ill-typed field."""
         values = {}
-        for f in fields(cls):
-            hint = get_type_hints(cls)[f.name]
-            if get_origin(hint) is tuple:
-                values[f.name] = tuple(take(obj, f.name, [int], size=len(get_args(hint))))
-            elif f.name in obj and obj[f.name] is None and type(None) in get_args(hint):
-                values[f.name] = None
+        for name, size, nullable in cls._field_kinds():
+            if size is not None:
+                values[name] = tuple(take(obj, name, [int], size=size))
+            elif nullable and name in obj and obj[name] is None:
+                values[name] = None
             else:
-                values[f.name] = take(obj, f.name, int)
+                values[name] = take(obj, name, int)
         return cls(**values)
 
 

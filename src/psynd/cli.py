@@ -21,6 +21,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from math import factorial
 from pathlib import Path
@@ -504,8 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first ``main`` call, not at import; parse_args keeps no state in the parser
+_parser = cache(build_parser)
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "verify":
         return cmd_verify(args.config)
     commands = {"analyze": cmd_analyze, "thma": cmd_thma, "thmb": cmd_thmb,

@@ -502,8 +502,10 @@ def pws_witness(s: WindowSet, b_max: int, l_run: int) -> Optional[PwsCert]:
         raise BadBoundError("L must be >= 1")
     for b in range(0, min(b_max, s.width - 1) + 1):
         d = dilate(s, b)
-        length, start = bitops.longest_run(d.mask, d.width)
-        if length >= l_run:
+        # one and_reduce probe per bound; longest_run's binary search (about log2(width)
+        # probes) runs only at the bound returned
+        if bitops.has_run(d.mask, l_run) is not None:
+            length, start = bitops.longest_run(d.mask, d.width)
             return PwsCert(shift_bound=b, interval=(d.lo + start, length))
     return None
 

@@ -1,10 +1,15 @@
 """Driver behavior: reports, determinism, verification, exit codes."""
 
+import argparse
 import gc
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -689,6 +694,47 @@ def test_each_subcommand_takes_only_its_flags(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_one_parser_per_process_keeps_no_state(tmp_path, monkeypatch, capsys):
+    # ten calls build one parser and its 7 subparsers; a call that exits 2, a --seed and a
+    # --format leave nothing behind: every call writes what a fresh process writes
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    psynd.cli._parser.cache_clear()
+    cfg = tmp_path / "analyze.json"
+    cfg.write_text(json.dumps(ANALYZE_CFG), encoding="utf-8")
+    calls = [["analyze", "--config", str(cfg)], ["analyze", "--config", str(cfg), "--oracle"],
+             ["analyze", "--config", str(cfg), "--seed", "5"],
+             ["analyze", "--config", str(cfg), "--format", "csv"]]
+
+    def in_process(argv, out=None):
+        try:
+            code = main([*argv, "--out", str(out)] if out else argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, out.read_bytes() if out and out.exists() else None, captured.out, captured.err
+
+    got = []
+    for round_ in range(2):
+        got.append([in_process(argv, tmp_path / f"in-{round_}-{i}")
+                    for i, argv in enumerate(calls)])
+        assert in_process(["verify", "--config", str(tmp_path / f"in-{round_}-0")])[0] == 0
+    assert len(built) == 8
+    src = str(Path(psynd.cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for i, argv in enumerate(calls):
+        out = tmp_path / f"process-{i}"
+        proc = subprocess.run([sys.executable, "-m", "psynd.cli", *argv, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        want = proc.returncode, out.read_bytes() if out.exists() else None, proc.stdout, proc.stderr
+        assert got[0][i] == want and got[1][i] == want, argv
+    code, report, _, err = got[1][1]
+    assert code == 2 and report is None and "unrecognized arguments: --oracle" in err
 
 
 def test_returns_point_coords_follow_the_system(tmp_path):

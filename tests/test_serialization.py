@@ -21,7 +21,7 @@ from psynd import (
     parse_real,
     split_block,
 )
-from psynd.check import Syndetic2DRefutation, cert_from_json_obj
+from psynd.check import CERT_TYPES, Syndetic2DRefutation, cert_from_json_obj
 
 
 def test_window_json_roundtrip():
@@ -104,9 +104,11 @@ def test_certificate_json_roundtrip():
         Syndetic2DCert(1, (-3, 3, 0, 5)),
         Syndetic2DRefutation(2, (4, -1)),
     ]
-    for cert in certs:
-        again = cert_from_json_obj(json.loads(json.dumps(cert.to_json_obj())))
-        assert again == cert
+    assert {type(cert) for cert in certs} == set(CERT_TYPES.values())
+    for _ in range(2):  # the second decode reads the field kinds the first one cached
+        for cert in certs:
+            again = cert_from_json_obj(json.loads(json.dumps(cert.to_json_obj())))
+            assert again == cert
 
 
 def test_block_json_has_provenance():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psynd import bitops
 from psynd import (
     BadBoundError,
     EmptySetError,
@@ -327,6 +328,57 @@ def test_pws_certificates_always_reverify(lo, offsets, b_max, l_run):
     if cert is not None:
         assert cert.interval[1] >= l_run
         assert verify_pws(s, cert)
+
+
+def pws_witness_longest_run_per_bound(s, b_max, l_run):
+    """The search that took the longest run at every bound, the reference for
+    the search that probes each bound for a run of ``l_run`` only."""
+    if b_max < 0:
+        raise BadBoundError("b_max must be >= 0")
+    if l_run < 1:
+        raise BadBoundError("L must be >= 1")
+    for b in range(0, min(b_max, s.width - 1) + 1):
+        d = dilate(s, b)
+        length, start = bitops.longest_run(d.mask, d.width)
+        if length >= l_run:
+            return PwsCert(shift_bound=b, interval=(d.lo + start, length))
+    return None
+
+
+def pws_witness_by_scan(s, b_max, l_run):
+    """Every integer x of each b-shrunk window, covered when some x + i, 0 <= i <= b,
+    is a member; at the first b with a run of ``l_run``, its longest run, lowest first."""
+    members = set(s.members())
+    for b in range(min(b_max, s.width - 1) + 1):
+        best, start, run = 0, None, 0
+        for x in range(s.lo, s.hi - b + 1):
+            run = run + 1 if any(x + i in members for i in range(b + 1)) else 0
+            if run > best:
+                best, start = run, x - run + 1
+        if best >= l_run:
+            return PwsCert(shift_bound=b, interval=(start, best))
+    return None
+
+
+@st.composite
+def pws_queries(draw):
+    lo = draw(st.integers(-60, 20))  # most windows cross 0
+    hi = lo + draw(st.integers(0, 90))
+    members = draw(st.one_of(st.just(set()), st.just(set(range(lo, hi + 1))),
+                             st.sets(st.integers(lo, hi))))
+    width = hi - lo + 1
+    # bounds at and past the window's width too: b_max >= width, L > width
+    return wset(lo, hi, members), draw(st.integers(0, width + 3)), draw(st.integers(1, width + 3))
+
+
+@given(pws_queries())
+@settings(max_examples=300, deadline=None)
+def test_pws_witness_is_the_whole_certificate(query):
+    # shift bound, interval start and length: the least b, and at it the longest run, lowest
+    s, b_max, l_run = query
+    got = pws_witness(s, b_max, l_run)
+    assert got == pws_witness_longest_run_per_bound(s, b_max, l_run)
+    assert got == pws_witness_by_scan(s, b_max, l_run)
 
 
 def test_pws_dilation_identity():
