@@ -425,8 +425,9 @@ def cmd_nilcheck(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     x = sys_spec.base_point()
     gaps = {}
     counts = {}
-    for w in widths:
-        rs = return_set_1d(ReturnQuery(sys_spec, x, x, eps_f, family, (-w, w)))
+    rs = None
+    for w in widths:  # each window's set decides its overlap with the next
+        rs = return_set_1d(ReturnQuery(sys_spec, x, x, eps_f, family, (-w, w)), known=rs)
         gaps[str(w)] = gap_summary(rs).max_gap if not rs.is_empty() else None
         counts[str(w)] = rs.count()
     values = list(gaps.values())

@@ -12,9 +12,10 @@ outside it membership of the underlying unbounded set is unknown.
 Ball membership uses strict inequality everywhere so results are
 bit-reproducible for a fixed precision.  Both sets are ``systems.scan``s:
 1D with the exact forward-difference values of each p_i over a chunk
-(equal to ``eval``), planar column by column with the times m + p_i(n).
-An even family (p_i(-n) = p_i(n) for every i, as for n^2 or n^4 + n^2)
-is decided once per |n| and mirrored onto the negative times.
+(equal to ``eval``), planar member by member over merged runs of the
+times m + p_i(n), each decided once.  An even family (p_i(-n) = p_i(n)
+for every i, as for n^2 or n^4 + n^2) is decided once per |n| and
+mirrored onto the negative times, and a 1D set can reuse another's.
 
 Period lemma: an integer-valued p of degree d has p(n + Q d!) = p(n)
 mod Q, as it sums integer multiples of C(n, k) = f_k(n) / k!, k <= d,
@@ -28,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Optional, Tuple, Union
 
 from . import bitops
@@ -54,20 +57,36 @@ class ReturnQuery:
             raise BadEpsilonError(f"epsilon must be > 0, got {self.eps}")
 
 
-def return_set_1d(q: ReturnQuery) -> WindowSet:
+def _overlap(known: WindowSet, lo: int, hi: int) -> Tuple[int, int]:
+    """(decided, members): masks over [lo, hi] of ``known``'s window and of its members."""
+    a, b = max(lo, known.lo), min(hi, known.hi)
+    if a > b:
+        return 0, 0
+    return bitops.mask_of(b - a + 1) << (a - lo), known.restrict(a, b).mask << (a - lo)
+
+
+def return_set_1d(q: ReturnQuery, known: Optional[WindowSet] = None) -> WindowSet:
     """{ n in window : T^{p_i(n)} x lies in the ball for every i }.
 
     When every p_i is even, n and -n ask the same question, so a window
     reaching below 0 is decided on the |n| range [dlo, dhi] only (itself
     tiled when it folds); the n < 0 part of the mask is its bits reversed.
+    ``known``, the set of the same question (same system, x, center, eps and
+    family) on any window, is trusted where it overlaps this one, in |n|
+    when the family is even, and only the rest is scanned.
     """
     lo, hi = q.window
     polys = q.family.polys
     fold = lo < 0 and lo <= hi and all(p.is_even() for p in polys)
     dlo, dhi = (max(0, -hi), max(hi, -lo)) if fold else (lo, hi)
-    mask = scan(q.sys, q.x, q.eps, lambda start, size: [
+    done, kept = (0, 0) if known is None else _overlap(known, dlo, dhi)
+    if fold and known is not None:  # known's n = -k decides |n| = k
+        mirror = WindowSet(-known.hi, -known.lo, bitops.reverse_bits(known.mask, known.width))
+        done, kept = (a | b for a, b in zip((done, kept), _overlap(mirror, dlo, dhi)))
+    want = bitops.mask_of(dhi - dlo + 1) & ~done if done else None
+    mask = kept | scan(q.sys, q.x, q.eps, lambda start, size: [
         (q.center, p.progression(start, size)) for p in polys
-    ], dlo, dhi, fold_period(q.sys, q.x, q.family))
+    ], dlo, dhi, fold_period(q.sys, q.x, q.family), want)
     if fold:  # bit k - dlo holds |n| = k; n = -k goes to bit -k - lo
         width = -lo - dlo + 1
         below = bitops.reverse_bits(mask & bitops.mask_of(width), width)
@@ -76,19 +95,31 @@ def return_set_1d(q: ReturnQuery) -> WindowSet:
 
 
 def return_set_2d(q: ReturnQuery) -> GridSet:
-    """{ (m, n) in box : T^{m + p_i(n)} x lies in the ball for every i }; on
-    a box taller than its ``fold_period`` P, the columns of one P repeat."""
-    mlo, mhi, nlo, nhi = q.window
+    """{ (m, n) in box : T^{m + p_i(n)} x lies in the ball for every i }.
+
+    Member by member, the intervals [mlo + v, mhi + v] over the values
+    v = p_i(n) merge into runs; one ``scan`` per run decides, once each, the
+    times m + v that live cells reach (so a subshift raises where a per-cell
+    loop would), and each column keeps its hits.  On a box taller than its
+    ``fold_period`` P, the columns of one P repeat.
+    """
+    mlo, mhi, nlo, nhi = GridSet.empty(q.window).box  # ValueError on an empty box
     period = fold_period(q.sys, q.x, q.family)
-
-    def column(n: int) -> int:
-        values = [p.eval(n) for p in q.family.polys]
-        return scan(q.sys, q.x, q.eps, lambda start, size: [
-            (q.center, range(start + v, start + v + size)) for v in values
-        ], mlo, mhi, period)
-
     last = nhi if period is None else min(nhi, nlo + period - 1)
-    cols = [column(n) for n in range(nlo, last + 1)]
+    full = bitops.mask_of(mhi - mlo + 1)
+    cols = [full] * (last - nlo + 1)
+    times = lambda start, size: [(q.center, range(start, start + size))]  # noqa: E731
+    for p in q.family.polys:
+        values, need, hits = p.values(nlo, len(cols)), {}, {}
+        for v, col in zip(values, cols):
+            need[v] = need.get(v, 0) | col
+        vs = sorted(need)
+        starts = [i for i, v in enumerate(vs) if not i or v - vs[i - 1] > mhi - mlo + 1]
+        for run in (vs[i:j] for i, j in zip(starts, [*starts[1:], len(vs)])):
+            want = reduce(or_, (need[v] << v - run[0] for v in run))
+            got = scan(q.sys, q.x, q.eps, times, mlo + run[0], mhi + run[-1], period, want)
+            hits.update((v, got >> (v - run[0]) & full) for v in run)
+        cols = [col & hits[v] for v, col in zip(values, cols)]
     cols = [cols[i % len(cols)] for i in range(nhi - nlo + 1)]
     return GridSet._from_cols(q.window, cols)
 

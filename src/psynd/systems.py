@@ -40,9 +40,9 @@ the times whose letters agree with the center's out to the radius eps asks
 for, and reads each time off it as one bit.  ``hit_indices`` gives the times
 that hit, ``hits`` flags, and ``in_ball`` is ``hits`` at the single time 0.
 
-``scan``, the one loop over return times, filters the times still alive
-through ordered (center, times) pairs and tiles one ``fold_period``; the
-1D, planar and recurrence sets only say which pairs to ask about.
+``scan``, the one loop over return times, filters the times wanted through
+ordered (center, times) pairs and tiles one ``fold_period``; the 1D and
+recurrence sets name the pairs, and the planar set the times its cells reach.
 
 All system and point values are immutable; methods are pure functions.
 """
@@ -605,23 +605,30 @@ SystemSpec = Union[TorusRotation, SkewProduct, HeisenbergNil, IndicatorSubshift]
 CHUNK = 4096  # times per ``hits`` call; bounds the memory of one batch
 
 
-def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=None) -> int:
-    """Mask over [lo, hi]: bit n - lo is set when every (center, times) pair
-    of ``conds(start, size)`` puts T^{times[n - start]} x in B(center, eps).
+def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=None,
+         want=None) -> int:
+    """Mask over [lo, hi]: bit n - lo is set when n is wanted (bit n - lo of
+    ``want``, every n if None) and every (center, times) pair of
+    ``conds(start, size)`` puts T^{times[n - start]} x in B(center, eps).
 
     Chunk by chunk ([start, start + size), at most CHUNK integers) the
-    offsets still alive are filtered pair by pair, so a pair is decided at n
-    only when every earlier pair kept n; while all are alive, a pair's hits
-    (walked on a ``range``) are the offsets alive.  With a period
-    P <= hi - lo, only [lo, lo + P) is decided and its mask tiled.
+    offsets wanted are filtered pair by pair, so a pair is decided at n only
+    when n is wanted and every earlier pair kept n; while all are alive, a
+    pair's hits (walked on a ``range``) are the offsets alive.  With a period
+    P <= hi - lo, only the residues wanted of [lo, lo + P) are decided, and tiled.
     """
     tiled = period is not None and period <= hi - lo
     top = lo + period - 1 if tiled else hi
+    while tiled and want is not None and want >> period:  # fold onto one period, halving
+        half = (-(-want.bit_length() // period) + 1) // 2 * period
+        want = (want & bitops.mask_of(half)) | (want >> half)
     mask = 0
     for start in range(lo, top + 1, CHUNK):
         size = min(CHUNK, top + 1 - start)
-        alive = range(size)
-        for center, times in conds(start, size):
+        full = bitops.mask_of(size)
+        wanted = full if want is None else (want >> (start - lo)) & full
+        alive = range(size) if wanted == full else list(bitops.iter_bits(wanted))
+        for center, times in conds(start, size) if alive else ():
             if len(alive) < size:
                 found = sys.hit_indices(x, center, eps, [times[i] for i in alive])
                 alive = [alive[i] for i in found]

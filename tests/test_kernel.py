@@ -18,6 +18,7 @@ replaced, is kept verbatim as ``model_rational_rotation_oracle``.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -41,6 +42,7 @@ from psynd import (
     return_set_1d,
     return_set_2d,
 )
+import psynd.cli
 from psynd import bitops
 from psynd.cli import _rational_rotation_oracle, main
 from psynd.errors import BadEpsilonError, NotNormalFormError
@@ -290,6 +292,10 @@ FAMILIES = [
     ["n"], ["n^2"], ["n", "n^2"], ["n^3+n"], ["2n", "n^2", "n^3+n"], ["n^2", "n^4"], ["n^4+n^2"],
 ]
 NORMAL_FAMILIES = [["n"], ["n^2"], ["n", "n^2"], ["n^3+n"], ["-n", "2n", "n^2"]]
+# a planar set merges the intervals [mlo + v, mhi + v] over the values v of a
+# member into runs; n^5 and n^3 spread their values wider than a box is long,
+# so most columns keep a run of their own, and members come in either order
+RUN_FAMILIES = [["n", "n^5"], ["n^3", "n"], ["n^2", "n^3"]]
 NAMES = ["sqrt2", "sqrt3", "golden", "e", "pi"]
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
@@ -486,8 +492,8 @@ def test_return_set_1d_matches_per_point_loop(query, win, fam):
     assert return_set_1d(q) == oracle_return_set_1d(q)
 
 
-@given(st.one_of(queries(), rational_queries()), box, st.sampled_from(FAMILIES))
-@settings(max_examples=120, deadline=None)
+@given(st.one_of(queries(), rational_queries()), box, st.sampled_from(FAMILIES + RUN_FAMILIES))
+@settings(max_examples=200, deadline=None)
 def test_return_set_2d_matches_per_point_loop(query, box, fam):
     # a rational query often has a fold period below the box's sides
     sys, x, center, eps = query
@@ -513,8 +519,11 @@ def test_windows_longer_than_a_chunk(eps):
     fam = PolyFamily.parse(["n", "n^2"])
     q = ReturnQuery(sys, x, x, eps, fam, (-half, half))
     assert return_set_1d(q) == oracle_return_set_1d(q)
-    q = ReturnQuery(sys, x, x, eps, fam, (-half, half, -1, 1))
-    assert return_set_2d(q) == oracle_return_set_2d(q)
+    # the second member's run spans two chunks, where it asks only the times
+    # that the cells the first kept reach
+    for planar in (fam, PolyFamily.parse(["n^2", "n"])):
+        q = ReturnQuery(sys, x, x, eps, planar, (-half, half, -1, 1))
+        assert return_set_2d(q) == oracle_return_set_2d(q)
     got = recurrence_times(sys, x, fam, 1, eps, half)
     assert got == oracle_recurrence_times(sys, x, fam, 1, eps, half)
     # an even family: |n| runs over two chunks, mirrored onto the longer
@@ -892,3 +901,144 @@ def test_rotation_with_no_coordinates_keeps_every_time(tmp_path):
     out = tmp_path / "report.json"
     assert main(["returns", "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["set"]["members"] == list(range(-5, 6))
+
+
+# -- each return time decided once ---------------------------------------
+#
+# ``return_set_2d`` decides, member by member, the times m + p_i(n) that the
+# cells still alive reach, over runs of the merged intervals [mlo + v, mhi + v];
+# ``return_set_1d(q, known=k)`` trusts k where the windows overlap.
+
+
+@st.composite
+def window_pairs(draw):
+    """(window, other): other inside, around, across one end of, or apart from
+    window, and often mirrored to (-hi, -lo), where an even family reuses it."""
+    lo, hi = draw(window)
+    a, b = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    how = draw(st.sampled_from(["nested", "containing", "overlapping", "disjoint"]))
+    if how == "nested":
+        c = draw(st.integers(lo, hi))
+        other = (c, draw(st.integers(c, hi)))
+    elif how == "containing":
+        other = (lo - a, hi + b)
+    elif how == "overlapping":
+        c = draw(st.integers(lo, hi))
+        other = (c, hi + 1 + b) if draw(st.booleans()) else (lo - 1 - b, c)
+    else:
+        other = (hi + 1 + a, hi + 1 + a + b) if draw(st.booleans()) else (lo - 1 - a - b, lo - 1 - a)
+    if draw(st.booleans()):
+        other = (-other[1], -other[0])
+    return (lo, hi), other
+
+
+@given(st.one_of(queries(), rational_queries()), window_pairs(),
+       st.sampled_from(FOLD_FAMILIES))
+@settings(max_examples=150, deadline=None)
+def test_known_window_gives_the_same_set(query, wins, fam):
+    # FOLD_FAMILIES holds even and non-even families; rational queries fold
+    sys, x, center, eps = query
+    family = PolyFamily.parse(fam)
+    win, other = wins
+    known = return_set_1d(ReturnQuery(sys, x, center, eps, family, other))
+    q = ReturnQuery(sys, x, center, eps, family, win)
+    assert return_set_1d(q, known=known) == return_set_1d(q) == oracle_return_set_1d(q)
+
+
+@pytest.mark.parametrize("other", [(-25, 5), (3, 40), (-40, -12), (-5, 30)])
+def test_known_window_mirrors_for_an_even_family(other):
+    # known's n = -k decides |n| = k; on a window that is not symmetric about 0,
+    # a mirror that kept its members in place would claim them for the wrong |n|
+    sys = TorusRotation((parse_real("sqrt2"),))
+    x = sys.base_point()
+    family = PolyFamily.parse(["n^2"])
+    known = return_set_1d(ReturnQuery(sys, x, x, Fraction(1, 5), family, other))
+    q = ReturnQuery(sys, x, x, Fraction(1, 5), family, (-30, 10))
+    assert return_set_1d(q, known=known) == oracle_return_set_1d(q)
+
+
+@given(
+    st.integers(0, 2**41 - 1),
+    st.integers(-20, 20),
+    window_pairs(),
+    st.sampled_from(FAMILIES),
+    st.sampled_from(EPSILONS + [Fraction(1, 10)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_known_window_on_a_subshift(bits, shift, wins, fam, eps):
+    # the times known decided did not raise, so the rest raise exactly when
+    # the whole window does: both give the same set, or both run out of letters
+    base = WindowSet(-20, 20, bits)
+    if base.is_empty():
+        base = WindowSet(-20, 20, 1 << 20)
+    sys = IndicatorSubshift(base)
+    x = sys.base_point()
+    center = sys.iterate(x, shift)
+    family = PolyFamily.parse(fam)
+    win, other = wins
+    try:
+        known = return_set_1d(ReturnQuery(sys, x, center, eps, family, other))
+    except WindowExhaustedError:
+        known = None
+    _same_or_both_exhausted(return_set_1d, lambda q: return_set_1d(q, known=known),
+                            ReturnQuery(sys, x, center, eps, family, win))
+
+
+def _asked(monkeypatch, cls) -> list:
+    """Every time list ``cls.hit_indices`` is asked about, from now on."""
+    asked, real = [], cls.hit_indices
+
+    def spy(self, x, center, eps, times):
+        asked.append(list(times))
+        return real(self, x, center, eps, times)
+
+    monkeypatch.setattr(cls, "hit_indices", spy)
+    return asked
+
+
+def test_planar_set_asks_each_time_once_per_member(monkeypatch):
+    # the returns-planar-golden box has 40,501 cells and 2,951 times: the first
+    # member asks about its whole run m + n, the second only about the times
+    # m + n^2 of the cells the first kept, each once
+    sys = TorusRotation((parse_real("golden"),))
+    x = sys.base_point()
+    eps = Fraction(1, 5)
+    first = dict(zip(range(-250, 251), sys.hits(x, x, eps, range(-250, 251))))
+    reached = {m + n * n for n in range(-50, 51) for m in range(-200, 201) if first[m + n]}
+    second = dict(zip(reached, sys.hits(x, x, eps, list(reached))))
+    asked = _asked(monkeypatch, TorusRotation)
+    got = return_set_2d(ReturnQuery(sys, x, x, eps, PolyFamily.parse(["n", "n^2"]),
+                                    (-200, 200, -50, 50)))
+    assert [len(call) for call in asked] == [501, len(reached)]
+    assert asked[0] == list(range(-250, 251)) and set(asked[1]) == reached
+    assert got.count() == sum(1 for n in range(-50, 51) for m in range(-200, 201)
+                              if first[m + n] and second[m + n * n])
+
+
+@pytest.mark.parametrize("fam", RUN_FAMILIES)
+def test_runs_that_do_not_merge_ask_each_time_once_per_member(monkeypatch, fam):
+    sys = HeisenbergNil(parse_real("sqrt2-1"), parse_real("sqrt3-1"))
+    x = sys.base_point()
+    asked = _asked(monkeypatch, HeisenbergNil)
+    return_set_2d(ReturnQuery(sys, x, x, Fraction(1, 2), PolyFamily.parse(fam), (-20, 20, -9, 9)))
+    assert max(Counter(t for call in asked for t in call).values()) <= len(fam)
+
+
+@pytest.mark.parametrize("windows", [[300, 1000], [1000, 300], [400, 400], [0, 700]])
+def test_nilcheck_decides_each_absolute_n_once(monkeypatch, tmp_path, windows):
+    # the default family n^2 is even: |n| = k asks about the one time k^2, and
+    # each window trusts the set of the one before it where they overlap
+    calls = []
+    real = psynd.cli.return_set_1d
+
+    def one_call(q, **kwargs):
+        calls.append(q.window)
+        return real(q, **kwargs)
+
+    monkeypatch.setattr(psynd.cli, "return_set_1d", one_call)
+    asked = _asked(monkeypatch, HeisenbergNil)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"windows": windows}))
+    assert main(["nilcheck", "--config", str(cfg), "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == [(-w, w) for w in windows]
+    assert sorted(t for call in asked for t in call) == [k * k for k in range(max(windows) + 1)]
