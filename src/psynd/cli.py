@@ -104,8 +104,11 @@ def _load_config(path: str) -> dict:
 
 
 def _family(cfg: dict) -> PolyFamily:
+    """The config's family, at least one polynomial (the paper's 1 <= i <= d)."""
     texts = take(cfg, "family", [str])
     try:
+        if not texts:
+            raise ValueError("a family needs at least one polynomial")
         return PolyFamily.parse(texts)
     except ValueError as exc:
         raise ConfigError(f"bad family {texts!r}: {exc}") from exc
@@ -343,13 +346,13 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
         if not rs.is_empty():
             report["results"]["max_gap"] = gap_summary(rs).max_gap
         cert = bounds and pws_witness(rs, *bounds)
+    if oracle:  # before a failed mandatory search returns
+        o = _rational_rotation_oracle(sys_cfg, family, eps_f, *window)
+        report["results"]["oracle_match"] = o == rs
     if cert:
         report["certificates"].append(cert.to_json_obj())
     elif bounds and mandatory:
         return report, INFEASIBLE
-    if oracle:
-        o = _rational_rotation_oracle(sys_cfg, family, eps_f, *window)
-        report["results"]["oracle_match"] = o == rs
     return report, 0
 
 

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 from pathlib import Path
 
 from . import bitops
 from .constants import DEFAULT_BITS, MIN_BITS, parse_real
 from .errors import ConfigError, take
-from .systems import arc_mask
+from .systems import TorusRotation, arc_mask
 from .windows import WindowSet
 
 
@@ -20,9 +19,9 @@ def sturmian_window(
 ) -> WindowSet:
     """{ n in [lo, hi] : frac(n * alpha) < 1/2 }.
 
-    Irrational slopes are decided against the scaled fixed-point
-    approximant, rationals exactly: either way alpha mod 1 is an exact
-    fraction num/den, and frac(n num/den) < 1/2 exactly when
+    alpha is the rotation's own value, ``TorusRotation((alpha,), bits)._params``:
+    exact when rational, else the declared 2^-bits approximant.  Either way it
+    is an exact fraction num/den, and frac(n num/den) < 1/2 exactly when
     (2 num n) mod (2 den) <= den - 1, an arc of the rotation by 2 num at
     modulus 2 den, which ``systems.arc_mask`` tiles in blocks of about
     sqrt(width) integers.  Measured on a 2-vCPU VM, the golden slope takes
@@ -34,11 +33,7 @@ def sturmian_window(
     point 0 of the half-open interval, so the return set drops n = 0 for an
     irrational slope and every multiple of q for alpha = p/q.
     """
-    spec = parse_real(alpha)
-    if spec.is_rational:
-        a = spec.as_fraction() % 1
-    else:
-        a = Fraction(spec.fixed(bits) % (1 << bits), 1 << bits)
+    (a,) = TorusRotation((parse_real(alpha),), bits=bits)._params
     num, den = a.numerator, a.denominator
     return WindowSet(lo, hi, arc_mask(2 * num * lo, 2 * num, den - 1, 2 * den, hi - lo + 1))
 

@@ -13,7 +13,7 @@ Everything here is immutable and exact; no floats anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import comb
@@ -29,10 +29,12 @@ def binom_int(n: int, k: int) -> int:
     return comb(n, k)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class IntegralPolynomial:
     """Integer-valued polynomial, canonical in the binomial basis."""
 
-    __slots__ = ("coeffs", "_monomial")
+    coeffs: Tuple[int, ...]
+    _monomial: Optional[Tuple[Fraction, ...]] = field(compare=False)  # monomial_view's cache
 
     def __init__(self, binom_coeffs: Iterable[int]):
         cs = [int(c) for c in binom_coeffs]
@@ -40,9 +42,6 @@ class IntegralPolynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "_monomial", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegralPolynomial is immutable")
 
     # -- constructors ------------------------------------------------
 
@@ -176,12 +175,6 @@ class IntegralPolynomial:
         """
         return all(self.eval(-k) == self.eval(k) for k in range(1, self.degree + 1))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntegralPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"IntegralPolynomial({self.to_monomial_str()!r})"
 
@@ -284,10 +277,11 @@ def shift_coincidence(
     return j if rem == 0 and p.shift(j) == q else None
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PolyFamily:
     """Ordered family of integral polynomials, all vanishing at 0."""
 
-    __slots__ = ("polys",)
+    polys: Tuple[IntegralPolynomial, ...]
 
     def __init__(self, polys: Iterable[IntegralPolynomial]):
         ps = tuple(polys)
@@ -295,9 +289,6 @@ class PolyFamily:
             if not p.vanishes_at_zero():
                 raise NotVanishingError(f"member {idx} has p(0) != 0")
         object.__setattr__(self, "polys", ps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyFamily is immutable")
 
     @classmethod
     def parse(cls, texts: Iterable[str]) -> "PolyFamily":
@@ -311,12 +302,6 @@ class PolyFamily:
 
     def __getitem__(self, i: int) -> IntegralPolynomial:
         return self.polys[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyFamily) and self.polys == other.polys
-
-    def __hash__(self) -> int:
-        return hash(self.polys)
 
     def __repr__(self) -> str:
         return "PolyFamily([" + ", ".join(p.to_monomial_str() for p in self.polys) + "])"

@@ -17,8 +17,8 @@ parameter and point alike, is the declared approximant
 ``_value`` is the one place where a real becomes a value, and
 ``_modulus`` the one place where the scale of the arithmetic is chosen.
 
-Both ``iterate`` and the ball predicate ``hits(x, center, eps, times)``,
-which decides ``T^t x in B(center, eps)`` for a whole list of times t,
+Both ``iterate`` and the ball predicate ``hit_indices(x, center, eps, times)``,
+which gives the i with ``T^{times[i]} x in B(center, eps)`` over a whole list,
 scale the values to integers at one modulus M and apply the same
 floored-product formulas there: M is 2^bits on a named-constant system,
 and on a rational one the lcm of the denominators of the parameters and
@@ -37,8 +37,9 @@ while ``scan``'s 4096-time chunks of the sqrt2 rotation at eps 1/10 on
 [-1e5, 1e5] take 6 ms walked and 23 ms tiled.  The
 subshift builds, over the letters of x near the requested times, the mask of
 the times whose letters agree with the center's out to the radius eps asks
-for, and reads each time off it as one bit.  ``hit_indices`` gives the times
-that hit, ``hits`` flags, and ``in_ball`` is ``hits`` at the single time 0.
+for, and reads each time off it as one bit.  ``hit_indices`` is the one ball
+predicate: it gives the indices of the times that hit, and ``in_ball`` is
+``hit_indices`` at the single time 0.
 
 ``scan``, the one loop over return times, filters the times wanted through
 ordered (center, times) pairs and tiles one ``fold_period``; the 1D and
@@ -261,13 +262,8 @@ class _System:
         return self.make_point(take(obj, "coords", [str], parse=parse_real))
 
     def in_ball(self, a: Point, c: Point, eps) -> bool:
-        """Strict ball test of one point: ``hits`` at time 0."""
-        return self.hits(a, c, eps, [0])[0]
-
-    def hits(self, x, center, eps, times: Sequence[int]) -> List[bool]:
-        """[T^t x in B(center, eps) for t in times]: ``hit_indices`` as flags."""
-        found = set(self.hit_indices(x, center, eps, times))
-        return [i in found for i in range(len(times))]
+        """Strict ball test of one point: ``hit_indices`` at time 0."""
+        return bool(self.hit_indices(a, c, eps, [0]))
 
     def point_distance(self, a: Point, c: Point) -> Fraction:
         """Sup over the coordinates of the circle distance."""
@@ -527,7 +523,7 @@ class IndicatorSubshift:
             raise ConfigError(f"bad word {word!r}: {hi - lo + 1} letters 0/1")
         return WindowSet(lo, hi, int("0" + word[::-1], 2))
 
-    in_ball, hits = _System.in_ball, _System.hits
+    in_ball = _System.in_ball
 
     def iterate(self, w: WindowSet, n: int) -> WindowSet:
         if not w.lo <= n <= w.hi:
@@ -602,7 +598,7 @@ class IndicatorSubshift:
 SystemSpec = Union[TorusRotation, SkewProduct, HeisenbergNil, IndicatorSubshift]
 
 
-CHUNK = 4096  # times per ``hits`` call; bounds the memory of one batch
+CHUNK = 4096  # times per ``hit_indices`` call; bounds the memory of one batch
 
 
 def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=None,

@@ -34,23 +34,9 @@ from .errors import BadBoundError, ConfigError, EmptySetError, NoRowError, take
 
 _BITMAP_MAGIC = b"PSYN"
 _VERSION_1D = 1
-_VERSION_2D = 2
 
 
-def _read_bitmap(raw: bytes, fmt: str, version: int) -> Tuple[list, bytes]:
-    """Header fields after the version, and the body, of a ``PSYN`` bitmap;
-    ValueError on a bad magic, a short header or another version."""
-    if raw[:4] != _BITMAP_MAGIC:
-        raise ValueError("bad magic")
-    size = 4 + struct.calcsize(fmt)
-    if len(raw) < size:
-        raise ValueError(f"bitmap header needs {size} bytes, got {len(raw)}")
-    got, *header = struct.unpack_from(fmt, raw, 4)
-    if got != version:
-        raise ValueError(f"unsupported bitmap version {got}")
-    return header, raw[size:]
-
-
+@dataclass(frozen=True, slots=True)
 class WindowSet:
     """Immutable subset of the integer interval ``[lo, hi]``.
 
@@ -59,20 +45,15 @@ class WindowSet:
     outside it.
     """
 
-    __slots__ = ("lo", "hi", "mask")
+    lo: int
+    hi: int
+    mask: int = 0
 
-    def __init__(self, lo: int, hi: int, mask: int = 0):
-        if lo > hi:
-            raise ValueError(f"empty window: lo={lo} > hi={hi}")
-        width = hi - lo + 1
-        if mask < 0 or mask >> width:
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"empty window: lo={self.lo} > hi={self.hi}")
+        if self.mask < 0 or self.mask >> (self.hi - self.lo + 1):
             raise ValueError("mask has bits outside the window")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WindowSet is immutable")
 
     # -- constructors ------------------------------------------------
 
@@ -117,17 +98,6 @@ class WindowSet:
     def is_empty(self) -> bool:
         return self.mask == 0
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WindowSet)
-            and self.lo == other.lo
-            and self.hi == other.hi
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi, self.mask))
-
     def __repr__(self) -> str:
         return f"WindowSet([{self.lo},{self.hi}], {self.count()} members)"
 
@@ -171,10 +141,18 @@ class WindowSet:
 
     @classmethod
     def from_bitmap_bytes(cls, raw: bytes) -> "WindowSet":
-        """Inverse of :meth:`to_bitmap_bytes`; ValueError on a malformed header
-        or a body of the wrong length, raised before any mask is built."""
-        (lo, hi), body = _read_bitmap(raw, "<Hqq", _VERSION_1D)
-        width = hi - lo + 1
+        """Inverse of :meth:`to_bitmap_bytes`; ValueError on a bad magic, a short
+        header, another version or a body of the wrong length, raised before
+        any mask is built."""
+        if raw[:4] != _BITMAP_MAGIC:
+            raise ValueError("bad magic")
+        size = 4 + struct.calcsize("<Hqq")
+        if len(raw) < size:
+            raise ValueError(f"bitmap header needs {size} bytes, got {len(raw)}")
+        version, lo, hi = struct.unpack_from("<Hqq", raw, 4)
+        if version != _VERSION_1D:
+            raise ValueError(f"unsupported bitmap version {version}")
+        body, width = raw[size:], hi - lo + 1
         if width < 1 or len(body) != (width + 63) // 64 * 8:
             raise ValueError(f"bitmap body of {len(body)} bytes for the window [{lo}, {hi}]")
         return cls(lo, hi, int.from_bytes(body, "little") & bitops.mask_of(width))
@@ -208,6 +186,7 @@ def _member_blocks(s: WindowSet, sep: str) -> Iterator[str]:
             yield pre + (sep + pre).join(compress(table[start - base:], picks))
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class GridSet:
     """Immutable subset of the integer box ``[mlo,mhi] x [nlo,nhi]``.
 
@@ -218,7 +197,11 @@ class GridSet:
     these are the only transposes, and only row-major output reads rows.
     """
 
-    __slots__ = ("mlo", "mhi", "nlo", "nhi", "cols")
+    mlo: int
+    mhi: int
+    nlo: int
+    nhi: int
+    cols: Tuple[int, ...]
 
     def __init__(self, box: Tuple[int, int, int, int], rows: Sequence[int]):
         self._fill(box, rows, "row")
@@ -244,11 +227,8 @@ class GridSet:
         if any(x < 0 or x >> width for x in masks):
             raise ValueError(f"{kind} mask outside box")
         cols = bitops.transpose(masks, width) if kind == "row" else masks
-        for name, value in zip(self.__slots__, (*box, tuple(cols))):
+        for name, value in zip(("mlo", "mhi", "nlo", "nhi", "cols"), (*box, tuple(cols))):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GridSet is immutable")
 
     @classmethod
     def from_members(
@@ -333,12 +313,6 @@ class GridSet:
         """{ n : some (m, n) is a member }, as a WindowSet over the n-range."""
         return WindowSet(self.nlo, self.nhi, bitops.from_selectors(bytes(map(bool, self.cols))))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GridSet) and (self.box, self.cols) == (other.box, other.cols)
-
-    def __hash__(self) -> int:
-        return hash((self.box, self.cols))
-
     def __repr__(self) -> str:
         return f"GridSet({self.box}, {self.count()} members)"
 
@@ -378,27 +352,6 @@ class GridSet:
             for m, r in zip(range(self.mlo, self.mhi + 1), self.rows)
             if r
         )
-
-    def to_bitmap_bytes(self) -> bytes:
-        words = (self.n_width + 63) // 64
-        head = _BITMAP_MAGIC + struct.pack(
-            "<Hqqqq", _VERSION_2D, self.mlo, self.mhi, self.nlo, self.nhi
-        )
-        body = b"".join(r.to_bytes(words * 8, "little") for r in self.rows)
-        return head + body
-
-    @classmethod
-    def from_bitmap_bytes(cls, raw: bytes) -> "GridSet":
-        """Inverse of :meth:`to_bitmap_bytes`; ValueError on a malformed header
-        or a body of the wrong length, raised before any row is built."""
-        (mlo, mhi, nlo, nhi), body = _read_bitmap(raw, "<Hqqqq", _VERSION_2D)
-        stride = (nhi - nlo + 64) // 64 * 8  # bytes per row
-        if mlo > mhi or nlo > nhi or len(body) != (mhi - mlo + 1) * stride:
-            raise ValueError(f"bitmap body of {len(body)} bytes for the box {(mlo, mhi, nlo, nhi)}")
-        w_mask = bitops.mask_of(nhi - nlo + 1)
-        rows = [int.from_bytes(body[i : i + stride], "little") & w_mask
-                for i in range(0, len(body), stride)]
-        return cls((mlo, mhi, nlo, nhi), rows)
 
 
 @dataclass(frozen=True)

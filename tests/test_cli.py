@@ -215,6 +215,15 @@ def test_returns_oracle_reads_alpha_as_the_system_does(tmp_path):
     assert report == plain
 
 
+def test_returns_oracle_checks_before_a_failed_mandatory_search_exits(tmp_path):
+    # no run of 40 at b = 0: exit 3, and the oracle's verdict is still reported
+    cfg = {"system": {"type": "rotation", "alpha": "1/7"}, "family": ["n^2"], "epsilon": "1/10",
+           "window": [-50, 50], "certificates": {"pws": {"b_max": 0, "L": 40, "mandatory": True}}}
+    code, report, _ = run(tmp_path, "returns", cfg, "--oracle")
+    assert code == 3 and report["certificates"] == []
+    assert report["results"] == {"count": 15, "max_gap": 7, "oracle_match": True}
+
+
 @pytest.mark.parametrize("system, where", [
     ({"type": "rotation", "alpha": ["1/12"]}, {"box": [-10, 10, -5, 5]}),
     ({"type": "rotation", "alpha": ["sqrt2"]}, {"box": [-10, 10, -5, 5]}),
@@ -491,6 +500,15 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
     pytest.param("induced", {"system": {"type": "rotation", "alpha": ["1/4"]},
                              "family": ["n^2", "0"], "epsilon": "1/10"},
                  "bad family ['n^2', '0']: member 1 is constant", id="induced-cfg46-zero member"),
+    # the paper's family is p_1, ..., p_d with d >= 1: with none, no condition would apply
+    *[pytest.param(command, {**cfg, "family": []}, "bad family []: ", id=f"{command}-empty family")
+      for command, cfg in [
+          ("thma", {"set": MOD3, "box": [-10, 10, -3, 3]}),
+          ("thmb", {"set": MOD3, "target": MOD3}),
+          ("returns", {"system": {"type": "rotation", "alpha": "1/7"}, "epsilon": "1/10",
+                       "window": [-50, 50]}),
+          ("induced", {"system": {"type": "rotation", "alpha": "1/7"}}),
+          ("nilcheck", {})]],
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""

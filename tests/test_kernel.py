@@ -1,5 +1,5 @@
-"""``iterate`` and the batched ball predicate ``hits`` against the per-point
-code they replaced.
+"""``iterate`` and the batched ball predicate ``hit_indices`` against the
+per-point code they replaced.
 
 The oracles below are the earlier per-point implementation, kept verbatim
 apart from taking the system as an argument and from reading a subshift
@@ -48,6 +48,13 @@ from psynd.cli import _rational_rotation_oracle, main
 from psynd.errors import BadEpsilonError, NotNormalFormError
 from psynd.polynomials import reduce_to_normal_form
 from psynd.systems import CHUNK, Point, _below, _walk, arc_mask, fold_period
+
+
+def hits(sys, x, center, eps, times):
+    """[T^t x in B(center, eps) for t in times]: ``hit_indices`` as flags."""
+    found = set(sys.hit_indices(x, center, eps, times))
+    return [i in found for i in range(len(times))]
+
 
 # -- oracles: the per-point code the kernel replaced --------------------
 
@@ -402,7 +409,7 @@ def test_hits_matches_per_point_ball_test(query, times):
     ox, oc = old_form(sys, x), old_form(sys, center)
     orbit = [oracle_iterate(sys, ox, t) for t in times]
     assert [old_form(sys, sys.iterate(x, t)) for t in times] == orbit
-    assert sys.hits(x, center, eps, times) == [oracle_in_ball(sys, p, oc, eps) for p in orbit]
+    assert hits(sys, x, center, eps, times) == [oracle_in_ball(sys, p, oc, eps) for p in orbit]
     assert sys.in_ball(x, center, eps) == oracle_in_ball(sys, ox, oc, eps)
     assert sys.point_distance(x, center) == oracle_point_distance(sys, ox, oc)
 
@@ -458,7 +465,7 @@ def test_heisenberg_hits_across_the_one_translate_switch(query):
     sys, x, center, eps, times = query
     ox, oc = old_form(sys, x), old_form(sys, center)
     want = [oracle_in_ball(sys, oracle_iterate(sys, ox, t), oc, eps) for t in times]
-    assert sys.hits(x, center, eps, times) == want
+    assert hits(sys, x, center, eps, times) == want
 
 
 @pytest.mark.parametrize("bits", [128, 256])
@@ -480,7 +487,7 @@ def test_heisenberg_ball_edge_in_z(bits, eps):
             for j in (0, 1):
                 at = [c1 + d1, c2 + dy_q + q * m, c3 + q * c1 + sign * (k + j)]
                 p = Point(tuple(Fraction(v % m, m) for v in at))
-                assert sys.hits(p, c, eps, [0]) == [j == 0]
+                assert hits(sys, p, c, eps, [0]) == [j == 0]
                 assert oracle_in_ball(sys, old_form(sys, p), old_form(sys, c), eps) is (j == 0)
 
 
@@ -803,7 +810,7 @@ def test_walked_hits_match_per_point_ball_test(query, k, start, count):
     # 128 and 256 bits; windows across 0; counts below a + b
     sys, x, center, eps = query
     times = steps(k, start, count)
-    assert sys.hits(x, center, eps, times) == per_time(sys, x, center, eps, times)
+    assert hits(sys, x, center, eps, times) == per_time(sys, x, center, eps, times)
 
 
 @given(walk_queries(), st.sampled_from([1, 2, -1]), st.integers(-CHUNK, CHUNK),
@@ -813,7 +820,7 @@ def test_walked_hits_past_a_chunk_match_per_time(query, k, start, count):
     # the list path is the per-time test, itself checked per point above
     sys, x, center, eps = query
     times = steps(k, start, count)
-    assert sys.hits(x, center, eps, times) == sys.hits(x, center, eps, list(times))
+    assert hits(sys, x, center, eps, times) == hits(sys, x, center, eps, list(times))
 
 
 @given(walk_queries(), window, st.sampled_from([["n"], ["2n", "n^2"], ["-n", "n^2"],
@@ -873,7 +880,7 @@ def test_missing_gaps_fall_back_to_per_time(alpha, coord, eps):
     assert _walk(0, s, 2 * _below(eps, m), m, 100) is None
     for k in (1, 2, -1):
         times = steps(k, -40, 81)
-        assert sys.hits(x, x, eps, times) == per_time(sys, x, x, eps, times)
+        assert hits(sys, x, x, eps, times) == per_time(sys, x, x, eps, times)
 
 
 def test_tiny_epsilon_falls_back_to_per_time():
@@ -885,8 +892,8 @@ def test_tiny_epsilon_falls_back_to_per_time():
     (s,) = sys._scaled(sys._params, m)
     assert _walk(0, s, 2 * _below(eps, m), m, 100) is None
     times = range(-100000, 100001)
-    want = sys.hits(x, x, eps, list(times))
-    assert any(want) and sys.hits(x, x, eps, times) == want
+    want = hits(sys, x, x, eps, list(times))
+    assert any(want) and hits(sys, x, x, eps, times) == want
     got = return_set_1d(ReturnQuery(sys, x, x, eps, PolyFamily.parse(["n"]), (-100000, 100000)))
     assert list(got.members()) == [t for t, hit in zip(times, want) if hit]
 
@@ -894,7 +901,7 @@ def test_tiny_epsilon_falls_back_to_per_time():
 def test_rotation_with_no_coordinates_keeps_every_time(tmp_path):
     sys = TorusRotation(())
     x = sys.base_point()
-    assert sys.hits(x, x, Fraction(1, 10), range(-5, 6)) == [True] * 11
+    assert hits(sys, x, x, Fraction(1, 10), range(-5, 6)) == [True] * 11
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"system": {"type": "rotation", "alpha": []}, "family": ["n", "n^2"],
                                "epsilon": "1/10", "window": [-5, 5]}))
@@ -1003,9 +1010,9 @@ def test_planar_set_asks_each_time_once_per_member(monkeypatch):
     sys = TorusRotation((parse_real("golden"),))
     x = sys.base_point()
     eps = Fraction(1, 5)
-    first = dict(zip(range(-250, 251), sys.hits(x, x, eps, range(-250, 251))))
+    first = dict(zip(range(-250, 251), hits(sys, x, x, eps, range(-250, 251))))
     reached = {m + n * n for n in range(-50, 51) for m in range(-200, 201) if first[m + n]}
-    second = dict(zip(reached, sys.hits(x, x, eps, list(reached))))
+    second = dict(zip(reached, hits(sys, x, x, eps, list(reached))))
     asked = _asked(monkeypatch, TorusRotation)
     got = return_set_2d(ReturnQuery(sys, x, x, eps, PolyFamily.parse(["n", "n^2"]),
                                     (-200, 200, -50, 50)))

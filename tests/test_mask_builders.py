@@ -9,6 +9,7 @@ message.
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import compress, count
 
@@ -161,8 +162,17 @@ def test_from_selectors_matches_positions(width):
 def test_window_from_members_matches_old(window, density, seed):
     lo, hi = window
     members = random_members(random.Random(seed), lo, hi, density)
-    assert WindowSet.from_members(lo, hi, members) == old_window_from_members(lo, hi, members)
-    assert WindowSet.from_members(lo, hi, iter(members)) == old_window_from_members(lo, hi, members)
+    s, old = WindowSet.from_members(lo, hi, members), old_window_from_members(lo, hi, members)
+    assert s == old and hash(s) == hash(old)
+    assert WindowSet.from_members(lo, hi, iter(members)) == old
+    for name in ("lo", "hi", "mask"):
+        with pytest.raises(AttributeError):  # FrozenInstanceError is one
+            setattr(s, name, 0)
+    with pytest.raises(ValueError, match=re.escape(f"empty window: lo={hi + 1} > hi={lo}")):
+        WindowSet(hi + 1, lo)
+    for mask in (-1, 1 << (hi - lo + 1)):
+        with pytest.raises(ValueError, match="^mask has bits outside the window$"):
+            WindowSet(lo, hi, mask)
 
 
 @given(windows(), st.lists(st.integers(-3, 3), min_size=1, max_size=6), st.integers(0, 2**32))
@@ -271,8 +281,11 @@ def test_grid_queries_match_the_cells(box, density, seed, data):
     rows = [0] * (mhi - mlo + 1)
     for m, n in cells:
         rows[m - mlo] |= 1 << (n - nlo)
-    e = GridSet(box, rows)
-    assert e == GridSet._from_cols(box, bitops.transpose(rows, w))
+    e, by_cols = GridSet(box, rows), GridSet._from_cols(box, bitops.transpose(rows, w))
+    assert e == by_cols and hash(e) == hash(by_cols)
+    for name in ("mlo", "mhi", "nlo", "nhi", "cols"):
+        with pytest.raises(AttributeError):  # FrozenInstanceError is one
+            setattr(e, name, getattr(e, name))
     assert e.rows == tuple(rows)
     assert list(e.members()) == cells
     assert (e.count(), e.is_empty()) == (len(cells), not cells)
@@ -290,10 +303,6 @@ def test_grid_queries_match_the_cells(box, density, seed, data):
     assert json.loads(e.to_json()) == e.to_json_obj() == {
         "box": list(box), "members": [list(c) for c in cells]}
     assert e.to_csv() == "".join(f"{m},{n}\n" for m, n in cells)
-    stride = (w + 63) // 64 * 8
-    assert e.to_bitmap_bytes()[-len(rows) * stride :] == b"".join(
-        r.to_bytes(stride, "little") for r in rows)
-    assert GridSet.from_bitmap_bytes(e.to_bitmap_bytes()) == e
 
 
 @given(boxes(), st.data())

@@ -109,6 +109,16 @@ def test_shift_cocycle(coeffs, j, n):
 def test_shift_composes(coeffs, j, k):
     p = IntegralPolynomial([0] + coeffs)
     assert p.shift(j).shift(k) == p.shift(j + k)
+    # equality and hash read the coefficients, not the cached monomial view
+    cached, fresh = (IntegralPolynomial(q.coeffs) for q in (p.shift(j).shift(k), p.shift(j + k)))
+    cached.monomial_view()
+    assert cached._monomial is not None and fresh._monomial is None
+    assert cached == fresh and hash(cached) == hash(fresh)
+    families = PolyFamily([cached]), PolyFamily([fresh])
+    assert families[0] == families[1] and hash(families[0]) == hash(families[1])
+    for value, name in [(cached, "coeffs"), (cached, "_monomial"), (families[0], "polys")]:
+        with pytest.raises(AttributeError):  # FrozenInstanceError is one
+            setattr(value, name, None)
 
 
 def test_integrality_random_sample():
@@ -214,6 +224,7 @@ def test_shift_coincidence_is_the_bruteforce_search():
 def test_family_requires_vanishing():
     with pytest.raises(NotVanishingError):
         PolyFamily.parse(["n^2+1"])
+    assert len(PolyFamily(())) == 0  # the library takes an empty family; the CLI refuses it
 
 
 def test_check_normal_form_shift_class_family():

@@ -7,7 +7,6 @@ import struct
 import pytest
 
 from psynd import (
-    GridSet,
     PolyFamily,
     PwsCert,
     PwsCert2D,
@@ -50,18 +49,6 @@ def test_window_bitmap_random_roundtrip():
         assert WindowSet.from_bitmap_bytes(s.to_bitmap_bytes()) == s
 
 
-def test_grid_bitmap_roundtrip():
-    rng = random.Random(56)
-    for _ in range(15):
-        box = (rng.randint(-9, 0), rng.randint(1, 9), rng.randint(-9, 0), rng.randint(1, 9))
-        e = GridSet.from_predicate(box, lambda m, n: rng.random() < 0.5)
-        raw = e.to_bitmap_bytes()
-        assert raw[:4] == b"PSYN"
-        assert struct.unpack_from("<H", raw, 4)[0] == 2
-        assert GridSet.from_bitmap_bytes(raw) == e
-        assert GridSet.from_json_obj(e.to_json_obj()) == e
-
-
 def test_bitmap_rejects_garbage():
     with pytest.raises(ValueError):
         WindowSet.from_bitmap_bytes(b"NOPE" + b"\x00" * 40)
@@ -78,19 +65,6 @@ def test_window_bitmap_rejects_bad_lengths():
     huge = b"PSYN" + struct.pack("<Hqq", 1, 0, 2**40 - 1) + bytes(8)
     with pytest.raises(ValueError, match="body"):
         WindowSet.from_bitmap_bytes(huge)
-
-
-def test_grid_bitmap_rejects_bad_lengths():
-    raw = GridSet.full((0, 3, 0, 9)).to_bitmap_bytes()
-    empty = b"PSYN" + struct.pack("<Hqqqq", 2, 0, 3, 5, 4)
-    for bad, message in [(raw[:6], "header"), (raw[:37], "header"), (raw[:-8], "body"),
-                         (raw[:-1], "body"), (raw + bytes(8), "body"), (empty, "body")]:
-        with pytest.raises(ValueError, match=message):
-            GridSet.from_bitmap_bytes(bad)
-    # 2^40 rows declared over one word fail before any row is built
-    huge = b"PSYN" + struct.pack("<Hqqqq", 2, 0, 2**40 - 1, 0, 9) + bytes(8)
-    with pytest.raises(ValueError, match="body"):
-        GridSet.from_bitmap_bytes(huge)
 
 
 def test_certificate_json_roundtrip():
