@@ -84,7 +84,7 @@ def reverse_bits(x: int, width: int) -> int:
 
 def tile_mask(x: int, period: int, width: int) -> int:
     """The ``width``-bit mask whose bit i is bit ``i % period`` of x."""
-    x &= mask_of(period)
+    x &= mask_of(min(period, width))
     while period < width:
         x |= x << period
         period *= 2

@@ -103,9 +103,9 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _family(cfg: dict) -> PolyFamily:
+def _family(cfg: dict, default=...) -> PolyFamily:
     """The config's family, at least one polynomial (the paper's 1 <= i <= d)."""
-    texts = take(cfg, "family", [str])
+    texts = take(cfg, "family", [str], default)
     try:
         if not texts:
             raise ValueError("a family needs at least one polynomial")
@@ -120,8 +120,7 @@ def _seeded(cfg: dict, override: Optional[int]) -> tuple[int, random.Random]:
     return seed, random.Random(seed)
 
 
-def cmd_analyze(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
-    seed, rng = _seeded(cfg, seed)
+def cmd_analyze(cfg: dict, rng: random.Random) -> tuple[dict, int]:
     source = read_source(take(cfg, "set", dict))
     certs_cfg = take(cfg, "certificates", dict, {})
     syn = take(certs_cfg, "syndetic", dict, None)
@@ -134,8 +133,6 @@ def cmd_analyze(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     refuse_unread(cfg)
     s = window_from_source(source, rng)
     report: dict = {
-        "experiment": "analyze",
-        "seed": seed,
         "query": {"set_source": cfg["set"], "certificates": certs_cfg},
         "set": s,
         "results": {},
@@ -169,8 +166,7 @@ def cmd_analyze(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     return report, code
 
 
-def cmd_thma(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
-    seed, rng = _seeded(cfg, seed)
+def cmd_thma(cfg: dict, rng: random.Random) -> tuple[dict, int]:
     source = read_source(take(cfg, "set", dict))
     family = _family(cfg)
     box = tuple(take(cfg, "box", [int], size=4))
@@ -184,8 +180,6 @@ def cmd_thma(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     s = window_from_source(source, rng)
     members, validity = combinatorial_set_2d(s, family, box)
     report: dict = {
-        "experiment": "thma",
-        "seed": seed,
         "query": {
             "set_source": cfg["set"],
             "family": family.to_strs(),
@@ -226,7 +220,7 @@ def cmd_thma(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     return report, 0
 
 
-def cmd_thmb(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
+def cmd_thmb(cfg: dict, rng: random.Random) -> tuple[dict, int]:
     """Search shifts a_N carrying target intersect [-N, N] into the set.
 
     Without a configured ``target``, the target is the return set that
@@ -234,7 +228,6 @@ def cmd_thmb(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     ``box`` chosen by ``best_slice`` at the ``certificates.pws`` bounds
     (b_max 3, L 12 by default).  The row and its witness are reported.
     """
-    seed, rng = _seeded(cfg, seed)
     source = read_source(take(cfg, "set", dict))
     family = _family(cfg)
     target_cfg = take(cfg, "target", dict, None)
@@ -244,7 +237,7 @@ def cmd_thmb(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
         b_max, l_run = take(pws_cfg, "b_max", int, 3, least=0), take(pws_cfg, "L", int, 12, least=1)
     else:
         target_source = read_source(target_cfg)
-    n_values = take(take(cfg, "targets", dict, {}), "N_values", [int], [5, 10, 15, 20])
+    n_values = take(take(cfg, "targets", dict, {}), "N_values", [int], [5, 10, 15, 20], least=0)
     refuse_unread(cfg)
     s = window_from_source(source, rng)
     row = None
@@ -262,8 +255,6 @@ def cmd_thmb(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
         except EmptySetError:
             found[str(n_bound)] = None
     report = {
-        "experiment": "thmb",
-        "seed": seed,
         "query": {
             "set_source": cfg["set"],
             "family": family.to_strs(),
@@ -300,8 +291,7 @@ def _rational_rotation_oracle(sys_obj: dict, family: PolyFamily, eps, lo: int, h
     return WindowSet(lo, hi, int((word * (width // len(word) + 1))[:width][::-1], 2))
 
 
-def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int]:
-    seed, _ = _seeded(cfg, seed)
+def cmd_returns(cfg: dict, rng: random.Random, oracle: bool) -> tuple[dict, int]:
     sys_cfg = take(cfg, "system", dict)
     sys_spec = system_from_json_obj(sys_cfg)
     family = _family(cfg)
@@ -321,8 +311,6 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
         raise ConfigError("--oracle needs a window and a 1-dim rational rotation"
                           " from the base point")
     report: dict = {
-        "experiment": "returns",
-        "seed": seed,
         "query": {
             "system": sys_spec.to_json_obj(),
             "family": family.to_strs(),
@@ -356,11 +344,10 @@ def cmd_returns(cfg: dict, seed: Optional[int], oracle: bool) -> tuple[dict, int
     return report, 0
 
 
-def cmd_induced(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
+def cmd_induced(cfg: dict, rng: random.Random) -> tuple[dict, int]:
     """Recurrence times and a block of the family's normal-form core; when the
     reduction removed members, ``results.reduction`` gives the core and the
     covering triples (removed family index, kept core index, shift j)."""
-    seed, _ = _seeded(cfg, seed)
     sys_spec = system_from_json_obj(take(cfg, "system", dict))
     family = _family(cfg)
     try:
@@ -379,8 +366,6 @@ def cmd_induced(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
     times = recurrence_times(sys_spec, x, core, radius, eps_f, n_bound)
     block = (split_block if kind == "split" else orbit_block)(sys_spec, x, core, radius)
     report = {
-        "experiment": "induced",
-        "seed": seed,
         "query": {
             "system": sys_spec.to_json_obj(),
             "family": family.to_strs(),
@@ -411,20 +396,20 @@ NILCHECK_DEFAULTS = {
 }
 
 
-def cmd_nilcheck(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
+def cmd_nilcheck(cfg: dict, rng: random.Random) -> tuple[dict, int]:
     """Max return-time gap of the polynomial orbit on each window [-w, w].
 
     ``stable`` is true only when every window has the same max gap.
     ``false`` means a larger window met a larger gap; it does not mean
     the gaps are unbounded.
     """
-    merged = Config(NILCHECK_DEFAULTS | cfg)
-    seed, _ = _seeded(merged, seed)
-    sys_spec = system_from_json_obj(take(merged, "system", dict))
-    family = _family(merged)
-    eps, eps_f = take(merged, "epsilon", str), take(merged, "epsilon", str, parse=Fraction)
-    widths = take(merged, "windows", [int], least=0)
-    refuse_unread(merged)
+    default = NILCHECK_DEFAULTS
+    sys_spec = system_from_json_obj(take(cfg, "system", dict, default["system"]))
+    family = _family(cfg, default["family"])
+    eps = take(cfg, "epsilon", str, default["epsilon"])
+    eps_f = take(cfg, "epsilon", str, default["epsilon"], parse=Fraction)
+    widths = take(cfg, "windows", [int], default["windows"], least=0)
+    refuse_unread(cfg)
     x = sys_spec.base_point()
     gaps = {}
     counts = {}
@@ -435,8 +420,6 @@ def cmd_nilcheck(cfg: dict, seed: Optional[int]) -> tuple[dict, int]:
         counts[str(w)] = rs.count()
     values = list(gaps.values())
     report = {
-        "experiment": "nilcheck",
-        "seed": seed,
         "query": {
             "system": sys_spec.to_json_obj(),
             "family": family.to_strs(),
@@ -518,11 +501,13 @@ def main(argv: Optional[list] = None) -> int:
     if args.command == "verify":
         return cmd_verify(args.config)
     commands = {"analyze": cmd_analyze, "thma": cmd_thma, "thmb": cmd_thmb,
-                "returns": lambda cfg, seed: cmd_returns(cfg, seed, args.oracle),
+                "returns": lambda cfg, rng: cmd_returns(cfg, rng, args.oracle),
                 "induced": cmd_induced, "nilcheck": cmd_nilcheck}
     try:
         cfg = _load_config(args.config) if args.config else {}
-        report, code = commands[args.command](cfg, args.seed)
+        seed, rng = _seeded(cfg, args.seed)
+        report, code = commands[args.command](cfg, rng)
+        report |= {"experiment": args.command, "seed": seed}
     # before ValueError, which EmptySetError and WindowExhaustedError subclass
     except (EmptySetError, NoRowError, WindowExhaustedError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

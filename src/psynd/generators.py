@@ -35,14 +35,21 @@ def sturmian_window(
     """
     (a,) = TorusRotation((parse_real(alpha),), bits=bits)._params
     num, den = a.numerator, a.denominator
-    return WindowSet(lo, hi, arc_mask(2 * num * lo, 2 * num, den - 1, 2 * den, hi - lo + 1))
+    width = WindowSet(lo, hi).width  # ValueError on an empty window
+    return WindowSet(lo, hi, arc_mask(2 * num * lo, 2 * num, den - 1, 2 * den, width))
 
 
 def congruence_window(modulus: int, residues, lo: int, hi: int) -> WindowSet:
+    """{ n in [lo, hi] : n mod modulus is a residue }: the word of the offsets
+    below min(modulus, width) from lo, tiled by ``bitops.tile_mask``."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    rs = {r % modulus for r in residues}
-    return WindowSet.from_predicate(lo, hi, lambda n: n % modulus in rs)
+    width = WindowSet(lo, hi).width  # ValueError on an empty window
+    sel = bytearray(min(modulus, width))
+    for r in residues:
+        if (i := (r - lo) % modulus) < len(sel):
+            sel[i] = 1
+    return WindowSet(lo, hi, bitops.tile_mask(bitops.from_selectors(sel), modulus, width))
 
 
 def random_thick_syndetic(
@@ -50,7 +57,7 @@ def random_thick_syndetic(
 ) -> WindowSet:
     """Random model of a piecewise-syndetic set: a syndetic congruence
     pattern intersected with a union of blocks."""
-    width = hi - lo + 1
+    width = WindowSet(lo, hi).width  # ValueError on an empty window
     gap = rng.randint(1, 6)
     phase = rng.randint(0, gap - 1)
     sel = bytearray(width)

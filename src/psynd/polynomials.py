@@ -5,7 +5,7 @@ with integer ``c_k``.  A polynomial takes integer values on all of Z
 exactly when its Newton forward differences at 0 are integers, so the
 basis makes integrality structural instead of something to check at
 every evaluation.  A monomial view with exact rational coefficients is
-derived (and cached) for degree/leading-coefficient reasoning.
+derived for degree/leading-coefficient reasoning.
 
 Everything here is immutable and exact; no floats anywhere.
 """
@@ -13,7 +13,7 @@ Everything here is immutable and exact; no floats anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import comb
@@ -34,14 +34,12 @@ class IntegralPolynomial:
     """Integer-valued polynomial, canonical in the binomial basis."""
 
     coeffs: Tuple[int, ...]
-    _monomial: Optional[Tuple[Fraction, ...]] = field(compare=False)  # monomial_view's cache
 
     def __init__(self, binom_coeffs: Iterable[int]):
         cs = [int(c) for c in binom_coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_monomial", None)
 
     # -- constructors ------------------------------------------------
 
@@ -82,10 +80,7 @@ class IntegralPolynomial:
         return len(self.coeffs) - 1
 
     def monomial_view(self) -> Tuple[Fraction, ...]:
-        """Exact rational monomial coefficients a_0..a_D (cached)."""
-        cached = self._monomial
-        if cached is not None:
-            return cached
+        """Exact rational monomial coefficients a_0..a_D."""
         acc = [Fraction(0)] * (len(self.coeffs) or 1)
         basis = [Fraction(1)]  # C(n,0)
         for k, c in enumerate(self.coeffs):
@@ -99,9 +94,7 @@ class IntegralPolynomial:
             if c:
                 for i, b in enumerate(basis):
                     acc[i] += c * b
-        view = tuple(acc)
-        object.__setattr__(self, "_monomial", view)
-        return view
+        return tuple(acc)
 
     def leading(self) -> Fraction:
         if self.degree < 0:

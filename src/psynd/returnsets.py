@@ -27,6 +27,7 @@ their P would be about 2^256.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -130,28 +131,32 @@ def combinatorial_set_2d(
     """Members and validity of { (m, n) : m + p_i(n) in S for all i }.
 
     validity marks the (m, n) whose evaluations all land inside S's
-    window; members is a subset of validity by construction.
+    window; members is a subset of validity by construction.  With no
+    p_i both are the whole box, as the condition is vacuous.
     """
-    mlo, mhi, nlo, nhi = box
-    m_mask = bitops.mask_of(mhi - mlo + 1)
+    mlo, mhi, nlo, nhi = GridSet.empty(box).box  # ValueError on an empty box
     member_cols = []
     valid_cols = []
     for n in range(nlo, nhi + 1):
         values = [p.eval(n) for p in family.polys]
         # for each i, m must lie in [S.lo - v_i, S.hi - v_i]
-        a = max(mlo, max(s.lo - v for v in values))
-        b = min(mhi, min(s.hi - v for v in values))
+        a = max([mlo, *(s.lo - v for v in values)])
+        b = min([mhi, *(s.hi - v for v in values)])
         valid_col = bitops.mask_of(b - a + 1) << (a - mlo) if a <= b else 0
-        member_col = valid_col
-        for v in values:
-            if not member_col:
-                break
-            off = mlo + v - s.lo
-            col = s.mask >> off if off >= 0 else s.mask << -off
-            member_col &= col & m_mask
         valid_cols.append(valid_col)
-        member_cols.append(member_col)
+        member_cols.append(_in_set_at(s, values, mlo, valid_col))
     return GridSet._from_cols(box, member_cols), GridSet._from_cols(box, valid_cols)
+
+
+def _in_set_at(s: WindowSet, values, mlo: int, col: int) -> int:
+    """The bits k of ``col`` with mlo + k + v in S for every v in ``values``:
+    a column of the planar set, stopped at the first empty AND."""
+    for v in values:
+        if not col:
+            break
+        off = mlo + v - s.lo
+        col &= s.mask >> off if off >= 0 else s.mask << -off
+    return col
 
 
 def masked_dilation_2d(
@@ -165,8 +170,8 @@ def masked_dilation_2d(
     """
     if members.box != validity.box:
         raise ValueError("box mismatch")
-    for dilated in column_dilations(members.cols, members.m_width, b1, b2, validity.cols):
-        pass
+    (dilated,) = deque(column_dilations(members.cols, members.m_width, b1, b2, validity.cols),
+                       maxlen=1)
     box = (members.mlo, members.mhi - b1, members.nlo, members.nhi - b2)
     return GridSet._from_cols(box, dilated)
 
@@ -212,28 +217,24 @@ def shift_cover_search(
 
     Finds a with ``target intersect [-N, N] subseteq { n : a + p_i(n) in S
     for all i }``, searching only a for which every evaluation stays
-    inside S's window.  Ties between a and -a resolve to the positive
-    one.  Returns None when no such a exists in the feasible range.
+    inside S's window: the a in the planar set's column at every patch
+    point, decided by its column routine over the patch's distinct values.
+    Ties between a and -a resolve to the positive one; with no p_i, a = 0.
+    Returns None when no such a exists in the feasible range.
     """
     patch_lo, patch_hi = max(target.lo, -n_bound), min(target.hi, n_bound)
     if patch_lo > patch_hi:
         raise EmptySetError("target has no points in [-N, N]")
-    patch = target.restrict(patch_lo, patch_hi)
-    points = list(patch.members())
+    points = list(target.restrict(patch_lo, patch_hi).members())
     if not points:
         raise EmptySetError("target has no points in [-N, N]")
     values = sorted({p.eval(n) for n in points for p in family.polys})
-    a_lo = s.lo - values[0]
-    a_hi = s.hi - values[-1]
+    a_lo, a_hi = s.lo - min(values, default=s.lo), s.hi - max(values, default=s.hi)
     if a_lo > a_hi:
         return None
-    width = a_hi - a_lo + 1
-    feasible = bitops.mask_of(width)
-    for v in values:
-        off = a_lo + v - s.lo  # >= 0 by choice of a_lo
-        feasible &= (s.mask >> off) & bitops.mask_of(width)
-        if not feasible:
-            return None
+    feasible = _in_set_at(s, values, a_lo, bitops.mask_of(a_hi - a_lo + 1))
+    if not feasible:
+        return None
     # the nearest set bit to a = 0 is the lowest one at or above it or the
     # highest one below it; ties to the positive side
     p0 = max(-a_lo, 0)

@@ -213,12 +213,19 @@ def _on_arc(b: int, s: int, width: int, m: int, times: Sequence[int], near=None)
 
 
 class _System:
-    """Shared plumbing for the coordinate systems."""
+    """Shared plumbing for the coordinate systems, each declaring its reals as ``specs``."""
 
-    exact: bool
     bits: int
     dim: int
-    _params: Tuple[Fraction, ...]
+    specs: Tuple[RealSpec, ...]
+
+    @cached_property
+    def exact(self) -> bool:
+        return all(a.is_rational for a in self.specs)
+
+    @cached_property
+    def _params(self) -> Tuple[Fraction, ...]:
+        return tuple(self._value(a) for a in self.specs)
 
     def _value(self, spec: RealSpec) -> Fraction:
         """The value of ``spec`` mod 1: exact, or the 2^-bits approximant."""
@@ -279,17 +286,11 @@ class TorusRotation(_System):
     alphas: Tuple[RealSpec, ...]
     bits: int = DEFAULT_BITS
 
+    specs = property(lambda self: self.alphas)
+
     @property
     def dim(self) -> int:
         return len(self.alphas)
-
-    @cached_property
-    def exact(self) -> bool:
-        return all(a.is_rational for a in self.alphas)
-
-    @cached_property
-    def _params(self) -> Tuple[Fraction, ...]:
-        return tuple(self._value(a) for a in self.alphas)
 
     def iterate(self, x: Point, n: int) -> Point:
         m = self._modulus(x)
@@ -326,14 +327,7 @@ class SkewProduct(_System):
     bits: int = DEFAULT_BITS
 
     dim = 2
-
-    @cached_property
-    def exact(self) -> bool:
-        return self.alpha.is_rational
-
-    @cached_property
-    def _params(self) -> Tuple[Fraction, ...]:
-        return (self._value(self.alpha),)
+    specs = property(lambda self: (self.alpha,))
 
     def iterate(self, p: Point, n: int) -> Point:
         m = self._modulus(p)
@@ -378,14 +372,7 @@ class HeisenbergNil(_System):
     bits: int = DEFAULT_BITS
 
     dim = 3
-
-    @cached_property
-    def exact(self) -> bool:
-        return self.alpha.is_rational and self.beta.is_rational
-
-    @cached_property
-    def _params(self) -> Tuple[Fraction, ...]:
-        return self._value(self.alpha), self._value(self.beta)
+    specs = property(lambda self: (self.alpha, self.beta))
 
     def _modulus(self, *points: Point) -> int:
         m = super()._modulus(*points)

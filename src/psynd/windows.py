@@ -21,10 +21,9 @@ pure function, safe to call concurrently.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress, product, repeat, starmap
-from operator import or_
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import bitops
@@ -72,7 +71,7 @@ class WindowSet:
 
     @classmethod
     def full(cls, lo: int, hi: int) -> "WindowSet":
-        return cls(lo, hi, bitops.mask_of(hi - lo + 1))
+        return cls(lo, hi, bitops.mask_of(cls(lo, hi).width))
 
     @classmethod
     def empty(cls, lo: int, hi: int) -> "WindowSet":
@@ -217,8 +216,9 @@ class GridSet:
         """Store the box and its columns, given one mask per row (over the
         n-range, then transposed) or per column; ValueError on a bad shape."""
         mlo, mhi, nlo, nhi = box
-        if mlo > mhi or nlo > nhi:
-            raise ValueError("empty box")
+        for name, a, b in (("m", mlo, mhi), ("n", nlo, nhi)):
+            if a > b:
+                raise ValueError(f"empty box: {name}lo={a} > {name}hi={b}")
         count, width = mhi - mlo + 1, nhi - nlo + 1
         if kind == "column":
             count, width = width, count
@@ -505,7 +505,8 @@ def column_dilations(
     column j is set when a member lies in [i, i+b1] x [j, j+b2].  Every
     column is smeared over the rows once; each step b2 -> b2+1 then ORs one
     smeared column into each column.  When ``valid`` columns are given, each
-    yielded dilation is ANDed with them.
+    yielded dilation is ANDed with them.  The last one yielded is the
+    dilation by [0,b1]x[0,b2_top], read alone by ``deque(..., maxlen=1)``.
     """
     if b1 < 0 or b2_top < 0:
         raise BadBoundError("shift bounds must be >= 0")
@@ -560,8 +561,7 @@ def pws_witness_2d(
     if b2_cap < 0:
         return None
     for b1 in range(0, b1_cap + 1):
-        for widest in column_dilations(e.cols, e.m_width, b1, b2_cap):
-            pass
+        (widest,) = deque(column_dilations(e.cols, e.m_width, b1, b2_cap), maxlen=1)
         if _first_rect(widest, w, h) is None:
             continue
         for b2, dilated in enumerate(column_dilations(e.cols, e.m_width, b1, b2_cap)):
@@ -632,26 +632,26 @@ def syndetic_2d_certificate(
     e: GridSet, l_bound: int
 ) -> Union[Syndetic2DCert, Syndetic2DRefutation]:
     """Certify that every point of the L-shrunk box lies in ``e + [-L, L]^2``,
-    or refute it at the first uncovered (m, n), lowest m, then lowest n."""
+    or refute it at the first uncovered (m, n), lowest m, then lowest n.
+
+    (m, n) is covered when a member lies in [m-L, m+L] x [n-L, n+L], that is,
+    when the dilation by [0,2L]^2 holds (m-L, n-L): that dilation, read at
+    offset (L, L), is the cover of the shrunk box, bit for bit.
+    """
     if l_bound < 0:
         raise BadBoundError("L must be >= 0")
     mlo, mhi = e.mlo + l_bound, e.mhi - l_bound
     nlo, nhi = e.nlo + l_bound, e.nhi - l_bound
     if mlo > mhi or nlo > nhi:
         return Syndetic2DCert(l_bound=l_bound, checked_box=(mlo, mhi, nlo, nhi))
-    # (m,n) in E + [-L,L]^2  iff  some member in [m-L,m+L] x [n-L,n+L]:
-    # smearing the left-shifted column by 2L realizes the two-sided dilation
-    keep = bitops.mask_of(e.m_width)
-    two_sided = [bitops.smear_down(c << l_bound, 2 * l_bound) & keep for c in e.cols]
-    want = bitops.mask_of(mhi - mlo + 1) << l_bound
+    (cover,) = deque(column_dilations(e.cols, e.m_width, 2 * l_bound, 2 * l_bound), maxlen=1)
+    full = bitops.mask_of(mhi - mlo + 1)
     firsts = [  # (m, n) offsets of the lowest uncovered point of each column
-        (bitops.lowest_set_bit(missing), j)
-        for j in range(l_bound, nhi - e.nlo + 1)
-        if (missing := want & ~reduce(or_, two_sided[j - l_bound : j + l_bound + 1]))
+        (bitops.lowest_set_bit(missing), j) for j, c in enumerate(cover) if (missing := c ^ full)
     ]
     if firsts:
         i, j = min(firsts)
-        return Syndetic2DRefutation(l_bound=l_bound, point=(e.mlo + i, e.nlo + j))
+        return Syndetic2DRefutation(l_bound=l_bound, point=(mlo + i, nlo + j))
     return Syndetic2DCert(l_bound=l_bound, checked_box=(mlo, mhi, nlo, nhi))
 
 

@@ -270,6 +270,12 @@ def test_nilcheck_windows_match_direct_return_sets(tmp_path):
         assert report["results"]["max_gap"][str(w)] == (max_gap(rs) if rs.count() else None)
 
 
+def test_nilcheck_reports_the_config_seed(tmp_path):
+    # main reads the seed, so the defaults that nilcheck fills in leave it read
+    code, report, _ = run(tmp_path, "nilcheck", {"seed": 5, "windows": [100]})
+    assert (code, report["seed"], report["experiment"]) == (0, 5, "nilcheck")
+
+
 def test_nilcheck_no_windows(tmp_path):
     code, report, _ = run(tmp_path, "nilcheck", {"windows": []})
     assert code == 0
@@ -509,6 +515,19 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
                        "window": [-50, 50]}),
           ("induced", {"system": {"type": "rotation", "alpha": "1/7"}}),
           ("nilcheck", {})]],
+    # an inverted window or box names its range; a negative N has no patch [-N, N]
+    *[pytest.param("analyze", {"set": {**source, "window": [5, 2]}}, "empty window: lo=5 > hi=2",
+                   id=f"analyze-inverted window-{source['kind']}")
+      for source in [{"kind": "sturmian", "alpha": "golden"}, MOD3, {"kind": "full"},
+                     {"kind": "random_thick_syndetic"}]],
+    *[pytest.param(command, {"set": MOD3, "family": ["n"], "box": box}, message,
+                   id=f"{command}-inverted box {box}")
+      for command in ("thma", "thmb")
+      for box, message in [([10, 0, 0, 3], "empty box: mlo=10 > mhi=0"),
+                           ([0, 3, 2, -2], "empty box: nlo=2 > nhi=-2")]],
+    pytest.param("thmb", {"set": MOD3, "family": ["n^2"], "target": MOD3,
+                          "targets": {"N_values": [-3, 2]}},
+                 "bad N_values [-3, 2]: a list of integers >= 0", id="thmb-negative N"),
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""

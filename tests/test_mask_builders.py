@@ -397,6 +397,18 @@ def test_random_thick_syndetic_matches_old(window, seed):
     assert rng_new.getstate() == rng_old.getstate()  # the same draws, in the same order
 
 
+@pytest.mark.parametrize("build", [
+    WindowSet.full, WindowSet.empty,
+    lambda lo, hi: sturmian_window("golden", lo, hi),
+    lambda lo, hi: congruence_window(3, [0], lo, hi),
+    lambda lo, hi: random_thick_syndetic(lo, hi, random.Random(0)),
+], ids=["full", "empty", "sturmian", "congruence", "random_thick_syndetic"])
+def test_set_builders_refuse_an_inverted_window(build):
+    # the constructor's message, before anything is allocated
+    with pytest.raises(ValueError, match=r"^empty window: lo=5 > hi=2$"):
+        build(5, 2)
+
+
 # -- the cover check -------------------------------------------------------
 
 

@@ -109,6 +109,10 @@ def test_combinatorial_full_window():
     s = WindowSet.full(-40, 40)
     members, validity = combinatorial_set_2d(s, PolyFamily.parse(["n"]), (-10, 10, -5, 5))
     assert members == validity
+    # no polynomial: the condition is vacuous, so both are the whole box
+    for s in (s, WindowSet.empty(100, 200)):
+        box = (-10, 10, -5, 5)
+        assert combinatorial_set_2d(s, PolyFamily(()), box) == (GridSet.full(box),) * 2
 
 
 def test_combinatorial_parity_case():
@@ -164,6 +168,11 @@ def test_shift_cover_trivial_cases():
     assert shift_cover_search(evens, PolyFamily.parse(["2n", "4n"]), evens, 10) == 0
     with pytest.raises(EmptySetError):
         shift_cover_search(full, fam, WindowSet.empty(-5, 5), 5)
+    # no polynomial: every a covers vacuously, and 0 is the nearest
+    none = PolyFamily(())
+    assert shift_cover_search(WindowSet.empty(40, 50), none, WindowSet.full(-5, 5), 5) == 0
+    with pytest.raises(EmptySetError):
+        shift_cover_search(full, none, WindowSet.empty(-5, 5), 5)
 
 
 def test_shift_cover_prefers_smallest_magnitude():
