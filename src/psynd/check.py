@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache, reduce
-from itertools import islice
-from operator import or_, sub
+from operator import or_
 from typing import ClassVar, Dict, Optional, Tuple, get_args, get_origin, get_type_hints
 
-from .bitops import iter_bits, lowest_set_bit, mask_of
+from .bitops import lowest_set_bit, mask_of
 from .errors import take
 
 CERT_TYPES: Dict[str, type] = {}  # type tag -> certificate class
@@ -157,22 +156,36 @@ def _covered(mask: int, base: int, lo: int, hi: int, w0: int, w1: int) -> bool:
     Every positive certificate is such a claim.  Member p serves [p-w1, p-w0],
     so only the members p_1 < ... < p_k in [lo+w0, hi+w1] serve [lo, hi], and
     they cover it iff p_1 - w1 <= lo, p_k - w0 >= hi and no gap p_{j+1} - p_j
-    exceeds w1 - w0 + 1.  Such gaps make the intervals meet.  A larger gap
+    exceeds g = w1 - w0 + 1.  Such gaps make the intervals meet.  A larger gap
     leaves the hole [p_j - w0 + 1, p_{j+1} - w1 - 1], served by no member,
     whose start lies in [lo, hi]: above lo as p_j >= lo + w0, and not above
     the hole's end, which p_{j+1} <= hi + w1 puts below hi.  With w1 < w0
-    the test fails: p - w1 <= lo <= hi <= p - w0 is impossible, and two
-    members differ by more than w1 - w0 + 1 <= 0.
+    the test fails: p - w1 <= lo <= hi <= p - w0 is impossible.
+
+    A gap above g is a run of g non-members between p_1 and p_k.  The test
+    looks for one in the complement of the members, where bit i is set when
+    i starts a run of k non-members: ANDing it with itself shifted by k
+    doubles k while 2k <= g, and one last shift by g - k reaches g.
     """
     if lo > hi:
         return True
+    g = w1 - w0 + 1
     # the scan ends at the highest member, so a forged bound costs no more than the set
     a, b = max(lo + w0, base), min(hi + w1, base + mask.bit_length() - 1)
-    if a > b:
+    if g < 1 or a > b:
         return False
-    ps = list(iter_bits(mask >> (a - base) & mask_of(b - a + 1), a))
-    return (bool(ps) and ps[0] - w1 <= lo and ps[-1] - w0 >= hi
-            and max(map(sub, islice(ps, 1, None), ps), default=0) <= w1 - w0 + 1)
+    seg = mask >> (a - base) & mask_of(b - a + 1)
+    if not seg:
+        return False
+    first = lowest_set_bit(seg)
+    seg >>= first
+    if a + first - w1 > lo or a + first + seg.bit_length() - 1 - w0 < hi:
+        return False
+    run, k = seg ^ mask_of(seg.bit_length()), 1
+    while run and 2 * k <= g:
+        run &= run >> k
+        k *= 2
+    return not run & run >> (g - k)
 
 
 def _covered_2d(e, region: Tuple[int, int, int, int], i0: int, i1: int, j0: int, j1: int) -> bool:
@@ -189,9 +202,9 @@ def _covered_2d(e, region: Tuple[int, int, int, int], i0: int, i1: int, j0: int,
 
 
 def verify_syndetic(s, cert: SyndeticCert) -> bool:
-    """Each x in [lo, hi-N+1] has a member in [x, x+N-1]."""
+    """N >= 1 and each x in [lo, hi-N+1] has a member in [x, x+N-1]."""
     (lo, hi), n = cert.checked_interval, cert.gap_bound
-    return _covered(s.mask, s.lo, lo, hi - n + 1, 0, n - 1)
+    return n >= 1 and _covered(s.mask, s.lo, lo, hi - n + 1, 0, n - 1)
 
 
 def verify_pws(s, cert: PwsCert) -> bool:
@@ -233,9 +246,9 @@ def verify_pws_2d(e, cert: PwsCert2D) -> bool:
 
 
 def verify_syndetic_2d(e, cert: Syndetic2DCert) -> bool:
-    """Each point of the checked box has a member in +[-L, L]^2."""
+    """L >= 0 and each point of the checked box has a member in +[-L, L]^2."""
     l_bound = cert.l_bound
-    return _covered_2d(e, cert.checked_box, -l_bound, l_bound, -l_bound, l_bound)
+    return l_bound >= 0 and _covered_2d(e, cert.checked_box, -l_bound, l_bound, -l_bound, l_bound)
 
 
 def verify_syndetic_2d_refutation(e, cert: Syndetic2DRefutation) -> bool:

@@ -234,14 +234,16 @@ class GridSet:
     def from_members(
         cls, box: Tuple[int, int, int, int], members: Iterable[Tuple[int, int]]
     ) -> "GridSet":
-        """The set of ``members``, set one selector byte per cell, column by column."""
+        """The set of ``members``, set one selector byte per cell, column by column;
+        ``start[n - nlo] + m`` is the byte of cell (m, n)."""
         mlo, mhi, nlo, nhi = box
         h = mhi - mlo + 1
         sel = bytearray(max(0, h * (nhi - nlo + 1)))
+        start = [j * h - mlo for j in range(nhi - nlo + 1)]
         for m, n in members:
             if not (mlo <= m <= mhi and nlo <= n <= nhi):
                 raise ValueError(f"member {(m, n)} outside box")
-            sel[(n - nlo) * h + m - mlo] = 1
+            sel[start[n - nlo] + m] = 1
         return cls._from_cols(box, [bitops.from_selectors(sel[j * h : j * h + h])
                                     for j in range(nhi - nlo + 1)])
 

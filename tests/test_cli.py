@@ -613,13 +613,30 @@ def test_verify_checks_every_certificate_type(tmp_path, capsys, kind):
      "FAIL"),
     # an empty m-range claims nothing, however long the n-range
     (STRIPES, {"type": "syndetic2d", "l_bound": 1, "checked_box": [5, 4, 0, 10**12]}, "ok"),
+    # a true claim with g = 10**30: the hole ladder stops once no run is left, after
+    # about log2 of the set's width rounds
+    (GOLDEN,
+     {"type": "syndetic", "gap_bound": 10**30, "checked_interval": [2001 - 10**30, 10**30]}, "ok"),
 ], ids=["syndetic", "syndetic-huge", "thick", "thick-huge", "syndetic2d-m", "syndetic2d-n",
-        "syndetic2d-vacuous"])
+        "syndetic2d-vacuous", "syndetic-huge-gap"])
 def test_verify_forged_far_bounds_cost_no_more_than_the_set(tmp_path, capsys, the_set, cert,
                                                              verdict):
     # bounds far outside the set are read, not scanned: no huge mask, no long loop
     assert verify_report(tmp_path, the_set, cert) == (verdict == "FAIL")
     assert capsys.readouterr().out == f"{cert['type']}: {verdict}\n"
+
+
+@pytest.mark.parametrize("the_set, cert", [
+    # the checked interval psynd analyze writes for N = 8 on the golden window [0, 9]
+    (GOLDEN, {"type": "syndetic", "gap_bound": -3, "checked_interval": [8, 1]}),
+    (STRIPES, {"type": "syndetic2d", "l_bound": -1, "checked_box": [2, 1, 2, 1]}),
+], ids=["syndetic-gap-below-1", "syndetic2d-l-below-0"])
+def test_verify_refuses_bounds_that_detection_refuses(tmp_path, capsys, the_set, cert):
+    # detection raises BadBoundError for N < 1 and L < 0, so a certificate with
+    # such a bound fails, also where its checked region is empty
+    assert verify_report(tmp_path, the_set, cert) == 1
+    assert capsys.readouterr().out == f"{cert['type']}: FAIL\n"
+
 
 def test_verify_genuine_reports_skip_nothing(tmp_path, capsys):
     # a refuted N in analyze, and a thma witness: every certificate is checked

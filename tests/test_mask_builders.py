@@ -412,9 +412,11 @@ def test_set_builders_refuse_an_inverted_window(build):
 # -- the cover check -------------------------------------------------------
 
 
-@given(windows(widths=(1, 2, 3, 64, 300)), st.floats(0, 1), st.integers(0, 2**32), st.data())
+@given(windows(widths=(1, 2, 3, 64, 300, 4301)), st.floats(0, 1), st.integers(0, 2**32), st.data())
 @settings(max_examples=300, deadline=None)
 def test_covered_matches_the_member_walk(window, density, seed, data):
+    # g = w1 - w0 + 1 up to 71: every doubling round of the hole ladder, and its
+    # last shift by g - k when g is not a power of two
     lo, hi = window
     rng = random.Random(seed)
     s = WindowSet.from_members(lo, hi, [n for n in range(lo, hi + 1) if rng.random() < density])
@@ -422,7 +424,7 @@ def test_covered_matches_the_member_walk(window, density, seed, data):
     a = data.draw(st.integers(lo - 20, hi + 20))
     b = data.draw(st.integers(a - 3, hi + 25))
     w0 = data.draw(st.integers(-8, 8))
-    w1 = data.draw(st.integers(w0 - 3, w0 + 12))  # w1 < w0 included
+    w1 = data.draw(st.integers(w0 - 3, w0 + 70))  # w1 < w0 included
     assert _covered(s.mask, s.lo, a, b, w0, w1) == old_covered(s, a, b, w0, w1)
 
 

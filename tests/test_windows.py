@@ -110,7 +110,7 @@ def naive_verdict(s, cert):
     if isinstance(cert, SyndeticCert):
         lo, hi = cert.checked_interval
         n = cert.gap_bound
-        return all(any((i + j) in s for j in range(n)) for i in range(lo, hi - n + 2))
+        return n >= 1 and all(any((i + j) in s for j in range(n)) for i in range(lo, hi - n + 2))
     if isinstance(cert, PwsCert):
         b = cert.shift_bound
         start, length = cert.interval
@@ -141,7 +141,7 @@ def naive_verdict(s, cert):
     near = range(-cert.l_bound, cert.l_bound + 1)
     if isinstance(cert, Syndetic2DCert):
         mlo, mhi, nlo, nhi = cert.checked_box
-        return all(
+        return cert.l_bound >= 0 and all(
             any((m + i, n + j) in s for i in near for j in near)
             for m in range(mlo, mhi + 1)
             for n in range(nlo, nhi + 1)
