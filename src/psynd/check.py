@@ -191,13 +191,17 @@ def _covered(mask: int, base: int, lo: int, hi: int, w0: int, w1: int) -> bool:
 def _covered_2d(e, region: Tuple[int, int, int, int], i0: int, i1: int, j0: int, j1: int) -> bool:
     """True when every (m, n) in ``region`` has a member in [m+i0, m+i1] x [n+j0, n+j1]:
     for each n, the OR of columns n+j0..n+j1 covers the m-range as ``_covered``.
-    An empty m-range is covered at once, whatever the n-range's length."""
+    An empty region is covered at once.  n's slice of the columns differs from
+    n - 1's only where n + j0 - first or n + j1 - first + 1 is in [1, len(cols)],
+    so nlo and those n stand for every n, however long the n-range."""
     mlo, mhi, nlo, nhi = region
     base, _, first, _ = e.box
-    return mlo > mhi or all(
+    ns = {nlo}.union(*(range(max(nlo, d), min(nhi + 1, d + len(e.cols)))
+                       for d in (first - j0 + 1, first - j1)))
+    return mlo > mhi or nlo > nhi or all(
         _covered(reduce(or_, e.cols[max(n + j0 - first, 0) : max(n + j1 - first + 1, 0)], 0),
                  base, mlo, mhi, i0, i1)
-        for n in range(nlo, nhi + 1)
+        for n in ns
     )
 
 

@@ -17,15 +17,15 @@ parameter and point alike, is the declared approximant
 ``_value`` is the one place where a real becomes a value, and
 ``_modulus`` the one place where the scale of the arithmetic is chosen.
 
-Both ``iterate`` and the ball predicate ``hit_indices(x, center, eps, times)``,
-which gives the i with ``T^{times[i]} x in B(center, eps)`` over a whole list,
-scale the values to integers at one modulus M and apply the same
-floored-product formulas there: M is 2^bits on a named-constant system,
-and on a rational one the lcm of the denominators of the parameters and
-of the points (its square for the Heisenberg group, so that
-``(u * v) // M`` is exact).  Every result is therefore exact, and the
-same on every machine.  eps becomes one integer half-width L, the
-largest integer below eps * M, so a circle test is
+Both ``iterate`` and the ball predicate ``hit_indices(x, center, eps, times,
+near)``, which gives the positions i of ``near`` (every position of ``times``
+when None) with ``T^{times[i]} x in B(center, eps)``, scale the values to
+integers at one modulus M and apply the same floored-product formulas
+there: M is 2^bits on a named-constant system, and on a rational one the lcm
+of the denominators of the parameters and of the points (its square for the
+Heisenberg group, so that ``(u * v) // M`` is exact).  Every result is
+therefore exact, and the same on every machine.  eps becomes one integer
+half-width L, the largest integer below eps * M, so a circle test is
 ``((x - c + L) + t * s) % M <= 2 * L`` (``& (M - 1)`` when M = 2^bits), and
 on a ``range`` of times the first one is walked hit by hit (``_walk``).
 ``arc_mask`` decides one arc over a whole window instead, as one mask tiled in
@@ -38,11 +38,10 @@ while ``scan``'s 4096-time chunks of the sqrt2 rotation at eps 1/10 on
 subshift builds, over the letters of x near the requested times, the mask of
 the times whose letters agree with the center's out to the radius eps asks
 for, and reads each time off it as one bit.  ``hit_indices`` is the one ball
-predicate: it gives the indices of the times that hit, and ``in_ball`` is
-``hit_indices`` at the single time 0.
+predicate: positions in, the positions that hit out, down to ``_on_arc``.
 
-``scan``, the one loop over return times, filters the times wanted through
-ordered (center, times) pairs and tiles one ``fold_period``; the 1D and
+``scan``, the one loop over return times, hands each (center, times) pair the
+positions the pairs before it kept, and tiles one ``fold_period``; the 1D and
 recurrence sets name the pairs, and the planar set the times its cells reach.
 
 All system and point values are immutable; methods are pure functions.
@@ -268,10 +267,6 @@ class _System:
             return self.make_point([Fraction(int(c, 16), 1 << self.bits) for c in fixed])
         return self.make_point(take(obj, "coords", [str], parse=parse_real))
 
-    def in_ball(self, a: Point, c: Point, eps) -> bool:
-        """Strict ball test of one point: ``hit_indices`` at time 0."""
-        return bool(self.hit_indices(a, c, eps, [0]))
-
     def point_distance(self, a: Point, c: Point) -> Fraction:
         """Sup over the coordinates of the circle distance."""
         m = self._modulus(a, c)
@@ -297,11 +292,11 @@ class TorusRotation(_System):
         scaled = zip(self._scaled(x.coords, m), self._scaled(self._params, m))
         return _unscaled([u + n * s for u, s in scaled], m)
 
-    def hit_indices(self, x: Point, center: Point, eps, times: Sequence[int]) -> List[int]:
-        """The i with T^{times[i]} x in B(center, eps), coordinate by coordinate."""
+    def hit_indices(self, x: Point, center: Point, eps, times: Sequence[int],
+                    near=None) -> List[int]:
+        """The i of ``near`` with T^{times[i]} x in B(center, eps), coordinate by coordinate."""
         m = self._modulus(x, center)
         half = _below(eps, m)
-        near = None
         for u, c, s in zip(
             self._scaled(x.coords, m), self._scaled(center.coords, m), self._scaled(self._params, m)
         ):
@@ -335,20 +330,21 @@ class SkewProduct(_System):
         (a,) = self._scaled(self._params, m)
         return _unscaled([x + n * a, y + n * x + n * (n - 1) // 2 * a], m)
 
-    def hit_indices(self, p: Point, center: Point, eps, times: Sequence[int]) -> List[int]:
-        """The i with T^{times[i]} p in B(center, eps): x by ``_on_arc``, then y."""
+    def hit_indices(self, p: Point, center: Point, eps, times: Sequence[int],
+                    near=None) -> List[int]:
+        """The i of ``near`` with T^{times[i]} p in B(center, eps): x by ``_on_arc``, then y."""
         m = self._modulus(p, center)
         half = _below(eps, m)
         width = 2 * half
         x, y = self._scaled(p.coords, m)
         c1, c2 = self._scaled(center.coords, m)
         (a,) = self._scaled(self._params, m)
-        near = [(i, times[i]) for i in _on_arc(x - c1 + half, a, width, m, times)]
-        b2 = y - c2 + half
-        if m & (m - 1):
-            return [i for i, t in near if (b2 + t * x + t * (t - 1) // 2 * a) % m <= width]
-        mask = m - 1
-        return [i for i, t in near if (b2 + t * x + t * (t - 1) // 2 * a) & mask <= width]
+        b2, mask = y - c2 + half, m - 1
+        ys = ((i, b2 + (t := times[i]) * x + t * (t - 1) // 2 * a)
+              for i in _on_arc(x - c1 + half, a, width, m, times, near))
+        if m & mask:
+            return [i for i, v in ys if v % m <= width]
+        return [i for i, v in ys if v & mask <= width]
 
     def to_json_obj(self) -> dict:
         return {"type": "skew", "alpha": str(self.alpha), "bits": self.bits}
@@ -419,12 +415,13 @@ class HeisenbergNil(_System):
         return min((dy + m) ** 2 + ((dz + c1) % m - h) ** 2, dy * dy + (dz % m - h) ** 2,
                    (dy - m) ** 2 + ((dz - c1) % m - h) ** 2)
 
-    def hit_indices(self, p: Point, center: Point, eps, times: Sequence[int]) -> List[int]:
-        """The i with T^{times[i]} p in B(center, eps), the neighbourhood of ``_fiber``.
+    def hit_indices(self, p: Point, center: Point, eps, times: Sequence[int],
+                    near=None) -> List[int]:
+        """The i of ``near`` with T^{times[i]} p in B(center, eps), ``_fiber``'s neighbourhood.
 
         The circle distances d1 in x and dy in y bound its distance from
         below, so the circle tests in x and then y (``_on_arc``) reject over
-        the whole time list first.  For eps <= 1/2 (limit < (m/2)^2) only the
+        the positions first.  For eps <= 1/2 (limit < (m/2)^2) only the
         translate q nearest in y can be in the ball, so at m = 2^bits each time
         left spends the budget limit - d1^2 - dy^2, is rejected when that is
         negative, and only then computes z: it hits when the squared
@@ -437,7 +434,7 @@ class HeisenbergNil(_System):
         x, y, z = self._scaled(p.coords, m)
         c1, c2, c3 = self._scaled(center.coords, m)
         a, b = self._scaled(self._params, m)
-        near = _on_arc(x - c1 + half, a, 2 * half, m, times)
+        near = _on_arc(x - c1 + half, a, 2 * half, m, times, near)
         near = _on_arc(y - c2 + half, b, 2 * half, m, times, near)
         height, h, out = self._height(y, z, a, b, m), m // 2, []
         if m & (m - 1) or limit >= h * h:
@@ -510,8 +507,6 @@ class IndicatorSubshift:
             raise ConfigError(f"bad word {word!r}: {hi - lo + 1} letters 0/1")
         return WindowSet(lo, hi, int("0" + word[::-1], 2))
 
-    in_ball = _System.in_ball
-
     def iterate(self, w: WindowSet, n: int) -> WindowSet:
         if not w.lo <= n <= w.hi:
             raise WindowExhaustedError(
@@ -519,14 +514,16 @@ class IndicatorSubshift:
             )
         return w.shift(-n)
 
-    def hit_indices(self, x: WindowSet, center: WindowSet, eps, times: Sequence[int]) -> List[int]:
-        """The i with T^{times[i]} x in B(center, eps), read off two masks over w,
-        the letters of x within the radius R of the times; letter i of T^t x
-        is letter t + i of x.  Rank by rank, in the order 0, 1, -1, ..., R, -R,
+    def hit_indices(self, x: WindowSet, center: WindowSet, eps, times: Sequence[int],
+                    near=None) -> List[int]:
+        """The i of ``near`` with T^{times[i]} x in B(center, eps), read off two masks
+        over w, the letters of x within the radius R of all the times (those
+        outside ``near`` widen w, but change no decision); letter i of T^t x is
+        letter t + i of x.  Rank by rank, in the order 0, 1, -1, ..., R, -R,
         a time leaves ``agree`` where its letters at the rank differ, and moves
         to ``stuck`` where x or the center has no letter there before any
         disagreement.  ``agree`` after rank R is the ball.  The first time in
-        list order that lies outside x's window, or is stuck, raises.
+        ``near`` that lies outside x's window, or is stuck, raises.
         """
         e = _epsilon(eps)
         # largest R with 1/(R+1) >= eps, -1 when no disagreement refutes the ball
@@ -550,7 +547,8 @@ class IndicatorSubshift:
         top = 1 << width
         yes, short = bitops.bit_selectors(agree | top), bitops.bit_selectors(stuck | top)
         out = []
-        for i, t in enumerate(times):
+        for i in range(len(times)) if near is None else near:
+            t = times[i]
             if not x.lo <= t <= x.hi:
                 self.iterate(x, t)  # raises: T^t x has no letter at 0
             if short[t - w.lo]:
@@ -585,7 +583,7 @@ class IndicatorSubshift:
 SystemSpec = Union[TorusRotation, SkewProduct, HeisenbergNil, IndicatorSubshift]
 
 
-CHUNK = 4096  # times per ``hit_indices`` call; bounds the memory of one batch
+CHUNK = 4096  # times per chunk, one ``hit_indices`` call per pair; bounds a position list
 
 
 def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=None,
@@ -594,11 +592,12 @@ def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=Non
     ``want``, every n if None) and every (center, times) pair of
     ``conds(start, size)`` puts T^{times[n - start]} x in B(center, eps).
 
-    Chunk by chunk ([start, start + size), at most CHUNK integers) the
-    offsets wanted are filtered pair by pair, so a pair is decided at n only
-    when n is wanted and every earlier pair kept n; while all are alive, a
-    pair's hits (walked on a ``range``) are the offsets alive.  With a period
-    P <= hi - lo, only the residues wanted of [lo, lo + P) are decided, and tiled.
+    Chunk by chunk ([start, start + size), at most CHUNK integers) each pair's
+    ``hit_indices`` is handed the offsets still alive, and gives back those of
+    them that hit: a pair is decided at n only when n is wanted and every
+    earlier pair kept n.  None stands for every offset, so a pair asked about a
+    whole chunk walks its ``range``.  With a period P <= hi - lo, only the
+    residues wanted of [lo, lo + P) are decided, and tiled.
     """
     tiled = period is not None and period <= hi - lo
     top = lo + period - 1 if tiled else hi
@@ -610,17 +609,13 @@ def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=Non
         size = min(CHUNK, top + 1 - start)
         full = bitops.mask_of(size)
         wanted = full if want is None else (want >> (start - lo)) & full
-        alive = range(size) if wanted == full else list(bitops.iter_bits(wanted))
-        for center, times in conds(start, size) if alive else ():
-            if len(alive) < size:
-                found = sys.hit_indices(x, center, eps, [times[i] for i in alive])
-                alive = [alive[i] for i in found]
-            else:  # alive[i] == i
-                alive = sys.hit_indices(x, center, eps, times)
+        alive = None if wanted == full else list(bitops.iter_bits(wanted))
+        for center, times in conds(start, size) if wanted else ():
+            alive = sys.hit_indices(x, center, eps, times, alive)
             if not alive:
                 break
         sel = bytearray(size)
-        for i in alive:
+        for i in range(size) if alive is None else alive:  # None: no pair was asked
             sel[i] = 1
         mask |= bitops.from_selectors(sel) << (start - lo)
     return bitops.tile_mask(mask, period, hi - lo + 1) if tiled else mask

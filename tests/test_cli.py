@@ -617,8 +617,12 @@ def test_verify_checks_every_certificate_type(tmp_path, capsys, kind):
     # about log2 of the set's width rounds
     (GOLDEN,
      {"type": "syndetic", "gap_bound": 10**30, "checked_interval": [2001 - 10**30, 10**30]}, "ok"),
+    # a true planar claim over 2e12 + 1 values of n: the slice of columns that n's
+    # window takes moves only for n near the box, so O(columns) of them are checked
+    (STRIPES, {"type": "syndetic2d", "l_bound": 10**30, "checked_box": [0, 0, -10**12, 10**12]},
+     "ok"),
 ], ids=["syndetic", "syndetic-huge", "thick", "thick-huge", "syndetic2d-m", "syndetic2d-n",
-        "syndetic2d-vacuous", "syndetic-huge-gap"])
+        "syndetic2d-vacuous", "syndetic-huge-gap", "syndetic2d-huge-l"])
 def test_verify_forged_far_bounds_cost_no_more_than_the_set(tmp_path, capsys, the_set, cert,
                                                              verdict):
     # bounds far outside the set are read, not scanned: no huge mask, no long loop

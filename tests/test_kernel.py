@@ -18,6 +18,7 @@ replaced, is kept verbatim as ``model_rational_rotation_oracle``.
 """
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
@@ -410,8 +411,86 @@ def test_hits_matches_per_point_ball_test(query, times):
     orbit = [oracle_iterate(sys, ox, t) for t in times]
     assert [old_form(sys, sys.iterate(x, t)) for t in times] == orbit
     assert hits(sys, x, center, eps, times) == [oracle_in_ball(sys, p, oc, eps) for p in orbit]
-    assert sys.in_ball(x, center, eps) == oracle_in_ball(sys, ox, oc, eps)
+    assert hits(sys, x, center, eps, [0]) == [oracle_in_ball(sys, ox, oc, eps)]
     assert sys.point_distance(x, center) == oracle_point_distance(sys, ox, oc)
+
+
+TIME_POLYS = [parse_polynomial(t) for t in ["n^2", "n^3+n", "2n", "n^2-3n"]]
+
+
+@st.composite
+def time_lists(draw, spread: int, most: int):
+    """Up to ``most`` times: a ``range`` of step +-1 or +-3 from within +-spread,
+    or a list of polynomial values; empty ones included."""
+    count = draw(st.integers(0, most))
+    if draw(st.booleans()):
+        start, step = draw(st.integers(-spread, spread)), draw(st.sampled_from([1, -1, 3, -3]))
+        return range(start, start + step * count, step)
+    lo = draw(st.integers(-isqrt(spread), isqrt(spread)))
+    return draw(st.sampled_from(TIME_POLYS)).values(lo, count)
+
+
+@st.composite
+def positions(draw, count: int):
+    """A sorted subset of range(count): empty, full or sparse."""
+    how = draw(st.sampled_from(["empty", "full", "sparse"]))
+    if how != "sparse":
+        return list(range(count)) if how == "full" else []
+    keep = random.Random(draw(st.integers(0, 2**32))).random
+    density = draw(st.sampled_from([0.05, 0.3, 0.9]))
+    return [i for i in range(count) if keep() < density]
+
+
+@given(queries(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_hit_indices_keeps_the_hits_among_the_positions_handed(query, data):
+    # ranges walk when handed every position, and are tested time by time otherwise
+    sys, x, center, eps = query
+    times = data.draw(time_lists(10**12, 300))
+    near = data.draw(positions(len(times)))
+    every = set(sys.hit_indices(x, center, eps, times))
+    assert sys.hit_indices(x, center, eps, times, near) == [i for i in near if i in every]
+
+
+@given(st.integers(0, 2**41 - 1), st.integers(-20, 20),
+       st.sampled_from(EPSILONS + [Fraction(1, 10), Fraction(3, 2)]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_subshift_hit_indices_on_positions_matches_the_gathered_times(bits, shift, eps, data):
+    # the letters of the whole time list widen w but decide nothing: the same
+    # hits as the times at the positions alone, or the same first raise
+    base = WindowSet(-20, 20, bits)
+    if base.is_empty():
+        base = WindowSet(-20, 20, 1 << 20)
+    sys = IndicatorSubshift(base)
+    x = sys.base_point()
+    center = sys.iterate(x, shift)
+    times = data.draw(time_lists(20, 15))
+    near = data.draw(positions(len(times)))
+    try:
+        want = [near[i] for i in sys.hit_indices(x, center, eps, [times[i] for i in near])]
+    except WindowExhaustedError as exc:
+        with pytest.raises(WindowExhaustedError) as raised:
+            sys.hit_indices(x, center, eps, times, near)
+        assert str(raised.value) == str(exc)
+    else:
+        assert sys.hit_indices(x, center, eps, times, near) == want
+
+
+@pytest.mark.parametrize("sys", [
+    TorusRotation((parse_real("sqrt2"),)),
+    TorusRotation((parse_real("1/7"),)),
+    IndicatorSubshift(WindowSet.full(-3, 3)),
+], ids=["sqrt2", "rational", "subshift"])
+def test_empty_family_keeps_the_whole_window_and_box(sys):
+    # no pair is asked: every n of the window, also past one chunk and past a
+    # known part, and every cell of the box, is a member
+    x, none = sys.base_point(), PolyFamily(())
+    win, box = (-CHUNK, CHUNK + 10), (-5, 5, -3, 3)
+    assert return_set_1d(ReturnQuery(sys, x, x, Fraction(1, 5), none, win)) == WindowSet.full(*win)
+    known = WindowSet.full(-10, 10)
+    got = return_set_1d(ReturnQuery(sys, x, x, Fraction(1, 5), none, win), known=known)
+    assert got == WindowSet.full(*win)
+    assert return_set_2d(ReturnQuery(sys, x, x, Fraction(1, 5), none, box)) == GridSet.full(box)
 
 
 def test_heisenberg_ball_takes_the_nearest_translate_in_z():
@@ -422,7 +501,7 @@ def test_heisenberg_ball_takes_the_nearest_translate_in_z():
     a = heis.make_point(["9/10", "19/20", "0"])
     c = heis.make_point(["9/10", "1/20", "19/20"])
     assert heis.point_distance(a, c) == oracle_point_distance(heis, a, c) == 0.0325 ** 0.5
-    assert heis.in_ball(a, c, Fraction(1, 2))
+    assert hits(heis, a, c, Fraction(1, 2), [0]) == [True]
     assert oracle_in_ball(heis, a, c, Fraction(1, 2))
 
 
@@ -992,12 +1071,13 @@ def test_known_window_on_a_subshift(bits, shift, wins, fam, eps):
 
 
 def _asked(monkeypatch, cls) -> list:
-    """Every time list ``cls.hit_indices`` is asked about, from now on."""
+    """Every time list ``cls.hit_indices`` is asked about, from now on: the
+    times at the positions ``near`` it is handed, or all of them."""
     asked, real = [], cls.hit_indices
 
-    def spy(self, x, center, eps, times):
-        asked.append(list(times))
-        return real(self, x, center, eps, times)
+    def spy(self, x, center, eps, times, near=None):
+        asked.append(list(times) if near is None else [times[i] for i in near])
+        return real(self, x, center, eps, times, near)
 
     monkeypatch.setattr(cls, "hit_indices", spy)
     return asked

@@ -11,7 +11,9 @@ import json
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import compress, count
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from psynd import GridSet, WindowSet, bitops
 from psynd.constants import DEFAULT_BITS, parse_real
 from psynd.generators import congruence_window, random_thick_syndetic, sturmian_window
-from psynd.check import _covered
+from psynd.check import _covered, _covered_2d
 
 
 def old_from_positions(positions, width):
@@ -113,6 +115,16 @@ def old_covered(s, lo, hi, w0, w1):
             if x > hi:
                 return True
     return x > hi
+
+
+def old_covered_2d(e, region, i0, i1, j0, j1):
+    mlo, mhi, nlo, nhi = region
+    base, _, first, _ = e.box
+    return mlo > mhi or all(
+        _covered(reduce(or_, e.cols[max(n + j0 - first, 0) : max(n + j1 - first + 1, 0)], 0),
+                 base, mlo, mhi, i0, i1)
+        for n in range(nlo, nhi + 1)
+    )
 
 
 WIDE = 10**6
@@ -440,3 +452,28 @@ def test_covered_edge_cases():
     assert not _covered(s.mask, s.lo, 20, 30, -5, 5)  # no member serves it
     assert _covered(WindowSet.full(0, 4).mask, 0, 0, 4, 0, 0)
     assert not _covered(0, 0, 0, 0, -100, 100)
+
+
+@given(st.integers(-12, 12), st.integers(1, 9), st.integers(-12, 12), st.integers(1, 12),
+       st.sampled_from([0.5, 0.8, 1.0]) | st.floats(0, 1), st.integers(0, 2**32), st.data())
+@settings(max_examples=400, deadline=None)
+def test_covered_2d_matches_the_per_n_loop(mlo, mw, nlo, nh, density, seed, data):
+    # the n that stand for the others: regions inside, across or past the box,
+    # near the edges where a point first has no member in reach, empty in m or
+    # in n, windows with w1 < w0 and the L = -1 of a refutation
+    rng = random.Random(seed)
+    box = (mlo, mlo + mw - 1, nlo, nlo + nh - 1)
+    e = GridSet.from_predicate(box, lambda m, n: rng.random() < density)
+    i0, j0 = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+    i1, j1 = data.draw(st.integers(i0 - 2, i0 + 8)), data.draw(st.integers(j0 - 2, j0 + 8))
+    if data.draw(st.booleans()):
+        ends = [nlo - j1, nlo - j0, box[3] - j1, box[3] - j0]  # where n's slice starts or ends
+        c, d = sorted(data.draw(st.sampled_from(ends)) for _ in range(2))
+        edges = (mlo - i1, box[1] - i0, c, d)
+        region = tuple(data.draw(st.integers(v - 2, v + 2)) for v in edges)
+    else:
+        a = data.draw(st.integers(mlo - 6, mlo + mw + 6))
+        b = data.draw(st.integers(a - 2, mlo + mw + 8))
+        c = data.draw(st.integers(nlo - 30, nlo + nh + 30))
+        region = (a, b, c, data.draw(st.integers(c - 2, nlo + nh + 30)))
+    assert _covered_2d(e, region, i0, i1, j0, j1) == old_covered_2d(e, region, i0, i1, j0, j1)
