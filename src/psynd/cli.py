@@ -296,8 +296,8 @@ def cmd_returns(cfg: dict, rng: random.Random, oracle: bool) -> tuple[dict, int]
     sys_spec = system_from_json_obj(sys_cfg)
     family = _family(cfg)
     x_cfg, center_cfg = take(cfg, "x", dict, None), take(cfg, "center", dict, None)
-    x = sys_spec.base_point() if x_cfg is None else sys_spec.point_from_json(x_cfg)
-    center = x if center_cfg is None else sys_spec.point_from_json(center_cfg)
+    x = sys_spec.base_point() if x_cfg is None else sys_spec.point_from_json(x_cfg, "x")
+    center = x if center_cfg is None else sys_spec.point_from_json(center_cfg, "center")
     eps, eps_f = take(cfg, "epsilon", str), take(cfg, "epsilon", str, parse=Fraction)
     box = take(cfg, "box", [int], None, size=4)
     window = take(cfg, "window", [int], size=2) if box is None else None
@@ -356,7 +356,7 @@ def cmd_induced(cfg: dict, rng: random.Random) -> tuple[dict, int]:
         raise ConfigError(f"bad family {cfg['family']!r}: {exc}") from exc
     core = reduction.core
     x_cfg = take(cfg, "x", dict, None)
-    x = sys_spec.base_point() if x_cfg is None else sys_spec.point_from_json(x_cfg)
+    x = sys_spec.base_point() if x_cfg is None else sys_spec.point_from_json(x_cfg, "x")
     radius = take(cfg, "radius", int, 3, least=0)
     eps = take(cfg, "epsilon", str, "1/10")
     eps_f = take(cfg, "epsilon", str, "1/10", parse=Fraction)

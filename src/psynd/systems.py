@@ -43,15 +43,22 @@ predicate: positions in, the positions that hit out, down to ``_on_arc``.
 ``scan``, the one loop over return times, hands each (center, times) pair the
 positions the pairs before it kept, and tiles one ``fold_period``; the 1D and
 recurrence sets name the pairs, and the planar set the times its cells reach.
+Its chunks are exact decisions, which ``_split`` shares with ``os.fork`` children,
+one per CPU of ``os.sched_getaffinity`` (FORK_CHUNKS chunks each at least): the same
+bits, and the first failing chunk's error, on any number of CPUs.  Serial on one
+CPU (``taskset -c 0``), without ``os.fork``, beside a thread, or if a fork fails.
 
 All system and point values are immutable; methods are pure functions.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain
 from math import factorial, isqrt, lcm
 from operator import xor
@@ -258,13 +265,17 @@ class _System:
         fixed = self._scaled(x.coords, 1 << self.bits)
         return {"coords_fixed": [hex(c) for c in fixed], "bits": self.bits}
 
-    def point_from_json(self, obj: dict) -> Point:
-        """``coords_fixed`` read mod 2^bits at the system's precision, or ``coords`` read mod 1."""
-        if "coords_fixed" in obj:
-            if self.exact or obj.get("bits") != self.bits:
-                raise ConfigError("fixed-point coordinates do not match system precision")
-            fixed = take(obj, "coords_fixed", [str])
-            return self.make_point([Fraction(int(c, 16), 1 << self.bits) for c in fixed])
+    def point_from_json(self, obj: dict, key: str = "point") -> Point:
+        """``coords_fixed`` read mod 2^bits at the system's precision, or ``coords`` read mod 1;
+        a point of the wrong length is refused by the config ``key`` and its strings."""
+        fixed = "coords_fixed" in obj
+        if fixed and (self.exact or obj.get("bits") != self.bits):
+            raise ConfigError("fixed-point coordinates do not match system precision")
+        got = take(obj, "coords_fixed" if fixed else "coords", [str])
+        if len(got) != self.dim:
+            raise ConfigError(f"bad {key} {got!r}: each point has {self.dim} coordinates")
+        if fixed:
+            return self.make_point([Fraction(int(c, 16), 1 << self.bits) for c in got])
         return self.make_point(take(obj, "coords", [str], parse=parse_real))
 
     def point_distance(self, a: Point, c: Point) -> Fraction:
@@ -500,8 +511,8 @@ class IndicatorSubshift:
     def point_to_json(self, w: WindowSet) -> dict:
         return {"word": format(w.mask, f"0{w.width}b")[::-1], "lo": w.lo, "hi": w.hi}
 
-    def point_from_json(self, obj: dict) -> WindowSet:
-        """A word of 0/1 letters on [lo, hi]."""
+    def point_from_json(self, obj: dict, key: str = "point") -> WindowSet:
+        """A word of 0/1 letters on [lo, hi] (``key`` names the point in a config)."""
         word, lo, hi = take(obj, "word", str), take(obj, "lo", int), take(obj, "hi", int)
         if set(word) - {"0", "1"} or len(word) != hi - lo + 1:
             raise ConfigError(f"bad word {word!r}: {hi - lo + 1} letters 0/1")
@@ -584,6 +595,49 @@ SystemSpec = Union[TorusRotation, SkewProduct, HeisenbergNil, IndicatorSubshift]
 
 
 CHUNK = 4096  # times per chunk, one ``hit_indices`` call per pair; bounds a position list
+FORK_CHUNKS = 4  # per forked worker, at least: a fork took 3-4 ms in 25 MiB, a chunk 0.5-1 ms
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _split(decide: Callable[[Sequence[int]], int], starts: Sequence[int]) -> int:
+    """``decide`` ORed over k contiguous slices of ``starts`` (the module docstring)."""
+    k = min(WORKERS, len(starts) // FORK_CHUNKS)
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return decide(starts)  # a fork beside a thread would copy the locks it holds
+    cut = [len(starts) * i // k for i in range(k + 1)]
+    parts, children = [starts[a:b] for a, b in zip(cut, cut[1:])], []  # [pid, read end]
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # this slice is decided here
+                pid = None
+            if pid == 0:  # the child leaves by os._exit only: 0 with its mask sent, else 1
+                try:
+                    with open(w, "wb") as out:
+                        out.write(b"%x" % decide(part))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append([pid, r])
+        mask = decide(parts[0])
+        for child, part in zip(children, parts[1:]):
+            got, (pid, r) = b"", child
+            if pid is not None:
+                got = b"".join(iter(partial(os.read, r, 1 << 16), b""))  # all, then the wait
+                if os.waitpid(pid, 0)[1]:  # the child failed
+                    got = b""
+                child[0] = None  # reaped
+            mask |= int(got, 16) if got else decide(part)  # in order: the serial error
+        return mask
+    finally:
+        for pid, r in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(r)
 
 
 def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=None,
@@ -597,27 +651,31 @@ def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=Non
     them that hit: a pair is decided at n only when n is wanted and every
     earlier pair kept n.  None stands for every offset, so a pair asked about a
     whole chunk walks its ``range``.  With a period P <= hi - lo, only the
-    residues wanted of [lo, lo + P) are decided, and tiled.
+    residues wanted of [lo, lo + P) are decided, over the CPUs, and tiled.
     """
     tiled = period is not None and period <= hi - lo
     top = lo + period - 1 if tiled else hi
     while tiled and want is not None and want >> period:  # fold onto one period, halving
         half = (-(-want.bit_length() // period) + 1) // 2 * period
         want = (want & bitops.mask_of(half)) | (want >> half)
-    mask = 0
-    for start in range(lo, top + 1, CHUNK):
-        size = min(CHUNK, top + 1 - start)
-        full = bitops.mask_of(size)
-        wanted = full if want is None else (want >> (start - lo)) & full
-        alive = None if wanted == full else list(bitops.iter_bits(wanted))
-        for center, times in conds(start, size) if wanted else ():
-            alive = sys.hit_indices(x, center, eps, times, alive)
-            if not alive:
-                break
-        sel = bytearray(size)
-        for i in range(size) if alive is None else alive:  # None: no pair was asked
-            sel[i] = 1
-        mask |= bitops.from_selectors(sel) << (start - lo)
+    def decide(starts: Sequence[int]) -> int:
+        mask = 0
+        for start in starts:
+            size = min(CHUNK, top + 1 - start)
+            full = bitops.mask_of(size)
+            wanted = full if want is None else (want >> (start - lo)) & full
+            alive = None if wanted == full else list(bitops.iter_bits(wanted))
+            for center, times in conds(start, size) if wanted else ():
+                alive = sys.hit_indices(x, center, eps, times, alive)
+                if not alive:
+                    break
+            sel = bytearray(size)
+            for i in range(size) if alive is None else alive:  # None: no pair was asked
+                sel[i] = 1
+            mask |= bitops.from_selectors(sel) << (start - lo)
+        return mask
+
+    mask = _split(decide, range(lo, top + 1, CHUNK))
     return bitops.tile_mask(mask, period, hi - lo + 1) if tiled else mask
 
 
@@ -649,4 +707,6 @@ def system_from_json_obj(obj: dict) -> SystemSpec:
         return SkewProduct(take(obj, "alpha", str, parse=parse_real), bits=bits)
     one = isinstance(obj.get("alpha"), str)  # a 1-torus may give its alpha bare
     alphas = take(obj, "alpha", str if one else [str], parse=parse_real)
+    if not alphas:  # a 0-torus, on which every time would return
+        raise ConfigError("bad alpha []: a string or a list of at least one string")
     return TorusRotation((alphas,) if one else tuple(alphas), bits=bits)

@@ -528,6 +528,11 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
     pytest.param("thmb", {"set": MOD3, "family": ["n^2"], "target": MOD3,
                           "targets": {"N_values": [-3, 2]}},
                  "bad N_values [-3, 2]: a list of integers >= 0", id="thmb-negative N"),
+    # a rotation of the 0-torus, on which every time would be a return time
+    *[pytest.param(command, {**cfg, "system": {"type": "rotation", "alpha": []}},
+                   "bad alpha []: ", id=f"{command}-empty alpha")
+      for command, cfg in [("returns", {"family": ["n"], "epsilon": "1/5", "window": [0, 20]}),
+                           ("induced", {"family": ["n^2"]}), ("nilcheck", {})]],
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""
@@ -535,6 +540,24 @@ def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message)
     assert code == 2 and report is None
     err = capsys.readouterr().err
     assert f"{command}: config error: " in err and message in err
+
+
+@pytest.mark.parametrize("command, key, point", [
+    ("returns", "x", {"coords": ["1/3", "1/2"]}),
+    ("returns", "center", {"coords": ["1/3", "1/2"]}),
+    ("induced", "x", {"coords": ["1/3", "1/2"]}),
+    ("returns", "x", {"coords_fixed": ["0x1", "0x2"], "bits": 256}),
+])
+def test_point_of_wrong_length_names_its_key(tmp_path, capsys, command, key, point):
+    alpha = "sqrt2" if "bits" in point else "1/4"
+    cfg = {"system": {"type": "rotation", "alpha": [alpha]}, "family": ["n"], key: point}
+    if command == "returns":
+        cfg |= {"epsilon": "1/5", "window": [0, 20]}
+    code, report, _ = run(tmp_path, command, cfg)
+    assert code == 2 and report is None
+    strings = point.get("coords", point.get("coords_fixed"))
+    assert capsys.readouterr().err == (f"{command}: config error: bad {key} {strings!r}: "
+                                       "each point has 1 coordinates\n")
 
 
 def test_verify_roundtrip(tmp_path):

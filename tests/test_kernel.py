@@ -977,16 +977,14 @@ def test_tiny_epsilon_falls_back_to_per_time():
     assert list(got.members()) == [t for t, hit in zip(times, want) if hit]
 
 
-def test_rotation_with_no_coordinates_keeps_every_time(tmp_path):
+def test_rotation_with_no_coordinates_keeps_every_time():
+    # in the library; a config's "alpha": [] is refused (test_cli, "bad alpha")
     sys = TorusRotation(())
     x = sys.base_point()
     assert hits(sys, x, x, Fraction(1, 10), range(-5, 6)) == [True] * 11
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"system": {"type": "rotation", "alpha": []}, "family": ["n", "n^2"],
-                               "epsilon": "1/10", "window": [-5, 5]}))
-    out = tmp_path / "report.json"
-    assert main(["returns", "--config", str(cfg), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["set"]["members"] == list(range(-5, 6))
+    got = return_set_1d(ReturnQuery(sys, x, x, Fraction(1, 10), PolyFamily.parse(["n", "n^2"]),
+                                    (-5, 5)))
+    assert list(got.members()) == list(range(-5, 6))
 
 
 # -- each return time decided once ---------------------------------------
