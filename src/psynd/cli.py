@@ -409,11 +409,11 @@ def cmd_nilcheck(cfg: dict, rng: random.Random) -> tuple[dict, int]:
     eps = take(cfg, "epsilon", str, default["epsilon"])
     eps_f = take(cfg, "epsilon", str, default["epsilon"], parse=Fraction)
     widths = take(cfg, "windows", [int], default["windows"], least=0)
+    if not widths:  # no window, no gap to compare
+        raise ConfigError("bad windows []: a list of at least one integer >= 0")
     refuse_unread(cfg)
     x = sys_spec.base_point()
-    gaps = {}
-    counts = {}
-    rs = None
+    gaps, counts, rs = {}, {}, None
     for w in widths:  # each window's set decides its overlap with the next
         rs = return_set_1d(ReturnQuery(sys_spec, x, x, eps_f, family, (-w, w)), known=rs)
         gaps[str(w)] = gap_summary(rs).max_gap if not rs.is_empty() else None

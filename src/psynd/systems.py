@@ -43,10 +43,12 @@ predicate: positions in, the positions that hit out, down to ``_on_arc``.
 ``scan``, the one loop over return times, hands each (center, times) pair the
 positions the pairs before it kept, and tiles one ``fold_period``; the 1D and
 recurrence sets name the pairs, and the planar set the times its cells reach.
-Its chunks are exact decisions, which ``_split`` shares with ``os.fork`` children,
-one per CPU of ``os.sched_getaffinity`` (FORK_CHUNKS chunks each at least): the same
-bits, and the first failing chunk's error, on any number of CPUs.  Serial on one
-CPU (``taskset -c 0``), without ``os.fork``, beside a thread, or if a fork fails.
+Its chunks are exact decisions, which ``_split`` queues in one pipe (at most 1024 records
+of 4 bytes, one PIPE_BUF write) for this process and one ``os.fork`` child per further CPU
+of ``os.sched_getaffinity`` (FORK_CHUNKS chunks each at least) to take until it is empty.
+After any failure this process decides them all again: the same bits, and the serial
+error, on any number of CPUs.  Serial on one CPU (``taskset -c 0``), without ``os.fork``
+or beside a thread.  A fork that fails ends the forking, and the queue is drained anyway.
 
 All system and point values are immutable; methods are pure functions.
 """
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import os
 import signal
+import struct
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,7 +65,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain
 from math import factorial, isqrt, lcm
 from operator import xor
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import bitops
 from .constants import DEFAULT_BITS, MIN_BITS, RealSpec, parse_real
@@ -267,16 +270,18 @@ class _System:
 
     def point_from_json(self, obj: dict, key: str = "point") -> Point:
         """``coords_fixed`` read mod 2^bits at the system's precision, or ``coords`` read mod 1;
-        a point of the wrong length is refused by the config ``key`` and its strings."""
+        a point of the wrong length, or a coordinate that does not parse, is refused by ``key``."""
         fixed = "coords_fixed" in obj
         if fixed and (self.exact or obj.get("bits") != self.bits):
             raise ConfigError("fixed-point coordinates do not match system precision")
         got = take(obj, "coords_fixed" if fixed else "coords", [str])
         if len(got) != self.dim:
             raise ConfigError(f"bad {key} {got!r}: each point has {self.dim} coordinates")
-        if fixed:
-            return self.make_point([Fraction(int(c, 16), 1 << self.bits) for c in got])
-        return self.make_point(take(obj, "coords", [str], parse=parse_real))
+        scale = 1 << self.bits
+        try:
+            return self.make_point([Fraction(int(c, 16), scale) for c in got] if fixed else got)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad {key} {got!r}: {exc}") from None
 
     def point_distance(self, a: Point, c: Point) -> Fraction:
         """Sup over the coordinates of the circle distance."""
@@ -595,49 +600,59 @@ SystemSpec = Union[TorusRotation, SkewProduct, HeisenbergNil, IndicatorSubshift]
 
 
 CHUNK = 4096  # times per chunk, one ``hit_indices`` call per pair; bounds a position list
-FORK_CHUNKS = 4  # per forked worker, at least: a fork took 3-4 ms in 25 MiB, a chunk 0.5-1 ms
+FORK_CHUNKS = 4  # per process, at least, each 0.5-1 ms: os.fork took 0.5-0.9 ms in an 18 MiB
+# parent on a 2-vCPU VM, and the child started deciding 1.6-2.0 ms after it
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _split(decide: Callable[[Sequence[int]], int], starts: Sequence[int]) -> int:
-    """``decide`` ORed over k contiguous slices of ``starts`` (the module docstring)."""
+def _split(decide: Callable[[Iterable[int]], int], starts: Sequence[int]) -> int:
+    """``decide`` ORed over ``starts`` by k processes that share one queue (module docstring)."""
     k = min(WORKERS, len(starts) // FORK_CHUNKS)
     if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return decide(starts)  # a fork beside a thread would copy the locks it holds
-    cut = [len(starts) * i // k for i in range(k + 1)]
-    parts, children = [starts[a:b] for a, b in zip(cut, cut[1:])], []  # [pid, read end]
+    group = -(-len(starts) // 1024)  # chunks per record: at most 1024 records of 4 bytes,
+    queue, w = os.pipe()  # one write of PIPE_BUF, which cannot block
+    os.write(w, b"".join(struct.pack("<I", i) for i in range(0, len(starts), group)))
+    os.close(w)  # a read of the empty queue is EOF
+    def taken() -> Iterator[int]:  # the starts of the records read here, one at a time
+        for (i,) in map(partial(struct.unpack, "<I"), iter(partial(os.read, queue, 4), b"")):
+            yield from starts[i:i + group]  # a short record raises in struct.unpack
+    children = []  # [pid, read end], the pid popped once reaped
     try:
-        for part in parts[1:]:
+        for _ in range(k - 1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # this slice is decided here
-                pid = None
+            except OSError:  # no more: the processes forked so far drain the queue
+                os.close(r)
+                os.close(w)
+                break
             if pid == 0:  # the child leaves by os._exit only: 0 with its mask sent, else 1
                 try:
                     with open(w, "wb") as out:
-                        out.write(b"%x" % decide(part))
+                        out.write(b"%x" % decide(taken()))
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(w)
             children.append([pid, r])
-        mask = decide(parts[0])
-        for child, part in zip(children, parts[1:]):
-            got, (pid, r) = b"", child
-            if pid is not None:
-                got = b"".join(iter(partial(os.read, r, 1 << 16), b""))  # all, then the wait
-                if os.waitpid(pid, 0)[1]:  # the child failed
-                    got = b""
-                child[0] = None  # reaped
-            mask |= int(got, 16) if got else decide(part)  # in order: the serial error
+        mask = decide(taken())
+        for child in children:
+            got = b"".join(iter(partial(os.read, child[-1], 1 << 16), b""))  # all, then the wait
+            if os.waitpid(child.pop(0), 0)[1] or not got:
+                raise ChildProcessError("a forked worker failed")
+            mask |= int(got, 16)
         return mask
+    except Exception:  # decided again below, for the serial error
+        pass
     finally:
-        for pid, r in children:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for *pid, r in children:
+            for p in pid:  # not yet reaped
+                os.kill(p, signal.SIGKILL)
+                os.waitpid(p, 0)
             os.close(r)
+        os.close(queue)
+    return decide(starts)
 
 
 def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=None,
@@ -650,15 +665,15 @@ def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=Non
     ``hit_indices`` is handed the offsets still alive, and gives back those of
     them that hit: a pair is decided at n only when n is wanted and every
     earlier pair kept n.  None stands for every offset, so a pair asked about a
-    whole chunk walks its ``range``.  With a period P <= hi - lo, only the
-    residues wanted of [lo, lo + P) are decided, over the CPUs, and tiled.
+    whole chunk walks its ``range``.  With a period P <= hi - lo, only the residues wanted
+    of [lo, lo + P) are decided, by processes that share one queue (``_split``), and tiled.
     """
     tiled = period is not None and period <= hi - lo
     top = lo + period - 1 if tiled else hi
     while tiled and want is not None and want >> period:  # fold onto one period, halving
         half = (-(-want.bit_length() // period) + 1) // 2 * period
         want = (want & bitops.mask_of(half)) | (want >> half)
-    def decide(starts: Sequence[int]) -> int:
+    def decide(starts: Iterable[int]) -> int:
         mask = 0
         for start in starts:
             size = min(CHUNK, top + 1 - start)

@@ -276,12 +276,6 @@ def test_nilcheck_reports_the_config_seed(tmp_path):
     assert (code, report["seed"], report["experiment"]) == (0, 5, "nilcheck")
 
 
-def test_nilcheck_no_windows(tmp_path):
-    code, report, _ = run(tmp_path, "nilcheck", {"windows": []})
-    assert code == 0
-    assert report["results"] == {"counts": {}, "max_gap": {}, "stable": False}
-
-
 @pytest.mark.parametrize("widths", [[-5], [100, -5]])
 def test_nilcheck_negative_width_exit_2(tmp_path, capsys, widths):
     code, report, _ = run(tmp_path, "nilcheck", {"windows": widths})
@@ -533,6 +527,13 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
                    "bad alpha []: ", id=f"{command}-empty alpha")
       for command, cfg in [("returns", {"family": ["n"], "epsilon": "1/5", "window": [0, 20]}),
                            ("induced", {"family": ["n^2"]}), ("nilcheck", {})]],
+    # a fixed-point coordinate that is no hex integer, named by its point's key
+    pytest.param("returns", {"system": {"type": "rotation", "alpha": ["sqrt2"]}, "family": ["n"],
+                             "epsilon": "1/5", "window": [0, 20],
+                             "x": {"coords_fixed": ["zz"], "bits": 256}},
+                 "bad x ['zz']: ", id="returns-coords_fixed not hex"),
+    # no window, no gap to compare
+    pytest.param("nilcheck", {"windows": []}, "bad windows []: ", id="nilcheck-empty windows"),
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""

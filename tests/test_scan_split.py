@@ -5,8 +5,12 @@ give the mask of ``WORKERS = 1`` bit for bit, raise the serial error, and
 leave no child process behind.
 """
 
+import fcntl
 import os
+import signal
 import threading
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -191,3 +195,120 @@ def test_no_fork_without_os_fork(monkeypatch):
     assert pipes == []
     monkeypatch.setattr(systems, "WORKERS", 1)
     assert got == _rotation_scan()
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_slow_first_chunks_match_serial(monkeypatch, forks, workers):
+    # the first two chunks cost about ten times the others: the queue hands the rest on
+    sys = _system("rotation sqrt2")
+    x = sys.base_point()
+    lo, hi = -20000, 20000
+
+    def conds(start, size):
+        if start < lo + 2 * systems.CHUNK:
+            time.sleep(0.02)
+        return [(x, range(start, start + size)), (x, [n * n for n in range(start, start + size)])]
+
+    _split_vs_serial(monkeypatch, forks, workers,
+                     lambda: systems.scan(sys, x, Fraction(1, 4), conds, lo, hi))
+
+
+@pytest.mark.parametrize("chunks", [50, 2500])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_each_chunk_is_decided_once(monkeypatch, forks, tmp_path, workers, chunks):
+    # 2500 chunks go in 834 records of 3: each process logs the chunks it decides
+    def decide(starts):
+        mask = 0
+        with open(tmp_path / str(os.getpid()), "a") as log:
+            for s in starts:
+                log.write(f"{s}\n")
+                mask |= 1 << s
+        return mask
+
+    monkeypatch.setattr(systems, "FORK_CHUNKS", 1)
+    monkeypatch.setattr(systems, "WORKERS", workers)
+    assert systems._split(decide, range(chunks)) == (1 << chunks) - 1
+    _no_child_left()
+    assert len(forks) == workers - 1
+    logged = [int(s) for log in tmp_path.iterdir() for s in log.read_text().split()]
+    assert sorted(logged) == list(range(chunks))
+
+
+def test_more_chunks_than_records_matches_serial(monkeypatch, forks):
+    # 8-time chunks: 1251 of them, two to a record, queued in a pipe of one page
+    real = os.pipe
+
+    def one_page_pipe():
+        r, w = real()
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+        return r, w
+
+    monkeypatch.setattr(os, "pipe", one_page_pipe)
+    monkeypatch.setattr(systems, "CHUNK", 8)
+    systems._gaps.cache_clear()  # its walks stop at CHUNK steps
+    sys = _system("rotation sqrt2")
+    x = sys.base_point()
+    q = ReturnQuery(sys, x, x, Fraction(1, 4), PolyFamily.parse(["n", "n^2"]), (-5000, 5000))
+    try:
+        with _deadline(60):
+            _split_vs_serial(monkeypatch, forks, 2, lambda: return_set_1d(q))
+    finally:
+        systems._gaps.cache_clear()
+
+
+def test_parent_error_gives_the_serial_error(monkeypatch, forks):
+    # in the queue this process fails on its second chunk; decided again, chunk 6 fails first
+    parent, calls = os.getpid(), []
+
+    def decide(starts):
+        here = os.getpid() == parent
+        calls.append(here)
+        mask = 0
+        for j, s in enumerate(starts):
+            if here and calls.count(True) == 1 and j == 1:
+                raise RuntimeError("the parent's second chunk")
+            if s in (6, 11):
+                raise ValueError(f"chunk {s}")
+            mask |= 1 << s
+        return mask
+
+    monkeypatch.setattr(systems, "FORK_CHUNKS", 1)
+    monkeypatch.setattr(systems, "WORKERS", 2)
+    with pytest.raises(ValueError, match="chunk 6"):
+        systems._split(decide, range(16))
+    _no_child_left()
+    assert forks and calls == [True, True]
+
+
+def test_short_record_is_a_failure(monkeypatch, forks):
+    # every process's first 4-byte read of the queue comes back 2 bytes short
+    real, cut = os.read, []
+
+    def read(fd, n):
+        got = real(fd, n)
+        if n == 4 and not cut:
+            cut.append(fd)
+            return got[:2]
+        return got
+
+    monkeypatch.setattr(os, "read", read)
+    monkeypatch.setattr(systems, "FORK_CHUNKS", 1)
+    monkeypatch.setattr(systems, "WORKERS", 2)
+    assert systems._split(lambda starts: sum(1 << s for s in starts), range(9)) == 0b111111111
+    _no_child_left()
+    assert forks and cut
