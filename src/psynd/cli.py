@@ -273,22 +273,23 @@ def cmd_thmb(cfg: dict, rng: random.Random) -> tuple[dict, int]:
 def _rational_rotation_oracle(sys_obj: dict, family: PolyFamily, eps, lo: int, hi: int) -> WindowSet:
     """Independent modular-arithmetic evaluation for 1-dim rational rotations
     started at 0 with center 0, exact on every n of the window.  n is a
-    member when every p(n) a mod q lies within eps of 0; p(n) mod q repeats
-    with period q d! for degree d, so the word of one period, decided by
-    ``p.eval(n)`` per n to share no evaluation code with the
-    forward-difference path it checks, is repeated over the window."""
+    member when every p(n) a mod q is an r with min(r, q - r) / q < eps, in
+    integers; p(n) mod q has period q d! for degree d, so the word of one
+    period, decided by ``p.eval(n)`` per n to share no code with ``systems``
+    or ``values``, is repeated over the window."""
     alpha = sys_obj["alpha"]
     alpha = parse_real(alpha[0] if isinstance(alpha, list) else alpha).as_fraction()
     q = alpha.denominator
     a = alpha.numerator % q
-    allowed = {r for r in range(q) if min(Fraction(r, q), Fraction(q - r, q)) < eps}
-    period = q * factorial(max([0, *(p.degree for p in family.polys)]))
-    word = "".join(
-        "1" if all((p.eval(n) * a) % q in allowed for p in family.polys) else "0"
-        for n in range(lo, min(hi, lo + period - 1) + 1)
-    )
+    allowed = {r for r in range(q) if min(r, q - r) * eps.denominator < eps.numerator * q}
     width = hi - lo + 1
-    return WindowSet(lo, hi, int((word * (width // len(word) + 1))[:width][::-1], 2))
+    span = min(width, q * factorial(max([0, *(p.degree for p in family.polys)])))
+    tiled = int("".join(  # bit i is lo + i
+        "1" if all((p.eval(n) * a) % q in allowed for p in family.polys) else "0"
+        for n in reversed(range(lo, lo + span))), 2)
+    while span < width:  # whole periods, doubled until they cover the window
+        tiled, span = tiled | tiled << span, 2 * span
+    return WindowSet(lo, hi, tiled & ((1 << width) - 1))
 
 
 def cmd_returns(cfg: dict, rng: random.Random, oracle: bool) -> tuple[dict, int]:

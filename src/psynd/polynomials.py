@@ -5,7 +5,9 @@ with integer ``c_k``.  A polynomial takes integer values on all of Z
 exactly when its Newton forward differences at 0 are integers, so the
 basis makes integrality structural instead of something to check at
 every evaluation.  A monomial view with exact rational coefficients is
-derived for degree/leading-coefficient reasoning.
+derived for degree/leading-coefficient reasoning, in integers over D!
+(D the degree); monomial input is read back in integers too, through
+forward differences scaled by the lcm of its denominators.
 
 Everything here is immutable and exact; no floats anywhere.
 """
@@ -16,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from math import comb
+from math import comb, factorial, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLowError, NotIntegralError, NotNormalFormError, NotVanishingError
@@ -51,25 +53,21 @@ class IntegralPolynomial:
     def from_monomials(cls, monomial_coeffs: Sequence) -> "IntegralPolynomial":
         """Build from monomial coefficients a_0..a_D (ints or Fractions).
 
-        Raises NotIntegralError when the polynomial is not integer-valued.
+        Scaled by the lcm L of their denominators, the values at n = 0..D
+        are integers whose forward differences at 0 are L c_k.  Raises
+        NotIntegralError when the polynomial is not integer-valued.
         """
-        coeffs = [Fraction(a) for a in monomial_coeffs]
-        deg = len(coeffs) - 1
-        values = [
-            sum(a * (n ** i) for i, a in enumerate(coeffs)) for n in range(deg + 1)
-        ]
-        table = values
-        binom = []
-        for _ in range(deg + 1):
-            binom.append(table[0])
-            table = [table[i + 1] - table[i] for i in range(len(table) - 1)]
+        den = lcm(*(a.denominator for a in monomial_coeffs))
+        scaled = [a.numerator * (den // a.denominator) for a in monomial_coeffs]
+        table = [sum(a * n**i for i, a in enumerate(scaled)) for n in range(len(scaled))]
         out = []
-        for b in binom:
-            if b.denominator != 1:
-                raise NotIntegralError(
-                    f"not integer-valued: forward difference {b} is fractional"
-                )
-            out.append(b.numerator)
+        while table:
+            c, rem = divmod(table[0], den)
+            if rem:
+                raise NotIntegralError("not integer-valued: forward difference "
+                                       f"{Fraction(table[0], den)} is fractional")
+            out.append(c)
+            table = [b - a for a, b in zip(table, table[1:])]
         return cls(out)
 
     # -- views -------------------------------------------------------
@@ -80,21 +78,21 @@ class IntegralPolynomial:
         return len(self.coeffs) - 1
 
     def monomial_view(self) -> Tuple[Fraction, ...]:
-        """Exact rational monomial coefficients a_0..a_D."""
-        acc = [Fraction(0)] * (len(self.coeffs) or 1)
-        basis = [Fraction(1)]  # C(n,0)
+        """Exact rational monomial coefficients a_0..a_D, in integers over D!.
+
+        With s(k, i) the coefficients of the falling factorial
+        n(n-1)...(n-k+1) = k! C(n, k), D! a_i = sum_k c_k (D!/k!) s(k, i).
+        """
+        top = factorial(max(self.degree, 0))
+        acc, falling, weight = [0] * (len(self.coeffs) or 1), [1], top
         for k, c in enumerate(self.coeffs):
             if k > 0:
-                # C(n,k) = C(n,k-1) * (n - k + 1) / k
-                nxt = [Fraction(0)] * (len(basis) + 1)
-                for i, b in enumerate(basis):
-                    nxt[i + 1] += b / k
-                    nxt[i] += b * Fraction(-(k - 1), k)
-                basis = nxt
+                falling = [a - (k - 1) * b for a, b in zip([0, *falling], [*falling, 0])]
+                weight //= k
             if c:
-                for i, b in enumerate(basis):
-                    acc[i] += c * b
-        return tuple(acc)
+                for i, s in enumerate(falling):
+                    acc[i] += c * weight * s
+        return tuple(Fraction(a, top) for a in acc)
 
     def leading(self) -> Fraction:
         if self.degree < 0:
@@ -232,17 +230,17 @@ def parse_polynomial(text: str) -> IntegralPolynomial:
         exp_text = m.group("exp")
         if coeff_text is None and var is None:
             raise ValueError(f"cannot parse polynomial near {compact[pos:]!r}")
-        coeff = Fraction(coeff_text) if coeff_text else Fraction(1)
+        coeff = Fraction(coeff_text) if coeff_text else 1
         if var is None:
             exp = 0
         elif exp_text is None:
             exp = 1
         else:
             exp = int(exp_text)
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
+        coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
         pos = m.end()
     deg = max(coeffs)
-    mono = [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
+    mono = [coeffs.get(i, 0) for i in range(deg + 1)]
     return IntegralPolynomial.from_monomials(mono)
 
 

@@ -131,14 +131,14 @@ def combinatorial_set_2d(
     """Members and validity of { (m, n) : m + p_i(n) in S for all i }.
 
     validity marks the (m, n) whose evaluations all land inside S's
-    window; members is a subset of validity by construction.  With no
-    p_i both are the whole box, as the condition is vacuous.
+    window; members is a subset of validity by construction.  Each p_i
+    is read over the box's n-range by forward differences.  With no p_i
+    both are the whole box, as the condition is vacuous.
     """
     mlo, mhi, nlo, nhi = GridSet.empty(box).box  # ValueError on an empty box
-    member_cols = []
-    valid_cols = []
-    for n in range(nlo, nhi + 1):
-        values = [p.eval(n) for p in family.polys]
+    member_cols, valid_cols = [], []
+    rows = [p.values(nlo, nhi - nlo + 1) for p in family.polys]
+    for _, *values in zip(range(nlo, nhi + 1), *rows):  # one column per n, even with no p_i
         # for each i, m must lie in [S.lo - v_i, S.hi - v_i]
         a = max([mlo, *(s.lo - v for v in values)])
         b = min([mhi, *(s.hi - v for v in values)])

@@ -146,6 +146,79 @@ def test_not_integral_rejected():
     # C(n,2) written in halves is fine
     p = IntegralPolynomial.from_monomials([0, Fraction(-1, 2), Fraction(1, 2)])
     assert p == IntegralPolynomial([0, 0, 1])
+    # the first fractional forward difference names the family
+    for text, diff in (("1/2n", "1/2"), ("1/3n^3+n", "4/3")):
+        with pytest.raises(NotIntegralError) as info:
+            parse_polynomial(text)
+        assert str(info.value) == f"not integer-valued: forward difference {diff} is fractional"
+
+
+def _reference_from_monomials(monomial_coeffs):
+    """Reference conversion in Fraction arithmetic: the binomial
+    coefficients, or the NotIntegralError message."""
+    coeffs = [Fraction(a) for a in monomial_coeffs]
+    table = [sum(a * n**i for i, a in enumerate(coeffs)) for n in range(len(coeffs))]
+    binom = []
+    while table:
+        binom.append(table[0])
+        table = [table[i + 1] - table[i] for i in range(len(table) - 1)]
+    for b in binom:
+        if b.denominator != 1:
+            return f"not integer-valued: forward difference {b} is fractional"
+    return IntegralPolynomial(b.numerator for b in binom)
+
+
+def _reference_monomial_view(p):
+    """Reference monomial view in Fraction arithmetic: C(n, k) = C(n, k-1) (n - k + 1) / k."""
+    acc = [Fraction(0)] * (len(p.coeffs) or 1)
+    basis = [Fraction(1)]
+    for k, c in enumerate(p.coeffs):
+        if k > 0:
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for i, b in enumerate(basis):
+                nxt[i + 1] += b / k
+                nxt[i] += b * Fraction(-(k - 1), k)
+            basis = nxt
+        for i, b in enumerate(basis):
+            acc[i] += c * b
+    return tuple(acc)
+
+
+def _from_monomials_outcome(monomial_coeffs):
+    try:
+        return IntegralPolynomial.from_monomials(monomial_coeffs)
+    except NotIntegralError as exc:
+        return str(exc)
+
+
+_BINOMIAL = st.lists(st.integers(-(10**6), 10**6), max_size=9)  # degree 0-8 and zero
+
+
+@given(st.one_of(_BINOMIAL, st.lists(st.just(0), max_size=3)))
+@settings(max_examples=300, deadline=None)
+def test_monomial_view_matches_fraction_reference(coeffs):
+    p = IntegralPolynomial(coeffs)
+    view = p.monomial_view()
+    assert view == _reference_monomial_view(p)
+    assert all(type(a) is Fraction for a in view)
+    assert parse_polynomial(p.to_monomial_str()) == p
+
+
+@given(
+    _BINOMIAL,
+    st.lists(st.tuples(st.integers(-(10**6), 10**6), st.integers(1, 720)), max_size=9),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_from_monomials_matches_fraction_reference(coeffs, fractions, nudge):
+    # integer-valued input (a monomial view, optionally moved by a rational
+    # term), arbitrary rational input, and plain ints
+    view = list(IntegralPolynomial(coeffs).monomial_view())
+    if nudge and fractions:
+        view[len(view) // 2] += Fraction(*fractions[0])
+    arbitrary = [Fraction(num, den) for num, den in fractions]
+    for mono in (view, arbitrary, coeffs):
+        assert _from_monomials_outcome(mono) == _reference_from_monomials(mono)
 
 
 def test_parse_forms():
@@ -161,9 +234,11 @@ def test_parse_forms():
 
 
 def test_monomial_str_roundtrip():
-    for text in ("n^2+2n", "n^3-3n^2+3n", "5n", "0", "2n^4-n"):
+    # the last two are C(n+1, 2) and C(n+1, 3), integer-valued in rational terms
+    for text in ("n^2+2n", "n^3-3n^2+3n", "5n", "0", "2n^4-n", "1/2n^2+1/2n", "1/6n^3-1/6n"):
         p = parse_polynomial(text)
-        assert parse_polynomial(p.to_monomial_str()) == p
+        assert p.to_monomial_str() == text and parse_polynomial(text) == p
+    assert parse_polynomial("1/6n^3-1/6n") == IntegralPolynomial([0, 0, 1, 1])
 
 
 def test_essentially_distinct():
