@@ -69,7 +69,7 @@ def _dump_json(report: dict) -> str:
     """Compact JSON with sorted keys; a set value is written from its masks.
 
     The text equals ``json.dumps`` of the report with every set replaced
-    by its ``to_json_obj()``.
+    by its ``to_json_obj()``; each value's text is copied once, into it.
     """
 
     def text(value) -> str:
@@ -77,8 +77,8 @@ def _dump_json(report: dict) -> str:
             return value.to_json()
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
-    items = ",".join(f"{json.dumps(k)}:{text(report[k])}" for k in sorted(report))
-    return "{" + items + "}\n"
+    parts = [p for k in sorted(report) for p in (",", json.dumps(k), ":", text(report[k]))]
+    return "".join(["{", *parts[1:], "}\n"])
 
 
 def _emit(report: dict, out: Optional[str], fmt: str) -> None:

@@ -230,6 +230,8 @@ def parse_polynomial(text: str) -> IntegralPolynomial:
         exp_text = m.group("exp")
         if coeff_text is None and var is None:
             raise ValueError(f"cannot parse polynomial near {compact[pos:]!r}")
+        if coeff_text and not int(coeff_text.partition("/")[2] or 1):
+            raise ValueError(f"zero denominator in {m.group(0)!r}")
         coeff = Fraction(coeff_text) if coeff_text else 1
         if var is None:
             exp = 0

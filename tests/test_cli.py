@@ -534,6 +534,10 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
                  "bad x ['zz']: ", id="returns-coords_fixed not hex"),
     # no window, no gap to compare
     pytest.param("nilcheck", {"windows": []}, "bad windows []: ", id="nilcheck-empty windows"),
+    # a coefficient with a zero denominator, named by the family
+    pytest.param("returns", {"system": {"type": "rotation", "alpha": ["1/4"]}, "family": ["1/0n"],
+                             "epsilon": "1/5", "window": [0, 9]},
+                 "bad family ['1/0n']: zero denominator in '1/0n'", id="returns-zero denominator"),
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""

@@ -231,6 +231,9 @@ def test_parse_forms():
         parse_polynomial("n^2+")
     with pytest.raises(ValueError):
         parse_polynomial("")
+    for text in ("1/0n", "n^2-3/00n", "1/0"):  # a zero denominator is a named ValueError
+        with pytest.raises(ValueError, match="zero denominator in "):
+            parse_polynomial(text)
 
 
 def test_monomial_str_roundtrip():

@@ -5,7 +5,9 @@ Sets go into reports as JSON text generated straight from their masks
 into ``--format csv`` output the same way (``to_csv``); their members
 come from ``bitops.iter_bits``.  Each is checked here against the plain
 construction it replaces: ``json.dumps`` of ``to_json_obj()``, one
-formatted line per member, and the byte-wise bit scan.
+formatted line per member, and the byte-wise bit scan.  A ``GridSet``
+writes its rows by 8-column string tables or bit by bit, by a cost rule
+on its shape (``windows.TABLE_ROWS``); both sides are checked on every set.
 """
 
 import json
@@ -15,8 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psynd import bitops
+from psynd import bitops, windows
 from psynd.cli import _dump_json
+from psynd.generators import sturmian_window
+from psynd.polynomials import PolyFamily
+from psynd.returnsets import combinatorial_set_2d
 from psynd.windows import GridSet, WindowSet
 
 
@@ -100,10 +105,17 @@ def window_sets(draw) -> WindowSet:
 
 @st.composite
 def grid_sets(draw) -> GridSet:
-    mlo, nlo = draw(st.integers(-30, 10)), draw(st.integers(-150, 60))
-    m_width, n_width = draw(st.integers(1, 8)), draw(st.integers(1, 140))
-    rows = [draw(row_masks(n_width)) for _ in range(m_width)]
-    return GridSet((mlo, mlo + m_width - 1, nlo, nlo + n_width - 1), rows)
+    # n-ranges up to 25 chunks of 8 columns, starting anywhere, so that chunk
+    # edges fall on any digit count and sign; rows drawn one by one, or all
+    # ones, or all empty
+    mlo = draw(st.integers(-30, 10))
+    nlo = draw(st.integers(-250, 60) | st.integers(-(10**7), 10**7))
+    m_width, n_width = draw(st.integers(1, 10)), draw(st.integers(1, 200))
+    box = (mlo, mlo + m_width - 1, nlo, nlo + n_width - 1)
+    kind = draw(st.sampled_from(["rows", "rows", "full", "empty"]))
+    if kind != "rows":
+        return GridSet.full(box) if kind == "full" else GridSet.empty(box)
+    return GridSet(box, [draw(row_masks(n_width)) for _ in range(m_width)])
 
 
 def csv_per_member(the_set) -> str:
@@ -122,11 +134,16 @@ def check_window(s: WindowSet) -> None:
     assert s.to_csv() == csv_per_member(s)
 
 
-def check_grid(e: GridSet) -> None:
-    text = e.to_json()
-    assert text == dumps(e.to_json_obj())
+def check_grid(e: GridSet, table_rows=(0, 10**9)) -> None:
+    """The texts of ``e`` under each TABLE_ROWS given; by default 0, which
+    reads every row from string tables, and 10**9, which reads none."""
+    text, csv = dumps(e.to_json_obj()), csv_per_member(e)
+    for rows in table_rows:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(windows, "TABLE_ROWS", rows)
+            assert e.to_json() == text
+            assert e.to_csv() == csv
     assert GridSet.from_json_obj(json.loads(text)) == e
-    assert e.to_csv() == csv_per_member(e)
 
 
 @given(window_sets())
@@ -154,6 +171,8 @@ def test_window_text_edge_cases(lo, hi):
     (-5, 6, 3, 3),         # single column
     (-9, -2, -80, -1),     # fully negative
     (-3, 3, -64, 64),      # rows across a 64-bit word
+    (0, 2, -8, 7),         # two whole chunks of 8 columns
+    (0, 2, -9, 7),         # one column past them
 ])
 def test_grid_text_edge_cases(box):
     width = box[3] - box[2] + 1
@@ -163,6 +182,36 @@ def test_grid_text_edge_cases(box):
     check_grid(GridSet.full(box))
     check_grid(GridSet(box, [top] * rows))
     check_grid(GridSet(box, [(full, 0, top, 1)[i % 4] for i in range(rows)]))
+
+
+def thma_golden() -> GridSet:
+    """The benchmark's thma-golden set: golden Sturmian S on +-63000, family
+    [n, n^2], box 3001 x 501 (the rule's tables)."""
+    s = sturmian_window("golden", -63000, 63000)
+    return combinatorial_set_2d(s, PolyFamily.parse(["n", "n^2"]), (-1500, 1500, -250, 250))[0]
+
+
+def random_box(m_width: int, n_width: int) -> GridSet:
+    """A random set on an m_width x n_width box."""
+    rng = random.Random(m_width)
+    box = (-3, m_width - 4, -(n_width // 2), n_width - 1 - n_width // 2)
+    return GridSet(box, [rng.getrandbits(n_width) for _ in range(m_width)])
+
+
+@pytest.mark.parametrize("make, tables", [
+    (thma_golden, True),
+    (lambda: random_box(1, 10**5), False),
+    (lambda: random_box(8, 2 * 10**4), False),
+    (lambda: random_box(512, 2001), False),  # 251 tables a row: the rule asks 1137 rows
+], ids=["thma-golden 3001x501", "random 1x1e5", "random 8x2e4", "random 512x2001"])
+def test_grid_text_on_pinned_shapes(monkeypatch, make, tables):
+    """Pinned sets give the plain texts, and only the 3001-row box reads its
+    rows from string tables: the others never hold 32 strings per column."""
+    e, sizes, real = make(), set(), windows.getitem
+    monkeypatch.setattr(windows, "getitem",
+                        lambda table, byte: sizes.add(len(table)) or real(table, byte))
+    check_grid(e, [windows.TABLE_ROWS])
+    assert sizes == ({256, 1 << (e.n_width % 8 or 8)} if tables else set())
 
 
 # -- whole reports -----------------------------------------------------
