@@ -94,16 +94,6 @@ class IntegralPolynomial:
                     acc[i] += c * weight * s
         return tuple(Fraction(a, top) for a in acc)
 
-    def leading(self) -> Fraction:
-        if self.degree < 0:
-            return Fraction(0)
-        return self.monomial_view()[self.degree]
-
-    def subleading(self) -> Fraction:
-        if self.degree < 1:
-            return Fraction(0)
-        return self.monomial_view()[self.degree - 1]
-
     # -- arithmetic --------------------------------------------------
 
     def eval(self, n: int) -> int:
@@ -195,17 +185,19 @@ class IntegralPolynomial:
         return text
 
 
-_TERM_RE = re.compile(
-    r"""(?P<sign>[+-]?)\s*
-        (?P<coeff>\d+(?:/\d+)?)?\s*
-        (?P<var>n)?\s*
-        (?:(?:\^|\*\*)\s*(?P<exp>\d+))?\s*""",
-    re.VERBOSE,
-)
+MAX_DEGREE = 64  # the highest degree a polynomial read from text may have
+
+# one term: a sign, a coefficient a or a/b, and n with a power ^k or **k
+_TERM = re.compile(r"([+-]?)(\d+(?:/\d+)?)?(n(?:(?:\^|\*\*)(\d+))?)?")
 
 
 def parse_polynomial(text: str) -> IntegralPolynomial:
-    """Parse either a binomial list "[0,0,1]" or a monomial string "n^2+2n"."""
+    """Parse either a binomial list "[0,0,1]" or a monomial string "n^2+2n".
+
+    Every term after the first starts with its sign and is matched whole;
+    spaces may stand between tokens, not inside a number.  A degree above
+    MAX_DEGREE is refused.
+    """
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial string")
@@ -213,36 +205,25 @@ def parse_polynomial(text: str) -> IntegralPolynomial:
         if not s.endswith("]"):
             raise ValueError(f"unterminated binomial list: {text!r}")
         inner = s[1:-1].strip()
-        if not inner:
-            return IntegralPolynomial.zero()
-        return IntegralPolynomial(int(tok) for tok in inner.split(","))
-
-    coeffs: dict = {}
-    pos = 0
-    compact = s.replace(" ", "")
-    while pos < len(compact):
-        m = _TERM_RE.match(compact, pos)
-        if m is None or m.end() == pos:
-            raise ValueError(f"cannot parse polynomial near {compact[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coeff_text = m.group("coeff")
-        var = m.group("var")
-        exp_text = m.group("exp")
-        if coeff_text is None and var is None:
-            raise ValueError(f"cannot parse polynomial near {compact[pos:]!r}")
-        if coeff_text and not int(coeff_text.partition("/")[2] or 1):
-            raise ValueError(f"zero denominator in {m.group(0)!r}")
-        coeff = Fraction(coeff_text) if coeff_text else 1
-        if var is None:
-            exp = 0
-        elif exp_text is None:
-            exp = 1
-        else:
-            exp = int(exp_text)
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
-        pos = m.end()
-    deg = max(coeffs)
-    mono = [coeffs.get(i, 0) for i in range(deg + 1)]
+        p = IntegralPolynomial(map(int, inner.split(","))) if inner else IntegralPolynomial.zero()
+        if p.degree > MAX_DEGREE:
+            raise ValueError(f"degree {p.degree} above the bound {MAX_DEGREE}")
+        return p
+    if gap := re.search(r"[\d/]\s+[\d/]", s):
+        raise ValueError(f"cannot parse polynomial near {gap.group()!r}")
+    mono: list = []
+    for term in re.split(r"(?<=.)(?=[+-])", "".join(s.split())):
+        m = _TERM.fullmatch(term)
+        if m is None or not (m[2] or m[3]):
+            raise ValueError(f"cannot parse polynomial near {term!r}")
+        sign, coeff, var, power = m.groups()
+        if coeff and not int(coeff.partition("/")[2] or 1):
+            raise ValueError(f"zero denominator in {term!r}")
+        k = int(power or 1) if var else 0
+        if k > MAX_DEGREE:
+            raise ValueError(f"degree {k} above the bound {MAX_DEGREE}")
+        mono += [0] * (k + 1 - len(mono))
+        mono[k] += Fraction(sign + (coeff or "1"))
     return IntegralPolynomial.from_monomials(mono)
 
 
@@ -352,8 +333,9 @@ def separation_constant(p: IntegralPolynomial, q: IntegralPolynomial) -> Fractio
         raise DegreeTooLowError("both polynomials must have degree >= 2")
     if not essentially_distinct(p, q):
         raise ValueError("polynomials must be essentially distinct")
-    a, b = abs(p.leading()), abs(q.leading())
-    a_sub, b_sub = abs(p.subleading()), abs(q.subleading())
+    p_view, q_view = p.monomial_view(), q.monomial_view()
+    a, b = abs(p_view[-1]), abs(q_view[-1])
+    a_sub, b_sub = abs(p_view[-2]), abs(q_view[-2])
     return (1 / a + 1 / b + 1) * (a_sub + b_sub + 1)
 
 

@@ -73,17 +73,14 @@ def return_set_1d(q: ReturnQuery, known: Optional[WindowSet] = None) -> WindowSe
     reaching below 0 is decided on the |n| range [dlo, dhi] only (itself
     tiled when it folds); the n < 0 part of the mask is its bits reversed.
     ``known``, the set of the same question (same system, x, center, eps and
-    family) on any window, is trusted where it overlaps this one, in |n|
-    when the family is even, and only the rest is scanned.
+    family) on any window, is trusted on the part of the scanned range that
+    its window covers, and only the rest is scanned.
     """
     lo, hi = q.window
     polys = q.family.polys
     fold = lo < 0 and lo <= hi and all(p.is_even() for p in polys)
     dlo, dhi = (max(0, -hi), max(hi, -lo)) if fold else (lo, hi)
     done, kept = (0, 0) if known is None else _overlap(known, dlo, dhi)
-    if fold and known is not None:  # known's n = -k decides |n| = k
-        mirror = WindowSet(-known.hi, -known.lo, bitops.reverse_bits(known.mask, known.width))
-        done, kept = (a | b for a, b in zip((done, kept), _overlap(mirror, dlo, dhi)))
     want = bitops.mask_of(dhi - dlo + 1) & ~done if done else None
     mask = kept | scan(q.sys, q.x, q.eps, lambda start, size: [
         (q.center, p.progression(start, size)) for p in polys

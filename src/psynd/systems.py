@@ -519,8 +519,10 @@ class IndicatorSubshift:
     def point_from_json(self, obj: dict, key: str = "point") -> WindowSet:
         """A word of 0/1 letters on [lo, hi] (``key`` names the point in a config)."""
         word, lo, hi = take(obj, "word", str), take(obj, "lo", int), take(obj, "hi", int)
+        if lo > hi:
+            raise ConfigError(f"bad {key} window [{lo}, {hi}]: empty, lo > hi")
         if set(word) - {"0", "1"} or len(word) != hi - lo + 1:
-            raise ConfigError(f"bad word {word!r}: {hi - lo + 1} letters 0/1")
+            raise ConfigError(f"bad {key} word {word!r}: {hi - lo + 1} letters 0/1")
         return WindowSet(lo, hi, int("0" + word[::-1], 2))
 
     def iterate(self, w: WindowSet, n: int) -> WindowSet:

@@ -538,6 +538,16 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
     pytest.param("returns", {"system": {"type": "rotation", "alpha": ["1/4"]}, "family": ["1/0n"],
                              "epsilon": "1/5", "window": [0, 9]},
                  "bad family ['1/0n']: zero denominator in '1/0n'", id="returns-zero denominator"),
+    # terms side by side, which were summed as one term per position
+    pytest.param("returns", {"system": {"type": "rotation", "alpha": ["1/4"]}, "family": ["n^2 2n"],
+                             "epsilon": "1/5", "window": [0, 9]},
+                 "bad family ['n^2 2n']: cannot parse polynomial near '2 2'",
+                 id="returns-juxtaposed terms"),
+    # a degree above MAX_DEGREE, refused before any coefficient is computed
+    pytest.param("returns", {"system": {"type": "rotation", "alpha": ["1/4"]}, "family": ["n^800"],
+                             "epsilon": "1/5", "window": [0, 9]},
+                 "bad family ['n^800']: degree 800 above the bound 64",
+                 id="returns-degree above bound"),
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""
@@ -563,6 +573,32 @@ def test_point_of_wrong_length_names_its_key(tmp_path, capsys, command, key, poi
     strings = point.get("coords", point.get("coords_fixed"))
     assert capsys.readouterr().err == (f"{command}: config error: bad {key} {strings!r}: "
                                        "each point has 1 coordinates\n")
+
+
+@pytest.mark.parametrize("key", ["x", "center"])
+@pytest.mark.parametrize("point, message", [
+    ({"word": "012", "lo": 0, "hi": 2}, "word '012': 3 letters 0/1"),
+    ({"word": "", "lo": 0, "hi": -1}, "window [0, -1]: empty, lo > hi"),
+])
+def test_subshift_point_names_its_key(tmp_path, capsys, key, point, message):
+    cfg = {"system": {"type": "subshift", "base": {"lo": -3, "hi": 3, "members": [0]}},
+           "family": ["n"], "epsilon": "1/2", "window": [-1, 1], key: point}
+    code, report, _ = run(tmp_path, "returns", cfg)
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == f"returns: config error: bad {key} {message}\n"
+
+
+@pytest.mark.parametrize("text", ["n^2 2n", "nn", "n^2n^3", "2nn^2", "2n3", "n 2", "1 /2n",
+                                  "n+-n", "n^2+"])
+def test_refused_family_text_exit_2(tmp_path, capsys, text):
+    # terms side by side, or a sign without its term, name the family
+    cfg = {"system": {"type": "rotation", "alpha": ["1/4"]}, "family": ["n", text],
+           "epsilon": "1/5", "window": [0, 9]}
+    code, report, _ = run(tmp_path, "returns", cfg)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"returns: config error: bad family ['n', {text!r}]: ")
+    assert "Traceback" not in err
 
 
 def test_verify_roundtrip(tmp_path):

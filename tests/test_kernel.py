@@ -997,7 +997,7 @@ def test_rotation_with_no_coordinates_keeps_every_time():
 @st.composite
 def window_pairs(draw):
     """(window, other): other inside, around, across one end of, or apart from
-    window, and often mirrored to (-hi, -lo), where an even family reuses it."""
+    window, and often mirrored to (-hi, -lo)."""
     lo, hi = draw(window)
     a, b = draw(st.integers(0, 30)), draw(st.integers(0, 30))
     how = draw(st.sampled_from(["nested", "containing", "overlapping", "disjoint"]))
@@ -1031,8 +1031,8 @@ def test_known_window_gives_the_same_set(query, wins, fam):
 
 @pytest.mark.parametrize("other", [(-25, 5), (3, 40), (-40, -12), (-5, 30)])
 def test_known_window_mirrors_for_an_even_family(other):
-    # known's n = -k decides |n| = k; on a window that is not symmetric about 0,
-    # a mirror that kept its members in place would claim them for the wrong |n|
+    # an even family decides (-30, 10) on |n| in [0, 30]; known is trusted only
+    # where its own window covers that range, whichever side of 0 it lies on
     sys = TorusRotation((parse_real("sqrt2"),))
     x = sys.base_point()
     family = PolyFamily.parse(["n^2"])

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, normal form, and separation constants."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from psynd import (
     separation_holds,
     shift_coincidence,
 )
-from psynd.polynomials import binom_int
+from psynd.polynomials import MAX_DEGREE, binom_int
 from psynd.systems import CHUNK
 
 
@@ -231,9 +232,80 @@ def test_parse_forms():
         parse_polynomial("n^2+")
     with pytest.raises(ValueError):
         parse_polynomial("")
-    for text in ("1/0n", "n^2-3/00n", "1/0"):  # a zero denominator is a named ValueError
-        with pytest.raises(ValueError, match="zero denominator in "):
+    # a zero denominator is a named ValueError, and the term keeps its sign
+    for text, term in (("1/0n", "1/0n"), ("n^2-3/00n", "-3/00n"), ("1/0", "1/0")):
+        with pytest.raises(ValueError) as info:
             parse_polynomial(text)
+        assert str(info.value) == f"zero denominator in {term!r}"
+
+
+@pytest.mark.parametrize("text, want", [
+    ("n^2 + 2n", [0, 3, 2]),
+    ("n**2+2n", [0, 3, 2]),
+    ("2 n", [0, 2]),
+    ("n ^ 2", [0, 1, 2]),
+    ("- n", [0, -1]),
+    ("+n", [0, 1]),
+    ("3/2n^2-1/2n", [0, 1, 3]),
+    ("0", []),
+    ("[0,0,1]", [0, 0, 1]),
+    ("[]", []),
+])
+def test_parse_accepted_forms(text, want):
+    # spaces may stand between tokens; a binomial list is read as it stands
+    assert parse_polynomial(text) == IntegralPolynomial(want)
+
+
+@pytest.mark.parametrize("text, near", [
+    ("n^2 2n", "2 2"),  # a space inside what would become one number
+    ("nn", "nn"),
+    ("n^2n^3", "n^2n^3"),
+    ("2nn^2", "2nn^2"),
+    ("2n3", "2n3"),
+    ("n 2", "n2"),
+    ("1 /2n", "1 /"),
+    ("n+-n", "+"),
+    ("n^2+", "+"),
+])
+def test_parse_refuses_terms_not_matched_whole(text, near):
+    # every term after the first starts with its sign, and is matched whole
+    with pytest.raises(ValueError) as info:
+        parse_polynomial(text)
+    assert str(info.value) == f"cannot parse polynomial near {near!r}"
+
+
+@given(st.lists(st.integers(-(10**3), 10**3), min_size=1, max_size=8), st.integers(0, 99))
+@settings(max_examples=200, deadline=None)
+def test_a_dropped_sign_is_refused(coeffs, pick):
+    # p(0) = 0 and two monomial terms or more: every term holds an n, so deleting
+    # the sign of a later term leaves two n in one piece, which no term matches
+    p = IntegralPolynomial([0, *coeffs])
+    assume(sum(a != 0 for a in p.monomial_view()) >= 2)
+    text = p.to_monomial_str()
+    assert parse_polynomial(text) == p and parse_polynomial(text).to_monomial_str() == text
+    signs = [i for i, ch in enumerate(text) if ch in "+-" and i > 0]
+    i = signs[pick % len(signs)]
+    with pytest.raises(ValueError, match="cannot parse polynomial near "):
+        parse_polynomial(text[:i] + text[i + 1:])
+
+
+def test_degree_bound():
+    assert MAX_DEGREE == 64
+    assert parse_polynomial("n^64").degree == 64
+    # a binomial list is bounded after its trailing zeros are trimmed
+    assert parse_polynomial("[" + ",".join(["0"] * 64 + ["1"] + ["0"] * 8) + "]").degree == 64
+    for text in ("n^65", "n^2+n^65-n^65", "[" + ",".join(["0"] * 65 + ["1"]) + "]"):
+        with pytest.raises(ValueError) as info:
+            parse_polynomial(text)
+        assert str(info.value) == "degree 65 above the bound 64"
+
+
+def test_a_huge_degree_is_refused_at_once():
+    # the bound is checked per term, before any coefficient is computed
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="degree 800 above the bound 64"):
+        parse_polynomial("n^800")
+    assert time.perf_counter() - start < 0.05
 
 
 def test_monomial_str_roundtrip():
