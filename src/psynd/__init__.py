@@ -62,7 +62,6 @@ from .returnsets import (
 from .systems import (
     HeisenbergNil,
     IndicatorSubshift,
-    Point,
     SkewProduct,
     SystemSpec,
     TorusRotation,

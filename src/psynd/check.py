@@ -99,7 +99,8 @@ class PwsCert(_Cert, tag="pws"):
 
     ``interval`` is (start, length); it always lies inside the
     shift_bound-shrunk window, so re-dilation of the raw window set
-    reproduces it.  Its JSON form is the object ``{"start", "length"}``.
+    reproduces it.  Its JSON form is the object ``{"start", "length"}``, the one
+    form read back.
     """
 
     shift_bound: int
@@ -111,10 +112,9 @@ class PwsCert(_Cert, tag="pws"):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PwsCert":
-        interval = obj.get("interval")
-        if isinstance(interval, dict):
-            obj = {**obj, "interval": [interval.get("start"), interval.get("length")]}
-        return super().from_json_obj(obj)
+        interval = take(obj, "interval", dict)  # the list form is refused
+        pair = [take(interval, key, int) for key in ("start", "length")]
+        return super().from_json_obj({**obj, "interval": pair})
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .check import PwsCert, PwsCert2D, Syndetic2DCert, Syndetic2DRefutation, Syn
 from .check import SyndeticRefutation, ThickCert, cert_from_json_obj, verify_pws, verify_pws_2d
 from .check import verify_syndetic, verify_syndetic_2d, verify_syndetic_2d_refutation
 from .check import verify_syndetic_refutation, verify_thick
-from .constants import parse_real
+from .constants import RealSpec
 from .errors import Config, ConfigError, EmptySetError, NoRowError, NotNormalFormError
 from .errors import WindowExhaustedError, refuse_unread, take
 from .generators import read_source, window_from_source
@@ -63,6 +63,7 @@ from .windows import (
 
 PARSE_ERROR = 2
 INFEASIBLE = 3
+TOO_LARGE = "a set too large to hold in memory"  # what a MemoryError, whose text is empty, means
 
 
 def _dump_json(report: dict) -> str:
@@ -261,7 +262,7 @@ def cmd_thmb(cfg: dict, rng: random.Random) -> tuple[dict, int]:
             "N_values": n_values,
         },
         "set": {"lo": s.lo, "hi": s.hi},
-        "target": target.to_json_obj(),
+        "target": target,
         "results": {"a_N": found, "all_found": all(v is not None for v in found.values())},
         "certificates": [],
     }
@@ -270,15 +271,14 @@ def cmd_thmb(cfg: dict, rng: random.Random) -> tuple[dict, int]:
     return report, 0 if report["results"]["all_found"] else INFEASIBLE
 
 
-def _rational_rotation_oracle(sys_obj: dict, family: PolyFamily, eps, lo: int, hi: int) -> WindowSet:
+def _rational_rotation_oracle(alpha: RealSpec, family: PolyFamily, eps, lo: int, hi: int) -> WindowSet:
     """Independent modular-arithmetic evaluation for 1-dim rational rotations
     started at 0 with center 0, exact on every n of the window.  n is a
     member when every p(n) a mod q is an r with min(r, q - r) / q < eps, in
     integers; p(n) mod q has period q d! for degree d, so the word of one
     period, decided by ``p.eval(n)`` per n to share no code with ``systems``
     or ``values``, is repeated over the window."""
-    alpha = sys_obj["alpha"]
-    alpha = parse_real(alpha[0] if isinstance(alpha, list) else alpha).as_fraction()
+    alpha = alpha.as_fraction()
     q = alpha.denominator
     a = alpha.numerator % q
     allowed = {r for r in range(q) if min(r, q - r) * eps.denominator < eps.numerator * q}
@@ -293,8 +293,7 @@ def _rational_rotation_oracle(sys_obj: dict, family: PolyFamily, eps, lo: int, h
 
 
 def cmd_returns(cfg: dict, rng: random.Random, oracle: bool) -> tuple[dict, int]:
-    sys_cfg = take(cfg, "system", dict)
-    sys_spec = system_from_json_obj(sys_cfg)
+    sys_spec = system_from_json_obj(take(cfg, "system", dict))
     family = _family(cfg)
     x_cfg, center_cfg = take(cfg, "x", dict, None), take(cfg, "center", dict, None)
     x = sys_spec.base_point() if x_cfg is None else sys_spec.point_from_json(x_cfg, "x")
@@ -336,7 +335,7 @@ def cmd_returns(cfg: dict, rng: random.Random, oracle: bool) -> tuple[dict, int]
             report["results"]["max_gap"] = gap_summary(rs).max_gap
         cert = bounds and pws_witness(rs, *bounds)
     if oracle:  # before a failed mandatory search returns
-        o = _rational_rotation_oracle(sys_cfg, family, eps_f, *window)
+        o = _rational_rotation_oracle(sys_spec.alphas[0], family, eps_f, *window)
         report["results"]["oracle_match"] = o == rs
     if cert:
         report["certificates"].append(cert.to_json_obj())
@@ -453,8 +452,8 @@ def cmd_verify(report_path: str) -> int:
         for cert in certs:
             if cert.planar != planar:
                 raise ValueError(f"{cert.type} certificate on a {'2D' if planar else '1D'} set")
-    except (OSError, ValueError) as exc:
-        print(f"verify: bad report: {exc}", file=sys.stderr)
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
+        print(f"verify: bad report: {str(exc) or TOO_LARGE}", file=sys.stderr)
         return PARSE_ERROR
     finally:
         if gc_was_enabled:
@@ -513,8 +512,12 @@ def main(argv: Optional[list] = None) -> int:
     except (EmptySetError, NoRowError, WindowExhaustedError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return INFEASIBLE
-    # a ConfigError, or a value the library refuses; any other exception is a psynd bug
-    except ValueError as exc:
+    except MemoryError as exc:  # a size no allocation can hold
+        print(f"{args.command}: {str(exc) or TOO_LARGE}", file=sys.stderr)
+        return INFEASIBLE
+    # a ConfigError, a value the library refuses, or a size no integer index can hold;
+    # any other exception is a psynd bug
+    except (ValueError, OverflowError) as exc:
         print(f"{args.command}: config error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     _emit(report, args.out, args.format)

@@ -19,11 +19,11 @@ def sturmian_window(
 ) -> WindowSet:
     """{ n in [lo, hi] : frac(n * alpha) < 1/2 }.
 
-    alpha is the rotation's own value, ``TorusRotation((alpha,), bits)._params``:
-    exact when rational, else the declared 2^-bits approximant.  Either way it
-    is an exact fraction num/den, and frac(n num/den) < 1/2 exactly when
-    (2 num n) mod (2 den) <= den - 1, an arc of the rotation by 2 num at
-    modulus 2 den, which ``systems.arc_mask`` tiles in blocks of about
+    alpha is the rotation's own value, read from its integer view
+    ``TorusRotation((alpha,), bits)._ints()`` as a / m: exact when rational,
+    else the declared 2^-bits approximant.  frac(n a/m) < 1/2 exactly when
+    (2 a n) mod (2 m) <= m - 1, an arc of the rotation by 2 a at modulus
+    2 m, which ``systems.arc_mask`` tiles in blocks of about
     sqrt(width) integers.  Measured on a 2-vCPU VM, the golden slope takes
     3 ms on [0, 199999] and 14 ms on [-1e6, 1e6]; pi - 3, whose partial
     quotient 292 makes the blocks drift, takes about 2.5 times as long there.
@@ -33,10 +33,9 @@ def sturmian_window(
     point 0 of the half-open interval, so the return set drops n = 0 for an
     irrational slope and every multiple of q for alpha = p/q.
     """
-    (a,) = TorusRotation((parse_real(alpha),), bits=bits)._params
-    num, den = a.numerator, a.denominator
+    m, (a,) = TorusRotation((parse_real(alpha),), bits=bits)._ints()
     width = WindowSet(lo, hi).width  # ValueError on an empty window
-    return WindowSet(lo, hi, arc_mask(2 * num * lo, 2 * num, den - 1, 2 * den, width))
+    return WindowSet(lo, hi, arc_mask(2 * a * lo, 2 * a, m - 1, 2 * m, width))
 
 
 def congruence_window(modulus: int, residues, lo: int, hi: int) -> WindowSet:

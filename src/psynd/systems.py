@@ -14,8 +14,9 @@ A point of a coordinate system is a tuple of exact ``Fraction``s in
 are.  On a system with a named irrational parameter every value,
 parameter and point alike, is the declared approximant
 ``floor(v * 2^bits) / 2^bits`` (default 256 bits), a multiple of 2^-bits.
-``_value`` is the one place where a real becomes a value, and
-``_modulus`` the one place where the scale of the arithmetic is chosen.
+``_value`` is the one place where a real becomes a value, and ``_ints``
+the one place where the scale of the arithmetic is chosen and applied: it
+gives M and the parameters and points as integers at M.
 
 Both ``iterate`` and the ball predicate ``hit_indices(x, center, eps, times,
 near)``, which gives the positions i of ``near`` (every position of ``times``
@@ -74,16 +75,7 @@ from .polynomials import PolyFamily
 from .windows import WindowSet
 
 
-@dataclass(frozen=True)
-class Point:
-    """Coordinate point: exact Fractions in [0, 1), one per axis."""
-
-    coords: Tuple[Fraction, ...]
-
-    def __repr__(self) -> str:
-        return f"Point{self.coords}"
-
-
+Point = Tuple[Fraction, ...]  # a coordinate point: exact Fractions in [0, 1), one per axis
 PointLike = Union[Point, WindowSet]
 
 
@@ -111,7 +103,7 @@ def _circle(d: int, m: int) -> int:
 
 def _unscaled(values, m: int) -> Point:
     """The point whose coordinates are the integers ``values`` at modulus m, mod 1."""
-    return Point(tuple(Fraction(v % m, m) for v in values))
+    return tuple(Fraction(v % m, m) for v in values)
 
 
 @lru_cache(maxsize=256)
@@ -246,26 +238,26 @@ class _System:
         """The modulus M of the integer arithmetic (see the module docstring)."""
         if not self.exact:
             return 1 << self.bits
-        return lcm(*(v.denominator for v in chain(self._params, *(p.coords for p in points))))
+        return lcm(*(v.denominator for v in chain(self._params, *points)))
 
-    @staticmethod
-    def _scaled(values, m: int) -> list:
-        """Values in [0, 1) as integers at the modulus m."""
-        return [v.numerator * (m // v.denominator) for v in values]
+    def _ints(self, *points: Point) -> tuple:
+        """(M, the parameters, each point): the values as lists of integers at M."""
+        m = self._modulus(*points)
+        return (m, *([v.numerator * (m // v.denominator) for v in vs] for vs in (self._params, *points)))
 
     def base_point(self) -> Point:
-        return Point((Fraction(0),) * self.dim)
+        return (Fraction(0),) * self.dim
 
     def make_point(self, values: Sequence) -> Point:
         """The point with one real per axis, each read mod 1 by ``_value``."""
         if not isinstance(values, (list, tuple)) or len(values) != self.dim:
             raise ValueError(f"a point of this system has {self.dim} coordinates, got {values!r}")
-        return Point(tuple(self._value(parse_real(v)) for v in values))
+        return tuple(self._value(parse_real(v)) for v in values)
 
     def point_to_json(self, x: Point) -> dict:
         if self.exact:
-            return {"coords": [str(c) for c in x.coords]}
-        fixed = self._scaled(x.coords, 1 << self.bits)
+            return {"coords": [str(c) for c in x]}
+        _, _, fixed = self._ints(x)  # at M = 2^bits
         return {"coords_fixed": [hex(c) for c in fixed], "bits": self.bits}
 
     def point_from_json(self, obj: dict, key: str = "point") -> Point:
@@ -285,9 +277,8 @@ class _System:
 
     def point_distance(self, a: Point, c: Point) -> Fraction:
         """Sup over the coordinates of the circle distance."""
-        m = self._modulus(a, c)
-        pairs = zip(self._scaled(a.coords, m), self._scaled(c.coords, m))
-        return Fraction(max(_circle(u - v, m) for u, v in pairs), m)
+        m, _, a, c = self._ints(a, c)
+        return Fraction(max(_circle(u - v, m) for u, v in zip(a, c)), m)
 
 
 @dataclass(frozen=True)
@@ -304,18 +295,15 @@ class TorusRotation(_System):
         return len(self.alphas)
 
     def iterate(self, x: Point, n: int) -> Point:
-        m = self._modulus(x)
-        scaled = zip(self._scaled(x.coords, m), self._scaled(self._params, m))
-        return _unscaled([u + n * s for u, s in scaled], m)
+        m, params, x = self._ints(x)
+        return _unscaled([u + n * s for u, s in zip(x, params)], m)
 
     def hit_indices(self, x: Point, center: Point, eps, times: Sequence[int],
                     near=None) -> List[int]:
         """The i of ``near`` with T^{times[i]} x in B(center, eps), coordinate by coordinate."""
-        m = self._modulus(x, center)
+        m, params, x, center = self._ints(x, center)
         half = _below(eps, m)
-        for u, c, s in zip(
-            self._scaled(x.coords, m), self._scaled(center.coords, m), self._scaled(self._params, m)
-        ):
+        for u, c, s in zip(x, center, params):
             near = _on_arc(u - c + half, s, 2 * half, m, times, near)
         return list(range(len(times))) if near is None else near
 
@@ -341,20 +329,15 @@ class SkewProduct(_System):
     specs = property(lambda self: (self.alpha,))
 
     def iterate(self, p: Point, n: int) -> Point:
-        m = self._modulus(p)
-        x, y = self._scaled(p.coords, m)
-        (a,) = self._scaled(self._params, m)
+        m, (a,), (x, y) = self._ints(p)
         return _unscaled([x + n * a, y + n * x + n * (n - 1) // 2 * a], m)
 
     def hit_indices(self, p: Point, center: Point, eps, times: Sequence[int],
                     near=None) -> List[int]:
         """The i of ``near`` with T^{times[i]} p in B(center, eps): x by ``_on_arc``, then y."""
-        m = self._modulus(p, center)
+        m, (a,), (x, y), (c1, c2) = self._ints(p, center)
         half = _below(eps, m)
         width = 2 * half
-        x, y = self._scaled(p.coords, m)
-        c1, c2 = self._scaled(center.coords, m)
-        (a,) = self._scaled(self._params, m)
         b2, mask = y - c2 + half, m - 1
         ys = ((i, b2 + (t := times[i]) * x + t * (t - 1) // 2 * a)
               for i in _on_arc(x - c1 + half, a, width, m, times, near))
@@ -406,8 +389,7 @@ class HeisenbergNil(_System):
         return lambda t, u, fl: z + t * (t - 1) // 2 * ab + t * ay_hi + t * ay_lo // m - u * fl
 
     def iterate(self, p: Point, n: int) -> Point:
-        m = self._modulus(p)
-        (x, y, z), (a, b) = self._scaled(p.coords, m), self._scaled(self._params, m)
+        m, (a, b), (x, y, z) = self._ints(p)
         u = x + n * a
         fl, v = divmod(y + n * b, m)
         return _unscaled([u, v, self._height(y, z, a, b, m)(n, u, fl)], m)
@@ -444,12 +426,9 @@ class HeisenbergNil(_System):
         nearest-r residual in z of translate q fits in the budget.  Otherwise
         each time left takes ``_fiber``'s minimum over three translates.
         """
-        m = self._modulus(p, center)
+        m, (a, b), (x, y, z), (c1, c2, c3) = self._ints(p, center)
         half = _below(eps, m)
         limit = _below(Fraction(eps) ** 2, m * m)
-        x, y, z = self._scaled(p.coords, m)
-        c1, c2, c3 = self._scaled(center.coords, m)
-        a, b = self._scaled(self._params, m)
         near = _on_arc(x - c1 + half, a, 2 * half, m, times, near)
         near = _on_arc(y - c2 + half, b, 2 * half, m, times, near)
         height, h, out = self._height(y, z, a, b, m), m // 2, []
@@ -479,9 +458,7 @@ class HeisenbergNil(_System):
 
     def point_distance(self, a: Point, c: Point) -> float:
         """Distance to the nearest lattice translate of c (``_fiber``)."""
-        m = self._modulus(a, c)
-        a1, a2, a3 = self._scaled(a.coords, m)
-        c1, c2, c3 = self._scaled(c.coords, m)
+        m, _, (a1, a2, a3), (c1, c2, c3) = self._ints(a, c)
         d1 = _circle(a1 - c1, m)
         return ((d1 * d1 + self._fiber(a2, a3, c1, c2, c3, m)) / (m * m)) ** 0.5
 
@@ -699,13 +676,14 @@ def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=Non
 def fold_period(sys: SystemSpec, x: PointLike, family: PolyFamily) -> Optional[int]:
     """P = Q d!, a period in n of the decisions about T^{p_i(n)} x (the lemma
     in ``returnsets``), Q the first candidate with T^Q x = x.  L, the lcm of the
-    denominators of the parameters and of x, on a rotation; 2L for the C(t, 2)
-    terms of the skew product and the Heisenberg group, then 2L^2 for the latter's
-    t a y (15/2 at t = 2L = 80, a = 3/8, y = 1/4), at which every term is an
-    integer.  None when no candidate passes, on a named constant or a subshift."""
+    denominators of the parameters and of x (the base ``_modulus``, never squared),
+    on a rotation; 2L for the C(t, 2) terms of the skew product and the Heisenberg
+    group, then 2L^2 for the latter's t a y (15/2 at t = 2L = 80, a = 3/8,
+    y = 1/4), at which every term is an integer.  None when no candidate passes,
+    on a named constant or a subshift."""
     if isinstance(sys, IndicatorSubshift) or not sys.exact:
         return None
-    q = lcm(*(v.denominator for v in chain(sys._params, x.coords)))
+    q = _System._modulus(sys, x)
     candidates = (q,) if isinstance(sys, TorusRotation) else (2 * q, 2 * q * q)
     q = next((c for c in candidates if sys.iterate(x, c) == x), None)
     return None if q is None else q * factorial(max([0, *(p.degree for p in family.polys)]))

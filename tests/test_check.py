@@ -71,7 +71,7 @@ FIELD_KINDS = {
     "syndetic_refutation": {"gap": "an integer", "location": "an integer",
                             "length": "an integer"},
     "thick": {"run_start": "an integer", "run_length": "an integer"},
-    "pws": {"shift_bound": "an integer", "interval": "a list of 2 integers"},
+    "pws": {"shift_bound": "an integer", "interval": "an object"},
     "pws2d": {"shift_box": "a list of 2 integers", "rect": "a list of 4 integers"},
     "syndetic2d": {"l_bound": "an integer", "checked_box": "a list of 4 integers"},
     "syndetic2d_refutation": {"l_bound": "an integer", "point": "a list of 2 integers"},
@@ -89,6 +89,18 @@ def test_decoding_names_a_missing_or_ill_typed_field(kind, field):
             with pytest.raises(ConfigError) as exc:
                 cert_from_json_obj(bad)
             assert str(exc.value) == message + FIELD_KINDS[kind][field]
+
+
+@pytest.mark.parametrize("interval, message", [
+    ([0, 5], "bad interval [0, 5]: an object"),  # no writer has produced the list form
+    ({"start": 0}, "missing length: an integer"),
+    ({"start": "0", "length": 5}, "bad start '0': an integer"),
+])
+def test_pws_interval_is_read_as_the_object_reports_write(interval, message):
+    obj = {**TAMPERED["pws"][1].to_json_obj(), "interval": interval}
+    with pytest.raises(ConfigError) as exc:
+        cert_from_json_obj(obj)
+    assert str(exc.value) == message
 
 
 def test_field_kinds_are_read_once_per_class(tmp_path, monkeypatch, capsys):

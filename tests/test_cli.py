@@ -726,7 +726,7 @@ def test_verify_genuine_reports_skip_nothing(tmp_path, capsys):
 
 @pytest.mark.parametrize("set_kind, cert, message", [
     ("1d", {"type": "bogus"}, "bad type 'bogus': 'syndetic' or "),
-    ("1d", {"type": "pws", "shift_bound": 1}, "missing interval: a list of 2 integers"),
+    ("1d", {"type": "pws", "shift_bound": 1}, "missing interval: an object"),
     ("1d", {"type": "thick", "run_start": "3", "run_length": 2}, "bad run_start '3': an integer"),
     *OTHER_DIMENSION.values(),
 ], ids=["unknown-type", "missing-field", "ill-typed-field", *OTHER_DIMENSION])
@@ -750,8 +750,11 @@ def test_verify_malformed_report_exit_2(tmp_path, capsys, set_kind, cert, messag
     ({"lo": 0.5, "hi": "9", "members": [1, 2]}, "bad lo 0.5: an integer"),
     ({"box": [0, 3.5, 0, "3"], "members": [[0, 1]]},
      "bad box [0, 3.5, 0, '3']: a list of 4 integers"),
+    # windows whose first allocation fails: 10^17 bits are beyond the address space
+    ({"lo": 0, "hi": 10**17, "members": []}, "verify: bad report: a set too large to hold in memory"),
+    ({"lo": 0, "hi": 10**30, "members": []}, "cannot fit 'int' into an index-sized integer"),
 ], ids=["float", "string", "outside", "2d-float", "2d-string", "2d-triple", "2d-outside",
-        "float-bound", "2d-float-bound"])
+        "float-bound", "2d-float-bound", "too-large-to-hold", "too-large-to-index"])
 def test_verify_malformed_members_exit_2(tmp_path, capsys, set_obj, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"set": set_obj, "certificates": []}))
@@ -759,6 +762,7 @@ def test_verify_malformed_members_exit_2(tmp_path, capsys, set_obj, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("verify: bad report: ") and message in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
@@ -998,13 +1002,33 @@ def test_program_fault_is_not_a_config_error(tmp_path, capsys, monkeypatch, comm
      "bad alpha 'golden+'"),
     ("returns", dict(ROTATION_RETURNS, system={"type": "rotation", "alpha": ["1/4", "sqrt7"]},
                      window=[0, 9]), "bad alpha ['1/4', 'sqrt7']"),
-], ids=["missing-file", "zero-denominator", "not-a-number", "bad-constant", "bad-constant-list"])
+    # sizes no integer holds, refused at their first allocation (an OverflowError)
+    ("analyze", {"set": {"kind": "full", "window": [0, 10**30]}}, "too many digits in integer"),
+    ("analyze", {"set": {"kind": "literal", "lo": 0, "hi": 10**30, "members": []}},
+     "cannot fit 'int' into an index-sized integer"),
+], ids=["missing-file", "zero-denominator", "not-a-number", "bad-constant", "bad-constant-list",
+        "full-window-of-1e30", "literal-hi-of-1e30"])
 def test_unreadable_values_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the right JSON type that cannot be read is a config error
     naming the key; a missing set file and a zero denominator ended in a traceback."""
     code, report, _ = run(tmp_path, command, cfg)
     assert (code, report) == (2, None)
-    assert f"{command}: config error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{command}: config error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("analyze", {"set": {"kind": "full", "window": [0, 10**18]}}),
+    ("thma", {"set": MOD3, "family": ["n"], "box": [0, 10**18, 0, 3]}),
+], ids=["full-window-of-1e18", "thma-box-of-1e18"])
+def test_sets_too_large_to_hold_exit_3(tmp_path, capsys, command, cfg):
+    """A set whose mask of 10^17 bits or more fails at its first allocation is
+    infeasible: exit 3, no report, and one line naming the cause, which a
+    MemoryError's own text does not."""
+    code, report, _ = run(tmp_path, command, cfg)
+    assert (code, report) == (3, None)
+    err = capsys.readouterr().err
+    assert err == f"{command}: a set too large to hold in memory\n"
 
 
 SQRT2_RETURNS = dict(ROTATION_RETURNS, system={"type": "rotation", "alpha": ["sqrt2"]},

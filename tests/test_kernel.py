@@ -64,9 +64,9 @@ def old_form(sys, p):
     """A point as the oracles take it: integers at 2^bits on the fixed path."""
     if isinstance(p, WindowSet) or sys.exact:
         return p
-    scaled = [c * (1 << sys.bits) for c in p.coords]
+    scaled = [c * (1 << sys.bits) for c in p]
     assert all(v.denominator == 1 for v in scaled)
-    return Point(tuple(int(v) for v in scaled))
+    return tuple(int(v) for v in scaled)
 
 
 def _mod1(sys, v):
@@ -102,22 +102,22 @@ def _reduce(sys, a, b, c) -> Point:
     y = _mod1(sys, b)
     # a * floor(b) is an int-by-value product: exact in both modes
     z = _mod1(sys, c - a * _floor(sys, b))
-    return Point((x, y, z))
+    return (x, y, z)
 
 
 def oracle_iterate(sys, x, n):
     """T^n x on an old-form point, in closed form."""
     if isinstance(sys, TorusRotation):
         params = [_value(sys, a) for a in sys.alphas]
-        return Point(tuple(_mod1(sys, c + n * s) for c, s in zip(x.coords, params)))
+        return tuple(_mod1(sys, c + n * s) for c, s in zip(x, params))
     if isinstance(sys, SkewProduct):
         a = _value(sys, sys.alpha)
-        u, v = x.coords
-        return Point((_mod1(sys, u + n * a), _mod1(sys, v + n * u + _c2(n) * a)))
+        u, v = x
+        return (_mod1(sys, u + n * a), _mod1(sys, v + n * u + _c2(n) * a))
     if isinstance(sys, HeisenbergNil):
         a, b = _value(sys, sys.alpha), _value(sys, sys.beta)
         ab = _mul(sys, a, b)
-        u, v, w = x.coords
+        u, v, w = x
         return _reduce(sys, u + n * a, v + n * b, w + _c2(n) * ab + _mul(sys, n * a, v))
     if not x.lo <= n <= x.hi:
         raise WindowExhaustedError(
@@ -151,8 +151,8 @@ def _lt_eps(sys, dist, eps: Fraction) -> bool:
 
 def _translates(sys, a: Point, c: Point):
     # p, q in {-1, 0, 1}; r is the integer nearest to a's z for each q
-    a3 = a.coords[2]
-    c1, c2, c3 = c.coords
+    a3 = a[2]
+    c1, c2, c3 = c
     one = Fraction(1) if sys.exact else (1 << sys.bits)
     for q in (-1, 0, 1):
         b2 = c2 + q * one
@@ -165,7 +165,7 @@ def _translates(sys, a: Point, c: Point):
 
 def _dist2(sys, a: Point, c: Point):
     best = None
-    a1, a2, a3 = a.coords
+    a1, a2, a3 = a
     for t1, t2, t3 in _translates(sys, a, c):
         d1 = a1 - t1
         d2_ = a2 - t2
@@ -181,12 +181,12 @@ def oracle_in_ball(sys, a, c, eps) -> bool:
     if isinstance(sys, (TorusRotation, SkewProduct)):
         return all(
             _lt_eps(sys, _circle_dist(sys, u, v), e)
-            for u, v in zip(a.coords, c.coords)
+            for u, v in zip(a, c)
         )
     if isinstance(sys, HeisenbergNil):
-        if not _lt_eps(sys, _circle_dist(sys, a.coords[0], c.coords[0]), e):
+        if not _lt_eps(sys, _circle_dist(sys, a[0], c[0]), e):
             return False
-        if not _lt_eps(sys, _circle_dist(sys, a.coords[1], c.coords[1]), e):
+        if not _lt_eps(sys, _circle_dist(sys, a[1], c[1]), e):
             return False
         d2 = _dist2(sys, a, c)
         if sys.exact:
@@ -211,7 +211,7 @@ def oracle_point_distance(sys, a: Point, c: Point):
         if sys.exact:
             return float(d2) ** 0.5
         return (d2 / (1 << (2 * sys.bits))) ** 0.5
-    dist = max(_circle_dist(sys, u, v) for u, v in zip(a.coords, c.coords))
+    dist = max(_circle_dist(sys, u, v) for u, v in zip(a, c))
     if sys.exact:
         return dist
     return Fraction(dist, 1 << sys.bits)
@@ -336,11 +336,11 @@ def systems(draw):
 
 @st.composite
 def points(draw, sys) -> Point:
-    dim = len(sys.base_point().coords)
+    dim = len(sys.base_point())
     if sys.exact:
         return sys.make_point([draw(rationals) for _ in range(dim)])
     scale = 1 << sys.bits
-    return Point(tuple(Fraction(draw(st.integers(0, scale - 1)), scale) for _ in range(dim)))
+    return tuple(Fraction(draw(st.integers(0, scale - 1)), scale) for _ in range(dim))
 
 
 @st.composite
@@ -374,7 +374,7 @@ def rational_queries(draw):
         sys = SkewProduct(real())
     else:
         sys = HeisenbergNil(real(), real())
-    x = sys.make_point([draw(small_rationals) for _ in sys.base_point().coords])
+    x = sys.make_point([draw(small_rationals) for _ in sys.base_point()])
     center = sys.iterate(x, draw(st.integers(-50, 50))) if draw(st.booleans()) else x
     return sys, x, center, draw(st.sampled_from(EPSILONS))
 
@@ -531,8 +531,8 @@ def boundary_queries(draw):
     c2 = snap(draw(near_zero))
     y = draw(st.one_of(near_zero, near_zero.map(lambda v: c2 + Fraction(1, 2) + v)))
     q = draw(st.sampled_from([-1, 0, 1]))
-    target = Point(tuple(snap(v) for v in (c1 + draw(small_offset), y, c3 + q * c1 + draw(small_offset))))
-    center = Point((c1, c2, c3))
+    target = tuple(snap(v) for v in (c1 + draw(small_offset), y, c3 + q * c1 + draw(small_offset)))
+    center = (c1, c2, c3)
     t0 = draw(st.integers(-(10**12), 10**12))
     times = [t0] + draw(st.lists(st.integers(-(10**12), 10**12), max_size=20))
     return sys, sys.iterate(target, -t0), center, draw(st.sampled_from(BOUNDARY_EPSILONS)), times
@@ -561,11 +561,11 @@ def test_heisenberg_ball_edge_in_z(bits, eps):
     c1, c3 = m // 5, m // 7
     for q, c2 in [(-1, m - 5), (0, m // 3), (1, 5)]:
         dy_q = -dy if q == 1 else dy
-        c = Point(tuple(Fraction(v, m) for v in (c1, c2, c3)))
+        c = tuple(Fraction(v, m) for v in (c1, c2, c3))
         for sign in (1, -1):
             for j in (0, 1):
                 at = [c1 + d1, c2 + dy_q + q * m, c3 + q * c1 + sign * (k + j)]
-                p = Point(tuple(Fraction(v % m, m) for v in at))
+                p = tuple(Fraction(v % m, m) for v in at)
                 assert hits(sys, p, c, eps, [0]) == [j == 0]
                 assert oracle_in_ball(sys, old_form(sys, p), old_form(sys, c), eps) is (j == 0)
 
@@ -776,7 +776,7 @@ def test_one_period_oracle_matches_per_n_model(sys_obj, fam, eps, lo, width):
     family = PolyFamily.parse(fam)
     hi = lo + width - 1
     want = model_rational_rotation_oracle(sys_obj, family, eps, lo, hi)
-    assert _rational_rotation_oracle(sys_obj, family, eps, lo, hi) == want
+    assert _rational_rotation_oracle(parse_real(sys_obj["alpha"][0]), family, eps, lo, hi) == want
 
 
 # -- the three-gap walk --------------------------------------------------
@@ -954,8 +954,7 @@ def test_walked_return_sets_longer_than_a_chunk(eps, k):
 def test_missing_gaps_fall_back_to_per_time(alpha, coord, eps):
     sys = TorusRotation((parse_real(alpha),))
     x = sys.make_point([coord])
-    m = sys._modulus(x, x)
-    (s,) = sys._scaled(sys._params, m)
+    m, (s,), _ = sys._ints(x)
     assert _walk(0, s, 2 * _below(eps, m), m, 100) is None
     for k in (1, 2, -1):
         times = steps(k, -40, 81)
@@ -967,8 +966,7 @@ def test_tiny_epsilon_falls_back_to_per_time():
     sys = TorusRotation((parse_real("sqrt2"),))
     x = sys.base_point()
     eps = Fraction(1, 10**6)
-    m = 1 << sys.bits
-    (s,) = sys._scaled(sys._params, m)
+    m, (s,) = sys._ints()
     assert _walk(0, s, 2 * _below(eps, m), m, 100) is None
     times = range(-100000, 100001)
     want = hits(sys, x, x, eps, list(times))
