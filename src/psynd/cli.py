@@ -21,7 +21,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from math import factorial
 from pathlib import Path
@@ -46,6 +46,7 @@ from .returnsets import (
     return_set_2d,
     shift_cover_search,
 )
+from . import systems
 from .systems import TorusRotation, system_from_json_obj
 from .windows import (
     GridSet,
@@ -436,19 +437,82 @@ def cmd_nilcheck(cfg: dict, rng: random.Random) -> tuple[dict, int]:
     return report, 0
 
 
+PART = 1 << 16  # characters per part of a member list, split from 2 FORK_CHUNKS parts (512 KiB) up:
+# below that the forks cost about what they save (a 231 KB report was even, a 108 KB one slower)
+
+
+def _member_parts(text: str) -> Optional[tuple]:
+    """``(report, spans)``: the report of ``text`` with its set's member list read
+    as 0, and the spans of ``text`` that hold the parts of that list, each about
+    PART characters, cut at ``],[`` on a planar set and at ``,`` on a 1D one.
+    None when the list is shorter than 2 FORK_CHUNKS parts, or when
+    ``text[i:j]``, from after the last ``"members":`` to the last ``]``, is not
+    where JSON reads the set's ``members``: the text with that span replaced by
+    ``0``, and by ``1``, must parse to a report whose ``set.members`` is that
+    integer, whatever the duplicate keys, strings or nesting around it."""
+    key = '"members":'
+    i, j = text.rfind(key) + len(key), text.rfind("]") + 1
+    if i < len(key) or j - i < 2 * systems.FORK_CHUNKS * PART or text[i] != "[":
+        return None
+    try:
+        reports = [json.loads(f"{text[:i]}{v}{text[j:]}") for v in (0, 1)]
+        if any(type(r["set"]["members"]) is not int or r["set"]["members"] != v
+               for v, r in enumerate(reports)):
+            return None
+    # not JSON, too deep, too large, not an object, or no set.members there
+    except (ValueError, RecursionError, MemoryError, TypeError, KeyError):
+        return None
+    sep = "],[" if "box" in reports[0]["set"] else ","
+    spans, a = [], i + 1
+    while (c := text.find(sep, a + PART, j - 1)) >= 0:
+        spans.append((a, c + len(sep) // 2))
+        a = c + len(sep) // 2 + 1
+    spans.append((a, j - 1))
+    return (reports[0], spans) if len(spans) >= 2 * systems.FORK_CHUNKS else None
+
+
+def _decode_parts(text: str, spans: list, fill) -> int:
+    """``fill`` ORed over the parts of a member list, each decoded as ``[part]`` and
+    held as ``{"members": [...]}``, by the processes that share ``systems._split``'s
+    queue.  A part that is no list of at least one member raises: JSON's grammar
+    then gives the list the parts joined by commas, no more and no less."""
+    def part(k: int) -> dict:
+        members = json.loads(f"[{text[slice(*spans[k])]}]")
+        if not members:  # blanks between two commas
+            raise ValueError("a part without members")
+        return {"members": members}
+
+    return systems._split(lambda ks: fill(map(part, ks)), range(len(spans)))
+
+
+def _read_report(text: str) -> tuple:
+    """The report of ``text`` and its embedded set.  A long member list is decoded
+    in parts (``_member_parts``); any fault there, a bad member included, and the
+    whole text is decoded as one, for its own error."""
+    found = _member_parts(text)
+    if found is not None:
+        report, spans = found
+        cls = GridSet if "box" in report["set"] else WindowSet
+        try:
+            return report, cls.from_json_obj(report["set"], split=partial(_decode_parts, text, spans))
+        except (ValueError, OverflowError, MemoryError, RecursionError):
+            pass  # a report at fault: decoded whole below, for its own error
+    report = json.loads(text)
+    set_obj = report.get("set") if isinstance(report, dict) else None
+    if not isinstance(set_obj, dict) or "members" not in set_obj:
+        raise ValueError("report has no embedded set")
+    return report, (GridSet if "box" in set_obj else WindowSet).from_json_obj(set_obj)
+
+
 def cmd_verify(report_path: str) -> int:
     """Re-verify every certificate in a report; a malformed report exits 2 first."""
     gc_was_enabled = gc.isenabled()
     gc.disable()  # until the JSON is freed: it has no cycles, yet a collection rescans it
     try:
-        report = json.loads(Path(report_path).read_text(encoding="utf-8"))
-        set_obj = report.get("set") if isinstance(report, dict) else None
-        if not isinstance(set_obj, dict) or "members" not in set_obj:
-            raise ValueError("report has no embedded set")
-        planar = "box" in set_obj
-        the_set = (GridSet if planar else WindowSet).from_json_obj(set_obj)
+        report, the_set = _read_report(Path(report_path).read_text(encoding="utf-8"))
+        planar = isinstance(the_set, GridSet)
         certs = [cert_from_json_obj(obj) for obj in take(report, "certificates", list, [])]
-        del report, set_obj
+        del report
         for cert in certs:
             if cert.planar != planar:
                 raise ValueError(f"{cert.type} certificate on a {'2D' if planar else '1D'} set")

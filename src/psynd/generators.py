@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import random
+import reprlib
+import sys
 from pathlib import Path
 
 from . import bitops
@@ -12,6 +14,17 @@ from .constants import DEFAULT_BITS, MIN_BITS, parse_real
 from .errors import ConfigError, take
 from .systems import TorusRotation, arc_mask
 from .windows import WindowSet
+
+MAX_WIDTH = sys.maxsize  # the most integers a config window may hold: no index goes past it
+
+
+def _width(lo: int, hi: int) -> int:
+    """The width of [lo, hi], after one allocation of its mask: ValueError on an empty
+    window, and a MemoryError at once on one no memory holds, before a builder that
+    grows its mask (a tiling doubles it step by step) spends time and memory on it."""
+    width = WindowSet(lo, hi).width  # ValueError on an empty window
+    bitops.mask_of(width)
+    return width
 
 
 def sturmian_window(
@@ -34,7 +47,7 @@ def sturmian_window(
     irrational slope and every multiple of q for alpha = p/q.
     """
     m, (a,) = TorusRotation((parse_real(alpha),), bits=bits)._ints()
-    width = WindowSet(lo, hi).width  # ValueError on an empty window
+    width = _width(lo, hi)
     return WindowSet(lo, hi, arc_mask(2 * a * lo, 2 * a, m - 1, 2 * m, width))
 
 
@@ -43,7 +56,7 @@ def congruence_window(modulus: int, residues, lo: int, hi: int) -> WindowSet:
     below min(modulus, width) from lo, tiled by ``bitops.tile_mask``."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    width = WindowSet(lo, hi).width  # ValueError on an empty window
+    width = _width(lo, hi)
     sel = bytearray(min(modulus, width))
     for r in residues:
         if (i := (r - lo) % modulus) < len(sel):
@@ -97,6 +110,8 @@ def read_source(obj: dict) -> tuple:
     if kind == "file":
         return load_window_file, (take(obj, "path", str),)
     window = tuple(take(obj, "window", [int], size=2))
+    if window[1] - window[0] >= MAX_WIDTH:
+        raise ConfigError(f"bad window {reprlib.repr(list(window))}: at most {MAX_WIDTH} integers")
     if kind == "sturmian":
         bits = take(obj, "bits", int, DEFAULT_BITS, least=MIN_BITS)
         return sturmian_window, (take(obj, "alpha", str, parse=parse_real), *window, bits)

@@ -50,6 +50,8 @@ of ``os.sched_getaffinity`` (FORK_CHUNKS chunks each at least) to take until it 
 After any failure this process decides them all again: the same bits, and the serial
 error, on any number of CPUs.  Serial on one CPU (``taskset -c 0``), without ``os.fork``
 or beside a thread.  A fork that fails ends the forking, and the queue is drained anyway.
+The same queue serves ``verify`` (``cli._decode_parts``): the parts of a report's long
+member list, each decoded into one mask, are its chunks.
 
 All system and point values are immutable; methods are pure functions.
 """

@@ -60,12 +60,7 @@ class WindowSet:
 
     @classmethod
     def from_members(cls, lo: int, hi: int, members: Iterable[int]) -> "WindowSet":
-        sel = bytearray(max(0, hi - lo + 1))
-        for m in members:
-            if not lo <= m <= hi:
-                raise ValueError(f"member {m} outside window [{lo},{hi}]")
-            sel[m - lo] = 1
-        return cls(lo, hi, bitops.from_selectors(sel))
+        return cls(lo, hi, _window_mask(lo, hi, [members]))
 
     @classmethod
     def from_predicate(cls, lo: int, hi: int, pred: Callable[[int], bool]) -> "WindowSet":
@@ -121,9 +116,18 @@ class WindowSet:
         return {"lo": self.lo, "hi": self.hi, "members": list(self.members())}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "WindowSet":
+    def from_json_obj(cls, obj: dict, split: Optional[Callable] = None) -> "WindowSet":
+        """The set of a report's ``{lo, hi, members}``.  ``fill`` is the one reader of
+        member lists: it takes objects that hold one each, ``obj`` or the parts of its
+        list, checks each list as ``take`` does, and gives the mask of their members.
+        ``split``, when given, decodes ``obj``'s list in parts instead: called with
+        ``fill``, it gives the OR of its masks over the parts (``cli._decode_parts``)."""
         lo, hi = take(obj, "lo", int), take(obj, "hi", int)
-        return cls.from_members(lo, hi, take(obj, "members", [int]))
+
+        def fill(objs: Iterable[dict]) -> int:
+            return _window_mask(lo, hi, (take(o, "members", [int]) for o in objs))
+
+        return cls(lo, hi, fill([obj]) if split is None else split(fill))
 
     def to_json(self) -> str:
         """Compact JSON of :meth:`to_json_obj`, keys sorted, written from the mask."""
@@ -157,6 +161,18 @@ class WindowSet:
         if width < 1 or len(body) != (width + 63) // 64 * 8:
             raise ValueError(f"bitmap body of {len(body)} bytes for the window [{lo}, {hi}]")
         return cls(lo, hi, int.from_bytes(body, "little") & bitops.mask_of(width))
+
+
+def _window_mask(lo: int, hi: int, lists: Iterable[Iterable[int]]) -> int:
+    """The mask over [lo, hi] of the members of every list, one selector byte each;
+    ValueError names the first member outside the window."""
+    sel = bytearray(max(0, hi - lo + 1))
+    for members in lists:
+        for m in members:
+            if not lo <= m <= hi:
+                raise ValueError(f"member {m} outside window [{lo},{hi}]")
+            sel[m - lo] = 1
+    return bitops.from_selectors(sel)
 
 
 _UP = ([str(d) for d in range(1000)], [f"{d:03}" for d in range(1000)])
@@ -236,18 +252,8 @@ class GridSet:
     def from_members(
         cls, box: Tuple[int, int, int, int], members: Iterable[Tuple[int, int]]
     ) -> "GridSet":
-        """The set of ``members``, set one selector byte per cell, column by column;
-        ``start[n - nlo] + m`` is the byte of cell (m, n)."""
-        mlo, mhi, nlo, nhi = box
-        h = mhi - mlo + 1
-        sel = bytearray(max(0, h * (nhi - nlo + 1)))
-        start = [j * h - mlo for j in range(nhi - nlo + 1)]
-        for m, n in members:
-            if not (mlo <= m <= mhi and nlo <= n <= nhi):
-                raise ValueError(f"member {(m, n)} outside box")
-            sel[start[n - nlo] + m] = 1
-        return cls._from_cols(box, [bitops.from_selectors(sel[j * h : j * h + h])
-                                    for j in range(nhi - nlo + 1)])
+        """The set of ``members``, pairs of integers (``_box_mask``)."""
+        return cls._from_cols(box, _box_columns(box, _box_mask(box, [members])))
 
     @classmethod
     def from_predicate(
@@ -324,12 +330,18 @@ class GridSet:
         return {"box": list(self.box), "members": [list(p) for p in self.members()]}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "GridSet":
-        box, members = tuple(take(obj, "box", [int], size=4)), take(obj, "members", list)
-        try:
-            return cls.from_members(box, members)
-        except TypeError as exc:  # a member that is not a pair of integers
-            raise ConfigError(f"bad members: {exc}") from exc
+    def from_json_obj(cls, obj: dict, split: Optional[Callable] = None) -> "GridSet":
+        """The set of a report's ``{box, members}``, its member lists read by ``fill``
+        and ``split`` as :meth:`WindowSet.from_json_obj` says."""
+        box = tuple(take(obj, "box", [int], size=4))
+
+        def fill(objs: Iterable[dict]) -> int:
+            try:
+                return _box_mask(box, (take(o, "members", list) for o in objs))
+            except TypeError as exc:  # a member that is not a pair of integers
+                raise ConfigError(f"bad members: {exc}") from exc
+
+        return cls._from_cols(box, _box_columns(box, fill([obj]) if split is None else split(fill)))
 
     def _member_rows(self, items: List[str], lead: Callable[[int], str]) -> List[str]:
         """Per row m with a member, ``s + s.join(picked)``, s = ``lead(m)`` and picked the
@@ -368,6 +380,38 @@ class GridSet:
         masks as :meth:`to_json` is (by the same rule), each ``n`` behind ``\\nm,``."""
         rows = self._member_rows(list(map(str, range(self.nlo, self.nhi + 1))), "\n{},".format)
         return "".join([*rows, "\n"]) if rows else ""
+
+
+def _box_mask(box: Tuple[int, int, int, int], lists: Iterable[Iterable[Tuple[int, int]]]) -> int:
+    """The members of every list as one mask, one selector byte per cell: column n
+    from bit 8 k (n - nlo) on, k the bytes of a column, ``start[n - nlo] + m`` the
+    byte of cell (m, n).  ValueError names the first member outside the box, and
+    TypeError the first that is not a pair of integers (the bool True passes every
+    other test as 1)."""
+    mlo, mhi, nlo, nhi = box
+    stride = 8 * _column_bytes(box)
+    sel = bytearray(max(0, stride * (nhi - nlo + 1)))
+    start = [j * stride - mlo for j in range(nhi - nlo + 1)]
+    for members in lists:
+        for m, n in members:
+            if not (mlo <= m <= mhi and nlo <= n <= nhi):
+                raise ValueError(f"member {(m, n)} outside box")
+            if type(m) is bool or type(n) is bool:
+                raise TypeError(f"member {[m, n]} is not a pair of integers")
+            sel[start[n - nlo] + m] = 1
+    return bitops.from_selectors(sel)
+
+
+def _column_bytes(box: Tuple[int, int, int, int]) -> int:
+    """The bytes of one column of ``_box_mask``'s layout: one bit per m, whole bytes."""
+    return max(0, -(-(box[1] - box[0] + 1) // 8))
+
+
+def _box_columns(box: Tuple[int, int, int, int], mask: int) -> List[int]:
+    """The columns of a mask laid out by ``_box_mask``, cut apart as bytes."""
+    k, w = _column_bytes(box), max(0, box[3] - box[2] + 1)
+    raw = mask.to_bytes(k * w, "little")
+    return [int.from_bytes(raw[j * k : j * k + k], "little") for j in range(w)]
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,16 @@ def test_transpose_random(case):
     assert bitops.transpose(rows, width) == oracle_transpose(rows, width)
 
 
+@given(st.integers(1, 9).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.integers(0, bitops.mask_of(w)), max_size=300))))
+@settings(max_examples=300, deadline=None)
+def test_narrow_transpose_matches_tiles(case):
+    # rows of at most 8 bits are read as bytes; 9 bits is the first width left to the tiles
+    width, rows = case
+    assert bitops.transpose(rows, width) == bitops._transpose_tiles(rows, width)
+    assert bitops.transpose(rows, width) == oracle_transpose(rows, width)
+
+
 FAMILIES = [["n"], ["n^2"], ["n", "n^2"], ["-n", "2n", "n^2"], ["n^3+n"]]
 
 

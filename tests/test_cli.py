@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import random
+import resource
 import struct
 import subprocess
 import sys
@@ -747,6 +748,12 @@ def test_verify_malformed_report_exit_2(tmp_path, capsys, set_kind, cert, messag
     ({"box": [0, 4, 0, 4], "members": [["0", 1]]}, "'<=' not supported"),
     ({"box": [0, 4, 0, 4], "members": [[0, 1], [0, 1, 2]]}, "too many values to unpack"),
     ({"box": [0, 4, 0, 4], "members": [[0, 0], [0, 5], [5, 0]]}, "member (0, 5) outside box"),
+    # a bool passes every other test as 0 or 1, as it would in a 1D list
+    ({"box": [0, 4, 0, 4], "members": [[True, 0]]},
+     "bad members: member [True, 0] is not a pair of integers"),
+    ({"box": [0, 4, 0, 4], "members": [[0, 1], [2, False]]},
+     "bad members: member [2, False] is not a pair of integers"),
+    ({"lo": 0, "hi": 4, "members": [True]}, "bad members [True]: a list of integers"),
     ({"lo": 0.5, "hi": "9", "members": [1, 2]}, "bad lo 0.5: an integer"),
     ({"box": [0, 3.5, 0, "3"], "members": [[0, 1]]},
      "bad box [0, 3.5, 0, '3']: a list of 4 integers"),
@@ -754,7 +761,7 @@ def test_verify_malformed_report_exit_2(tmp_path, capsys, set_kind, cert, messag
     ({"lo": 0, "hi": 10**17, "members": []}, "verify: bad report: a set too large to hold in memory"),
     ({"lo": 0, "hi": 10**30, "members": []}, "cannot fit 'int' into an index-sized integer"),
 ], ids=["float", "string", "outside", "2d-float", "2d-string", "2d-triple", "2d-outside",
-        "float-bound", "2d-float-bound", "too-large-to-hold", "too-large-to-index"])
+        "2d-bool-m", "2d-bool-n", "bool", "float-bound", "2d-float-bound", "too-large-to-hold", "too-large-to-index"])
 def test_verify_malformed_members_exit_2(tmp_path, capsys, set_obj, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"set": set_obj, "certificates": []}))
@@ -1002,8 +1009,10 @@ def test_program_fault_is_not_a_config_error(tmp_path, capsys, monkeypatch, comm
      "bad alpha 'golden+'"),
     ("returns", dict(ROTATION_RETURNS, system={"type": "rotation", "alpha": ["1/4", "sqrt7"]},
                      window=[0, 9]), "bad alpha ['1/4', 'sqrt7']"),
-    # sizes no integer holds, refused at their first allocation (an OverflowError)
-    ("analyze", {"set": {"kind": "full", "window": [0, 10**30]}}, "too many digits in integer"),
+    # sizes no index holds: a window is refused by its key, a literal hi at its first
+    # allocation (an OverflowError)
+    ("analyze", {"set": {"kind": "full", "window": [0, 10**30]}},
+     f"bad window [0, {10**30}]: at most {sys.maxsize} integers"),
     ("analyze", {"set": {"kind": "literal", "lo": 0, "hi": 10**30, "members": []}},
      "cannot fit 'int' into an index-sized integer"),
 ], ids=["missing-file", "zero-denominator", "not-a-number", "bad-constant", "bad-constant-list",
@@ -1029,6 +1038,35 @@ def test_sets_too_large_to_hold_exit_3(tmp_path, capsys, command, cfg):
     assert (code, report) == (3, None)
     err = capsys.readouterr().err
     assert err == f"{command}: a set too large to hold in memory\n"
+
+
+@pytest.mark.parametrize("source", [
+    {"kind": "congruence", "modulus": 3, "residues": [0]},
+    {"kind": "sturmian", "alpha": "golden"},
+], ids=["congruence", "sturmian"])
+def test_huge_generated_window_fails_at_once(tmp_path, source):
+    """A builder that tiles or walks its mask allocates the whole mask first: on
+    [0, 10^18] it fails there, exit 3, instead of growing its mask until memory
+    runs out (a congruence set reached 1 GB under a 1 GB cap, a Sturmian one
+    spun on).  Run as a process capped at 1 GiB of address space and 60 CPU seconds."""
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"set": {**source, "window": [0, 10**18]}}))
+    src = str(Path(psynd.cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+    with open(tmp_path / "out", "w+") as out, open(tmp_path / "err", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "psynd.cli", "analyze", "--config", str(cfg)],
+                                env=env, preexec_fn=cap, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert (proc.returncode, (tmp_path / "out").read_text(), (tmp_path / "err").read_text()) == (
+        3, "", "analyze: a set too large to hold in memory\n")
+    assert usage.ru_maxrss < 256 * 1024  # KiB: the interpreter and psynd, no mask
 
 
 SQRT2_RETURNS = dict(ROTATION_RETURNS, system={"type": "rotation", "alpha": ["sqrt2"]},

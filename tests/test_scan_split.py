@@ -1,11 +1,15 @@
-"""``systems.scan`` split over forked workers against the same scan in one process.
+"""``systems.scan`` split over forked workers against the same scan in one process,
+and ``verify``'s member list decoded in parts by the same workers against one process
+and against the whole text.
 
-Every case forces the split (``WORKERS`` 2 or 3, ``FORK_CHUNKS`` 1) and must
-give the mask of ``WORKERS = 1`` bit for bit, raise the serial error, and
-leave no child process behind.
+Every case forces the split (``WORKERS`` 2 or 3, ``FORK_CHUNKS`` 1, and for
+``verify`` parts of 64 characters) and must give the mask of ``WORKERS = 1`` bit
+for bit (``verify``: its exit code, stdout and stderr), raise the serial error,
+and leave no child process behind.
 """
 
 import fcntl
+import json
 import os
 import signal
 import threading
@@ -30,6 +34,7 @@ from psynd import (
     return_set_2d,
     systems,
 )
+from psynd import cli
 
 
 def _system(kind):
@@ -312,3 +317,198 @@ def test_short_record_is_a_failure(monkeypatch, forks):
     assert systems._split(lambda starts: sum(1 << s for s in starts), range(9)) == 0b111111111
     _no_child_left()
     assert forks and cut
+
+
+# -- verify: a report's member list decoded in parts -----------------------------------
+
+THMA_CFG = {
+    "set": {"kind": "sturmian", "alpha": "golden", "window": [-2000, 2000]},
+    "family": ["n", "n^2"],
+    "box": [-100, 100, -40, 40],
+    "certificates": {"pws2d": {"b1_max": 6, "b2_max": 6, "w": 3, "h": 3}},
+}
+ANALYZE_CFG = {
+    "set": {"kind": "sturmian", "alpha": "golden", "window": [0, 9999]},
+    "certificates": {"syndetic": {"N": 3}, "pws": {"b_max": 4, "L": 50}},
+}
+
+
+def _report(tmp_path, command, cfg):
+    """The text of a report written by ``psynd <command>``."""
+    cfg_path, out = tmp_path / f"{command}.cfg.json", tmp_path / f"{command}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("reports")
+    return {"planar": _report(tmp, "thma", THMA_CFG), "1d": _report(tmp, "analyze", ANALYZE_CFG)}
+
+
+def _verify(tmp_path, capsys, text):
+    """(exit code, stdout, stderr) of ``psynd verify`` on a report of this text."""
+    path = tmp_path / "verified.json"
+    path.write_text(text)
+    code = cli.main(["verify", "--config", str(path)])
+    return (code, *capsys.readouterr())
+
+
+def _verify_split_vs_serial(monkeypatch, forks, capsys, tmp_path, workers, text, splits=True):
+    """verify with the member list split into parts of 64 characters over ``workers``
+    processes; then with ``WORKERS = 1``; then decoded whole: the same exit code,
+    stdout and stderr."""
+    monkeypatch.setattr(systems, "FORK_CHUNKS", 1)
+    monkeypatch.setattr(cli, "PART", 64)
+    monkeypatch.setattr(systems, "WORKERS", workers)
+    forks.clear()
+    split = _verify(tmp_path, capsys, text)
+    _no_child_left()
+    assert bool(forks) == splits
+    monkeypatch.setattr(systems, "WORKERS", 1)
+    assert _verify(tmp_path, capsys, text) == split
+    monkeypatch.setattr(cli, "PART", 1 << 40)
+    assert _verify(tmp_path, capsys, text) == split
+    return split
+
+
+def _last_member(text, sep, forged):
+    """``text`` with the last member of its set replaced by ``forged``."""
+    head, _, tail = text.rpartition(sep)
+    return head + sep + forged + tail[tail.index("]" if sep == "," else "]]"):]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kind", ["planar", "1d"])
+def test_split_verify_matches_serial(monkeypatch, forks, capsys, tmp_path, reports, workers, kind):
+    got = _verify_split_vs_serial(monkeypatch, forks, capsys, tmp_path, workers, reports[kind])
+    assert got[0] == 0 and got[2] == ""
+    # a forged certificate fails alike
+    report = json.loads(reports[kind])
+    cert = report["certificates"][-1]
+    if kind == "planar":
+        cert["shift_box"] = [0, 0]
+    else:
+        cert["shift_bound"] = 0
+        cert["interval"]["length"] = 10**4
+    text = cli._dump_json(report)
+    assert _verify_split_vs_serial(monkeypatch, forks, capsys, tmp_path, workers, text)[0] == 1
+
+
+@pytest.mark.parametrize("forged, message", [
+    ("[0,1.5]", "bad members: list indices must be integers or slices, not float"),
+    ("[true,0]", "bad members: member [True, 0] is not a pair of integers"),
+    ('["0",1]', "bad members: '<=' not supported between instances of 'int' and 'str'"),
+    ("[0,1,2]", "too many values to unpack (expected 2)"),
+    ("[0,41]", "member (0, 41) outside box"),
+    ("[101,0]", "member (101, 0) outside box"),
+], ids=["float", "bool", "string", "triple", "outside-n", "outside-m"])
+def test_split_verify_bad_planar_member_in_a_later_part(monkeypatch, forks, capsys, tmp_path,
+                                                        reports, forged, message):
+    text = _last_member(reports["planar"], "],[", forged[1:-1])
+    got = _verify_split_vs_serial(monkeypatch, forks, capsys, tmp_path, 2, text)
+    assert got == (2, "", f"verify: bad report: {message}\n")
+
+
+@pytest.mark.parametrize("forged, message", [
+    ("1.5", "a list of integers"), ("true", "a list of integers"), ('"9"', "a list of integers"),
+    ("[9]", "a list of integers"), ("10000", "member 10000 outside window [0,9999]"),
+    ("-1", "member -1 outside window [0,9999]"),
+], ids=["float", "bool", "string", "list", "outside-hi", "outside-lo"])
+def test_split_verify_bad_1d_member_in_a_later_part(monkeypatch, forks, capsys, tmp_path,
+                                                    reports, forged, message):
+    text = _last_member(reports["1d"], ",", forged)
+    code, out, err = _verify_split_vs_serial(monkeypatch, forks, capsys, tmp_path, 2, text)
+    assert (code, out) == (2, "") and err.startswith("verify: bad report: ")
+    assert err.endswith(f"{message}\n") and err.count("\n") == 1
+
+
+def _forged(text, kind):
+    """Reports whose member text is not, or not only, where ``_member_parts`` looks."""
+    body = text.rstrip("\n")[:-1]  # without the report's closing brace
+    i = text.rindex('"members":') + len('"members":')
+    j = text.rindex("]") + 1
+    members = text[i:j]
+    box = body[body.rindex('"set":'):]
+    if kind == "members-in-an-earlier-string":
+        return '{"note":"\\"members\\":[[0,0]]",' + text[1:]
+    if kind == "members-in-a-later-object":
+        return body + ',"zz":{"members":[[0,0],[1,1]]}}'
+    if kind == "members-0-and-a-later-list":  # the set's own members read 0 whatever the span
+        return text[:i] + "0" + text[j:].rstrip("\n")[:-1] + ',"zz":{"members":' + members + "}}"
+    if kind == "duplicate-set":
+        return body + "," + box + "}"
+    if kind == "duplicate-set-without-members":
+        return body + ',"set":{"lo":0,"hi":5}}'
+    if kind == "duplicate-members":  # the last one counts, and is the long one
+        return text[:i - len('"members":')] + '"members":[[0,0]],' + text[i - len('"members":'):]
+    if kind == "members-not-last":
+        return text[:i - len('"members":')] + '"members":' + members + ',"zz":[1,2]' + text[j:]
+    if kind == "certificates-after-set":
+        report = json.loads(text)
+        certs = json.dumps(report.pop("certificates"))
+        return cli._dump_json(report).rstrip("\n")[:-1] + f',"certificates":{certs}}}'
+    if kind == "whitespace-around":
+        return text[:i] + " \n" + members + "\t " + text[j:]
+    if kind == "separator-in-a-string":
+        return text[:j - 1] + ',"[1,2],[3,4]",[0,0]]' + text[j:]
+    if kind == "blank-between-commas":  # invalid JSON
+        k = text.index("],[", i + len(members) // 2) + 2
+        return text[:k] + " " * 300 + "," + text[k:]
+    raise AssertionError(kind)
+
+
+# kind: whether the text is split (a part that fails then sends it to the whole decode)
+FORGED = {"members-in-an-earlier-string": True, "members-in-a-later-object": False,
+          "members-0-and-a-later-list": False,
+          "duplicate-set": True, "duplicate-set-without-members": False,
+          "duplicate-members": True, "members-not-last": True, "certificates-after-set": False,
+          "whitespace-around": False, "separator-in-a-string": True, "blank-between-commas": True}
+
+
+@pytest.mark.parametrize("kind", FORGED)
+def test_split_verify_forged_text_decodes_as_whole(monkeypatch, forks, capsys, tmp_path,
+                                                   reports, kind):
+    text = _forged(reports["planar"], kind)
+    monkeypatch.setattr(cli, "PART", 1 << 40)
+    whole = _verify(tmp_path, capsys, text)
+    monkeypatch.setattr(systems, "FORK_CHUNKS", 1)
+    monkeypatch.setattr(cli, "PART", 64)
+    monkeypatch.setattr(systems, "WORKERS", 2)
+    assert _verify(tmp_path, capsys, text) == whole
+    _no_child_left()
+    assert bool(forks) == FORGED[kind]
+    assert "Traceback" not in whole[2]
+
+
+def test_split_verify_blanks_between_commas_in_1d(monkeypatch, forks, capsys, tmp_path, reports):
+    # blanks longer than a part, where a part starts: that part, blanks alone, parses as an
+    # empty list; it is refused, and the whole text exits 2
+    monkeypatch.setattr(systems, "FORK_CHUNKS", 1)
+    monkeypatch.setattr(cli, "PART", 64)
+    text = reports["1d"]
+    _, spans = cli._member_parts(text)
+    k = spans[len(spans) // 2][0]
+    text = text[:k] + " " * 300 + "," + text[k:]
+    assert text[slice(*cli._member_parts(text)[1][len(spans) // 2])].isspace()
+    code, out, err = _verify_split_vs_serial(monkeypatch, forks, capsys, tmp_path, 2, text)
+    assert (code, out) == (2, "") and err.startswith("verify: bad report: Expecting value")
+
+
+def test_split_verify_no_fork_beside_a_second_thread(monkeypatch, forks, capsys, tmp_path,
+                                                     reports):
+    monkeypatch.setattr(systems, "FORK_CHUNKS", 1)
+    monkeypatch.setattr(cli, "PART", 64)
+    monkeypatch.setattr(systems, "WORKERS", 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        got = _verify(tmp_path, capsys, reports["planar"])
+    finally:
+        stop.set()
+        thread.join()
+    assert forks == [] and got[0] == 0
+    monkeypatch.setattr(cli, "PART", 1 << 40)
+    assert _verify(tmp_path, capsys, reports["planar"]) == got
