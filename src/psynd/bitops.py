@@ -91,9 +91,10 @@ def _transpose_tiles(rows: Sequence[int], width: int) -> List[int]:
 
 
 def reverse_bits(x: int, width: int) -> int:
-    """Bit i of ``x < 2**width`` moved to bit ``width - 1 - i``, in C:
-    the binary text of ``x`` read backwards."""
-    return int(format(x, f"0{width}b")[::-1], 2)
+    """Bit i of ``x < 2**width`` moved to bit ``width - 1 - i``, in C: the bytes of ``x``
+    in the other order, each through ``_REVERSED``, less the padding above ``width``."""
+    raw = x.to_bytes(-(-width // 8), "little").translate(_REVERSED)
+    return int.from_bytes(raw, "big") >> -width % 8
 
 
 def tile_mask(x: int, period: int, width: int) -> int:
@@ -176,6 +177,7 @@ def has_run(x: int, k: int) -> Optional[int]:
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _BIT_TABLES = [bytes((b >> j) & 1 for b in range(256)) for j in range(8)]  # byte -> its bit j
 _SELECTOR_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte -> its bits reversed
 
 
 def bit_selectors(x: int) -> bytes:

@@ -104,21 +104,22 @@ def read_source(obj: dict) -> tuple:
     """
     kind = take(obj, "kind", ("literal", "file", "sturmian", "congruence", "full",
                               "random_thick_syndetic"))
-    if kind == "literal":
-        return WindowSet.from_members, (take(obj, "lo", int), take(obj, "hi", int),
-                                        take(obj, "members", [int]))
     if kind == "file":
         return load_window_file, (take(obj, "path", str),)
-    window = tuple(take(obj, "window", [int], size=2))
-    if window[1] - window[0] >= MAX_WIDTH:
-        raise ConfigError(f"bad window {reprlib.repr(list(window))}: at most {MAX_WIDTH} integers")
+    key = "lo, hi" if kind == "literal" else "window"
+    lo, hi = ((take(obj, "lo", int), take(obj, "hi", int)) if kind == "literal"
+              else take(obj, "window", [int], size=2))
+    if hi - lo >= MAX_WIDTH:
+        raise ConfigError(f"bad {key} {reprlib.repr([lo, hi])}: at most {MAX_WIDTH} integers")
+    if kind == "literal":
+        return WindowSet.from_members, (lo, hi, take(obj, "members", [int]))
     if kind == "sturmian":
         bits = take(obj, "bits", int, DEFAULT_BITS, least=MIN_BITS)
-        return sturmian_window, (take(obj, "alpha", str, parse=parse_real), *window, bits)
+        return sturmian_window, (take(obj, "alpha", str, parse=parse_real), lo, hi, bits)
     if kind == "congruence":
         return congruence_window, (take(obj, "modulus", int, least=1),
-                                   take(obj, "residues", [int]), *window)
-    return (WindowSet.full if kind == "full" else random_thick_syndetic), window
+                                   take(obj, "residues", [int]), lo, hi)
+    return (WindowSet.full if kind == "full" else random_thick_syndetic), (lo, hi)
 
 
 def window_from_source(source: tuple, rng: random.Random) -> WindowSet:

@@ -29,7 +29,7 @@ from typing import Tuple
 
 from .errors import NotNormalFormError, RadiusExhaustedError
 from .polynomials import PolyFamily, reduce_to_normal_form
-from .systems import PointLike, SystemSpec, fold_period, scan
+from .systems import PointLike, SystemSpec, TorusRotation, fold_period, mirror, scan
 from .windows import WindowSet
 
 
@@ -167,7 +167,10 @@ def recurrence_times(
 
     Recomputation (not trimming) keeps the comparison radius constant,
     which is what the infinite-sequence statement truncates to.  A window
-    wider than its ``fold_period`` P tiles the mask of [-N, P - N).
+    wider than its ``fold_period`` P tiles the mask of [-N, P - N).  Row j at -n
+    is row -j at n (``systems.mirror``), for any point x: with every p even its center
+    T^{p(j)} x and time p(j - n) = p(n - j) are row -j's; with every p even or odd,
+    a rotation sees only the offsets p(j - n) - p(j) = -(p(n - j) - p(-j)) and -a n.
     """
     base = split_block(sys, x, family, radius)
     higher = [p for p in family.polys if p.degree >= 2]
@@ -182,7 +185,11 @@ def recurrence_times(
                 yield center, vals[off : off + size]
 
     period = fold_period(sys, x, family)
-    return WindowSet(-n_bound, n_bound, scan(sys, x, eps, conds, -n_bound, n_bound, period))
+    odd = isinstance(sys, TorusRotation)
+    exact = not isinstance(x, WindowSet) and all(  # a coordinate point, not a subshift's word
+        p.is_even() or odd and p.is_odd() for p in family.polys)
+    return WindowSet(-n_bound, n_bound, mirror(
+        lambda lo, hi: scan(sys, x, eps, conds, lo, hi, period), -n_bound, n_bound, period, exact))
 
 @dataclass(frozen=True)
 class PeriodicBlock:

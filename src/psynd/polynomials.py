@@ -156,6 +156,10 @@ class IntegralPolynomial:
         """
         return all(self.eval(-k) == self.eval(k) for k in range(1, self.degree + 1))
 
+    def is_odd(self) -> bool:
+        """Whether p(-n) == -p(n) for every integer n, from p(-k) + p(k) at 0..deg p."""
+        return all(self.eval(-k) == -self.eval(k) for k in range(self.degree + 1))
+
     def __repr__(self) -> str:
         return f"IntegralPolynomial({self.to_monomial_str()!r})"
 

@@ -13,9 +13,9 @@ Ball membership uses strict inequality everywhere so results are
 bit-reproducible for a fixed precision.  Both sets are ``systems.scan``s:
 1D with the exact forward-difference values of each p_i over a chunk
 (equal to ``eval``), planar member by member over merged runs of the
-times m + p_i(n), each decided once.  An even family (p_i(-n) = p_i(n)
-for every i, as for n^2 or n^4 + n^2) is decided once per |n| and
-mirrored onto the negative times, and a 1D set can reuse another's.
+times m + p_i(n), each decided once.  A 1D family of even members (n^2),
+or of odd and even ones (n, n^2) around a center that a rotation reflects
+x about, is decided once per |n|, and a 1D set can reuse another's.
 
 Period lemma: an integer-valued p of degree d has p(n + Q d!) = p(n)
 mod Q, as it sums integer multiples of C(n, k) = f_k(n) / k!, k <= d,
@@ -38,7 +38,7 @@ from . import bitops
 from .check import PwsCert2D
 from .errors import BadBoundError, BadEpsilonError, EmptySetError
 from .polynomials import PolyFamily
-from .systems import PointLike, SystemSpec, fold_period, scan
+from .systems import PointLike, SystemSpec, TorusRotation, fold_period, mirror, scan
 from .windows import GridSet, WindowSet, column_dilations, max_rectangle_cols
 
 
@@ -69,27 +69,25 @@ def _overlap(known: WindowSet, lo: int, hi: int) -> Tuple[int, int]:
 def return_set_1d(q: ReturnQuery, known: Optional[WindowSet] = None) -> WindowSet:
     """{ n in window : T^{p_i(n)} x lies in the ball for every i }.
 
-    When every p_i is even, n and -n ask the same question, so a window
-    reaching below 0 is decided on the |n| range [dlo, dhi] only (itself
-    tiled when it folds); the n < 0 part of the mask is its bits reversed.
+    n and -n ask the same question, and ``systems.mirror`` decides |n| only,
+    when every p_i is even, and when every p_i is even or odd on a rotation
+    that ``reflects`` x about the center (T^-t x - c = -(T^t x - c) there).
     ``known``, the set of the same question (same system, x, center, eps and
     family) on any window, is trusted on the part of the scanned range that
     its window covers, and only the rest is scanned.
     """
-    lo, hi = q.window
     polys = q.family.polys
-    fold = lo < 0 and lo <= hi and all(p.is_even() for p in polys)
-    dlo, dhi = (max(0, -hi), max(hi, -lo)) if fold else (lo, hi)
-    done, kept = (0, 0) if known is None else _overlap(known, dlo, dhi)
-    want = bitops.mask_of(dhi - dlo + 1) & ~done if done else None
-    mask = kept | scan(q.sys, q.x, q.eps, lambda start, size: [
-        (q.center, p.progression(start, size)) for p in polys
-    ], dlo, dhi, fold_period(q.sys, q.x, q.family), want)
-    if fold:  # bit k - dlo holds |n| = k; n = -k goes to bit -k - lo
-        width = -lo - dlo + 1
-        below = bitops.reverse_bits(mask & bitops.mask_of(width), width)
-        mask = below | ((mask & bitops.mask_of(max(0, hi + 1))) << -lo)
-    return WindowSet(lo, hi, mask)
+    odd = isinstance(q.sys, TorusRotation) and q.sys.reflects(q.x, q.center)
+    period = fold_period(q.sys, q.x, q.family)
+    def decide(lo: int, hi: int) -> int:
+        done, kept = (0, 0) if known is None else _overlap(known, lo, hi)
+        want = bitops.mask_of(hi - lo + 1) & ~done if done else None
+        return kept | scan(q.sys, q.x, q.eps, lambda start, size: [
+            (q.center, p.progression(start, size)) for p in polys
+        ], lo, hi, period, want)
+
+    exact = all(p.is_even() or odd and p.is_odd() for p in polys)
+    return WindowSet(*q.window, mirror(decide, *q.window, period, exact))
 
 
 def return_set_2d(q: ReturnQuery) -> GridSet:

@@ -309,6 +309,11 @@ class TorusRotation(_System):
             near = _on_arc(u - c + half, s, 2 * half, m, times, near)
         return list(range(len(times))) if near is None else near
 
+    def reflects(self, x: Point, center: Point) -> bool:
+        """Whether 2(x - center) = 0 at M: then T^t x - center = -(T^-t x - center)."""
+        m, _, x, center = self._ints(x, center)
+        return all(2 * (u - c) % m == 0 for u, c in zip(x, center))
+
     def to_json_obj(self) -> dict:
         return {
             "type": "rotation",
@@ -647,7 +652,8 @@ def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=Non
     them that hit: a pair is decided at n only when n is wanted and every
     earlier pair kept n.  None stands for every offset, so a pair asked about a
     whole chunk walks its ``range``.  With a period P <= hi - lo, only the residues wanted
-    of [lo, lo + P) are decided, by processes that share one queue (``_split``), and tiled.
+    of [lo, lo + P) are decided, by processes that share one queue (``_split``), and tiled;
+    ``mirror`` asks for an |n| range [a, b] only below that, b - a < P, so never tiles it.
     """
     tiled = period is not None and period <= hi - lo
     top = lo + period - 1 if tiled else hi
@@ -673,6 +679,17 @@ def scan(sys: SystemSpec, x: PointLike, eps, conds, lo: int, hi: int, period=Non
 
     mask = _split(decide, range(lo, top + 1, CHUNK))
     return bitops.tile_mask(mask, period, hi - lo + 1) if tiled else mask
+
+
+def mirror(decide: Callable[[int, int], int], lo: int, hi: int, period, exact: bool) -> int:
+    """``decide(lo, hi)``; where n and -n decide alike (``exact``), lo < 0 and b - a < P (no
+    more times than ``scan`` decides), ``decide(a, b)`` over |n|, its n < 0 part reversed."""
+    a, b = max(0, -hi), max(hi, -lo)
+    if not exact or lo >= 0 or hi < lo or period is not None and period <= b - a:
+        return decide(lo, hi)
+    mask, width = decide(a, b), -lo - a + 1  # bit k - a holds |n| = k; n = -k goes to bit -k - lo
+    below = bitops.reverse_bits(mask & bitops.mask_of(width), width)
+    return below | (mask & bitops.mask_of(max(0, hi + 1))) << -lo
 
 
 def fold_period(sys: SystemSpec, x: PointLike, family: PolyFamily) -> Optional[int]:

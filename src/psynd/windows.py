@@ -198,9 +198,9 @@ def _member_blocks(s: WindowSet, sep: str) -> Iterator[str]:
                for k in range(max(lo, 0) // 1000, hi // 1000 + 1)]
     for base, top, pre, table in blocks:
         start, end = max(lo, base), min(hi, top)
-        picks = sel[start - lo : end - lo + 1]
+        picks = bytes(start - base) + sel[start - lo : end - lo + 1]  # aligned with table, 0 below lo
         if 1 in picks:
-            yield pre + (sep + pre).join(compress(table[start - base:], picks))
+            yield pre + (sep + pre).join(compress(table, picks))
 
 
 @dataclass(frozen=True, slots=True, init=False)

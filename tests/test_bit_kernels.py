@@ -281,6 +281,15 @@ def test_tile_mask_repeats_the_low_word(x, period, width):
     assert bitops.tile_mask(x, period, width) == want
 
 
+@given(st.data(), st.integers(0, 300))
+@settings(max_examples=200, deadline=None)
+def test_reverse_bits_matches_per_bit(data, width):
+    # widths off a byte boundary leave padding in the top byte, which the shift drops
+    x = data.draw(st.integers(0, (1 << width) - 1))
+    want = sum(1 << (width - 1 - i) for i in range(width) if (x >> i) & 1)
+    assert bitops.reverse_bits(x, width) == want
+
+
 def test_from_members_names_the_first_member_outside():
     for members, bad in [([3, 11, -1], 11), ([3, -1, 11], -1), ([0, 11], 11), ([-1, 10], -1)]:
         with pytest.raises(ValueError, match=f"member {bad} outside window"):

@@ -1009,14 +1009,16 @@ def test_program_fault_is_not_a_config_error(tmp_path, capsys, monkeypatch, comm
      "bad alpha 'golden+'"),
     ("returns", dict(ROTATION_RETURNS, system={"type": "rotation", "alpha": ["1/4", "sqrt7"]},
                      window=[0, 9]), "bad alpha ['1/4', 'sqrt7']"),
-    # sizes no index holds: a window is refused by its key, a literal hi at its first
-    # allocation (an OverflowError)
+    # sizes no index holds: a window is refused by its key, a literal one by lo and hi,
+    # before its first allocation could raise Python's own OverflowError text
     ("analyze", {"set": {"kind": "full", "window": [0, 10**30]}},
      f"bad window [0, {10**30}]: at most {sys.maxsize} integers"),
     ("analyze", {"set": {"kind": "literal", "lo": 0, "hi": 10**30, "members": []}},
-     "cannot fit 'int' into an index-sized integer"),
+     f"bad lo, hi [0, {10**30}]: at most {sys.maxsize} integers"),
+    ("analyze", {"set": {"kind": "literal", "lo": -10**30, "hi": -1, "members": []}},
+     f"bad lo, hi [{-10**30}, -1]: at most {sys.maxsize} integers"),
 ], ids=["missing-file", "zero-denominator", "not-a-number", "bad-constant", "bad-constant-list",
-        "full-window-of-1e30", "literal-hi-of-1e30"])
+        "full-window-of-1e30", "literal-hi-of-1e30", "literal-lo-of-minus-1e30"])
 def test_unreadable_values_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the right JSON type that cannot be read is a config error
     naming the key; a missing set file and a zero denominator ended in a traceback."""

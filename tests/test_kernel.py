@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psynd import (
@@ -401,6 +401,19 @@ def test_is_even_matches_eval(n):
         p = parse_polynomial(text)
         assert p.is_even() is even
         assert (p.eval(-n) == p.eval(n)) is even
+
+
+@given(st.integers(-(10**9), 10**9).filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_is_odd_matches_eval(n):
+    # p(-n) + p(n) of the polynomials below that are not odd has no root but 0
+    # (2n^2, 2, -n^2); the zero polynomial is both even and odd
+    for text, odd in [("0", True), ("n", True), ("-3n", True), ("n^2", False),
+                      ("n^3+n", True), ("n^2+n", False), ("n^3+1", False), ("[0,0,0,1]", False),
+                      ("n^5-4n^3", True)]:
+        p = parse_polynomial(text)
+        assert p.is_odd() is odd
+        assert (p.eval(-n) == -p.eval(n)) is odd
 
 
 @given(queries(), st.lists(st.integers(-(10**12), 10**12), max_size=40))
@@ -1125,3 +1138,107 @@ def test_nilcheck_decides_each_absolute_n_once(monkeypatch, tmp_path, windows):
     assert main(["nilcheck", "--config", str(cfg), "--out", str(tmp_path / "report.json")]) == 0
     assert calls == [(-w, w) for w in windows]
     assert sorted(t for call in asked for t in call) == [k * k for k in range(max(windows) + 1)]
+
+
+# -- the mirror: n and -n decided once, as |n| ------------------------------
+
+# odd, even and neither (n^2+n, n^3+n^2), each family in normal form
+MIRROR_FAMILIES = [["n"], ["-2n"], ["n^2"], ["n", "n^2"], ["n^3"], ["n^2", "n^3+n"],
+                   ["n^2+n"], ["n", "n^2+n"], ["n^3+n^2"], ["n^4", "n^3"]]
+
+# across 0 with either side the longer, or on one side of it
+mirror_windows = st.tuples(st.integers(-80, 40), st.integers(0, 90)).map(
+    lambda t: (t[0], t[0] + t[1]))
+
+
+@st.composite
+def reflected_queries(draw):
+    """(rotation, x, center, eps, how) on a torus of dimension 1-3, named or rational.
+    The center is x or x plus a half-lattice offset (how "x", "half"), about which the
+    rotation reflects x, or x + 1/3 in the first coordinate (how "third"), about which
+    it does not."""
+    named = draw(st.booleans())
+    real = lambda: draw(reals(True)) if named else str(draw(small_rationals))  # noqa: E731
+    sys = TorusRotation(tuple(parse_real(real()) for _ in range(draw(st.integers(1, 3)))),
+                        bits=draw(st.sampled_from([128, 256])))
+    x = draw(points(sys))
+    how = draw(st.sampled_from(["x", "half", "third"]))
+    offsets = {"x": [0] * sys.dim, "third": [Fraction(1, 3)] + [0] * (sys.dim - 1),
+               "half": draw(st.lists(st.sampled_from([0, Fraction(1, 2)]),
+                                     min_size=sys.dim, max_size=sys.dim))}[how]
+    center = sys.make_point([str(c + o) for c, o in zip(x, offsets)])
+    # radii at which a ball around x + 1/3 tells n from -n for most rotations
+    eps = draw(st.sampled_from([Fraction(1, 5), Fraction(3, 10), Fraction(2, 5)]))
+    return sys, x, center, eps, how
+
+
+_SQRT2 = TorusRotation((parse_real("sqrt2"),))
+
+
+@given(reflected_queries(), mirror_windows, st.sampled_from(MIRROR_FAMILIES))
+# T^1 0 = 0.414... lies within 1/5 of 1/3 and T^-1 0 = 0.585... does not: with n or
+# n^3, 1 is a member and -1 is not, so a mirror about x + 1/3 would be wrong
+@example((_SQRT2, (Fraction(0),), _SQRT2.make_point(["1/3"]), Fraction(1, 5), "third"),
+         (-30, 30), ["n"])
+@example((_SQRT2, (Fraction(0),), _SQRT2.make_point(["1/3"]), Fraction(1, 5), "third"),
+         (-30, 30), ["n^3"])
+@settings(max_examples=200, deadline=None)
+def test_mirrored_return_set_1d_matches_per_point_loop(query, win, fam):
+    sys, x, center, eps, how = query
+    assert sys.reflects(x, center) is (how != "third")
+    q = ReturnQuery(sys, x, center, eps, PolyFamily.parse(fam), win)
+    assert return_set_1d(q) == oracle_return_set_1d(q)
+
+
+@given(reflected_queries(), st.sampled_from(MIRROR_FAMILIES), st.integers(0, 2),
+       st.integers(0, 70))
+@settings(max_examples=120, deadline=None)
+def test_mirrored_recurrence_times_match_per_point_loop(query, fam, radius, n_bound):
+    # the rows mirror onto each other for any x, so the center plays no part
+    sys, x, _, eps, _ = query
+    family = PolyFamily.parse(fam)
+    got = recurrence_times(sys, x, family, radius, eps, n_bound)
+    assert got == oracle_recurrence_times(sys, x, family, radius, eps, n_bound)
+
+
+def _returns(tmp_path, cfg: dict) -> dict:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["returns", "--config", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    return json.loads((tmp_path / "report.json").read_text())
+
+
+@pytest.mark.parametrize("window", [(-300, 500), (-500, 300), (-400, -100)])
+def test_returns_decides_each_absolute_n_once(monkeypatch, tmp_path, window):
+    # n is odd and n^2 even, and the center is x: member n asks about |n| once
+    # each, and n^2 only about the |n| that n kept
+    sys = TorusRotation((parse_real("sqrt2"),))
+    x = sys.base_point()
+    eps = Fraction(1, 10)
+    lo, hi = window
+    a, b = max(0, -hi), max(hi, -lo)
+    first = [k for k, hit in zip(range(a, b + 1), hits(sys, x, x, eps, range(a, b + 1))) if hit]
+    asked = _asked(monkeypatch, TorusRotation)
+    report = _returns(tmp_path, {"system": {"type": "rotation", "alpha": ["sqrt2"]},
+                                 "family": ["n", "n^2"], "epsilon": "1/10", "window": window})
+    assert asked == [list(range(a, b + 1)), [k * k for k in first]]
+    q = ReturnQuery(sys, x, x, eps, PolyFamily.parse(["n", "n^2"]), window)
+    assert report["set"]["members"] == list(oracle_return_set_1d(q).members())
+
+
+@pytest.mark.parametrize("q, mirrors", [(12, False), (2000, True)], ids=["P-24", "P-4000"])
+def test_rational_query_mirrors_only_inside_one_period(monkeypatch, tmp_path, q, mirrors):
+    # n^2 on a 1/q rotation has the period P = 2q.  At P = 24, below the |n| range
+    # [0, 100], one period of the window itself, [-100, -77], is decided and tiled;
+    # at P = 4000 the |n| range is decided and mirrored
+    sys = TorusRotation((parse_real(f"1/{q}"),))
+    x = sys.base_point()
+    family = PolyFamily.parse(["n^2"])
+    assert fold_period(sys, x, family) == 2 * q
+    asked = _asked(monkeypatch, TorusRotation)
+    report = _returns(tmp_path, {"system": {"type": "rotation", "alpha": [f"1/{q}"]},
+                                 "family": ["n^2"], "epsilon": "1/5", "window": [-100, 60]})
+    decided = range(0, 101) if mirrors else range(-100, -100 + 2 * q)
+    assert asked == [[n * n for n in decided]]
+    query = ReturnQuery(sys, x, x, Fraction(1, 5), family, (-100, 60))
+    assert report["set"]["members"] == list(oracle_return_set_1d(query).members())
