@@ -98,12 +98,14 @@ def reverse_bits(x: int, width: int) -> int:
 
 
 def tile_mask(x: int, period: int, width: int) -> int:
-    """The ``width``-bit mask whose bit i is bit ``i % period`` of x."""
+    """The ``width``-bit mask whose bit i is bit ``i % period`` of x.  Its width is
+    reserved first, so a mask no memory holds fails at once, not after doubling."""
+    full = mask_of(width)
     x &= mask_of(min(period, width))
     while period < width:
         x |= x << period
         period *= 2
-    return x & mask_of(width)
+    return x & full
 
 
 def smear_down(x: int, b: int) -> int:

@@ -52,6 +52,7 @@ from .windows import (
     GridSet,
     WindowSet,
     best_slice,
+    bounded,
     find_ap,
     gap_summary,
     grid_slice,
@@ -98,7 +99,7 @@ def _emit(report: dict, out: Optional[str], fmt: str) -> None:
 def _load_config(path: str) -> dict:
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=Config)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deep
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} is not a JSON object")
@@ -171,7 +172,7 @@ def cmd_analyze(cfg: dict, rng: random.Random) -> tuple[dict, int]:
 def cmd_thma(cfg: dict, rng: random.Random) -> tuple[dict, int]:
     source = read_source(take(cfg, "set", dict))
     family = _family(cfg)
-    box = tuple(take(cfg, "box", [int], size=4))
+    box = tuple(bounded("box", take(cfg, "box", [int], size=4)))
     certs_cfg = take(take(cfg, "certificates", dict, {}), "pws2d", dict, {})
     b1_max, b2_max = (take(certs_cfg, k, int, 8, least=0) for k in ("b1_max", "b2_max"))
     by_shape = "w" in certs_cfg or "h" in certs_cfg  # then both are required
@@ -234,7 +235,7 @@ def cmd_thmb(cfg: dict, rng: random.Random) -> tuple[dict, int]:
     family = _family(cfg)
     target_cfg = take(cfg, "target", dict, None)
     if target_cfg is None:
-        box = tuple(take(cfg, "box", [int], size=4))
+        box = tuple(bounded("box", take(cfg, "box", [int], size=4)))
         pws_cfg = take(take(cfg, "certificates", dict, {}), "pws", dict, {})
         b_max, l_run = take(pws_cfg, "b_max", int, 3, least=0), take(pws_cfg, "L", int, 12, least=1)
     else:
@@ -300,8 +301,8 @@ def cmd_returns(cfg: dict, rng: random.Random, oracle: bool) -> tuple[dict, int]
     x = sys_spec.base_point() if x_cfg is None else sys_spec.point_from_json(x_cfg, "x")
     center = x if center_cfg is None else sys_spec.point_from_json(center_cfg, "center")
     eps, eps_f = take(cfg, "epsilon", str), take(cfg, "epsilon", str, parse=Fraction)
-    box = take(cfg, "box", [int], None, size=4)
-    window = take(cfg, "window", [int], size=2) if box is None else None
+    box = bounded("box", take(cfg, "box", [int], None, size=4))
+    window = bounded("window", take(cfg, "window", [int], size=2)) if box is None else None
     pws_cfg = take(take(cfg, "certificates", dict, {}), "pws2d" if box else "pws", dict, {})
     keys = {"b_max": 0, "L": 1} if box is None else {"b1_max": 0, "b2_max": 0, "w": 1, "h": 1}
     bounds = [take(pws_cfg, k, int, least=n) for k, n in keys.items()] if pws_cfg else None
@@ -362,6 +363,7 @@ def cmd_induced(cfg: dict, rng: random.Random) -> tuple[dict, int]:
     eps = take(cfg, "epsilon", str, "1/10")
     eps_f = take(cfg, "epsilon", str, "1/10", parse=Fraction)
     n_bound = take(cfg, "N", int, 1000, least=0)
+    bounded("N", n_bound, [-n_bound, n_bound])
     kind = take(cfg, "block", ("split", "orbit"), "split")
     refuse_unread(cfg)
     times = recurrence_times(sys_spec, x, core, radius, eps_f, n_bound)
@@ -412,6 +414,7 @@ def cmd_nilcheck(cfg: dict, rng: random.Random) -> tuple[dict, int]:
     widths = take(cfg, "windows", [int], default["windows"], least=0)
     if not widths:  # no window, no gap to compare
         raise ConfigError("bad windows []: a list of at least one integer >= 0")
+    bounded("windows", widths, [-max(widths), max(widths)])
     refuse_unread(cfg)
     x = sys_spec.base_point()
     gaps, counts, rs = {}, {}, None
@@ -516,7 +519,7 @@ def cmd_verify(report_path: str) -> int:
         for cert in certs:
             if cert.planar != planar:
                 raise ValueError(f"{cert.type} certificate on a {'2D' if planar else '1D'} set")
-    except (OSError, ValueError, OverflowError, MemoryError) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError, RecursionError) as exc:
         print(f"verify: bad report: {str(exc) or TOO_LARGE}", file=sys.stderr)
         return PARSE_ERROR
     finally:

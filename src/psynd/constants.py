@@ -20,6 +20,7 @@ from typing import Optional
 
 DEFAULT_BITS = 256
 MIN_BITS = 128
+MAX_BITS = 4096  # sixteen times the default; the cost grows with it (1e6 bits: seconds per query)
 
 _NAMES = ("sqrt2", "sqrt3", "golden", "e", "pi")
 
@@ -64,8 +65,7 @@ class RealSpec:
 
     def fixed(self, bits: int = DEFAULT_BITS) -> int:
         """floor(value * 2^bits) as an exact integer."""
-        if bits < MIN_BITS:
-            raise ValueError(f"precision below {MIN_BITS} bits")
+        precision(bits)
         off = (self.offset.numerator << bits) // self.offset.denominator
         if self.name is None:
             return off
@@ -78,6 +78,15 @@ class RealSpec:
             return self.name
         sign = "+" if self.offset > 0 else "-"
         return f"{self.name}{sign}{abs(self.offset)}"
+
+
+def precision(bits: int) -> int:
+    """``bits``, a fixed-point resolution, when MIN_BITS <= bits <= MAX_BITS; else ValueError."""
+    if bits < MIN_BITS:
+        raise ValueError(f"precision below {MIN_BITS} bits")
+    if bits > MAX_BITS:
+        raise ValueError(f"precision above {MAX_BITS} bits")
+    return bits
 
 
 def parse_real(text) -> RealSpec:

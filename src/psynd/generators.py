@@ -5,26 +5,13 @@ from __future__ import annotations
 
 import json
 import random
-import reprlib
-import sys
 from pathlib import Path
 
 from . import bitops
-from .constants import DEFAULT_BITS, MIN_BITS, parse_real
+from .constants import DEFAULT_BITS, MIN_BITS, parse_real, precision
 from .errors import ConfigError, take
 from .systems import TorusRotation, arc_mask
-from .windows import WindowSet
-
-MAX_WIDTH = sys.maxsize  # the most integers a config window may hold: no index goes past it
-
-
-def _width(lo: int, hi: int) -> int:
-    """The width of [lo, hi], after one allocation of its mask: ValueError on an empty
-    window, and a MemoryError at once on one no memory holds, before a builder that
-    grows its mask (a tiling doubles it step by step) spends time and memory on it."""
-    width = WindowSet(lo, hi).width  # ValueError on an empty window
-    bitops.mask_of(width)
-    return width
+from .windows import WindowSet, bounded
 
 
 def sturmian_window(
@@ -47,7 +34,7 @@ def sturmian_window(
     irrational slope and every multiple of q for alpha = p/q.
     """
     m, (a,) = TorusRotation((parse_real(alpha),), bits=bits)._ints()
-    width = _width(lo, hi)
+    width = WindowSet(lo, hi).width  # ValueError on an empty window
     return WindowSet(lo, hi, arc_mask(2 * a * lo, 2 * a, m - 1, 2 * m, width))
 
 
@@ -56,7 +43,7 @@ def congruence_window(modulus: int, residues, lo: int, hi: int) -> WindowSet:
     below min(modulus, width) from lo, tiled by ``bitops.tile_mask``."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    width = _width(lo, hi)
+    width = WindowSet(lo, hi).width  # ValueError on an empty window
     sel = bytearray(min(modulus, width))
     for r in residues:
         if (i := (r - lo) % modulus) < len(sel):
@@ -87,11 +74,12 @@ def random_thick_syndetic(
 def load_window_file(path: str) -> WindowSet:
     try:
         raw = Path(path).read_bytes()
-    except OSError as exc:
+        if raw[:4] == b"PSYN":
+            return WindowSet.from_bitmap_bytes(raw)
+        obj = json.loads(raw.decode("utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, malformed or too deep
         raise ConfigError(f"cannot read set file {path}: {exc}") from exc
-    if raw[:4] == b"PSYN":
-        return WindowSet.from_bitmap_bytes(raw)
-    return WindowSet.from_json_obj(json.loads(raw.decode("utf-8")))
+    return WindowSet.from_json_obj(obj)
 
 
 def read_source(obj: dict) -> tuple:
@@ -107,14 +95,12 @@ def read_source(obj: dict) -> tuple:
     if kind == "file":
         return load_window_file, (take(obj, "path", str),)
     key = "lo, hi" if kind == "literal" else "window"
-    lo, hi = ((take(obj, "lo", int), take(obj, "hi", int)) if kind == "literal"
-              else take(obj, "window", [int], size=2))
-    if hi - lo >= MAX_WIDTH:
-        raise ConfigError(f"bad {key} {reprlib.repr([lo, hi])}: at most {MAX_WIDTH} integers")
+    lo, hi = bounded(key, [take(obj, "lo", int), take(obj, "hi", int)] if kind == "literal"
+                     else take(obj, "window", [int], size=2))
     if kind == "literal":
         return WindowSet.from_members, (lo, hi, take(obj, "members", [int]))
     if kind == "sturmian":
-        bits = take(obj, "bits", int, DEFAULT_BITS, least=MIN_BITS)
+        bits = take(obj, "bits", int, DEFAULT_BITS, least=MIN_BITS, parse=precision)
         return sturmian_window, (take(obj, "alpha", str, parse=parse_real), lo, hi, bits)
     if kind == "congruence":
         return congruence_window, (take(obj, "modulus", int, least=1),

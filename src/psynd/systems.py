@@ -71,7 +71,7 @@ from operator import xor
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import bitops
-from .constants import DEFAULT_BITS, MIN_BITS, RealSpec, parse_real
+from .constants import DEFAULT_BITS, MIN_BITS, RealSpec, parse_real, precision
 from .errors import BadEpsilonError, ConfigError, EmptySetError, WindowExhaustedError, take
 from .polynomials import PolyFamily
 from .windows import WindowSet
@@ -169,6 +169,7 @@ def arc_mask(v0: int, step: int, width: int, m: int, count: int) -> int:
     its last; the xor prefix of the toggles is the rows, q bits each, and the
     rows laid end to end are the mask.
     """
+    bitops.mask_of(count)  # reserved first: a count no memory holds fails before the search
     step %= m
 
     def drift(j: int) -> int:
@@ -711,7 +712,7 @@ def fold_period(sys: SystemSpec, x: PointLike, family: PolyFamily) -> Optional[i
 def system_from_json_obj(obj: dict) -> SystemSpec:
     """The system of a config object; ConfigError names a key of the wrong type."""
     kind = take(obj, "type", ("rotation", "skew", "heisenberg", "subshift"))
-    bits = take(obj, "bits", int, DEFAULT_BITS, least=MIN_BITS)
+    bits = take(obj, "bits", int, DEFAULT_BITS, least=MIN_BITS, parse=precision)
     if kind == "subshift":
         return IndicatorSubshift(WindowSet.from_json_obj(take(obj, "base", dict)))
     if kind == "heisenberg":

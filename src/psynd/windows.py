@@ -20,10 +20,13 @@ pure function, safe to call concurrently.
 
 from __future__ import annotations
 
+import reprlib
 import struct
+import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress, product, repeat, starmap
+from math import prod
 from operator import getitem
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -35,6 +38,17 @@ from .errors import BadBoundError, ConfigError, EmptySetError, NoRowError, take
 _BITMAP_MAGIC = b"PSYN"
 _VERSION_1D = 1
 TABLE_ROWS = 384  # see GridSet._member_rows
+MAX_WIDTH = sys.maxsize  # the most integers a window, or cells a box, may hold: no index goes past it
+
+
+def bounded(key: str, value, bounds=None):
+    """``value``, read for ``key``, when the window [lo, hi] or box [mlo, mhi, nlo, nhi] of
+    ``bounds`` (``value`` itself by default; None bounds nothing) holds at most MAX_WIDTH
+    integers; else ConfigError naming the key, before any mask is reserved."""
+    sides = (value if bounds is None else bounds) or ()
+    if prod(max(0, hi - lo + 1) for lo, hi in zip(sides[::2], sides[1::2])) > MAX_WIDTH:
+        raise ConfigError(f"bad {key} {reprlib.repr(value)}: at most {MAX_WIDTH} integers")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,7 +136,7 @@ class WindowSet:
         list, checks each list as ``take`` does, and gives the mask of their members.
         ``split``, when given, decodes ``obj``'s list in parts instead: called with
         ``fill``, it gives the OR of its masks over the parts (``cli._decode_parts``)."""
-        lo, hi = take(obj, "lo", int), take(obj, "hi", int)
+        lo, hi = bounded("lo, hi", [take(obj, "lo", int), take(obj, "hi", int)])
 
         def fill(objs: Iterable[dict]) -> int:
             return _window_mask(lo, hi, (take(o, "members", [int]) for o in objs))
@@ -333,7 +347,7 @@ class GridSet:
     def from_json_obj(cls, obj: dict, split: Optional[Callable] = None) -> "GridSet":
         """The set of a report's ``{box, members}``, its member lists read by ``fill``
         and ``split`` as :meth:`WindowSet.from_json_obj` says."""
-        box = tuple(take(obj, "box", [int], size=4))
+        box = tuple(bounded("box", take(obj, "box", [int], size=4)))
 
         def fill(objs: Iterable[dict]) -> int:
             try:

@@ -549,6 +549,15 @@ MOD3 = {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 99]}
                              "epsilon": "1/5", "window": [0, 9]},
                  "bad family ['n^800']: degree 800 above the bound 64",
                  id="returns-degree above bound"),
+    # a resolution above MAX_BITS, where 10^6 bits took seconds on an 11-integer window
+    pytest.param("returns", {"system": {"type": "rotation", "alpha": ["sqrt2"], "bits": 10**9},
+                             "family": ["n"], "epsilon": "1/5", "window": [0, 10]},
+                 "bad bits 1000000000: precision above 4096 bits", id="returns-bits above bound"),
+    pytest.param("nilcheck", {"system": {**HEIS_NAMED, "bits": 4097}},
+                 "bad bits 4097: precision above 4096 bits", id="nilcheck-bits above bound"),
+    pytest.param("analyze", {"set": {"kind": "sturmian", "alpha": "golden", "window": [0, 9],
+                                     "bits": 4097}},
+                 "bad bits 4097: precision above 4096 bits", id="analyze-sturmian bits above bound"),
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the wrong JSON type is a config error: exit 2, no report, no traceback."""
@@ -759,9 +768,14 @@ def test_verify_malformed_report_exit_2(tmp_path, capsys, set_kind, cert, messag
      "bad box [0, 3.5, 0, '3']: a list of 4 integers"),
     # windows whose first allocation fails: 10^17 bits are beyond the address space
     ({"lo": 0, "hi": 10**17, "members": []}, "verify: bad report: a set too large to hold in memory"),
-    ({"lo": 0, "hi": 10**30, "members": []}, "cannot fit 'int' into an index-sized integer"),
+    # windows and boxes no index holds, refused by their keys before any allocation
+    ({"lo": 0, "hi": 10**30, "members": []},
+     f"verify: bad report: bad lo, hi [0, {10**30}]: at most {sys.maxsize} integers\n"),
+    ({"box": [0, 10**30, 0, 0], "members": []},
+     f"verify: bad report: bad box [0, {10**30}, 0, 0]: at most {sys.maxsize} integers\n"),
 ], ids=["float", "string", "outside", "2d-float", "2d-string", "2d-triple", "2d-outside",
-        "2d-bool-m", "2d-bool-n", "bool", "float-bound", "2d-float-bound", "too-large-to-hold", "too-large-to-index"])
+        "2d-bool-m", "2d-bool-n", "bool", "float-bound", "2d-float-bound", "too-large-to-hold",
+        "too-large-to-index", "2d-too-large-to-index"])
 def test_verify_malformed_members_exit_2(tmp_path, capsys, set_obj, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"set": set_obj, "certificates": []}))
@@ -1017,8 +1031,31 @@ def test_program_fault_is_not_a_config_error(tmp_path, capsys, monkeypatch, comm
      f"bad lo, hi [0, {10**30}]: at most {sys.maxsize} integers"),
     ("analyze", {"set": {"kind": "literal", "lo": -10**30, "hi": -1, "members": []}},
      f"bad lo, hi [{-10**30}, -1]: at most {sys.maxsize} integers"),
+    # every other range of a config, a box by its cells, and N and windows by [-N, N]
+    ("returns", dict(ROTATION_RETURNS, window=[0, 10**30]),
+     f"bad window [0, {10**30}]: at most {sys.maxsize} integers"),
+    ("returns", dict(ROTATION_RETURNS, box=[0, 10**30, 0, 3]),
+     f"bad box [0, {10**30}, 0, 3]: at most {sys.maxsize} integers"),
+    ("thma", {"set": MOD3, "family": ["n"], "box": [0, 10**30, 0, 3]},
+     f"bad box [0, {10**30}, 0, 3]: at most {sys.maxsize} integers"),
+    ("thmb", {"set": MOD3, "family": ["n"], "box": [0, 3, 0, 10**30]},
+     f"bad box [0, 3, 0, {10**30}]: at most {sys.maxsize} integers"),
+    ("thma", {"set": MOD3, "family": ["n"], "box": [0, 10**10, 0, 10**9]},
+     f"bad box [0, {10**10}, 0, {10**9}]: at most {sys.maxsize} integers"),
+    ("nilcheck", {"system": {"type": "rotation", "alpha": ["1/4"]}, "windows": [10, 10**30]},
+     f"bad windows [10, {10**30}]: at most {sys.maxsize} integers"),
+    ("nilcheck", {"system": {"type": "rotation", "alpha": ["1/4"]}, "windows": [sys.maxsize // 2 + 1]},
+     f"bad windows [{sys.maxsize // 2 + 1}]: at most {sys.maxsize} integers"),
+    ("induced", {"system": {"type": "rotation", "alpha": ["1/4"]}, "family": ["n^2"], "N": 10**30},
+     f"bad N {10**30}: at most {sys.maxsize} integers"),
+    ("returns", dict(ROTATION_RETURNS, window=[0, 3], system={
+        "type": "subshift", "base": {"lo": 0, "hi": 10**30, "members": []}}),
+     f"bad lo, hi [0, {10**30}]: at most {sys.maxsize} integers"),
 ], ids=["missing-file", "zero-denominator", "not-a-number", "bad-constant", "bad-constant-list",
-        "full-window-of-1e30", "literal-hi-of-1e30", "literal-lo-of-minus-1e30"])
+        "full-window-of-1e30", "literal-hi-of-1e30", "literal-lo-of-minus-1e30",
+        "returns-window-of-1e30", "returns-box-of-1e30", "thma-box-of-1e30", "thmb-box-of-1e30",
+        "thma-box-of-1e19-cells", "nilcheck-windows-of-1e30", "nilcheck-windows-of-maxsize",
+        "induced-N-of-1e30", "subshift-base-of-1e30"])
 def test_unreadable_values_exit_2(tmp_path, capsys, command, cfg, message):
     """A value of the right JSON type that cannot be read is a config error
     naming the key; a missing set file and a zero denominator ended in a traceback."""
@@ -1026,6 +1063,31 @@ def test_unreadable_values_exit_2(tmp_path, capsys, command, cfg, message):
     assert (code, report) == (2, None)
     err = capsys.readouterr().err
     assert f"{command}: config error: {message}" in err and "Traceback" not in err
+
+
+DEEP = "[" * 200_000  # nested past the JSON decoder's recursion limit
+TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
+
+@pytest.mark.parametrize("command, config_text, set_text, message", [
+    ("analyze", DEEP, "", "analyze: config error: cannot read config {config}: " + TOO_DEEP),
+    ("analyze", None, DEEP, "analyze: config error: cannot read set file {set}: " + TOO_DEEP),
+    ("verify", DEEP, "", "verify: bad report: " + TOO_DEEP),
+    ("analyze", None, json.dumps({"lo": 0, "hi": 10**30, "members": []}),
+     f"analyze: config error: bad lo, hi [0, {10**30}]: at most {sys.maxsize} integers"),
+    ("analyze", None, '{"lo": 0,', "analyze: config error: cannot read set file {set}: "
+     "Expecting property name enclosed in double quotes: line 1 column 10 (char 9)"),
+], ids=["deep-config", "deep-set-file", "deep-report", "set-file-of-1e30", "set-file-not-json"])
+def test_unreadable_inputs_exit_2(tmp_path, capsys, command, config_text, set_text, message):
+    """A config, a ``file`` set source or a report nested too deep to decode, a set file
+    too wide to index, or one that is not JSON, exits 2 with one line naming the input,
+    not a traceback (exit 1, which ``verify`` gives a FAILed certificate)."""
+    paths = {"config": tmp_path / "config.json", "set": tmp_path / "set.json"}
+    paths["set"].write_text(set_text)
+    paths["config"].write_text(config_text or json.dumps(
+        {"set": {"kind": "file", "path": str(paths["set"])}}))
+    assert main([command, "--config", str(paths["config"])]) == 2
+    assert capsys.readouterr()[:] == ("", message.format(**paths) + "\n")
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -1042,17 +1104,25 @@ def test_sets_too_large_to_hold_exit_3(tmp_path, capsys, command, cfg):
     assert err == f"{command}: a set too large to hold in memory\n"
 
 
-@pytest.mark.parametrize("source", [
-    {"kind": "congruence", "modulus": 3, "residues": [0]},
-    {"kind": "sturmian", "alpha": "golden"},
-], ids=["congruence", "sturmian"])
-def test_huge_generated_window_fails_at_once(tmp_path, source):
-    """A builder that tiles or walks its mask allocates the whole mask first: on
-    [0, 10^18] it fails there, exit 3, instead of growing its mask until memory
-    runs out (a congruence set reached 1 GB under a 1 GB cap, a Sturmian one
-    spun on).  Run as a process capped at 1 GiB of address space and 60 CPU seconds."""
-    cfg = tmp_path / "huge.json"
-    cfg.write_text(json.dumps({"set": {**source, "window": [0, 10**18]}}))
+QUARTER = {"type": "rotation", "alpha": ["1/4"]}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("analyze", {"set": {"kind": "congruence", "modulus": 3, "residues": [0], "window": [0, 10**18]}}),
+    ("analyze", {"set": {"kind": "sturmian", "alpha": "golden", "window": [0, 10**18]}}),
+    ("returns", {"system": QUARTER, "family": ["n^2"], "epsilon": "1/5", "window": [0, 10**12]}),
+    ("induced", {"system": QUARTER, "family": ["n^2"], "N": 10**12}),
+    ("nilcheck", {"system": QUARTER, "windows": [10**12]}),
+], ids=["congruence", "sturmian", "returns-folded", "induced-folded", "nilcheck-folded"])
+def test_huge_generated_window_fails_at_once(tmp_path, command, cfg):
+    """A kernel that grows a mask (``tile_mask`` doubling one period, ``arc_mask``
+    searching its blocks) reserves the whole mask first: on a window no memory
+    holds it fails there, exit 3, instead of growing its mask until memory runs
+    out (a congruence set reached 1 GB under a 1 GB cap, a Sturmian one spun on,
+    and the folded return times of the rotation by 1/4 reached 837 MiB).  Run as
+    a process capped at 1 GiB of address space and 60 CPU seconds."""
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(cfg))
     src = str(Path(psynd.cli.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -1062,12 +1132,12 @@ def test_huge_generated_window_fails_at_once(tmp_path, source):
         resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
 
     with open(tmp_path / "out", "w+") as out, open(tmp_path / "err", "w+") as err:
-        proc = subprocess.Popen([sys.executable, "-m", "psynd.cli", "analyze", "--config", str(cfg)],
+        proc = subprocess.Popen([sys.executable, "-m", "psynd.cli", command, "--config", str(cfg_path)],
                                 env=env, preexec_fn=cap, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
         proc.returncode = os.waitstatus_to_exitcode(status)
     assert (proc.returncode, (tmp_path / "out").read_text(), (tmp_path / "err").read_text()) == (
-        3, "", "analyze: a set too large to hold in memory\n")
+        3, "", f"{command}: a set too large to hold in memory\n")
     assert usage.ru_maxrss < 256 * 1024  # KiB: the interpreter and psynd, no mask
 
 

@@ -21,7 +21,7 @@ from psynd import (
     parse_real,
     system_from_json_obj,
 )
-from psynd.constants import DEFAULT_BITS
+from psynd.constants import DEFAULT_BITS, MAX_BITS, MIN_BITS
 from psynd.generators import sturmian_window
 
 
@@ -51,6 +51,15 @@ def test_fixed_point_constants_against_mpmath():
             fixed = parse_real(name).fixed(bits)
             reference = int(mpmath.floor(value * scale))
             assert abs(fixed - reference) <= 1
+
+
+def test_fixed_point_precision_is_bounded():
+    # MIN_BITS..MAX_BITS is the range of a resolution; a million bits took seconds per query
+    assert parse_real("pi").fixed(MAX_BITS) >> (MAX_BITS - 1) == 6  # 2 pi = 6.28...
+    for bits, message in [(MIN_BITS - 1, "precision below 128 bits"),
+                          (MAX_BITS + 1, "precision above 4096 bits")]:
+        with pytest.raises(ValueError, match=message):
+            parse_real("sqrt2").fixed(bits)
 
 
 def test_rotation_examples():
