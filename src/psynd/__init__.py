@@ -13,6 +13,8 @@ from .check import (
     verify_pws_2d,
     verify_syndetic,
     verify_syndetic_2d,
+    verify_syndetic_2d_refutation,
+    verify_syndetic_refutation,
     verify_thick,
 )
 from .constants import RealSpec, parse_real

@@ -8,9 +8,10 @@ seeded from the config and the seed is echoed in the report.  Each
 subcommand reads its config before any work, then refuses any key that
 nothing read.
 
-Exit codes: 0 success, 1 verification failure, 2 config/parse error,
-3 infeasible: a mandatory certificate that could not be produced, an
-empty set, or a subshift word too short for the requested decision.
+Exit codes: 0 success, 1 verification failure, 2 config/parse error or
+output that cannot be written, 3 infeasible: a mandatory certificate that
+could not be produced, an empty set, or a subshift word too short for the
+requested decision.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -94,6 +96,19 @@ def _emit(report: dict, out: Optional[str], fmt: str) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
+
+
+def _cannot_write(command: str, out: Optional[str], exc: OSError) -> int:
+    """PARSE_ERROR, after one line naming the output (a path, or stdout when None).
+    A process stdout that failed is pointed at os.devnull: the interpreter flushes
+    stdout again at exit, and that flush would fail too (exit 120)."""
+    if out is None and sys.stdout is sys.__stdout__:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    print(f"{command}: cannot write {out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+    return PARSE_ERROR
 
 
 def _load_config(path: str) -> dict:
@@ -533,8 +548,11 @@ def cmd_verify(report_path: str) -> int:
     failures = 0
     for cert in certs:
         ok = verifiers[type(cert)](the_set, cert)
-        print(f"{cert.type}: {'ok' if ok else 'FAIL'}")
         failures += not ok
+        try:
+            print(f"{cert.type}: {'ok' if ok else 'FAIL'}", flush=True)
+        except OSError as exc:
+            return _cannot_write("verify", None, exc)
     return 0 if failures == 0 else 1
 
 
@@ -587,7 +605,10 @@ def main(argv: Optional[list] = None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"{args.command}: config error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    _emit(report, args.out, args.format)
+    try:
+        _emit(report, args.out, args.format)
+    except OSError as exc:
+        return _cannot_write(args.command, args.out, exc)
     return code
 
 

@@ -108,13 +108,18 @@ class IntegralPolynomial:
 
     __call__ = eval
 
+    def _differences(self, at: int) -> List[int]:
+        """The forward differences [Delta^0 p(at), ..., Delta^d p(at)], d = deg p:
+        Delta^i p(at) = sum_k c_k C(at, k - i)."""
+        cs = self.coeffs
+        return [sum(c * binom_int(at, k - i) for k, c in enumerate(cs[i:], i))
+                for i in range(len(cs))]
+
     def values(self, lo: int, count: int) -> List[int]:
         """[p(lo), ..., p(lo + count - 1)], exactly, with no interpreted step
         per value: deg p nested running sums over the constant top one of
-        the forward differences Delta^j p(lo) = sum_k c_k C(lo, k - j)."""
-        cs = self.coeffs
-        diffs = [sum(c * binom_int(lo, k - j) for k, c in enumerate(cs[j:], j))
-                 for j in range(len(cs))]
+        the forward differences at lo."""
+        diffs = self._differences(lo)
         seq = repeat(diffs.pop() if diffs else 0)
         for d in reversed(diffs):
             seq = accumulate(seq, initial=d)
@@ -130,20 +135,10 @@ class IntegralPolynomial:
     def shift(self, j: int) -> "IntegralPolynomial":
         """The re-vanished shift ``n -> p(n + j) - p(j)``.
 
-        Vandermonde: C(n+j, k) = sum_i C(j, k-i) C(n, i); dropping the
-        i=0 column subtracts exactly p(j).
+        Newton: p(n + j) = sum_i Delta^i p(j) C(n, i); dropping the i = 0
+        term, p(j), leaves the forward differences at j from the first on.
         """
-        d = self.degree
-        if d < 0:
-            return self
-        out = [0] * (d + 1)
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for i in range(1, k + 1):
-                out[i] += c * binom_int(j, k - i)
-        out[0] = 0
-        return IntegralPolynomial(out)
+        return IntegralPolynomial([0, *self._differences(j)[1:]])
 
     def vanishes_at_zero(self) -> bool:
         return not self.coeffs or self.coeffs[0] == 0
@@ -241,8 +236,8 @@ def shift_coincidence(
 ) -> Optional[int]:
     """Integer j with ``q = p.shift(j)``, if one exists.
 
-    For degree d >= 2, Vandermonde makes the C(n, d-1) coefficient of
-    p.shift(j) equal to c_{d-1} + j * c_d, strictly monotone in j, so it
+    For degree d >= 2, the C(n, d-1) coefficient of p.shift(j) is
+    Delta^{d-1} p(j) = c_{d-1} + j * c_d, strictly monotone in j, so it
     pins the one candidate; one exact comparison settles it.  For lower
     degrees every shift is p.shift(0) = p - p(0), so j = 0 stands for all.
     """

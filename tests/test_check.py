@@ -63,6 +63,12 @@ def test_the_import_rule_refuses_detection_modules():
                              "from functools import reduce\nimport operator") == []
 
 
+def test_the_package_exports_every_verifier():
+    names = [name for name in vars(psynd.check) if name.startswith("verify_")]
+    assert len(names) == len(CERT_TYPES)
+    assert all(getattr(psynd, name, None) is getattr(psynd.check, name) for name in names)
+
+
 # -- decoding ------------------------------------------------------------
 
 # certificate type -> field -> what the decoder asks for, as worded in its messages

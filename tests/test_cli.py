@@ -1,7 +1,9 @@
 """Driver behavior: reports, determinism, verification, exit codes."""
 
 import argparse
+import errno
 import gc
+import io
 import json
 import os
 import random
@@ -1204,3 +1206,56 @@ def test_verify_refuses_empty_and_negative_lengths(tmp_path, capsys, the_set, ce
     # a pws interval or rectangle claims at least one point; a thick run of 0 claims nothing
     assert verify_report(tmp_path, the_set, cert) == (verdict == "FAIL")
     assert capsys.readouterr().out == f"{cert['type']}: {verdict}\n"
+
+
+NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_exit_2(tmp_path, capsys, where):
+    """An --out that cannot be written is exit 2 with one line naming it, not
+    the FileNotFoundError or IsADirectoryError traceback (exit 1) it was."""
+    out, reason = {"missing-directory": (tmp_path / "missing" / "r.json", "No such file or directory"),
+                   "a-directory": (tmp_path, "Is a directory")}[where]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(ANALYZE_CFG), encoding="utf-8")
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr()[:] == ("", f"analyze: cannot write {out}: {reason}\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_unwritable_stdout_exit_2(tmp_path, capsys, monkeypatch, command, failing):
+    """A report or a verdict line that stdout refuses, when written or when
+    flushed, is exit 2: for verify, 1 means a FAILed certificate."""
+    _, _, report_path = run(tmp_path, "analyze", ANALYZE_CFG)
+    argv = {"analyze": ["analyze", "--config", str(tmp_path / "config.json")],
+            "verify": ["verify", "--config", str(report_path)]}[command]
+
+    def refuse(*args):
+        raise NO_SPACE
+
+    monkeypatch.setattr(sys, "stdout", type("FullStdout", (io.StringIO,), {failing: refuse})())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{command}: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_full_stdout_of_a_process_exit_2(tmp_path, command):
+    """With a buffered stdout on a full device the interpreter flushes again at
+    exit: that flush must find nothing to fail on, or the exit code is 120 and
+    stderr says ``Exception ignored``.  The report is small enough to stay in
+    the buffer until then."""
+    _, _, report_path = run(tmp_path, "analyze", {"set": {"kind": "full", "window": [0, 99]},
+                                                  "certificates": {"syndetic": {"N": 3}}})
+    config = {"analyze": tmp_path / "config.json", "verify": report_path}[command]
+    src = str(Path(psynd.cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "psynd.cli", command, "--config", str(config)],
+                              env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"{command}: cannot write stdout: No space left on device\n")
